@@ -59,6 +59,11 @@ EXIT_DISAGREEMENT = 4
 
 _COMMANDS = ("classify", "strata", "verify", "tables")
 
+# |W^P| limit for strata when budget_cells is not given. It admits E6 with a
+# regular nu (51,840 cells, about 190 MB) and refuses E7 and E8 with a
+# regular nu (2,903,040 and 696,729,600 cells) before any enumeration.
+DEFAULT_BUDGET_CELLS = 2 ** 16
+
 _KNOWN_KEYS = {
     "command", "kind", "rank", "form", "t", "nu", "q", "p", "e", "m",
     "dims", "seed", "budget_cells", "budget_field", "output",
@@ -169,7 +174,10 @@ def parse_jobspec(text: str) -> JobSpec:
                          for x in get("dims").split(","))
     for key in ("budget_cells", "budget_field"):
         if key in raw:
-            setattr(job, key, _parse_int(get(key), lineof(key), key))
+            budget = _parse_int(get(key), lineof(key), key)
+            if budget < 0:
+                raise ValidationError(f"{key} must be nonnegative, got {budget}")
+            setattr(job, key, budget)
     return job
 
 
@@ -276,7 +284,8 @@ def _run_strata(job: JobSpec, record: bool) -> tuple[int, str]:
     g = build_group(job.kind, job.rank, job.form, job.t)
     if job.nu is None:
         raise ValidationError("strata requires nu")
-    report = strata_report(g, job.nu, max_cells=job.budget_cells)
+    budget = DEFAULT_BUDGET_CELLS if job.budget_cells is None else job.budget_cells
+    report = strata_report(g, job.nu, max_cells=budget)
     return EXIT_OK, _render_strata(report, record)
 
 

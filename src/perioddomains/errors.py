@@ -51,4 +51,8 @@ class ParseError(PeriodDomainError):
 
 
 class ValidationError(PeriodDomainError):
-    """Config parsed but semantically invalid."""
+    """Config or argument parsed but semantically invalid."""
+
+
+class InvariantViolation(PeriodDomainError):
+    """A structural invariant failed: malformed input or an internal inconsistency."""

@@ -5,11 +5,21 @@ union of Schubert cells BwP/P over minimal coset representatives w with
 (omega_i, w nu) > 0; its dimension is the largest l(w) among them. dim F is
 l(w0^P) and codim Y = dim F - dim Y decides the fundamental group.
 
-The qualification predicate is evaluated through a cached table of the
-vectors w^{-1} omega_i, scaled to integers (signs are scale-invariant), so a
-report costs one integer mat-vec per cocharacter once the coset enumeration
-for (group, delta_p) is cached. Overflow is excluded by an a priori bound;
-inputs beyond it fall back to exact Fraction arithmetic.
+The qualification predicate is evaluated through a cached table of elements
+with their lengths, the signs of w(alpha_j) for every simple root, and the
+vectors w^{-1} omega_i scaled to integers (signs are scale-invariant). A
+report ANDs the delta_p columns of the sign table, since w is the minimal
+representative of wW_P exactly when w(alpha_j) > 0 for every j in delta_p,
+with the result of one integer mat-vec per vertex, then takes the longest
+qualifying element, first in enumeration order, as witness.
+
+When |W| <= FULL_TABLE_MAX_ORDER (2^15) one table over all of W serves every
+parabolic of the group. Filtering its breadth-first order keeps the order of
+the W^P enumeration, and the predecessors of a minimal representative are
+minimal, so witnesses and their reduced words are those of a W^P table.
+Larger groups (A7, E6-E8) build one W^P table per (group, delta_p), whose
+delta_p signs are all positive. Overflow of the mat-vec is excluded by an a
+priori bound; inputs beyond it fall back to exact Fraction arithmetic.
 """
 
 from __future__ import annotations
@@ -21,7 +31,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import BudgetExceeded, IndexOutOfRange
+from .errors import BudgetExceeded, IndexOutOfRange, InvariantViolation, ValidationError
 from .rootdata import (
     GroupDatum,
     RelativeCoweight,
@@ -71,23 +81,33 @@ def slope_on_cell(w: WeylElement, omega, nu) -> Fraction:
     return -inner_product(vec, w.apply(nu))
 
 
+# Largest |W| for which one table over all of W serves every parabolic. It
+# covers A3 with t=3 (|W| = 13,824) and excludes A7 (40,320) and E6 (51,840),
+# whose full tables would cost seconds to build where W^P is small.
+FULL_TABLE_MAX_ORDER = 2 ** 15
+
+
 class _QualTable:
-    """Cached per-(group, delta_p) data: coset reps, lengths, w^{-1}omega_i rows."""
+    """Minimal coset reps of W/W_{delta_p} (all of W for delta_p = ()) with
+    their lengths, signs of w(alpha_j) and w^{-1}omega_i rows."""
 
     def __init__(self, g: GroupDatum, delta_p: tuple[int, ...]):
         rs = g.absolute
-        pd = parabolic_from_subset(rs, delta_p)
-        self.pd = pd
-        self.elements = tuple(enumerate_min_coset_reps(pd, rs))
+        self.elements = tuple(enumerate_min_coset_reps(parabolic_from_subset(rs, delta_p), rs))
         self.lengths = np.array([w.length for w in self.elements], dtype=np.int64)
         omegas = relative_coweights(g)
         coeff_rows = [solve_in_span(rs.simple_roots, om.vector) for om in omegas]
         tab = _tables(rs)
+        # signs[n, j] says whether elements[n] maps alpha_{j+1} to a positive root
+        self.signs = np.array(
+            [[w.root_perm[a] < tab.npos for a in tab.simple_idx] for w in self.elements],
+            dtype=bool)
 
         # All root coordinates are half-integral at worst; doubling them and
         # clearing the coefficient denominators turns every row of
         # w^{-1} omega_i = sum_k c_k w^{-1}(alpha_k) into small integers.
-        assert all((2 * x).denominator == 1 for v in tab.roots for x in v)
+        if any((2 * x).denominator != 1 for v in tab.roots for x in v):
+            raise InvariantViolation("root coordinates are not half-integral")
         root2 = np.array([[int(2 * x) for x in v] for v in tab.roots],
                          dtype=np.int64)
         inv_at_simple = np.array(
@@ -121,25 +141,23 @@ def _integerize(nu: Vector) -> list[int]:
     return [int(x * lcm) for x in nu]
 
 
-def _precheck_budget(g: GroupDatum, delta_p: tuple[int, ...], max_cells):
-    if max_cells is None:
-        return
-    rs = g.absolute
-    pd = parabolic_from_subset(rs, delta_p)
-    total = weyl_order(rs) // pd.w_p_order
-    if total > max_cells:
-        raise BudgetExceeded(f"|W^P| = {total} exceeds budget {max_cells}")
-
-
 def _vertex_strata(g: GroupDatum, nu, max_cells=None) -> tuple[tuple[VertexStratum, ...], int]:
+    if max_cells is not None and max_cells < 0:
+        raise ValidationError(f"cell budget must be nonnegative, got {max_cells}")
+    rs = g.absolute
     flat = assemble_nu(g, nu)
-    pd = parabolic_of(flat, g.absolute)
-    _precheck_budget(g, pd.delta_p, max_cells)
-    table = _qual_table(g, pd.delta_p)
+    pd = parabolic_of(flat, rs)
+    order = weyl_order(rs)
+    if max_cells is not None and order // pd.w_p_order > max_cells:
+        raise BudgetExceeded(f"|W^P| = {order // pd.w_p_order} exceeds budget {max_cells}")
+    # w is the minimal representative of wW_P exactly when w(alpha_j) > 0
+    # for every j in delta_p; a W^P table has all those signs positive.
+    table = _qual_table(g, () if order <= FULL_TABLE_MAX_ORDER else pd.delta_p)
+    minimal = table.signs[:, [j - 1 for j in pd.delta_p]].all(axis=1)
 
     nu_int = _integerize(flat)
     max_nu = max((abs(x) for x in nu_int), default=0)
-    dim = g.absolute.ambient_dim
+    dim = rs.ambient_dim
     exact_fallback = table.max_abs * max_nu * dim >= 2 ** 62
 
     strata = []
@@ -147,10 +165,10 @@ def _vertex_strata(g: GroupDatum, nu, max_cells=None) -> tuple[tuple[VertexStrat
         if exact_fallback:
             omega = relative_coweights(g)[i - 1].vector
             flags = [inner_product(omega, w.apply(flat)) > 0 for w in table.elements]
-            mask = np.array(flags, dtype=bool)
+            mask = np.array(flags, dtype=bool) & minimal
         else:
             vals = rows @ np.array(nu_int, dtype=np.int64)
-            mask = vals > 0
+            mask = (vals > 0) & minimal
         count = int(mask.sum())
         if count == 0:
             strata.append(VertexStratum(index=i, dim=None, witness=None, cell_count=0))

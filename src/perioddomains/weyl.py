@@ -20,7 +20,7 @@ from functools import lru_cache
 from math import factorial
 from typing import Iterator, Sequence
 
-from .errors import BudgetExceeded, IndexOutOfRange, NotDominant
+from .errors import BudgetExceeded, IndexOutOfRange, InvariantViolation, NotDominant
 from .rootdata import (
     Realization,
     Vector,
@@ -297,13 +297,18 @@ def _branch_length(start, fork, adj) -> int:
         length += 1
 
 
+@lru_cache(maxsize=None)
 def weyl_order(rs: Realization) -> int:
     return reflection_subgroup_order(rs, range(1, rs.rank + 1))
 
 
 def parabolic_from_subset(rs: Realization, delta_p: Sequence[int]) -> ParabolicData:
     """ParabolicData for an explicit subset of simple-root indices (1-based)."""
-    delta = tuple(sorted(set(delta_p)))
+    return _parabolic(rs, tuple(sorted(set(delta_p))))
+
+
+@lru_cache(maxsize=None)
+def _parabolic(rs: Realization, delta: tuple[int, ...]) -> ParabolicData:
     npos = _tables(rs).npos
     dset = {i - 1 for i in delta}
     wp_len = sum(
@@ -321,7 +326,7 @@ def parabolic_from_subset(rs: Realization, delta_p: Sequence[int]) -> ParabolicD
 def parabolic_of(nu, rs: Realization) -> ParabolicData:
     """Parabolic attached to a dominant cocharacter: delta_p = vanishing pairings."""
     v = vector(nu)
-    coeffs = [inner_product(v, coroot(a)) for a in rs.simple_roots]
+    coeffs = [inner_product(v, c) for c in _tables(rs).coroots]
     bad = [i + 1 for i, c in enumerate(coeffs) if c < 0]
     if bad:
         raise NotDominant(f"negative pairing with simple coroots {bad}")
@@ -365,7 +370,8 @@ def enumerate_min_coset_reps(pd: ParabolicData, rs: Realization,
                 nxt[perm] = WeylElement(rs, perm, inv, w.length + 1, (i + 1,) + w.word)
         seen.update(nxt)
         layer = [nxt[p] for p in sorted(nxt)]
-    assert produced == total
+    if produced != total:
+        raise InvariantViolation(f"enumerated {produced} cosets, expected {total}")
 
 
 def min_coset_rep(w: WeylElement, delta_p: Sequence[int]) -> WeylElement:
@@ -400,7 +406,8 @@ def permutation_element(rs: Realization, one_line: Sequence[int]) -> WeylElement
 @lru_cache(maxsize=4096)
 def _permutation_element(rs: Realization, one_line: tuple[int, ...]) -> WeylElement:
     n = rs.ambient_dim
-    assert sorted(one_line) == list(range(1, n + 1))
+    if sorted(one_line) != list(range(1, n + 1)):
+        raise InvariantViolation(f"{one_line} is not a permutation of 1..{n}")
     t = _tables(rs)
     sigma = [x - 1 for x in one_line]
     inv_sigma = [0] * n

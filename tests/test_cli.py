@@ -1,11 +1,13 @@
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from perioddomains import cli
+from perioddomains import rootdata as rd
 from perioddomains.errors import ParseError, ValidationError
 
 
@@ -155,6 +157,26 @@ def test_exit_code_validation_error():
 def test_exit_code_budget():
     code, _ = run_main("strata", "kind=A rank=3 nu=3,1,-1,-3", "--budget-cells", "2")
     assert code == 3
+
+
+@pytest.mark.parametrize("key", ["budget_cells", "budget_field"])
+def test_negative_budget_rejected(key):
+    with pytest.raises(ValidationError):
+        cli.parse_jobspec(f"command=strata kind=A rank=3 nu=3,1,-1,-3 {key}=-1")
+    flag = "--" + key.replace("_", "-")
+    code, out = run_main("strata", "kind=A rank=3 nu=3,1,-1,-3", flag, "-1")
+    assert code == cli.EXIT_VALIDATION and out == ""
+
+
+def test_default_budget_refuses_e8_regular():
+    # |W^P| = |W(E8)| = 696,729,600 must be refused before any enumeration
+    rs = rd.build_root_system("E8", 8)
+    rho = ",".join(str(sum(w[k] for w in rs.fundamental_coweights))
+                   for k in range(rs.ambient_dim))
+    start = time.perf_counter()
+    code, out = run_main("strata", f"kind=E8 rank=8 nu={rho}")
+    assert code == cli.EXIT_BUDGET and out == ""
+    assert time.perf_counter() - start < 1.0
 
 
 def test_stdin_config(tmp_path):

@@ -8,7 +8,12 @@ from hypothesis import strategies as st
 
 from perioddomains import rootdata as rd
 from perioddomains import strata, weyl
-from perioddomains.errors import BudgetExceeded, IndexOutOfRange, NotDominant
+from perioddomains.errors import (
+    BudgetExceeded,
+    IndexOutOfRange,
+    NotDominant,
+    PeriodDomainError,
+)
 
 
 def dominant_from_coeffs(rs, coeffs):
@@ -19,19 +24,40 @@ def dominant_from_coeffs(rs, coeffs):
 
 
 def brute_report(g, nu_entries):
-    """Independent slow route: explicit coset enumeration with Fraction slopes."""
+    """Independent slow route: explicit W^P enumeration with Fraction slopes.
+
+    Each vertex gives (dim, cell count, reduced word of the first
+    longest qualifying cell in enumeration order).
+    """
     flat = rd.assemble_nu(g, nu_entries)
     pd = weyl.parabolic_of(flat, g.absolute)
     reps = list(weyl.enumerate_min_coset_reps(pd, g.absolute))
-    dims = []
+    images = [w.apply(flat) for w in reps]
+    per_vertex = []
     for rc in rd.relative_coweights(g):
-        qualifying = [w.length for w in reps
-                      if strata.slope_on_cell(w, rc, flat) < 0]
-        dims.append(max(qualifying) if qualifying else None)
-    seen = [d for d in dims if d is not None]
+        # the GIT slope -(omega_i, w nu) of the cell is negative
+        qualifying = [w for w, img in zip(reps, images)
+                      if rd.inner_product(rc.vector, img) > 0]
+        if not qualifying:
+            per_vertex.append((None, 0, None))
+            continue
+        best = max(w.length for w in qualifying)
+        witness = next(w for w in qualifying if w.length == best)
+        per_vertex.append((best, len(qualifying), witness.word))
+    seen = [d for d, _, _ in per_vertex if d is not None]
     dim_y = max(seen) if seen else None
     codim = pd.w0p_length - dim_y if dim_y is not None else math.inf
-    return pd.w0p_length, tuple(dims), dim_y, codim
+    return pd.w0p_length, tuple(per_vertex), dim_y, codim
+
+
+def assert_matches_brute(g, entries):
+    fast = strata.strata_report(g, entries)
+    dim_f, per_vertex, dim_y, codim = brute_report(g, entries)
+    assert fast.dim_f == dim_f
+    assert tuple((s.dim, s.cell_count, s.witness.word if s.witness else None)
+                 for s in fast.per_vertex) == per_vertex
+    assert fast.dim_y == dim_y
+    assert fast.codim_y == codim
 
 
 def test_slope_on_cell_examples():
@@ -133,26 +159,42 @@ def test_budget_propagates():
         strata.strata_report(g, (3, 1, -1, -3), max_cells=5)
 
 
+def test_negative_budget_rejected():
+    g = rd.build_group("A", 3)
+    for call in (lambda: strata.strata_report(g, (3, 1, -1, -3), max_cells=-1),
+                 lambda: strata.dim_y_i(g, (3, 1, -1, -3), 1, max_cells=-1)):
+        with pytest.raises(PeriodDomainError) as exc:
+            call()
+        assert not isinstance(exc.value, BudgetExceeded)
+
+
+# Every configuration here but E6 lies below strata.FULL_TABLE_MAX_ORDER and
+# reads the one table over all of W; E6 reads per-parabolic W^P tables.
 @pytest.mark.parametrize("kind,rank,form,t", [
     ("A", 2, "split", 1), ("A", 3, "split", 1), ("B", 2, "split", 1),
     ("G2", 2, "split", 1), ("A", 2, "unitary", 1), ("A", 1, "split", 2),
-    ("A", 2, "split", 2), ("B", 2, "split", 2),
+    ("A", 2, "split", 2), ("B", 2, "split", 2), ("A", 3, "split", 2),
+    ("B", 2, "split", 3), ("F4", 4, "split", 1),
 ])
 def test_fast_table_matches_fraction_route(kind, rank, form, t):
     g = rd.build_group(kind, rank, form, t)
-    rng = random.Random(hash((kind, rank, form, t)) & 0xFFFF)
+    assert weyl.weyl_order(g.absolute) <= strata.FULL_TABLE_MAX_ORDER
+    rng = random.Random(f"{kind}{rank} {form} t={t}")
     pool = [0, 0, 1, 2, F(1, 2), 3]
     for _ in range(25):
         entries = tuple(
             dominant_from_coeffs(g.base, [rng.choice(pool) for _ in range(g.base.rank)])
             for _ in range(t)
         )
-        fast = strata.strata_report(g, entries)
-        dim_f, dims, dim_y, codim = brute_report(g, entries)
-        assert fast.dim_f == dim_f
-        assert tuple(s.dim for s in fast.per_vertex) == dims
-        assert fast.dim_y == dim_y
-        assert fast.codim_y == codim
+        assert_matches_brute(g, entries)
+
+
+@pytest.mark.parametrize("i", range(1, 7))
+def test_fallback_table_matches_fraction_route(i):
+    g = rd.build_group("E6", 6)
+    assert weyl.weyl_order(g.absolute) > strata.FULL_TABLE_MAX_ORDER
+    omega = g.base.fundamental_coweights[i - 1]
+    assert_matches_brute(g, (omega,))
 
 
 @given(st.lists(st.sampled_from([0, 1, 2, 3]), min_size=2, max_size=2),
@@ -242,7 +284,7 @@ def test_codim_one_bridge(kind, rank, form, t):
     # codim Y == 1 from the enumeration exactly when some vertex and simple
     # reflection certify it on the antidominant side
     g = rd.build_group(kind, rank, form, t)
-    rng = random.Random(hash((kind, rank, form, t, "bridge")) & 0xFFFF)
+    rng = random.Random(f"{kind}{rank} {form} t={t} bridge")
     pool = [0, 0, 1, 1, 2, 3, F(1, 2)]
     for _ in range(40):
         entries = tuple(

@@ -5,7 +5,12 @@ import pytest
 
 from perioddomains import rootdata as rd
 from perioddomains import weyl
-from perioddomains.errors import BudgetExceeded, IndexOutOfRange, NotDominant
+from perioddomains.errors import (
+    BudgetExceeded,
+    IndexOutOfRange,
+    InvariantViolation,
+    NotDominant,
+)
 
 
 def all_elements(rs):
@@ -228,3 +233,9 @@ def test_permutation_element_roundtrip():
     assert w.apply((10, 20, 30, 40)) == rd.vector((30, 10, 40, 20))
     # length equals the inversion count of the one-line word
     assert w.length == 3
+
+
+def test_permutation_element_rejects_non_permutation():
+    rs = rd.build_root_system("A", 2)
+    with pytest.raises(InvariantViolation):
+        weyl.permutation_element(rs, (1, 1, 2))
