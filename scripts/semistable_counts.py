@@ -2,55 +2,49 @@
 """Tabulate semistable point counts of a type-A period domain over growing
 field extensions, cross-checking the two finite-field semistability tests.
 
+Each row is one `perioddomains verify` job, so the input is validated as the
+CLI validates it (a q that is not a prime power exits 2).
+
 Example:
     python scripts/semistable_counts.py --q 2 --max-m 3 --nu 2,-1,-1
 """
 
 import argparse
 import sys
-from fractions import Fraction
 
-from perioddomains import finflag as ffl
+from perioddomains import cli
+from perioddomains.errors import PeriodDomainError
+from perioddomains.finflag import flag_dims
 
 
-def main():
+def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--q", type=int, default=2, help="base field size (prime power)")
     parser.add_argument("--max-m", type=int, default=3, help="largest extension degree")
     parser.add_argument("--nu", default="1,-1",
                         help="sorted sum-zero cocharacter, comma-separated rationals")
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
+    if args.max_m < 1:
+        parser.error("--max-m must be at least 1")
 
-    nu = tuple(Fraction(x) for x in args.nu.split(","))
-    ell = len(nu) - 1
-    q = args.q
-    p, e = q, 1
-    for cand in range(2, q + 1):
-        if q % cand == 0:
-            p = cand
-            e = 0
-            qq = q
-            while qq % cand == 0:
-                qq //= cand
-                e += 1
-            break
-
-    dims = ffl.flag_dims(nu)
-    print(f"nu = {args.nu}   flag steps = {dims}   base field F_{q}")
-    print(f"{'m':>3s} {'points':>8s} {'semistable':>11s} {'agree':>6s}")
-    disagreements = 0
-    for m in range(1, args.max_m + 1):
-        ff = ffl.finite_field(p, e, m)
-        total = semistable = bad = 0
-        for x in ffl.enumerate_flags(ff, ell, dims):
-            a = ffl.is_semistable_subspace_test(x, nu, ff)
-            b = ffl.is_semistable_strata_test(x, nu, ff)
-            total += 1
-            semistable += a
-            bad += a != b
-        disagreements += bad
-        flag = "ok" if bad == 0 else f"{bad} BAD"
-        print(f"{m:3d} {total:8d} {semistable:11d} {flag:>6s}")
+    rank = len(args.nu.split(",")) - 1
+    try:
+        jobs = [cli.parse_jobspec(f"command=verify kind=A rank={rank} nu={args.nu} "
+                                  f"q={args.q} m={m} output=record")
+                for m in range(1, args.max_m + 1)]
+        dims = flag_dims(jobs[0].nu[0])
+        print(f"nu = {args.nu}   flag steps = {dims}   base field F_{args.q}")
+        print(f"{'m':>3s} {'points':>8s} {'semistable':>11s} {'agree':>6s}")
+        disagreements = 0
+        for job in jobs:
+            _, text = cli.run_job(job)
+            result = dict(line.split("=", 1) for line in text.splitlines())
+            bad = int(result["disagreements"])
+            disagreements += bad
+            flag = "ok" if bad == 0 else f"{bad} BAD"
+            print(f"{job.m:3d} {result['points']:>8s} {result['semistable']:>11s} {flag:>6s}")
+    except PeriodDomainError as exc:
+        return cli.report_error(exc)
     return 1 if disagreements else 0
 
 

@@ -18,12 +18,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import MalformedNu, NotCodimOne
+from .errors import InvariantViolation, MalformedNu, NotCodimOne
 from .rootdata import (
     FORM_SPLIT,
     GroupDatum,
     Vector,
     decompose_in_coweights,
+    run_lengths,
     split_nu,
 )
 
@@ -122,7 +123,8 @@ def classify(g: GroupDatum, nu) -> Classification:
     if not fired:
         return Classification(VERDICT_TRIVIAL, ell, None, False, None, details,
                               tuple(near_miss))
-    assert len({j for j, _ in fired}) == 1, "margin inequality fired for two factors"
+    if len({j for j, _ in fired}) != 1:
+        raise InvariantViolation("margin inequality fired for two factors")
     j, side = fired[0]
     return Classification(VERDICT_DRINFELD, ell, j, True, side, details,
                           tuple(near_miss))
@@ -144,18 +146,6 @@ class SSLocusDescription:
     whole_space: bool      # semistable locus equals the target itself
 
 
-def _run_lengths(x: Vector) -> tuple[tuple[Fraction, ...], tuple[int, ...]]:
-    jumps: list[Fraction] = []
-    mults: list[int] = []
-    for a in x:
-        if jumps and a == jumps[-1]:
-            mults[-1] += 1
-        else:
-            jumps.append(a)
-            mults.append(1)
-    return tuple(jumps), tuple(mults)
-
-
 def describe_ss_locus(g: GroupDatum, nu) -> SSLocusDescription:
     """Describe the codimension-one semistable locus; raises NotCodimOne otherwise."""
     cls = classify(g, nu)
@@ -163,14 +153,14 @@ def describe_ss_locus(g: GroupDatum, nu) -> SSLocusDescription:
         raise NotCodimOne("semistable locus has unstable complement of codim >= 2")
     entries = split_nu(g, nu)
     j = cls.factor_index
-    jumps, mults = _run_lengths(entries[j - 1])
+    jumps, mults = run_lengths(entries[j - 1])
     ell = g.base.rank
+    if mults[0 if cls.side == SIDE_FIRST else -1] != 1:
+        raise InvariantViolation(f"{cls.side} jump of factor {j} is not simple: {mults}")
     if cls.side == SIDE_FIRST:
-        assert mults[0] == 1
         side_data = dict(jump_value=jumps[0], graded_dim=mults[0],
                          subspace_dim=1, target="omega")
     else:
-        assert mults[-1] == 1
         side_data = dict(jump_value=jumps[-1], graded_dim=mults[-1],
                          subspace_dim=ell, target="omega_dual")
     return SSLocusDescription(

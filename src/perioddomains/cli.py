@@ -6,6 +6,12 @@ are semicolon-separated vectors. A config may come from a file, stdin (`-`),
 or inline `key=value` tokens on the command line. Output is deterministic;
 `--record` switches to machine-readable `key=value` lines.
 
+Budgets: `budget_cells` caps |W^P| per vertex for strata (default 65536);
+`budget_field` is one cap that verify applies at once to the number of flag
+points, of rational subspaces per point and of translates per point.
+A verify run that takes longer than two seconds reports its progress on
+stderr.
+
 Exit codes: 0 success, 1 usage/parse, 2 validation, 3 budget exceeded,
 4 oracle disagreement (verify).
 """
@@ -16,6 +22,7 @@ import argparse
 import math
 import os
 import sys
+import time
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -37,6 +44,7 @@ from .errors import (
 from .finflag import (
     enumerate_flags,
     finite_field,
+    flag_count,
     flag_dims,
     is_semistable_strata_test,
     is_semistable_subspace_test,
@@ -63,6 +71,10 @@ _COMMANDS = ("classify", "strata", "verify", "tables")
 # regular nu (51,840 cells, about 190 MB) and refuses E7 and E8 with a
 # regular nu (2,903,040 and 696,729,600 cells) before any enumeration.
 DEFAULT_BUDGET_CELLS = 2 ** 16
+
+# verify reports `verify: <done>/<total> points` on stderr once a run has
+# taken this long, and at most once per interval after that.
+PROGRESS_INTERVAL_S = 2.0
 
 _KNOWN_KEYS = {
     "command", "kind", "rank", "form", "t", "nu", "q", "p", "e", "m",
@@ -305,10 +317,16 @@ def _run_verify(job: JobSpec, record: bool) -> tuple[int, str]:
     total = semistable = 0
     disagreements = 0
     witnesses: list[str] = []
+    points = flag_count(job.rank + 1, dims, ff.order)
+    next_report = time.monotonic() + PROGRESS_INTERVAL_S
     for x in enumerate_flags(ff, job.rank, dims, max_points=job.budget_field):
         a = is_semistable_subspace_test(x, nu, ff, max_subspaces=job.budget_field)
         b = is_semistable_strata_test(x, nu, ff, max_translates=job.budget_field)
         total += 1
+        now = time.monotonic()
+        if now >= next_report:
+            print(f"verify: {total}/{points} points", file=sys.stderr, flush=True)
+            next_report = now + PROGRESS_INTERVAL_S
         if a:
             semistable += 1
         if a != b:
@@ -385,8 +403,11 @@ def main(argv=None) -> int:
     parser.add_argument("--record", action="store_true",
                         help="machine-readable key=value output")
     parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--budget-cells", type=int, default=None)
-    parser.add_argument("--budget-field", type=int, default=None)
+    parser.add_argument("--budget-cells", type=int, default=None,
+                        help="strata: cap on |W^P| per vertex (default 65536)")
+    parser.add_argument("--budget-field", type=int, default=None,
+                        help="verify: one cap on flag points, on rational subspaces "
+                             "per point and on translates per point at once")
 
     try:
         args = parser.parse_intermixed_args(argv)
@@ -419,20 +440,25 @@ def main(argv=None) -> int:
     try:
         job = parse_jobspec("\n".join(pieces))
         code, text = run_job(job)
-    except ParseError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (ValidationError, MalformedNu, IllegalType, NotDominant) as exc:
-        print(f"validation error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except BudgetExceeded as exc:
-        print(f"budget exceeded: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
     except PeriodDomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+        return report_error(exc)
     print(text)
     return code
+
+
+def report_error(exc: PeriodDomainError) -> int:
+    """Print the CLI's one-line message for exc on stderr; return its exit code."""
+    if isinstance(exc, ParseError):
+        print(f"parse error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    if isinstance(exc, (ValidationError, MalformedNu, IllegalType, NotDominant)):
+        print(f"validation error: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
+    if isinstance(exc, BudgetExceeded):
+        print(f"budget exceeded: {exc}", file=sys.stderr)
+        return EXIT_BUDGET
+    print(f"error: {exc}", file=sys.stderr)
+    return EXIT_VALIDATION
 
 
 if __name__ == "__main__":

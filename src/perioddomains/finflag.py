@@ -1,12 +1,20 @@
 """Finite-field oracle: enumerate flag-variety points and test semistability.
 
-Two independent routes decide semistability of a type-A flag point:
+Two routes decide semistability of a type-A flag point. Both read the
+intersection profiles b -> dim(U cap F^b) of the rational subspaces U
+against the steps F^b of the point from one kernel, `intersection_profiles`:
+per point it tabulates u . a once for every rational echelon row u and
+every vector a of each step's annihilator, so each U costs lookups plus the
+rank of a small matrix. The two routes keep separate formulas on top:
 
-* the subspace test walks every base-field-rational subspace and compares
-  weighted-average jump slopes;
-* the strata test walks rational translates of the vertex parabolics,
-  computes the Bruhat position of the point by rank matrices, and evaluates
-  the cell slope -(omega_i, w nu).
+* the subspace test compares the weighted-average jump `slope` of each
+  profile with the ambient slope;
+* the strata test treats each rational i-dimensional T as a translate g P_i
+  of vertex parabolic P_i: the profile fixes the double coset
+  W_{P_i} w W_P of the point's Bruhat position, and the cell slope
+  -(omega_i, w nu) is read from a one-line representative of it.
+  `relative_position` computes w itself from rank matrices; the sampled
+  strata test uses it.
 
 Field arithmetic uses Zech logarithm tables (exp/log plus log(1 + g^k)), so
 addition and multiplication are single table lookups; fields up to 2^16
@@ -26,12 +34,13 @@ from typing import Iterator, Sequence
 
 from .errors import (
     BudgetExceeded,
+    InvariantViolation,
     MalformedNu,
     SingularTransform,
     ValidationError,
     ZeroDimensional,
 )
-from .rootdata import build_root_system, inner_product, vector
+from .rootdata import Vector, build_root_system, inner_product, run_lengths, vector
 from .weyl import WeylElement, permutation_element
 
 Row = tuple[int, ...]
@@ -185,7 +194,8 @@ class FiniteField:
             if _is_irreducible(cand, p, n):
                 modulus = cand
                 break
-        assert modulus is not None
+        if modulus is None:
+            raise InvariantViolation(f"no irreducible polynomial of degree {n} over F_{p}")
         self.modulus = tuple(modulus)
 
         # primitive element by scan; build exp/log along the way
@@ -214,7 +224,7 @@ class FiniteField:
             if ok and len(exp) == Q - 1:
                 break
         else:
-            raise AssertionError("no primitive element found")
+            raise InvariantViolation(f"no primitive element of F_{Q} found")
         self.generator = gen
         self.exp = exp
         log = [0] * Q
@@ -321,7 +331,8 @@ def gaussian_binomial(n: int, k: int, q: int) -> int:
     for i in range(k):
         num *= q ** (n - i) - 1
         den *= q ** (i + 1) - 1
-    assert num % den == 0
+    if num % den:
+        raise InvariantViolation(f"[{n} choose {k}]_{q} is not an integer")
     return num // den
 
 
@@ -355,35 +366,6 @@ def rref(rows: Sequence[Sequence[int]], ff: FiniteField) -> tuple[Matrix, tuple[
     return tuple(tuple(r) for r in mat[:rank]), tuple(pivots)
 
 
-def _reduce_against(row: Sequence[int], basis: Matrix, pivots: Sequence[int],
-                    ff: FiniteField) -> list[int]:
-    out = list(row)
-    for b, pc in zip(basis, pivots):
-        c = out[pc]
-        if c:
-            out = [ff.sub(x, ff.mul(c, y)) for x, y in zip(out, b)]
-    return out
-
-
-def intersection_dim(u_rows: Matrix, w_rref: Matrix, w_pivots: Sequence[int],
-                     ff: FiniteField) -> int:
-    """dim(U cap W) with W given in reduced echelon form."""
-    residues = []
-    res_pivots = []
-    dependent = 0
-    for row in u_rows:
-        r = _reduce_against(row, w_rref, w_pivots, ff)
-        r = _reduce_against(r, tuple(residues), tuple(res_pivots), ff)
-        pc = next((i for i, x in enumerate(r) if x), None)
-        if pc is None:
-            dependent += 1
-        else:
-            inv = ff.inv(r[pc])
-            residues.append([ff.mul(inv, x) for x in r])
-            res_pivots.append(pc)
-    return dependent
-
-
 def enumerate_rref(n: int, k: int, elements: Sequence[int],
                    ff: FiniteField) -> Iterator[Matrix]:
     """All canonical reduced echelon k x n matrices with entries in `elements`.
@@ -391,7 +373,6 @@ def enumerate_rref(n: int, k: int, elements: Sequence[int],
     `elements` must be a subfield (or the whole field); pivot columns run in
     lexicographic order, free entries in the order of `elements`.
     """
-    nonzero_one = 1
     free_values = tuple(elements)
     for pivots in itertools.combinations(range(n), k):
         free_positions = []
@@ -402,15 +383,10 @@ def enumerate_rref(n: int, k: int, elements: Sequence[int],
         for values in itertools.product(free_values, repeat=len(free_positions)):
             mat = [[0] * n for _ in range(k)]
             for i in range(k):
-                mat[i][pivots[i]] = nonzero_one
+                mat[i][pivots[i]] = 1
             for (i, j), v in zip(free_positions, values):
                 mat[i][j] = v
             yield tuple(tuple(r) for r in mat)
-
-
-@lru_cache(maxsize=None)
-def _rational_subspaces(ff: FiniteField, n: int, k: int) -> tuple[Matrix, ...]:
-    return tuple(enumerate_rref(n, k, ff.base_elements, ff))
 
 
 # ---------------------------------------------------------------------------
@@ -432,31 +408,10 @@ class FlagPoint:
     jumps: tuple[Fraction, ...] | None = None
 
 
-def run_lengths(nu) -> tuple[tuple[Fraction, ...], tuple[int, ...]]:
-    """Decreasing jump values and multiplicities of a sorted type-A cocharacter."""
-    x = vector(nu)
-    if any(a < b for a, b in zip(x, x[1:])):
-        raise MalformedNu(f"cocharacter is not sorted nonincreasing: {x}")
-    jumps: list[Fraction] = []
-    mults: list[int] = []
-    for a in x:
-        if jumps and a == jumps[-1]:
-            mults[-1] += 1
-        else:
-            jumps.append(a)
-            mults.append(1)
-    return tuple(jumps), tuple(mults)
-
-
 def flag_dims(nu) -> tuple[int, ...]:
     """Proper step dimensions of the flag variety attached to nu."""
     _, mults = run_lengths(nu)
-    dims = []
-    total = 0
-    for m in mults[:-1]:
-        total += m
-        dims.append(total)
-    return tuple(dims)
+    return tuple(itertools.accumulate(mults[:-1]))
 
 
 def flag_count(n: int, dims: Sequence[int], order: int) -> int:
@@ -499,12 +454,73 @@ def enumerate_flags(ff: FiniteField, ell: int, dims: Sequence[int],
                     row[col] = val
                 lifted.append(row)
             new_rows, new_pivots = rref(list(rows) + lifted, ff)
-            assert len(new_rows) == dims[step]
+            if len(new_rows) != dims[step]:
+                raise InvariantViolation(
+                    f"step {step + 1} has dimension {len(new_rows)}, not {dims[step]}")
             for rest in extend(step + 1, new_rows, new_pivots):
                 yield (new_rows,) + rest
 
     for chain in extend(0, (), ()):
         yield FlagPoint(dims=dims, bases=chain)
+
+
+@lru_cache(maxsize=None)
+def _rational_rows(ff: FiniteField,
+                   n: int) -> tuple[tuple[Row, ...], tuple[tuple[tuple[int, ...], ...], ...]]:
+    """Distinct echelon rows of the rational subspaces of F_q^n, and, for each
+    k = 1..n-1, every rational k-dimensional subspace (in `enumerate_rref`
+    order) as indices into them."""
+    index: dict[Row, int] = {}
+    families = tuple(
+        tuple(tuple(index.setdefault(row, len(index)) for row in u)
+              for u in enumerate_rref(n, k, ff.base_elements, ff))
+        for k in range(1, n))
+    return tuple(index), families
+
+
+def _rank(vecs: Sequence[Row], ff: FiniteField) -> int:
+    """Rank of a list of nonzero vectors."""
+    if len(vecs) < 2 or len(vecs[0]) == 1:
+        return min(len(vecs), 1)
+    if len(vecs) == len(vecs[0]) == 2:
+        (a, b), (c, d) = vecs
+        return 1 + (ff.mul(a, d) != ff.mul(b, c))
+    return len(rref(vecs, ff)[0])
+
+
+def intersection_profiles(x: FlagPoint, n: int,
+                          ff: FiniteField) -> Iterator[tuple[int, set[tuple[int, ...]]]]:
+    """For k = 1..n-1, the distinct profiles (dim(U cap F^b))_b of the point's
+    proper steps F^b, over all rational k-dimensional subspaces U.
+
+    Each step is put in echelon form once; its annihilator has one vector a_f
+    per free column f, and dim(U cap F^b) = k - rank(u . a_f) over the rows u
+    of U and the free columns f. The products u . a_f are tabulated once per
+    rational row u, so each U costs lookups plus the rank of a
+    k x (n - dim F^b) matrix.
+    """
+    rows, families = _rational_rows(ff, n)
+    add, mul = ff.add, ff.mul
+    tables = []
+    for basis in x.bases:
+        ech, pivots = rref(basis, ff)
+        annihilator = [(f, [(pc, ff.neg(r[f])) for r, pc in zip(ech, pivots) if r[f]])
+                       for f in range(n) if f not in pivots]
+        table = []
+        for u in rows:
+            products = []
+            for f, terms in annihilator:
+                s = u[f]
+                for pc, c in terms:
+                    if u[pc]:
+                        s = add(s, mul(u[pc], c))
+                products.append(s)
+            table.append(tuple(products) if any(products) else None)  # None: u in F^b
+        tables.append(table)
+    for k, family in enumerate(families, start=1):
+        per_step = [[k - _rank([t[r] for r in u if t[r] is not None], ff) for u in family]
+                    for t in tables]
+        yield k, set(zip(*per_step)) if per_step else {()}
 
 
 def slope(u_dim: int, induced_jump_dims: Sequence[int], nu) -> Fraction:
@@ -533,31 +549,36 @@ def _check_point(x: FlagPoint, nu) -> None:
             f"flag dims {x.dims} do not match cocharacter dims {flag_dims(nu)}")
 
 
+def _check_budget(n: int, ff: FiniteField, budget: int | None, what: str) -> None:
+    if budget is not None:
+        count = sum(gaussian_binomial(n, k, ff.q) for k in range(1, n))
+        if count > budget:
+            raise BudgetExceeded(f"{count} {what} exceed budget")
+
+
+@lru_cache(maxsize=256)
+def _slope_test(nu: Vector):
+    """profile, k -> whether a rational k-dimensional U with that profile has
+    slope above the ambient one; memoized per nu."""
+    ambient = sum(nu) / len(nu)
+
+    @lru_cache(maxsize=None)
+    def above(k: int, profile: tuple[int, ...]) -> bool:
+        return slope(k, profile + (k,), nu) > ambient
+    return above
+
+
 def is_semistable_subspace_test(x: FlagPoint, nu, ff: FiniteField,
                                 max_subspaces: int | None = None) -> bool:
     """Subspace route: every rational subspace has slope at most the ambient slope."""
     nu = vector(nu)
     _check_point(x, nu)
     n = len(nu)
-    ambient = Fraction(sum(nu), n)
-    jumps, _ = run_lengths(nu)
-    steps = [rref(b, ff) for b in x.bases]
-    if max_subspaces is not None:
-        count = sum(gaussian_binomial(n, k, ff.q) for k in range(1, n))
-        if count > max_subspaces:
-            raise BudgetExceeded(f"{count} rational subspaces exceed budget")
-    for k in range(1, n):
-        bound = ambient * k
-        for u_rows in _rational_subspaces(ff, n, k):
-            prev = 0
-            total = Fraction(0)
-            for y, (rows, pivots) in zip(jumps, steps):
-                d = intersection_dim(u_rows, rows, pivots, ff)
-                total += y * (d - prev)
-                prev = d
-            total += jumps[-1] * (k - prev)
-            if total > bound:
-                return False
+    _check_budget(n, ff, max_subspaces, "rational subspaces")
+    above = _slope_test(nu)
+    for k, profiles in intersection_profiles(x, n, ff):
+        if any(above(k, p) for p in profiles):
+            return False
     return True
 
 
@@ -578,69 +599,52 @@ def relative_position(x: FlagPoint, g: Sequence[Sequence[int]],
     Computed from the rank matrix dim(g E_a cap F^{y_b}) against the
     reference full flag of g's leading column spans.
     """
-    bases = x.bases
     n = len(g)
     cols = _check_invertible(tuple(tuple(row) for row in g), ff)
 
     jump_sets = []
-    for step_rows in bases:
-        basis_rows = [list(r) for r in step_rows]
-        pivots = [next(i for i, v in enumerate(r) if v) for r in basis_rows]
-        jumps = set()
-        for a, col in enumerate(cols, start=1):
-            r = _reduce_against(col, tuple(map(tuple, basis_rows)), pivots, ff)
-            pc = next((i for i, v in enumerate(r) if v), None)
-            if pc is None:
-                jumps.add(a)
-            else:
-                inv = ff.inv(r[pc])
-                basis_rows.append([ff.mul(inv, v) for v in r])
-                pivots.append(pc)
-        jump_sets.append(jumps)
+    for step_rows in x.bases:
+        # a is a jump where g E_a meets F^b in one more dimension than g E_{a-1}
+        ranks = [len(rref((*step_rows, *cols[:a]), ff)[0]) for a in range(n + 1)]
+        jump_sets.append({a for a in range(1, n + 1) if ranks[a] == ranks[a - 1]})
     jump_sets.append(set(range(1, n + 1)))
 
-    one_line = [0] * n
+    one_line: list[int] = []
     prev: set[int] = set()
-    prev_dim = 0
-    for d, js in zip(list(x.dims) + [n], jump_sets):
-        block = sorted(js - prev)
-        for offset, a in enumerate(block):
-            one_line[prev_dim + offset] = a
-        prev, prev_dim = js, d
+    for js in jump_sets:
+        one_line += sorted(js - prev)
+        prev = js
     rs = build_root_system("A", n - 1)
     return permutation_element(rs, one_line)
 
 
-def _complete_to_basis(t_rows: Matrix, ff: FiniteField, n: int) -> Matrix:
-    """Invertible matrix over the working field whose first columns span t_rows."""
-    cols = [list(r) for r in t_rows]
-    basis, pivots = rref(cols, ff)
-    basis = [list(r) for r in basis]
-    pivots = list(pivots)
-    for j in range(n):
-        if len(cols) == n:
-            break
-        e = [0] * n
-        e[j] = 1
-        r = _reduce_against(e, tuple(map(tuple, basis)), pivots, ff)
-        pc = next((i for i, v in enumerate(r) if v), None)
-        if pc is not None:
-            cols.append(e)
-            inv = ff.inv(r[pc])
-            basis.append([ff.mul(inv, v) for v in r])
-            pivots.append(pc)
-    assert len(cols) == n
-    return tuple(tuple(cols[c][r] for c in range(n)) for r in range(n))
+@lru_cache(maxsize=256)
+def _vertex_pairings(nu: Vector):
+    """i, profile -> (omega_i, w nu) for the position w of a point relative to
+    a rational i-dimensional T, read from profile = (dim(T cap F^b))_b;
+    memoized per nu.
 
+    The one-line representative of the double coset W_{P_i} w W_P puts, in
+    block b, dim(T cap F^b) - dim(T cap F^{b-1}) values from 1..i followed by
+    values from i+1..n; the pairing is invariant under W_{P_i} on the left
+    and W_P on the right, so any such representative gives it exactly.
+    """
+    n = len(nu)
+    steps = flag_dims(nu) + (n,)
+    rs = build_root_system("A", n - 1)
 
-@lru_cache(maxsize=None)
-def _vertex_translates(ff: FiniteField, n: int) -> tuple[tuple[Matrix, ...], ...]:
-    """For each vertex i, one rational basis change per translate class g P_i."""
-    out = []
-    for i in range(1, n):
-        out.append(tuple(_complete_to_basis(t, ff, n)
-                         for t in _rational_subspaces(ff, n, i)))
-    return tuple(out)
+    @lru_cache(maxsize=None)
+    def pairing(i: int, profile: tuple[int, ...]) -> Fraction:
+        small, large = iter(range(1, i + 1)), iter(range(i + 1, n + 1))
+        one_line: list[int] = []
+        prev_d = prev_c = 0
+        for d, c in zip(steps, profile + (i,)):
+            one_line += [next(small) for _ in range(c - prev_c)]
+            one_line += [next(large) for _ in range(d - prev_d - c + prev_c)]
+            prev_d, prev_c = d, c
+        w = permutation_element(rs, one_line)
+        return inner_product(rs.fundamental_coweights[i - 1], w.apply(nu))
+    return pairing
 
 
 def is_semistable_strata_test(x: FlagPoint, nu, ff: FiniteField,
@@ -649,48 +653,32 @@ def is_semistable_strata_test(x: FlagPoint, nu, ff: FiniteField,
                               max_translates: int | None = None) -> bool:
     """Strata route: no rational translate of a vertex stratum contains the point.
 
-    With g_sample=None every translate class is checked (exhaustive, exact);
-    with g_sample=N only N random rational basis changes are tried, which can
-    only over-report semistability.
+    With g_sample=None every translate class g P_i, one per rational
+    i-dimensional T, is checked (exhaustive, exact); with g_sample=N only N
+    random rational basis changes are tried, through `relative_position`,
+    which can only over-report semistability.
     """
     nu = vector(nu)
     _check_point(x, nu)
     n = len(nu)
-    rs = build_root_system("A", n - 1)
-    omegas = rs.fundamental_coweights
-    predicate: dict[tuple, list[bool]] = {}
-
-    def destabilizes(g: Matrix, vertices: Sequence[int]) -> bool:
-        w = relative_position(x, g, ff)
-        flags = predicate.get(w.root_perm)
-        if flags is None:
-            wnu = w.apply(nu)
-            flags = [inner_product(om, wnu) > 0 for om in omegas]
-            predicate[w.root_perm] = flags
-        return any(flags[i - 1] for i in vertices)
-
     if g_sample is None:
-        translate_families = _vertex_translates(ff, n)
-        if max_translates is not None:
-            count = sum(len(f) for f in translate_families)
-            if count > max_translates:
-                raise BudgetExceeded(f"{count} translates exceed budget")
-        for i, family in enumerate(translate_families, start=1):
-            for g in family:
-                if destabilizes(g, (i,)):
-                    return False
+        _check_budget(n, ff, max_translates, "translates")
+        pairing = _vertex_pairings(nu)
+        for i, profiles in intersection_profiles(x, n, ff):
+            if any(pairing(i, p) > 0 for p in profiles):
+                return False
         return True
 
     rng = rng or random.Random(0)
     base = ff.base_elements
-    all_vertices = tuple(range(1, n))
+    omegas = build_root_system("A", n - 1).fundamental_coweights
     for _ in range(g_sample):
         while True:
             g = tuple(tuple(rng.choice(base) for _ in range(n)) for _ in range(n))
-            rows, _ = rref(g, ff)
-            if len(rows) == n:
+            if len(rref(g, ff)[0]) == n:
                 break
-        if destabilizes(g, all_vertices):
+        wnu = relative_position(x, g, ff).apply(nu)
+        if any(inner_product(om, wnu) > 0 for om in omegas):
             return False
     return True
 

@@ -53,6 +53,22 @@ def inner_product(u: Vector, v: Vector) -> Fraction:
     return sum((a * b for a, b in zip(u, v)), Fraction(0))
 
 
+def run_lengths(nu) -> tuple[tuple[Fraction, ...], tuple[int, ...]]:
+    """Decreasing jump values and multiplicities of a sorted type-A cocharacter."""
+    x = vector(nu)
+    if any(a < b for a, b in zip(x, x[1:])):
+        raise MalformedNu(f"cocharacter is not sorted nonincreasing: {x}")
+    jumps: list[Fraction] = []
+    mults: list[int] = []
+    for a in x:
+        if jumps and a == jumps[-1]:
+            mults[-1] += 1
+        else:
+            jumps.append(a)
+            mults.append(1)
+    return tuple(jumps), tuple(mults)
+
+
 def coroot(alpha: Vector) -> Vector:
     """alpha^vee = 2*alpha/(alpha,alpha)."""
     norm = inner_product(alpha, alpha)

@@ -1,6 +1,10 @@
+import os
+import re
+import runpy
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -123,6 +127,48 @@ def test_verify_end_to_end():
     assert "points = 5" in lines
     assert "semistable = 2" in lines
     assert "agreement = ok" in lines
+
+
+@pytest.mark.parametrize("flags", [(), ("--record",)])
+def test_verify_progress_goes_to_stderr_only(monkeypatch, capsys, flags):
+    job = ("verify", "kind=A rank=2 nu=1,0,-1 q=2 m=1", *flags)
+    code, quiet = run_main(*job)
+    assert code == 0 and capsys.readouterr().err == ""
+    monkeypatch.setattr(cli, "PROGRESS_INTERVAL_S", 0.0)
+    code, noisy = run_main(*job)
+    assert code == 0 and noisy == quiet
+    assert capsys.readouterr().err.splitlines() == \
+        [f"verify: {k}/21 points" for k in range(1, 22)]
+
+
+def test_verify_same_output_under_optimize():
+    # the invariant checks raise typed errors, so -O must change nothing
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(__file__).parents[1] / "src"), env.get("PYTHONPATH", "")])
+    runs = [subprocess.run(
+        [sys.executable, *opt, "-m", "perioddomains.cli", "verify", "--record",
+         "kind=A rank=2 nu=1,0,-1 q=2 m=2"],
+        capture_output=True, text=True, env=env, timeout=60) for opt in ((), ("-O",))]
+    assert [r.returncode for r in runs] == [0, 0]
+    assert runs[0].stdout == runs[1].stdout
+    assert "agreement=ok" in runs[0].stdout.splitlines()
+
+
+def test_semistable_counts_script_validates_q(capsys):
+    script = Path(__file__).parents[1] / "scripts" / "semistable_counts.py"
+    main = runpy.run_path(str(script))["main"]
+    assert main(["--q", "6", "--max-m", "1"]) == cli.EXIT_VALIDATION
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == "validation error: q must be a prime power\n"
+    assert main(["--q", "4", "--max-m", "1", "--nu", "1,-1"]) == 0
+    rows = capsys.readouterr().out.splitlines()
+    assert re.fullmatch(r"\s*1\s+5\s+0\s+ok", rows[-1])
+    with pytest.raises(SystemExit) as exc:
+        main(["--q", "4", "--max-m", "0"])
+    assert exc.value.code == 2
+    assert "--max-m must be at least 1" in capsys.readouterr().err
 
 
 def test_tables_g2_fractions():

@@ -160,6 +160,94 @@ def test_relative_position_rejects_singular():
         ffl.relative_position(std, ((1, 0), (1, 0)), ff)
 
 
+def _span(rows, coeffs, ff):
+    """Every linear combination of rows with coefficients from coeffs."""
+    n = len(rows[0])
+    out = set()
+    for cs in itertools.product(coeffs, repeat=len(rows)):
+        v = (0,) * n
+        for c, row in zip(cs, rows):
+            v = tuple(ff.add(a, ff.mul(c, b)) for a, b in zip(v, row))
+        out.add(v)
+    return out
+
+
+def _brute_profile(u_rows, step_spans, ff):
+    """(dim(U cap F^b))_b by counting the working-field vectors of U that lie
+    in each step."""
+    vecs = _span(u_rows, range(ff.order), ff)
+    return tuple(next(d for d in range(len(u_rows) + 1) if ff.order ** d == len(vecs & s))
+                 for s in step_spans)
+
+
+def _step_spans(x, ff):
+    return [_span(b, range(ff.order), ff) for b in x.bases]
+
+
+def _completed_basis(t_rows, ff, n):
+    """Invertible matrix whose first columns are t_rows, completed by unit vectors."""
+    cols = [tuple(r) for r in t_rows]
+    for j in range(n):
+        e = tuple(int(i == j) for i in range(n))
+        if len(ffl.rref(cols + [e], ff)[0]) > len(cols):
+            cols.append(e)
+    return tuple(tuple(col[r] for col in cols) for r in range(n))
+
+
+@pytest.mark.parametrize("q,m,ell,dims,every", [
+    (2, 2, 2, (1,), 1),       # P^2 over F_4
+    (3, 2, 2, (1,), 1),       # P^2 over F_9
+    (2, 3, 1, (1,), 1),       # P^1 over F_8
+    (2, 2, 2, (1, 2), 1),     # full flags over F_4
+    (2, 2, 3, (1,), 1),       # P^3 over F_4: ranks of 2 x 3 and 3 x 3 matrices
+    (2, 2, 3, (2,), 7),       # lines in P^3 over F_4
+    (2, 2, 3, (1, 2, 3), 97),  # full flags of F_4^4
+])
+def test_intersection_profiles_match_brute_force(q, m, ell, dims, every):
+    ff = ffl.finite_field(q, 1, m)
+    n = ell + 1
+    rational = {k: list(ffl.enumerate_rref(n, k, ff.base_elements, ff)) for k in range(1, n)}
+    for x in list(ffl.enumerate_flags(ff, ell, dims))[::every]:
+        spans = _step_spans(x, ff)
+        want = {k: {_brute_profile(u, spans, ff) for u in us} for k, us in rational.items()}
+        assert dict(ffl.intersection_profiles(x, n, ff)) == want, x
+
+
+@pytest.mark.parametrize("p,e,m,n", [
+    (2, 1, 1, 3), (2, 1, 2, 4), (3, 1, 1, 3), (3, 1, 2, 4), (2, 2, 1, 3), (2, 1, 1, 5),
+])
+def test_rational_subspace_counts(p, e, m, n):
+    ff = ffl.finite_field(p, e, m)
+    rows, families = ffl._rational_rows(ff, n)
+    assert len(set(rows)) == len(rows)
+    assert all(v in ff.base_elements for row in rows for v in row)
+    for k, family in enumerate(families, start=1):
+        assert len(family) == len(set(family)) == ffl.gaussian_binomial(n, k, ff.q)
+        assert family == tuple(tuple(rows.index(r) for r in u)
+                               for u in ffl.enumerate_rref(n, k, ff.base_elements, ff))
+
+
+@pytest.mark.parametrize("q,m,nu,every", [
+    (2, 2, (1, 0, -1), 1), (2, 2, (2, -1, -1), 1), (3, 2, (1, 1, -2), 1),
+    (2, 1, (2, 1, -1, -2), 5), (2, 2, (3, -1, -1, -1), 3), (2, 2, (1, 1, -1, -1), 9),
+])
+def test_vertex_pairing_matches_relative_position(q, m, nu, every):
+    # the strata test reads (omega_i, w nu) off dim(T cap F^b); relative
+    # position against an explicit basis whose first i columns span T must
+    # give the same value for every rational T
+    ff = ffl.finite_field(q, 1, m)
+    n = len(nu)
+    rs = rd.build_root_system("A", n - 1)
+    pairing = ffl._vertex_pairings(rd.vector(nu))
+    for x in list(ffl.enumerate_flags(ff, n - 1, ffl.flag_dims(nu)))[::every]:
+        spans = _step_spans(x, ff)
+        for i in range(1, n):
+            for t in ffl.enumerate_rref(n, i, ff.base_elements, ff):
+                w = ffl.relative_position(x, _completed_basis(t, ff, n), ff)
+                want = rd.inner_product(rs.fundamental_coweights[i - 1], w.apply(nu))
+                assert pairing(i, _brute_profile(t, spans, ff)) == want, (x, t)
+
+
 @pytest.mark.parametrize("q,m,nu", [
     (2, 2, (1, -1)), (2, 3, (1, -1)), (3, 2, (1, -1)),
 ])
