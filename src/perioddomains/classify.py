@@ -24,6 +24,7 @@ from .rootdata import (
     GroupDatum,
     Vector,
     decompose_in_coweights,
+    format_vector,
     run_lengths,
     split_nu,
 )
@@ -52,12 +53,13 @@ def nu_tuple(g: GroupDatum, nu) -> NuTuple:
     for j, x in enumerate(entries, start=1):
         if g.base.kind == "A":
             if any(a < b for a, b in zip(x, x[1:])):
-                raise MalformedNu(f"factor {j} is not sorted nonincreasing: {x}")
+                raise MalformedNu(
+                    f"factor {j} is not sorted nonincreasing: {format_vector(x)}")
             if sum(x) != 0:
-                raise MalformedNu(f"factor {j} has nonzero coordinate sum: {x}")
+                raise MalformedNu(f"factor {j} has nonzero coordinate sum: {format_vector(x)}")
         coeffs = decompose_in_coweights(x, g.base)
         if any(c < 0 for c in coeffs):
-            raise MalformedNu(f"factor {j} is not dominant: {x}")
+            raise MalformedNu(f"factor {j} is not dominant: {format_vector(x)}")
     return NuTuple(entries=entries)
 
 

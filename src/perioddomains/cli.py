@@ -54,6 +54,7 @@ from .rootdata import (
     Vector,
     build_group,
     build_root_system,
+    format_vector,
     inner_product,
     relative_coweights,
 )
@@ -78,7 +79,7 @@ PROGRESS_INTERVAL_S = 2.0
 
 _KNOWN_KEYS = {
     "command", "kind", "rank", "form", "t", "nu", "q", "p", "e", "m",
-    "dims", "seed", "budget_cells", "budget_field", "output",
+    "dims", "budget_cells", "budget_field", "output",
 }
 
 
@@ -96,7 +97,6 @@ class JobSpec:
     e: int = 1
     m: int = 1
     dims: tuple[int, ...] | None = None
-    seed: int = 0
     budget_cells: int | None = None
     budget_field: int | None = None
     output: str = "text"
@@ -159,7 +159,6 @@ def parse_jobspec(text: str) -> JobSpec:
         rank=_parse_int(get("rank"), lineof("rank"), "rank"),
         form=get("form", FORM_SPLIT).lower(),
         t=_parse_int(get("t"), lineof("t"), "t") if "t" in raw else 1,
-        seed=_parse_int(get("seed"), lineof("seed"), "seed") if "seed" in raw else 0,
         output=get("output", "text"),
     )
     if job.output not in ("text", "record"):
@@ -216,14 +215,13 @@ def render_jobspec(job: JobSpec) -> str:
         f"t = {job.t}",
     ]
     if job.nu is not None:
-        lines.append("nu = " + ";".join(",".join(str(x) for x in v) for v in job.nu))
+        lines.append("nu = " + ";".join(format_vector(v) for v in job.nu))
     if job.p is not None:
         lines.append(f"p = {job.p}")
         lines.append(f"e = {job.e}")
         lines.append(f"m = {job.m}")
     if job.dims is not None:
         lines.append("dims = " + ",".join(str(d) for d in job.dims))
-    lines.append(f"seed = {job.seed}")
     if job.budget_cells is not None:
         lines.append(f"budget_cells = {job.budget_cells}")
     if job.budget_field is not None:
@@ -402,7 +400,6 @@ def main(argv=None) -> int:
                         help="config file, '-' for stdin, or inline key=value tokens")
     parser.add_argument("--record", action="store_true",
                         help="machine-readable key=value output")
-    parser.add_argument("--seed", type=int, default=None)
     parser.add_argument("--budget-cells", type=int, default=None,
                         help="strata: cap on |W^P| per vertex (default 65536)")
     parser.add_argument("--budget-field", type=int, default=None,
@@ -430,8 +427,6 @@ def main(argv=None) -> int:
     pieces.append(f"command={args.command}")
     if args.record:
         pieces.append("output=record")
-    if args.seed is not None:
-        pieces.append(f"seed={args.seed}")
     if args.budget_cells is not None:
         pieces.append(f"budget_cells={args.budget_cells}")
     if args.budget_field is not None:

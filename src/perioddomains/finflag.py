@@ -13,8 +13,8 @@ rank of a small matrix. The two routes keep separate formulas on top:
   of vertex parabolic P_i: the profile fixes the double coset
   W_{P_i} w W_P of the point's Bruhat position, and the cell slope
   -(omega_i, w nu) is read from a one-line representative of it.
-  `relative_position` computes w itself from rank matrices; the sampled
-  strata test uses it.
+  `relative_position` computes w itself from rank matrices against an
+  explicit basis, an independent reference for that reading.
 
 Field arithmetic uses Zech logarithm tables (exp/log plus log(1 + g^k)), so
 addition and multiplication are single table lookups; fields up to 2^16
@@ -26,7 +26,6 @@ addition/multiplication tables are layered on top of the Zech data.
 from __future__ import annotations
 
 import itertools
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -40,7 +39,14 @@ from .errors import (
     ValidationError,
     ZeroDimensional,
 )
-from .rootdata import Vector, build_root_system, inner_product, run_lengths, vector
+from .rootdata import (
+    Vector,
+    build_root_system,
+    format_vector,
+    inner_product,
+    run_lengths,
+    vector,
+)
 from .weyl import WeylElement, permutation_element
 
 Row = tuple[int, ...]
@@ -399,13 +405,11 @@ class FlagPoint:
 
     `dims` are the proper step dimensions (the ambient space itself is
     implicit); `bases[i]` is the canonical reduced echelon basis of the
-    i-th step. `jumps` optionally carries the full decreasing jump tuple
-    (one more entry than dims, for the ambient step).
+    i-th step.
     """
 
     dims: tuple[int, ...]
     bases: tuple[Matrix, ...]
-    jumps: tuple[Fraction, ...] | None = None
 
 
 def flag_dims(nu) -> tuple[int, ...]:
@@ -648,37 +652,18 @@ def _vertex_pairings(nu: Vector):
 
 
 def is_semistable_strata_test(x: FlagPoint, nu, ff: FiniteField,
-                              g_sample: int | None = None,
-                              rng: random.Random | None = None,
                               max_translates: int | None = None) -> bool:
     """Strata route: no rational translate of a vertex stratum contains the point.
 
-    With g_sample=None every translate class g P_i, one per rational
-    i-dimensional T, is checked (exhaustive, exact); with g_sample=N only N
-    random rational basis changes are tried, through `relative_position`,
-    which can only over-report semistability.
+    Every translate class g P_i, one per rational i-dimensional T, is checked.
     """
     nu = vector(nu)
     _check_point(x, nu)
     n = len(nu)
-    if g_sample is None:
-        _check_budget(n, ff, max_translates, "translates")
-        pairing = _vertex_pairings(nu)
-        for i, profiles in intersection_profiles(x, n, ff):
-            if any(pairing(i, p) > 0 for p in profiles):
-                return False
-        return True
-
-    rng = rng or random.Random(0)
-    base = ff.base_elements
-    omegas = build_root_system("A", n - 1).fundamental_coweights
-    for _ in range(g_sample):
-        while True:
-            g = tuple(tuple(rng.choice(base) for _ in range(n)) for _ in range(n))
-            if len(rref(g, ff)[0]) == n:
-                break
-        wnu = relative_position(x, g, ff).apply(nu)
-        if any(inner_product(om, wnu) > 0 for om in omegas):
+    _check_budget(n, ff, max_translates, "translates")
+    pairing = _vertex_pairings(nu)
+    for i, profiles in intersection_profiles(x, n, ff):
+        if any(pairing(i, p) > 0 for p in profiles):
             return False
     return True
 
@@ -714,7 +699,7 @@ def _res_pair_weights(nu1, nu2) -> tuple[Fraction, Fraction]:
     b = vector(nu2)
     for x in (a, b):
         if len(x) != 2 or sum(x) != 0 or x[0] < 0:
-            raise MalformedNu(f"factor {x} is not a dominant sum-zero pair")
+            raise MalformedNu(f"factor {format_vector(x)} is not a dominant sum-zero pair")
     return a[0], b[0]
 
 

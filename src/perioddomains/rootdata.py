@@ -19,7 +19,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Sequence
 
-from .errors import DimensionMismatch, IllegalType, MalformedNu
+from .errors import DimensionMismatch, IllegalType, InvariantViolation, MalformedNu
 
 Vector = tuple[Fraction, ...]
 
@@ -53,11 +53,16 @@ def inner_product(u: Vector, v: Vector) -> Fraction:
     return sum((a * b for a, b in zip(u, v)), Fraction(0))
 
 
+def format_vector(v: Iterable) -> str:
+    """Comma-separated entries, as the config format writes a vector: 1,-1/2,0."""
+    return ",".join(str(x) for x in v)
+
+
 def run_lengths(nu) -> tuple[tuple[Fraction, ...], tuple[int, ...]]:
     """Decreasing jump values and multiplicities of a sorted type-A cocharacter."""
     x = vector(nu)
     if any(a < b for a, b in zip(x, x[1:])):
-        raise MalformedNu(f"cocharacter is not sorted nonincreasing: {x}")
+        raise MalformedNu(f"cocharacter is not sorted nonincreasing: {format_vector(x)}")
     jumps: list[Fraction] = []
     mults: list[int] = []
     for a in x:
@@ -86,24 +91,6 @@ def _scale(v: Vector, c: Fraction) -> Vector:
 def _reflect(v: Vector, alpha: Vector, alphav: Vector) -> Vector:
     pairing = inner_product(v, alphav)
     return tuple(a - pairing * b for a, b in zip(v, alpha))
-
-
-def invert_matrix(rows: Sequence[Sequence[Fraction]]) -> tuple[tuple[Fraction, ...], ...]:
-    """Exact inverse of a square rational matrix (Gauss-Jordan)."""
-    n = len(rows)
-    aug = [list(row) + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(rows)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if piv is None:
-            raise DimensionMismatch("singular matrix")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = Fraction(1) / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return tuple(tuple(row[n:]) for row in aug)
 
 
 def solve_in_span(columns: Sequence[Vector], target: Vector) -> tuple[Fraction, ...]:
@@ -257,7 +244,8 @@ def _w0_word(simple: tuple[Vector, ...], coweights: tuple[Vector, ...]) -> tuple
                 break
         else:
             break
-    assert v == rho
+    if v != rho:
+        raise InvariantViolation("walk from -rho stopped outside the dominant chamber")
     return tuple(word)
 
 
@@ -273,20 +261,25 @@ def apply_word(word: Sequence[int], v: Vector, simple: tuple[Vector, ...]) -> Ve
 def _build_root_system(kind: str, rank: int) -> RootSystemData:
     ambient, simple = _simple_root_table(kind, rank)
     positives, coeffs = _close_roots(simple)
-    assert len(positives) == _POSITIVE_COUNTS[kind](rank)
+    if len(positives) != _POSITIVE_COUNTS[kind](rank):
+        raise InvariantViolation(f"{kind}{rank}: closure found {len(positives)} positive roots")
 
-    pairing_matrix = [[inner_product(a, coroot(b)) for b in simple] for a in simple]
-    inv = invert_matrix(pairing_matrix)
+    # omega_i = sum_j c_j alpha_j with c the i-th row of the inverse of the
+    # pairing matrix (alpha_j, alpha_k^vee), i.e. sum_j c_j row_j = e_i
+    pairing_matrix = [tuple(inner_product(a, coroot(b)) for b in simple) for a in simple]
     coweights = []
     for i in range(rank):
+        unit = tuple(Fraction(int(i == j)) for j in range(rank))
         w = tuple(Fraction(0) for _ in range(ambient))
-        for j in range(rank):
-            w = _add(w, _scale(simple[j], inv[i][j]))
+        for alpha, c in zip(simple, solve_in_span(pairing_matrix, unit)):
+            w = _add(w, _scale(alpha, c))
         coweights.append(w)
     coweights = tuple(coweights)
     for i in range(rank):
         for j in range(rank):
-            assert inner_product(coweights[i], coroot(simple[j])) == int(i == j)
+            if inner_product(coweights[i], coroot(simple[j])) != int(i == j):
+                raise InvariantViolation(
+                    f"{kind}{rank}: (omega_{i + 1}, alpha_{j + 1}^vee) != delta")
 
     word = _w0_word(simple, coweights)
     opposition = []

@@ -2,9 +2,10 @@
 
 Elements are stored by their permutation action on the full root list (an
 exact faithful encoding for these realizations, where everything fixes the
-orthogonal complement of the root span pointwise). Exact-rational matrices
-and vector images are reconstructed on demand, so lengths, coset tests and
-slope pairings stay exact while enumeration runs on integer tuples.
+orthogonal complement of the root span pointwise) together with a reduced
+word. Vector images apply the word's simple reflections, so lengths, coset
+tests and slope pairings stay exact while enumeration runs on integer
+tuples.
 
 Minimal coset representatives of W/W_P are grown by *left* multiplication:
 if u is a minimal representative and u = s_i v with l(v) = l(u) - 1, then v
@@ -24,10 +25,10 @@ from .errors import BudgetExceeded, IndexOutOfRange, InvariantViolation, NotDomi
 from .rootdata import (
     Realization,
     Vector,
+    _reflect,
     _w0_word,
     coroot,
     inner_product,
-    invert_matrix,
     vector,
 )
 
@@ -43,60 +44,9 @@ class _Tables:
         self.index = {v: k for k, v in enumerate(roots)}
         self.simple_idx = tuple(self.index[a] for a in rs.simple_roots)
         self.coroots = tuple(coroot(a) for a in rs.simple_roots)
-        sperm = []
-        for alpha, alphav in zip(rs.simple_roots, self.coroots):
-            perm = []
-            for v in roots:
-                pairing = inner_product(v, alphav)
-                img = tuple(a - pairing * b for a, b in zip(v, alpha))
-                perm.append(self.index[img])
-            sperm.append(tuple(perm))
-        self.sperm = tuple(sperm)
-        self._basis_inv = None
-        self._rs = rs
-
-    @property
-    def basis_inv(self):
-        """Inverse of [simple roots | complement basis], for matrix recovery."""
-        if self._basis_inv is None:
-            rs = self._rs
-            n = rs.ambient_dim
-            cols = [list(a) for a in rs.simple_roots]
-            complement = _kernel_basis(rs.simple_roots, n)
-            cols += [list(c) for c in complement]
-            assert len(cols) == n
-            matrix_rows = [[cols[j][i] for j in range(n)] for i in range(n)]
-            self._basis_inv = (invert_matrix(matrix_rows), tuple(complement))
-        return self._basis_inv
-
-
-def _kernel_basis(rows: Sequence[Vector], n: int) -> list[Vector]:
-    """Exact basis of {v : (row, v) = 0 for all rows}."""
-    mat = [list(r) for r in rows]
-    pivots: list[int] = []
-    rank = 0
-    for col in range(n):
-        piv = next((k for k in range(rank, len(mat)) if mat[k][col] != 0), None)
-        if piv is None:
-            continue
-        mat[rank], mat[piv] = mat[piv], mat[rank]
-        inv = Fraction(1) / mat[rank][col]
-        mat[rank] = [x * inv for x in mat[rank]]
-        for k in range(len(mat)):
-            if k != rank and mat[k][col] != 0:
-                f = mat[k][col]
-                mat[k] = [x - f * y for x, y in zip(mat[k], mat[rank])]
-        pivots.append(col)
-        rank += 1
-    free = [c for c in range(n) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [Fraction(0)] * n
-        v[fc] = Fraction(1)
-        for i, pc in enumerate(pivots):
-            v[pc] = -mat[i][fc]
-        basis.append(tuple(v))
-    return basis
+        self.sperm = tuple(
+            tuple(self.index[_reflect(v, alpha, alphav)] for v in roots)
+            for alpha, alphav in zip(rs.simple_roots, self.coroots))
 
 
 @lru_cache(maxsize=None)
@@ -104,52 +54,51 @@ def _tables(rs: Realization) -> _Tables:
     return _Tables(rs)
 
 
-class WeylElement:
-    """A Weyl group element: root permutation, cached length, optional reduced word."""
+def _reduced_word(rs: Realization, perm: tuple[int, ...]) -> tuple[int, ...]:
+    """A reduced word of the element with root permutation perm: while some
+    w(alpha_j) < 0, replace w by w s_j and record j (first such j)."""
+    t = _tables(rs)
+    letters: list[int] = []
+    while True:
+        j = next((j for j, a in enumerate(t.simple_idx) if perm[a] >= t.npos), None)
+        if j is None:
+            return tuple(reversed(letters))
+        sp = t.sperm[j]
+        perm = tuple(perm[p] for p in sp)
+        letters.append(j + 1)
 
-    __slots__ = ("realization", "root_perm", "inv_perm", "length", "word", "_matrix")
+
+class WeylElement:
+    """A Weyl group element: root permutation, cached length and a reduced word.
+
+    Elements built without a word derive one from the root permutation on
+    first use, so `word` is never None.
+    """
+
+    __slots__ = ("realization", "root_perm", "inv_perm", "length", "_word")
 
     def __init__(self, realization, root_perm, inv_perm, length, word=None):
         self.realization = realization
         self.root_perm = root_perm
         self.inv_perm = inv_perm
         self.length = length
-        self.word = word
-        self._matrix = None
+        self._word = word
+
+    @property
+    def word(self) -> tuple[int, ...]:
+        """Reduced word, 1-based letters; the element is s_{word[0]} s_{word[1]} ..."""
+        if self._word is None:
+            self._word = _reduced_word(self.realization, self.root_perm)
+        return self._word
 
     def apply(self, v) -> Vector:
         """Image of an arbitrary ambient vector, exact."""
         v = vector(v)
-        if self.word is not None:
-            rs = self.realization
-            t = _tables(rs)
-            for i in reversed(self.word):
-                alpha = rs.simple_roots[i - 1]
-                pairing = inner_product(v, t.coroots[i - 1])
-                v = tuple(a - pairing * b for a, b in zip(v, alpha))
-            return v
-        m = self.matrix
-        return tuple(sum((row[j] * v[j] for j in range(len(v))), Fraction(0)) for row in m)
-
-    @property
-    def matrix(self) -> tuple[tuple[Fraction, ...], ...]:
-        """Exact orthogonal matrix (rows), computed on first use."""
-        if self._matrix is None:
-            rs = self.realization
-            t = _tables(rs)
-            n = rs.ambient_dim
-            basis_inv, complement = t.basis_inv
-            image_cols = [t.roots[self.root_perm[t.simple_idx[k]]] for k in range(rs.rank)]
-            image_cols += list(complement)
-            rows = []
-            for i in range(n):
-                row = []
-                for j in range(n):
-                    row.append(sum((image_cols[k][i] * basis_inv[k][j] for k in range(n)),
-                                   Fraction(0)))
-                rows.append(tuple(row))
-            self._matrix = tuple(rows)
-        return self._matrix
+        rs = self.realization
+        coroots = _tables(rs).coroots
+        for i in reversed(self.word):
+            v = _reflect(v, rs.simple_roots[i - 1], coroots[i - 1])
+        return v
 
     def __mul__(self, other: "WeylElement") -> "WeylElement":
         if self.realization is not other.realization:
@@ -159,13 +108,13 @@ class WeylElement:
         npos = _tables(self.realization).npos
         length = sum(1 for k in range(npos) if perm[k] >= npos)
         word = None
-        if self.word is not None and other.word is not None \
+        if self._word is not None and other._word is not None \
                 and length == self.length + other.length:
-            word = self.word + other.word
+            word = self._word + other._word
         return WeylElement(self.realization, perm, inv, length, word)
 
     def inverse(self) -> "WeylElement":
-        word = tuple(reversed(self.word)) if self.word is not None else None
+        word = tuple(reversed(self._word)) if self._word is not None else None
         return WeylElement(self.realization, self.inv_perm, self.root_perm,
                            self.length, word)
 
@@ -178,9 +127,7 @@ class WeylElement:
         return hash(self.root_perm)
 
     def __repr__(self):
-        if self.word is not None:
-            return "e" if not self.word else ".".join(f"s{i}" for i in self.word)
-        return f"WeylElement(length={self.length})"
+        return "e" if not self.word else ".".join(f"s{i}" for i in self.word)
 
 
 def identity_element(rs: Realization) -> WeylElement:
@@ -204,7 +151,8 @@ def longest_element(rs: Realization) -> WeylElement:
     w = identity_element(rs)
     for i in word:
         w = w * simple_reflection(rs, i)
-    assert w.length == _tables(rs).npos
+    if w.length != _tables(rs).npos:
+        raise InvariantViolation(f"w0 word of length {w.length} is not reduced")
     return w
 
 
@@ -266,7 +214,8 @@ def _component_order(comp, adj, bond) -> int:
         return 2
     maxbond = max(bond[(i, j)] for i in comp for j in adj[i])
     if maxbond == 3:
-        assert r == 2
+        if r != 2:
+            raise InvariantViolation(f"triple bond in a component of rank {r}")
         return 12
     if maxbond == 2:
         if r == 4:
@@ -278,7 +227,8 @@ def _component_order(comp, adj, bond) -> int:
     fork = [i for i in comp if degrees[i] == 3]
     if not fork:
         return factorial(r + 1)
-    assert len(fork) == 1
+    if len(fork) != 1:
+        raise InvariantViolation(f"simply-laced component with {len(fork)} branch nodes")
     node = fork[0]
     branch_lengths = sorted(_branch_length(b, node, adj) for b in adj[node])
     if branch_lengths[1] == 1:

@@ -77,7 +77,7 @@ def test_roundtrip_parse_render():
     texts = [
         "command=classify kind=A rank=1 form=split t=1 nu=1,-1",
         "command=strata kind=G2 rank=2 nu=0,-1,1",
-        "command=verify kind=A rank=2 nu=2,-1,-1 q=2 m=3 seed=7",
+        "command=verify kind=A rank=2 nu=2,-1,-1 q=2 m=3",
         "command=tables kind=F4 rank=4 output=record",
     ]
     for text in texts:
@@ -191,6 +191,24 @@ def test_tables_relative_section():
 def test_exit_code_parse_error():
     code, _ = run_main("classify", "kind=A rank=1 nu=1,-1 nonsense=3")
     assert code == 1
+
+
+def test_seed_is_not_an_option():
+    code, out = run_main("verify", "kind=A rank=1 nu=1,-1 q=2 m=2 seed=7")
+    assert code == cli.EXIT_USAGE and out == ""
+    code, out = run_main("verify", "kind=A rank=1 nu=1,-1 q=2 m=2", "--seed", "3")
+    assert code == cli.EXIT_USAGE and out == ""
+
+
+@pytest.mark.parametrize("command,config", [
+    ("classify", "kind=A rank=2 nu=1,2,-3"),
+    ("verify", "kind=A rank=2 nu=1,2,-3 q=2 m=1"),
+])
+def test_validation_error_prints_rationals(command, config, capsys):
+    code, _ = run_main(command, config)
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_VALIDATION
+    assert "1,2,-3" in err and "Fraction(" not in err
 
 
 def test_exit_code_validation_error():

@@ -19,17 +19,29 @@ def all_elements(rs):
     return list(weyl.enumerate_min_coset_reps(pd, rs))
 
 
+def reflection_matrices(rs):
+    """Rows of I - alpha (x) alpha^vee for each simple root, built from rd.coroot."""
+    n = rs.ambient_dim
+    gens = []
+    for alpha in rs.simple_roots:
+        alphav = rd.coroot(alpha)
+        gens.append(tuple(tuple(F(int(i == j)) - alpha[i] * alphav[j] for j in range(n))
+                          for i in range(n)))
+    return gens
+
+
+def mat_mul(a, b):
+    n = len(a)
+    return tuple(
+        tuple(sum((a[i][k] * b[k][j] for k in range(n)), F(0)) for j in range(n))
+        for i in range(n)
+    )
+
+
 def mulclose_matrices(rs):
     """Independent oracle: close the set of reflection matrices under products."""
-    gens = [weyl.simple_reflection(rs, i).matrix for i in range(1, rs.rank + 1)]
+    gens = reflection_matrices(rs)
     n = rs.ambient_dim
-
-    def mul(a, b):
-        return tuple(
-            tuple(sum((a[i][k] * b[k][j] for k in range(n)), F(0)) for j in range(n))
-            for i in range(n)
-        )
-
     identity = tuple(tuple(F(int(i == j)) for j in range(n)) for i in range(n))
     seen = {identity}
     frontier = [identity]
@@ -37,7 +49,7 @@ def mulclose_matrices(rs):
         fresh = []
         for m in frontier:
             for g in gens:
-                prod = mul(g, m)
+                prod = mat_mul(g, m)
                 if prod not in seen:
                     seen.add(prod)
                     fresh.append(prod)
@@ -67,7 +79,8 @@ def test_longest_element_examples():
     b2 = rd.build_root_system("B", 2)
     w0b = weyl.longest_element(b2)
     assert w0b.length == 4
-    assert w0b.matrix == ((F(-1), F(0)), (F(0), F(-1)))
+    assert w0b.apply((1, 0)) == rd.vector((-1, 0))
+    assert w0b.apply((0, 1)) == rd.vector((0, -1))
     a1 = rd.build_root_system("A", 1)
     w0a = weyl.longest_element(a1)
     assert w0a.length == 1
@@ -220,11 +233,38 @@ def test_matrix_and_word_apply_agree():
     rs = rd.build_root_system("F4", 4)
     w = weyl.simple_reflection(rs, 1) * weyl.simple_reflection(rs, 3) \
         * weyl.simple_reflection(rs, 2)
+    assert w.word == (1, 3, 2)
+    gens = reflection_matrices(rs)
+    m = mat_mul(mat_mul(gens[0], gens[2]), gens[1])
     v = rd.vector((1, 2, 3, 4))
-    m = w.matrix
     via_matrix = tuple(sum((row[j] * v[j] for j in range(4)), F(0)) for row in m)
     assert via_matrix == w.apply(v)
     assert w.inverse().apply(w.apply(v)) == v
+
+
+@pytest.mark.parametrize("kind,rank", [("A", 3), ("B", 3), ("G2", 2)])
+def test_derived_word_is_reduced_and_multiplies_out(kind, rank):
+    rs = rd.build_root_system(kind, rank)
+    for w in all_elements(rs):
+        bare = weyl.WeylElement(rs, w.root_perm, w.inv_perm, w.length)
+        word = bare.word
+        assert len(word) == w.length
+        product = weyl.identity_element(rs)
+        for i in word:
+            product = product * weyl.simple_reflection(rs, i)
+        assert product.root_perm == w.root_perm
+
+
+def test_elements_without_a_built_word_get_one():
+    rs = rd.build_root_system("A", 3)
+    w = weyl.permutation_element(rs, (4, 3, 2, 1))
+    assert len(w.word) == w.length == 6
+    assert w.apply((1, 2, 3, 4)) == rd.vector((4, 3, 2, 1))
+    u = weyl.min_coset_rep(weyl.longest_element(rs), (1,))
+    assert len(u.word) == u.length == 5
+    s1 = weyl.simple_reflection(rs, 1)
+    assert (s1 * s1).word == ()
+    assert repr(s1 * s1) == "e"
 
 
 def test_permutation_element_roundtrip():
