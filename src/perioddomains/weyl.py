@@ -276,12 +276,19 @@ def _parabolic(rs: Realization, delta: tuple[int, ...]) -> ParabolicData:
 def parabolic_of(nu, rs: Realization) -> ParabolicData:
     """Parabolic attached to a dominant cocharacter: delta_p = vanishing pairings."""
     v = vector(nu)
-    coeffs = [inner_product(v, c) for c in _tables(rs).coroots]
-    bad = [i + 1 for i, c in enumerate(coeffs) if c < 0]
+    return _parabolic(rs, dominant_delta([inner_product(v, c) for c in _tables(rs).coroots]))
+
+
+def dominant_delta(pairings: Sequence) -> tuple[int, ...]:
+    """Delta_P (1-based) from the pairings of nu with the simple coroots.
+
+    Any positive multiple of each pairing will do, since only signs are
+    read. Raises NotDominant when one is negative.
+    """
+    bad = [i + 1 for i, c in enumerate(pairings) if c < 0]
     if bad:
         raise NotDominant(f"negative pairing with simple coroots {bad}")
-    delta = tuple(i + 1 for i, c in enumerate(coeffs) if c == 0)
-    return parabolic_from_subset(rs, delta)
+    return tuple(i + 1 for i, c in enumerate(pairings) if c == 0)
 
 
 def enumerate_min_coset_reps(pd: ParabolicData, rs: Realization,

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction as F
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from perioddomains import classify as cf
 from perioddomains import rootdata as rd
 from perioddomains import strata, weyl
 from perioddomains.errors import (
@@ -168,20 +170,25 @@ def test_negative_budget_rejected():
         assert not isinstance(exc.value, BudgetExceeded)
 
 
-# Every configuration here but E6 lies below strata.FULL_TABLE_MAX_ORDER and
-# reads the one table over all of W; E6 reads per-parabolic W^P tables.
+# Every base group here but E6 lies below strata.FULL_TABLE_MAX_ORDER and
+# reads one table over all of W_base per copy; E6 reads per-parabolic W^P
+# tables.
 @pytest.mark.parametrize("kind,rank,form,t", [
     ("A", 2, "split", 1), ("A", 3, "split", 1), ("B", 2, "split", 1),
     ("G2", 2, "split", 1), ("A", 2, "unitary", 1), ("A", 1, "split", 2),
     ("A", 2, "split", 2), ("B", 2, "split", 2), ("A", 3, "split", 2),
-    ("B", 2, "split", 3), ("F4", 4, "split", 1),
+    ("B", 2, "split", 3), ("F4", 4, "split", 1), ("A", 2, "unitary", 2),
+    ("A", 3, "split", 3),
 ])
 def test_fast_table_matches_fraction_route(kind, rank, form, t):
     g = rd.build_group(kind, rank, form, t)
-    assert weyl.weyl_order(g.absolute) <= strata.FULL_TABLE_MAX_ORDER
+    assert weyl.weyl_order(g.base) <= strata.FULL_TABLE_MAX_ORDER
     rng = random.Random(f"{kind}{rank} {form} t={t}")
     pool = [0, 0, 1, 2, F(1, 2), 3]
-    for _ in range(25):
+    # the Fraction route applies every element of W^P; on A3 t=3 (13,824
+    # elements) a few samples take seconds
+    samples = 3 if weyl.weyl_order(g.absolute) > 2 ** 12 else 25
+    for _ in range(samples):
         entries = tuple(
             dominant_from_coeffs(g.base, [rng.choice(pool) for _ in range(g.base.rank)])
             for _ in range(t)
@@ -195,6 +202,100 @@ def test_fallback_table_matches_fraction_route(i):
     assert weyl.weyl_order(g.absolute) > strata.FULL_TABLE_MAX_ORDER
     omega = g.base.fundamental_coweights[i - 1]
     assert_matches_brute(g, (omega,))
+
+
+def test_product_of_parabolic_tables_matches_fraction_route():
+    # E6 lies above strata.FULL_TABLE_MAX_ORDER, so each copy reads the W^P
+    # table of its own Delta_P (27 cells each here)
+    g = rd.build_group("E6", 6, res_degree=2)
+    omegas = g.base.fundamental_coweights
+    assert_matches_brute(g, (omegas[0], omegas[5]))
+
+
+# An integerized entry of 2^62 trips the int64 bound whatever the table.
+@pytest.mark.parametrize("kind,rank,t,coeffs", [
+    ("A", 2, 1, [[2 ** 64, 1]]),
+    ("A", 2, 1, [[3, 2 ** 64 + 1]]),
+    ("B", 2, 2, [[2 ** 62, 1], [F(1, 2), 2 ** 61 + 3]]),
+    ("E6", 6, 1, [[2 ** 64, 0, 0, 0, 0, 1]]),
+], ids=["A2-first", "A2-second", "B2-t2", "E6"])
+def test_exact_route_matches_fraction_route(kind, rank, t, coeffs):
+    g = rd.build_group(kind, rank, res_degree=t)
+    entries = tuple(dominant_from_coeffs(g.base, c) for c in coeffs)
+    ints, _ = strata._copy_parabolics(g, entries)
+    assert max(abs(x) for v in ints for x in v) >= 2 ** 62
+    assert_matches_brute(g, entries)
+
+
+@pytest.mark.parametrize("kind,rank", [("A", 3), ("B", 2)])
+def test_product_element_matches_enumeration(kind, rank):
+    # every element of W_base^3 built from its copies' table indices has the
+    # root permutations, length and word of the breadth-first enumeration
+    g = rd.build_group(kind, rank, res_degree=3)
+    table = strata._qual_table(rd.build_group(kind, rank), ())
+    build = strata._product_element.__wrapped__
+    built = {}
+    for parts in itertools.product(range(len(table.elements)), repeat=3):
+        w = build(g, ((),) * 3, parts)
+        built[w.root_perm] = w
+    enumerated = list(weyl.enumerate_min_coset_reps(
+        weyl.parabolic_from_subset(g.absolute, ()), g.absolute))
+    assert len(built) == len(enumerated) == len(table.elements) ** 3
+    for u in enumerated:
+        w = built[u.root_perm]
+        assert (w.inv_perm, w.length, w.word) == (u.inv_perm, u.length, u.word)
+
+
+@pytest.mark.parametrize("kind,rank,t", [("A", 3, 4), ("A", 1, 8)])
+def test_reach_past_product_enumeration(kind, rank, t):
+    # |W| = 331,776 for A3 t=4: the report reads one 24-element table
+    g = rd.build_group(kind, rank, res_degree=t)
+    rng = random.Random(f"{kind}{rank} t={t} reach")
+    pool = [0, 0, 1, 2, F(1, 2)]
+    samples = [[[1] * rank] * t] + [
+        [[rng.choice(pool) for _ in range(rank)] for _ in range(t)] for _ in range(12)]
+    for coeffs in samples:
+        entries = tuple(dominant_from_coeffs(g.base, c) for c in coeffs)
+        report = strata.strata_report(g, entries)
+        verdict = cf.classify(g, entries).verdict
+        assert (verdict == cf.VERDICT_DRINFELD) == (report.codim_y == 1)
+
+
+def test_budget_counts_product_cosets_before_any_table():
+    g = rd.build_group("A", 3, res_degree=4)
+    regular = (dominant_from_coeffs(g.base, [1, 1, 1]),) * 4
+    before = strata._qual_table.cache_info()
+    with pytest.raises(BudgetExceeded, match=r"\|W\^P\| = 331776 exceeds budget 331775"):
+        strata.strata_report(g, regular, max_cells=331_775)
+    after = strata._qual_table.cache_info()
+    assert (after.hits, after.misses) == (before.hits, before.misses)
+    assert strata.strata_report(g, regular, max_cells=331_776).dim_f == 24
+
+
+def test_not_dominant_message_on_product():
+    g = rd.build_group("A", 2, res_degree=2)
+    entries = ((2, -1, -1), (-1, 0, 1))
+    with pytest.raises(NotDominant) as expected:
+        weyl.parabolic_of(rd.assemble_nu(g, entries), g.absolute)
+    with pytest.raises(NotDominant) as got:
+        strata.strata_report(g, entries)
+    assert str(got.value) == str(expected.value) == \
+        "negative pairing with simple coroots [3, 4]"
+
+
+@pytest.mark.parametrize("kind,rank,t", [("E8", 8, 1), ("F4", 4, 1), ("F4", 4, 2)])
+def test_integer_delta_matches_fraction_parabolic(kind, rank, t):
+    # half-integral coordinates: the integer pairings with 2 alpha_j must
+    # give Delta_P of the Fraction pairings with alpha_j^vee
+    g = rd.build_group(kind, rank, res_degree=t)
+    rng = random.Random(f"{kind}{rank} t={t} delta")
+    pool = [0, 0, F(1, 2), 1, F(3, 2), F(1, 3)]
+    for _ in range(40):
+        entries = tuple(dominant_from_coeffs(g.base, [rng.choice(pool) for _ in range(rank)])
+                        for _ in range(t))
+        _, deltas = strata._copy_parabolics(g, entries)
+        absolute = tuple(j * rank + i for j, d in enumerate(deltas) for i in d)
+        assert absolute == weyl.parabolic_of(rd.assemble_nu(g, entries), g.absolute).delta_p
 
 
 @given(st.lists(st.sampled_from([0, 1, 2, 3]), min_size=2, max_size=2),
