@@ -23,8 +23,8 @@ from .rootdata import (
     FORM_SPLIT,
     GroupDatum,
     Vector,
-    decompose_in_coweights,
     format_vector,
+    integer_pairings,
     run_lengths,
     split_nu,
 )
@@ -36,31 +36,26 @@ SIDE_FIRST = "first_step"
 SIDE_LAST = "last_step"
 
 
-@dataclass(frozen=True)
-class NuTuple:
-    """Validated cocharacter tuple: one dominant vector per diagram copy."""
-
-    entries: tuple[Vector, ...]
-
-
-def nu_tuple(g: GroupDatum, nu) -> NuTuple:
+def nu_tuple(g: GroupDatum, nu) -> tuple[Vector, ...]:
     """Validate a cocharacter input against the group's normal form.
 
     Type A entries must be weakly decreasing with coordinate sum zero; all
     entries must be dominant for the base system.
     """
     entries = split_nu(g, nu)
-    for j, x in enumerate(entries, start=1):
-        if g.base.kind == "A":
+    if g.base.kind == "A":
+        for j, x in enumerate(entries, start=1):
             if any(a < b for a, b in zip(x, x[1:])):
                 raise MalformedNu(
                     f"factor {j} is not sorted nonincreasing: {format_vector(x)}")
             if sum(x) != 0:
                 raise MalformedNu(f"factor {j} has nonzero coordinate sum: {format_vector(x)}")
-        coeffs = decompose_in_coweights(x, g.base)
-        if any(c < 0 for c in coeffs):
-            raise MalformedNu(f"factor {j} is not dominant: {format_vector(x)}")
-    return NuTuple(entries=entries)
+    _, _, pairings = integer_pairings(g.base, entries)
+    r = g.base.rank
+    for j, x in enumerate(entries):
+        if any(c < 0 for c in pairings[j * r:(j + 1) * r]):
+            raise MalformedNu(f"factor {j + 1} is not dominant: {format_vector(x)}")
+    return entries
 
 
 @dataclass(frozen=True)
@@ -97,8 +92,7 @@ def _fired_sides(entries: tuple[Vector, ...], j: int) -> list[str]:
 
 def classify(g: GroupDatum, nu) -> Classification:
     """Decide pi_1 of the semistable locus for (g, nu)."""
-    valid = nu if isinstance(nu, NuTuple) else nu_tuple(g, nu)
-    entries = valid.entries
+    entries = nu_tuple(g, nu)
     ell = g.base.rank
     t = g.res_degree
 

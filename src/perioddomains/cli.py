@@ -8,7 +8,8 @@ or inline `key=value` tokens on the command line. Output is deterministic;
 
 Budgets: `budget_cells` caps |W^P| per vertex for strata (default 65536);
 `budget_field` is one cap that verify applies at once to the number of flag
-points, of rational subspaces per point and of translates per point.
+points, of rational subspaces per point and of translates per point
+(default 65536).
 A verify run that takes longer than two seconds reports its progress on
 stderr.
 
@@ -72,6 +73,11 @@ _COMMANDS = ("classify", "strata", "verify", "tables")
 # regular nu (51,840 cells, about 190 MB) and refuses E7 and E8 with a
 # regular nu (2,903,040 and 696,729,600 cells) before any enumeration.
 DEFAULT_BUDGET_CELLS = 2 ** 16
+
+# verify's cap when budget_field is not given. It admits P^3 over F_27
+# (20,440 points, about 100 s) and refuses the line-in-hyperplane flags of
+# F_256^4 (about 1.1 * 10^12 points) before the first point.
+DEFAULT_BUDGET_FIELD = 2 ** 16
 
 # verify reports `verify: <done>/<total> points` on stderr once a run has
 # taken this long, and at most once per interval after that.
@@ -316,10 +322,11 @@ def _run_verify(job: JobSpec, record: bool) -> tuple[int, str]:
     disagreements = 0
     witnesses: list[str] = []
     points = flag_count(job.rank + 1, dims, ff.order)
+    budget = DEFAULT_BUDGET_FIELD if job.budget_field is None else job.budget_field
     next_report = time.monotonic() + PROGRESS_INTERVAL_S
-    for x in enumerate_flags(ff, job.rank, dims, max_points=job.budget_field):
-        a = is_semistable_subspace_test(x, nu, ff, max_subspaces=job.budget_field)
-        b = is_semistable_strata_test(x, nu, ff, max_translates=job.budget_field)
+    for x in enumerate_flags(ff, job.rank, dims, max_points=budget):
+        a = is_semistable_subspace_test(x, nu, ff, max_subspaces=budget)
+        b = is_semistable_strata_test(x, nu, ff, max_translates=budget)
         total += 1
         now = time.monotonic()
         if now >= next_report:
@@ -404,7 +411,8 @@ def main(argv=None) -> int:
                         help="strata: cap on |W^P| per vertex (default 65536)")
     parser.add_argument("--budget-field", type=int, default=None,
                         help="verify: one cap on flag points, on rational subspaces "
-                             "per point and on translates per point at once")
+                             "per point and on translates per point at once "
+                             "(default 65536)")
 
     try:
         args = parser.parse_intermixed_args(argv)

@@ -40,7 +40,6 @@ from .errors import (
     ZeroDimensional,
 )
 from .rootdata import (
-    Vector,
     build_root_system,
     format_vector,
     inner_product,
@@ -291,9 +290,6 @@ class FiniteField:
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
         return self.exp[(-self.log[a]) % (self.order - 1)]
-
-    def div(self, a: int, b: int) -> int:
-        return self.mul(a, self.inv(b))
 
     def frobenius(self, a: int) -> int:
         """The base-field Frobenius a -> a^q."""
@@ -547,10 +543,9 @@ def slope(u_dim: int, induced_jump_dims: Sequence[int], nu) -> Fraction:
     return total / u_dim
 
 
-def _check_point(x: FlagPoint, nu) -> None:
-    if x.dims != flag_dims(nu):
-        raise ValidationError(
-            f"flag dims {x.dims} do not match cocharacter dims {flag_dims(nu)}")
+def _check_point(x: FlagPoint, dims: tuple[int, ...]) -> None:
+    if x.dims != dims:
+        raise ValidationError(f"flag dims {x.dims} do not match cocharacter dims {dims}")
 
 
 def _check_budget(n: int, ff: FiniteField, budget: int | None, what: str) -> None:
@@ -561,25 +556,26 @@ def _check_budget(n: int, ff: FiniteField, budget: int | None, what: str) -> Non
 
 
 @lru_cache(maxsize=256)
-def _slope_test(nu: Vector):
-    """profile, k -> whether a rational k-dimensional U with that profile has
-    slope above the ambient one; memoized per nu."""
+def _slope_test(nu: tuple):
+    """The flag dims of nu, and k, profile -> whether a rational k-dimensional
+    U with that profile has slope above the ambient one; memoized per nu."""
+    nu = vector(nu)
     ambient = sum(nu) / len(nu)
 
     @lru_cache(maxsize=None)
     def above(k: int, profile: tuple[int, ...]) -> bool:
         return slope(k, profile + (k,), nu) > ambient
-    return above
+    return flag_dims(nu), above
 
 
 def is_semistable_subspace_test(x: FlagPoint, nu, ff: FiniteField,
                                 max_subspaces: int | None = None) -> bool:
     """Subspace route: every rational subspace has slope at most the ambient slope."""
-    nu = vector(nu)
-    _check_point(x, nu)
+    nu = tuple(nu)
+    dims, above = _slope_test(nu)
+    _check_point(x, dims)
     n = len(nu)
     _check_budget(n, ff, max_subspaces, "rational subspaces")
-    above = _slope_test(nu)
     for k, profiles in intersection_profiles(x, n, ff):
         if any(above(k, p) for p in profiles):
             return False
@@ -623,18 +619,20 @@ def relative_position(x: FlagPoint, g: Sequence[Sequence[int]],
 
 
 @lru_cache(maxsize=256)
-def _vertex_pairings(nu: Vector):
-    """i, profile -> (omega_i, w nu) for the position w of a point relative to
-    a rational i-dimensional T, read from profile = (dim(T cap F^b))_b;
-    memoized per nu.
+def _vertex_pairings(nu: tuple):
+    """The flag dims of nu, and i, profile -> (omega_i, w nu) for the position
+    w of a point relative to a rational i-dimensional T, read from profile =
+    (dim(T cap F^b))_b; memoized per nu.
 
     The one-line representative of the double coset W_{P_i} w W_P puts, in
     block b, dim(T cap F^b) - dim(T cap F^{b-1}) values from 1..i followed by
     values from i+1..n; the pairing is invariant under W_{P_i} on the left
     and W_P on the right, so any such representative gives it exactly.
     """
+    nu = vector(nu)
     n = len(nu)
-    steps = flag_dims(nu) + (n,)
+    dims = flag_dims(nu)
+    steps = dims + (n,)
     rs = build_root_system("A", n - 1)
 
     @lru_cache(maxsize=None)
@@ -648,7 +646,7 @@ def _vertex_pairings(nu: Vector):
             prev_d, prev_c = d, c
         w = permutation_element(rs, one_line)
         return inner_product(rs.fundamental_coweights[i - 1], w.apply(nu))
-    return pairing
+    return dims, pairing
 
 
 def is_semistable_strata_test(x: FlagPoint, nu, ff: FiniteField,
@@ -657,11 +655,11 @@ def is_semistable_strata_test(x: FlagPoint, nu, ff: FiniteField,
 
     Every translate class g P_i, one per rational i-dimensional T, is checked.
     """
-    nu = vector(nu)
-    _check_point(x, nu)
+    nu = tuple(nu)
+    dims, pairing = _vertex_pairings(nu)
+    _check_point(x, dims)
     n = len(nu)
     _check_budget(n, ff, max_translates, "translates")
-    pairing = _vertex_pairings(nu)
     for i, profiles in intersection_profiles(x, n, ff):
         if any(pairing(i, p) > 0 for p in profiles):
             return False

@@ -13,6 +13,7 @@ values (w_1,w_1)=2, (w_1,w_2)=3, (w_2,w_2)=6.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
@@ -22,8 +23,6 @@ from typing import Iterable, Sequence
 from .errors import DimensionMismatch, IllegalType, InvariantViolation, MalformedNu
 
 Vector = tuple[Fraction, ...]
-
-SIMPLE_KINDS = ("A", "B", "C", "D", "E6", "E7", "E8", "F4", "G2")
 
 FORM_SPLIT = "split"
 FORM_UNITARY = "unitary"
@@ -460,13 +459,45 @@ def relative_coweights(g: GroupDatum) -> tuple[RelativeCoweight, ...]:
     return tuple(out)
 
 
+def doubled(v: Vector) -> tuple[int, ...]:
+    """2v as integers; every root coordinate here is half-integral at worst."""
+    if any((2 * x).denominator != 1 for x in v):
+        raise InvariantViolation("root coordinates are not half-integral")
+    return tuple(int(2 * x) for x in v)
+
+
+@lru_cache(maxsize=None)
+def _doubled_simple_roots(rs: Realization) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """The nonzero (coordinate, entry) pairs of each 2 alpha_j."""
+    return tuple(tuple((k, x) for k, x in enumerate(doubled(a)) if x)
+                 for a in rs.simple_roots)
+
+
+def integer_pairings(rs: Realization, blocks: Sequence[Vector]
+                     ) -> tuple[tuple[tuple[int, ...], ...], int, tuple[int, ...]]:
+    """nu's blocks scaled to integers by one common lcm L of their
+    denominators, L itself, and the pairings (L v, 2 alpha_j) of each block v
+    with the simple roots of rs, block by block.
+
+    (L v, 2 alpha_j) = L (alpha_j, alpha_j) (v, alpha_j^vee) is a positive
+    multiple of the simple-coroot pairing, so it has the same sign.
+    """
+    for v in blocks:
+        if len(v) != rs.ambient_dim:
+            raise DimensionMismatch(
+                f"vector of length {len(v)} in ambient dimension {rs.ambient_dim}")
+    scale = math.lcm(*(x.denominator for v in blocks for x in v))
+    ints = tuple(tuple(x.numerator * (scale // x.denominator) for x in v) for v in blocks)
+    roots = _doubled_simple_roots(rs)
+    return ints, scale, tuple(sum(a * v[k] for k, a in root) for v in ints for root in roots)
+
+
 def decompose_in_coweights(nu: Sequence, rs: Realization) -> tuple[Fraction, ...]:
-    """Coefficients n_i = (nu, alpha_i^vee); nu is dominant iff all are >= 0."""
-    v = vector(nu)
-    if len(v) != rs.ambient_dim:
-        raise DimensionMismatch(
-            f"vector of length {len(v)} in ambient dimension {rs.ambient_dim}")
-    return tuple(inner_product(v, coroot(a)) for a in rs.simple_roots)
+    """Coefficients n_i = (nu, alpha_i^vee), exact, from the integer pairings;
+    nu is dominant iff all are >= 0."""
+    _, scale, pairings = integer_pairings(rs, (vector(nu),))
+    return tuple(p / (scale * inner_product(a, a))
+                 for p, a in zip(pairings, rs.simple_roots))
 
 
 def split_nu(g: GroupDatum, nu) -> tuple[Vector, ...]:

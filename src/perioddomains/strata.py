@@ -27,9 +27,10 @@ for the smallest s_j u one left descent below u.
 When |W_base| <= FULL_TABLE_MAX_ORDER (2^15) one table over all of W_base
 serves every parabolic. Larger base groups (A7, E6-E8) build one W^P table
 per (group, delta_p), whose delta_p signs are all positive. Dominance and
-delta_p come from integer pairings of the integerized nu with the doubled
-simple roots. Overflow of the int64 sums is excluded by an a priori bound;
-inputs beyond it run the same broadcast on exact Python integers.
+delta_p come from `rootdata.integer_pairings`, which also scales the blocks
+of nu to the integers the mat-vecs read. Overflow of the int64 sums is
+excluded by an a priori bound; inputs beyond it run the same broadcast on
+exact Python integers.
 """
 
 from __future__ import annotations
@@ -41,13 +42,13 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .errors import BudgetExceeded, IndexOutOfRange, InvariantViolation, ValidationError
+from .errors import BudgetExceeded, IndexOutOfRange, ValidationError
 from .rootdata import (
     GroupDatum,
     RelativeCoweight,
-    Vector,
     build_group,
     inner_product,
+    integer_pairings,
     relative_coweights,
     solve_in_span,
     split_nu,
@@ -98,13 +99,6 @@ def slope_on_cell(w: WeylElement, omega, nu) -> Fraction:
 FULL_TABLE_MAX_ORDER = 2 ** 15
 
 
-def _doubled(v: Vector) -> list[int]:
-    """2v as integers; every root coordinate here is half-integral at worst."""
-    if any((2 * x).denominator != 1 for x in v):
-        raise InvariantViolation("root coordinates are not half-integral")
-    return [int(2 * x) for x in v]
-
-
 class _QualTable:
     """Minimal coset reps of W/W_{delta_p} (all of W for delta_p = ()) of a
     t = 1 group in root-permutation order, with their lengths, signs of
@@ -129,7 +123,7 @@ class _QualTable:
         # Doubling the root coordinates and clearing the coefficient
         # denominators turns every row of w^{-1} omega_i = sum_k c_k
         # w^{-1}(alpha_k) into small integers.
-        root2 = np.array([_doubled(v) for v in tab.roots], dtype=np.int64)
+        root2 = np.array(tab.root2, dtype=np.int64)
         inv_at_simple = np.array(
             [[w.inv_perm[tab.simple_idx[k]] for k in range(rs.rank)]
              for w in self.elements],
@@ -177,38 +171,28 @@ def _qual_table(g: GroupDatum, delta_p: tuple[int, ...]) -> _QualTable:
 
 @dataclass(frozen=True)
 class _Copy:
-    """One restriction-of-scalars copy: its t = 1 group, whether one table
-    over all of W_base serves it, and the nonzero (coordinate, entry) pairs
-    of each doubled simple root."""
+    """One restriction-of-scalars copy: its t = 1 group, and whether one
+    table over all of W_base serves it."""
 
     group: GroupDatum
     full: bool
-    simple2: tuple[tuple[tuple[int, int], ...], ...]
 
 
 @lru_cache(maxsize=None)
 def _copy(g: GroupDatum) -> _Copy:
     base = build_group(g.base.kind, g.base.rank, g.form, 1)
-    rs = base.absolute
-    simple2 = tuple(tuple((k, x) for k, x in enumerate(_doubled(a)) if x)
-                    for a in rs.simple_roots)
-    return _Copy(base, weyl_order(rs) <= FULL_TABLE_MAX_ORDER, simple2)
+    return _Copy(base, weyl_order(base.absolute) <= FULL_TABLE_MAX_ORDER)
 
 
 def _copy_parabolics(g: GroupDatum, nu) -> tuple[tuple[tuple[int, ...], ...],
                                                   tuple[tuple[int, ...], ...]]:
     """The blocks of nu scaled to integers, and delta_p of each copy (1-based).
 
-    Dominance is read from (nu, 2 alpha_j), a positive multiple of
-    (nu, alpha_j^vee); absolute indices run copy by copy, as in g.absolute.
+    Absolute indices of the pairings run copy by copy, as in g.absolute.
     """
-    c = _copy(g)
-    blocks = split_nu(g, nu)
-    lcm = math.lcm(*(x.denominator for b in blocks for x in b))
-    ints = tuple(tuple(x.numerator * (lcm // x.denominator) for x in b) for b in blocks)
-    delta = dominant_delta([sum(a * v[k] for k, a in root)
-                            for v in ints for root in c.simple2])
-    r = len(c.simple2)
+    ints, _, pairings = integer_pairings(g.base, split_nu(g, nu))
+    delta = dominant_delta(pairings)
+    r = g.base.rank
     deltas = tuple(tuple(i - j * r for i in delta if j * r < i <= (j + 1) * r)
                    for j in range(len(ints)))
     return ints, deltas

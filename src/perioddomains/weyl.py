@@ -11,14 +11,19 @@ Minimal coset representatives of W/W_P are grown by *left* multiplication:
 if u is a minimal representative and u = s_i v with l(v) = l(u) - 1, then v
 is again minimal, so a breadth-first frontier over minimal representatives
 is exhaustive. (Right multiplication does not have this property.)
+
+Parabolic data needs no diagram classification: W_J has one positive root
+per inversion of its longest element, and |W_J| is the product of
+(ht + 1)/ht over those roots. The parabolic of a dominant nu is read from
+the integer pairings of `rootdata.integer_pairings`.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
 from typing import Iterator, Sequence
 
 from .errors import BudgetExceeded, IndexOutOfRange, InvariantViolation, NotDominant
@@ -28,13 +33,15 @@ from .rootdata import (
     _reflect,
     _w0_word,
     coroot,
-    inner_product,
+    doubled,
+    integer_pairings,
     vector,
 )
 
 
 class _Tables:
-    """Per-realization lookup tables (root list, reflection permutations)."""
+    """Per-realization lookup tables: the root list, each root doubled to
+    integers, and the simple reflections as root permutations."""
 
     def __init__(self, rs: Realization):
         positives = rs.positive_roots
@@ -44,9 +51,17 @@ class _Tables:
         self.index = {v: k for k, v in enumerate(roots)}
         self.simple_idx = tuple(self.index[a] for a in rs.simple_roots)
         self.coroots = tuple(coroot(a) for a in rs.simple_roots)
+        self.root2 = tuple(doubled(v) for v in roots)
+        index2 = {v: k for k, v in enumerate(self.root2)}
         self.sperm = tuple(
-            tuple(self.index[_reflect(v, alpha, alphav)] for v in roots)
-            for alpha, alphav in zip(rs.simple_roots, self.coroots))
+            tuple(index2[_reflect_doubled(v, self.root2[a])] for v in self.root2)
+            for a in self.simple_idx)
+
+
+def _reflect_doubled(v: tuple[int, ...], a: tuple[int, ...]) -> tuple[int, ...]:
+    """s_a on doubled roots, where (v, a^vee) = 2 (2v, 2a)/(2a, 2a) is an integer."""
+    c = 2 * sum(x * y for x, y in zip(v, a)) // sum(x * x for x in a)
+    return tuple(x - c * y for x, y in zip(v, a))
 
 
 @lru_cache(maxsize=None)
@@ -167,84 +182,8 @@ class ParabolicData:
 
 
 def reflection_subgroup_order(rs: Realization, indices: Sequence[int]) -> int:
-    """Order of the reflection subgroup generated by the listed simple roots.
-
-    Classifies each connected component of the sub-diagram by its bond
-    pattern and applies the closed-form order.
-    """
-    idx = sorted(i - 1 for i in set(indices))
-    for i in idx:
-        if not 0 <= i < rs.rank:
-            raise IndexOutOfRange(f"simple root index {i + 1} outside 1..{rs.rank}")
-    simple = rs.simple_roots
-    bond = {}
-    adj = {i: [] for i in idx}
-    for a in range(len(idx)):
-        for b in range(a + 1, len(idx)):
-            i, j = idx[a], idx[b]
-            cij = inner_product(simple[i], coroot(simple[j]))
-            cji = inner_product(simple[j], coroot(simple[i]))
-            m = int(cij * cji)
-            if m:
-                bond[(i, j)] = bond[(j, i)] = m
-                adj[i].append(j)
-                adj[j].append(i)
-
-    order = 1
-    seen: set[int] = set()
-    for start in idx:
-        if start in seen:
-            continue
-        comp = [start]
-        seen.add(start)
-        k = 0
-        while k < len(comp):
-            for j in adj[comp[k]]:
-                if j not in seen:
-                    seen.add(j)
-                    comp.append(j)
-            k += 1
-        order *= _component_order(comp, adj, bond)
-    return order
-
-
-def _component_order(comp, adj, bond) -> int:
-    r = len(comp)
-    if r == 1:
-        return 2
-    maxbond = max(bond[(i, j)] for i in comp for j in adj[i])
-    if maxbond == 3:
-        if r != 2:
-            raise InvariantViolation(f"triple bond in a component of rank {r}")
-        return 12
-    if maxbond == 2:
-        if r == 4:
-            i, j = next((i, j) for i in comp for j in adj[i] if bond[(i, j)] == 2)
-            if len(adj[i]) == 2 and len(adj[j]) == 2:
-                return 1152  # double bond in the middle of a 4-chain
-        return 2 ** r * factorial(r)
-    degrees = {i: len(adj[i]) for i in comp}
-    fork = [i for i in comp if degrees[i] == 3]
-    if not fork:
-        return factorial(r + 1)
-    if len(fork) != 1:
-        raise InvariantViolation(f"simply-laced component with {len(fork)} branch nodes")
-    node = fork[0]
-    branch_lengths = sorted(_branch_length(b, node, adj) for b in adj[node])
-    if branch_lengths[1] == 1:
-        return 2 ** (r - 1) * factorial(r)
-    return {2: 51840, 3: 2903040, 4: 696729600}[branch_lengths[2]]
-
-
-def _branch_length(start, fork, adj) -> int:
-    length = 1
-    prev, cur = fork, start
-    while True:
-        nxt = [j for j in adj[cur] if j != prev]
-        if not nxt:
-            return length
-        prev, cur = cur, nxt[0]
-        length += 1
+    """Order of the reflection subgroup generated by the listed simple roots (1-based)."""
+    return parabolic_from_subset(rs, indices).w_p_order
 
 
 @lru_cache(maxsize=None)
@@ -259,24 +198,27 @@ def parabolic_from_subset(rs: Realization, delta_p: Sequence[int]) -> ParabolicD
 
 @lru_cache(maxsize=None)
 def _parabolic(rs: Realization, delta: tuple[int, ...]) -> ParabolicData:
-    npos = _tables(rs).npos
+    """One pass over the positive roots of J: their heights are dual to the
+    exponents of W_J (Humphreys, Reflection Groups and Coxeter Groups, 3.20)."""
+    for i in delta:
+        if not 1 <= i <= rs.rank:
+            raise IndexOutOfRange(f"simple root index {i} outside 1..{rs.rank}")
     dset = {i - 1 for i in delta}
-    wp_len = sum(
-        1 for c in rs.positive_coefficients
-        if all(c[k] == 0 or k in dset for k in range(rs.rank))
-    )
+    heights = [int(sum(c)) for c in rs.positive_coefficients
+               if all(c[k] == 0 or k in dset for k in range(rs.rank))]
+    npos = len(rs.positive_roots)
     return ParabolicData(
         delta_p=delta,
-        w_p_order=reflection_subgroup_order(rs, delta) if delta else 1,
+        w_p_order=math.prod(h + 1 for h in heights) // math.prod(heights),
         w0_length=npos,
-        w0p_length=npos - wp_len,
+        w0p_length=npos - len(heights),
     )
 
 
 def parabolic_of(nu, rs: Realization) -> ParabolicData:
     """Parabolic attached to a dominant cocharacter: delta_p = vanishing pairings."""
-    v = vector(nu)
-    return _parabolic(rs, dominant_delta([inner_product(v, c) for c in _tables(rs).coroots]))
+    _, _, pairings = integer_pairings(rs, (vector(nu),))
+    return _parabolic(rs, dominant_delta(pairings))
 
 
 def dominant_delta(pairings: Sequence) -> tuple[int, ...]:

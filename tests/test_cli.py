@@ -1,3 +1,4 @@
+import itertools
 import os
 import re
 import runpy
@@ -11,6 +12,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from perioddomains import cli
+from perioddomains import finflag as ffl
 from perioddomains import rootdata as rd
 from perioddomains.errors import ParseError, ValidationError
 
@@ -241,6 +243,44 @@ def test_default_budget_refuses_e8_regular():
     code, out = run_main("strata", f"kind=E8 rank=8 nu={rho}")
     assert code == cli.EXIT_BUDGET and out == ""
     assert time.perf_counter() - start < 1.0
+
+
+def test_default_field_budget_refuses_huge_verify(capsys):
+    # (line, hyperplane) flags of F_256^4: refused before the first point
+    start = time.perf_counter()
+    code, out = run_main("verify", "kind=A rank=3 nu=1,0,0,-1 q=2 m=8")
+    assert code == cli.EXIT_BUDGET and out == ""
+    assert capsys.readouterr().err == \
+        "budget exceeded: 1108152091137 flag points exceed budget 65536\n"
+    assert time.perf_counter() - start < 5.0
+
+
+def test_default_field_budget_admits_p3_over_f27(monkeypatch):
+    # P^3 over F_27 (20,440 points) passes every budget check at the default;
+    # only the first three points are tested, through the real budget checks
+    seen = {}
+
+    def first_points(ff, ell, dims, max_points=None):
+        seen["points"] = max_points
+        return itertools.islice(ffl.enumerate_flags(ff, ell, dims, max_points=max_points), 3)
+
+    def subspace_test(x, nu, ff, max_subspaces=None):
+        seen["subspaces"] = max_subspaces
+        return ffl.is_semistable_subspace_test(x, nu, ff, max_subspaces=max_subspaces)
+
+    def strata_test(x, nu, ff, max_translates=None):
+        seen["translates"] = max_translates
+        return ffl.is_semistable_strata_test(x, nu, ff, max_translates=max_translates)
+
+    monkeypatch.setattr(cli, "enumerate_flags", first_points)
+    monkeypatch.setattr(cli, "is_semistable_subspace_test", subspace_test)
+    monkeypatch.setattr(cli, "is_semistable_strata_test", strata_test)
+    code, out = run_main("verify", "kind=A rank=3 nu=3,-1,-1,-1 q=3 m=3", "--record")
+    assert code == cli.EXIT_OK
+    assert out.splitlines()[0] == "points=3"
+    assert seen == dict.fromkeys(("points", "subspaces", "translates"),
+                                 cli.DEFAULT_BUDGET_FIELD)
+    assert cli.DEFAULT_BUDGET_FIELD == 2 ** 16
 
 
 def test_stdin_config(tmp_path):

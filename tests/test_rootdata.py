@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -148,6 +149,44 @@ def test_decompose_examples():
     assert rd.decompose_in_coweights(nu, g2) == (1, 1)
     with pytest.raises(DimensionMismatch):
         rd.decompose_in_coweights((1, 0), a2)
+
+
+def sign(x):
+    return (x > 0) - (x < 0)
+
+
+@pytest.mark.parametrize("kind,rank,t", [
+    ("E8", 8, 1), ("F4", 4, 1), ("F4", 4, 2), ("A", 3, 2), ("B", 2, 3), ("G2", 2, 3),
+])
+def test_integer_pairings_match_coroot_pairings(kind, rank, t):
+    # the one integer reading of nu against Fraction pairings (v, alpha_j^vee)
+    # computed here, on seeded dominant and non-dominant blocks with
+    # half-integral and third-integral coordinates
+    g = rd.build_group(kind, rank, res_degree=t)
+    rng = random.Random(f"{kind}{rank} t={t} pairings")
+    pool = [0, 0, F(1, 2), 1, F(3, 2), F(1, 3), -1, F(-1, 2)]
+    dominant = 0
+    for _ in range(40):
+        blocks = []
+        for _ in range(t):
+            v = (F(0),) * g.base.ambient_dim
+            for w in g.base.fundamental_coweights:
+                c = rng.choice(pool)
+                v = tuple(a + c * b for a, b in zip(v, w))
+            blocks.append(v)
+        ints, scale, pairings = rd.integer_pairings(g.base, blocks)
+        reference = [rd.inner_product(v, rd.coroot(a))
+                     for v in blocks for a in g.base.simple_roots]
+        assert [sign(p) for p in pairings] == [sign(c) for c in reference]
+        assert ints == tuple(tuple(scale * x for x in v) for v in blocks)
+        assert all(type(x) is int for v in ints for x in v)
+        flat = rd.assemble_nu(g, blocks)
+        assert rd.integer_pairings(g.absolute, (flat,))[2] == pairings
+        for j, v in enumerate(blocks):
+            assert rd.decompose_in_coweights(v, g.base) == \
+                tuple(reference[j * rank:(j + 1) * rank])
+        dominant += all(c >= 0 for c in reference)
+    assert 0 < dominant < 40
 
 
 @given(st.lists(st.integers(-4, 4), min_size=3, max_size=3))

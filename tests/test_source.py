@@ -16,3 +16,36 @@ def test_no_assert_in_package():
         found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
                   if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def _package_imports(path):
+    """Top-level names imported by path: 'numpy', or a sibling module name."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+        if isinstance(node, ast.Import):
+            names |= {alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            if node.level and node.module:
+                names.add(node.module.split(".")[0])
+            elif node.level:
+                names |= {alias.name for alias in node.names}
+            else:
+                names.add(node.module.split(".")[0])
+    return names
+
+
+def test_only_strata_imports_numpy():
+    # the finite-field route and the classifier run without numpy, so the
+    # flag workloads and `classify` never pay for its import
+    sources = {path.stem: path for path in
+               Path(perioddomains.__file__).parent.glob("*.py")}
+    imports = {name: _package_imports(path) for name, path in sources.items()}
+    assert {name for name, names in imports.items() if "numpy" in names} == {"strata"}
+    for root in ("classify", "finflag", "rootdata", "weyl"):
+        reached, todo = set(), [root]
+        while todo:
+            name = todo.pop()
+            if name not in reached:
+                reached.add(name)
+                todo += [m for m in imports[name] if m in sources]
+        assert "strata" not in reached, root

@@ -1,4 +1,5 @@
 import itertools
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -279,3 +280,36 @@ def test_permutation_element_rejects_non_permutation():
     rs = rd.build_root_system("A", 2)
     with pytest.raises(InvariantViolation):
         weyl.permutation_element(rs, (1, 1, 2))
+
+
+@pytest.mark.parametrize("kind,rank,order", (
+    [("A", n, math.factorial(n + 1)) for n in range(1, 9)]
+    + [(kind, n, 2 ** n * math.factorial(n)) for kind in "BC" for n in range(2, 9)]
+    + [("D", n, 2 ** (n - 1) * math.factorial(n)) for n in range(4, 9)]
+    + [("E6", 6, 51840), ("E7", 7, 2903040), ("E8", 8, 696729600),
+       ("F4", 4, 1152), ("G2", 2, 12)]
+))
+def test_weyl_order_pinned(kind, rank, order):
+    assert weyl.weyl_order(rd.build_root_system(kind, rank)) == order
+
+
+# every maximal parabolic of E6-E8 with |W^P| <= 2160: (kind, removed node, |W^P|)
+@pytest.mark.parametrize("kind,node,cosets", [
+    ("E6", 1, 27), ("E6", 2, 72), ("E6", 3, 216), ("E6", 4, 720), ("E6", 5, 216),
+    ("E6", 6, 27), ("E7", 1, 126), ("E7", 2, 576), ("E7", 3, 2016), ("E7", 6, 756),
+    ("E7", 7, 56), ("E8", 1, 2160), ("E8", 8, 240),
+])
+def test_maximal_parabolic_orders_exceptional(kind, node, cosets):
+    rank = int(kind[1])
+    rs = rd.build_root_system(kind, rank)
+    pd = weyl.parabolic_from_subset(rs, [i for i in range(1, rank + 1) if i != node])
+    count = sum(1 for _ in weyl.enumerate_min_coset_reps(pd, rs))
+    assert count == cosets
+    assert count * pd.w_p_order == weyl.weyl_order(rs)
+
+
+@pytest.mark.parametrize("delta", [(0,), (4,), (1, 5), (-1, 2)])
+def test_parabolic_from_subset_rejects_bad_index(delta):
+    a3 = rd.build_root_system("A", 3)
+    with pytest.raises(IndexOutOfRange, match=r"outside 1\.\.3"):
+        weyl.parabolic_from_subset(a3, delta)
