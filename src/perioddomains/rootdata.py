@@ -42,7 +42,7 @@ _POSITIVE_COUNTS = {
 
 def vector(entries: Iterable) -> Vector:
     """Coerce a sequence of ints/strings/Fractions to an exact vector."""
-    return tuple(Fraction(x) for x in entries)
+    return tuple(x if type(x) is Fraction else Fraction(x) for x in entries)
 
 
 def inner_product(u: Vector, v: Vector) -> Fraction:

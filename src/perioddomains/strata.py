@@ -1,67 +1,44 @@
-"""Unstable strata of the flag variety: slopes, cell dimensions, codimension.
+"""Unstable strata of the flag variety: cell dimensions, counts, codimension.
 
 For a dominant cocharacter nu with parabolic P, the vertex stratum Y_i is the
-union of Schubert cells BwP/P over minimal coset representatives w with
-(omega_i, w nu) > 0; its dimension is the largest l(w) among them. dim F is
-l(w0^P) and codim Y = dim F - dim Y decides the fundamental group.
+union of Schubert cells BwP/P over w in W^P with (omega_i, w nu) > 0; dim Y_i
+is the largest l(w) among them, and codim Y = l(w0^P) - max_i dim Y_i.
 
-A restriction of scalars of degree t has W = W_base^t, P is a product of one
-parabolic per copy, and both lengths and the pairings (omega_i, w nu) add
-over the copies. So a report reads one table per copy, built for the t = 1
-group: its elements in root-permutation order with their lengths, the signs
-of w(alpha_j) for every simple root, and the vectors w^{-1} omega_i scaled to
-integers (signs are scale-invariant). w is the minimal representative of
-wW_P exactly when w(alpha_j) > 0 for every j in delta_p, so each copy keeps
-the elements whose delta_p signs are positive. One integer mat-vec per copy
-gives every vertex's pairings; their broadcast sum over the copies, beside
-the broadcast sum of lengths, runs over W^P in C order. A report counts the
-positive entries per vertex and takes the longest, first in C order, as
-witness.
+The pairing is constant on each double coset D = W_{P_i} d W_P, d minimal,
+and mu = d^{-1} omega_i, the Delta_P-dominant element of its W_P-orbit,
+fixes D. By Kilmoyer's theorem W_{P_i} ∩ d W_P d^{-1} = d W_J d^{-1} with J
+the zero labels of mu in Delta_P (Carter, Finite Groups of Lie Type, 2.7),
+so D holds |W_{P_i}| / |W_J| cells, its longest cell w0(P_i) d w0(J) has
+length N(Delta_{P_i}) + l(d) - N(J), N counting positive roots, and its
+pairing is sum_j (mu, alpha_j^vee) (omega_j, nu). One breadth-first search
+over integer Dynkin labels, on which s_k acts by c_j <- c_j - c_k (alpha_k,
+alpha_j^vee), finds every mu at level l(d). It runs over the smaller orbit:
+that of omega_i, keeping the Delta_P-dominant elements, when |W/W_{P_i}| <=
+|W/W_P|, else that of nu_P (labels 1 off Delta_P), keeping the
+Delta_{P_i}-dominant d nu_P and carrying omega_i back along d^{-1}. The
+records are cached per (copy, Delta_P, vertex), so a report only scans them.
 
-Within a length layer the breadth-first W^P enumeration orders elements by
-root permutation, which on W_base^t is lexicographic over the copies' root
-permutations, so the C-order first index is that enumeration's witness. Its
-reduced word follows the enumeration's rule, word(u) = (j,) + word(s_j u)
-for the smallest s_j u one left descent below u.
+A restriction of scalars of degree t has W = W_base^t: lengths and pairings
+add over the copies and counts multiply, so each copy's double cosets are
+grouped by pairing value and the copies merged by summing values.
 
-When |W_base| <= FULL_TABLE_MAX_ORDER (2^15) one table over all of W_base
-serves every parabolic. Larger base groups (A7, E6-E8) build one W^P table
-per (group, delta_p), whose delta_p signs are all positive. Dominance and
-delta_p come from `rootdata.integer_pairings`, which also scales the blocks
-of nu to the integers the mat-vecs read. Overflow of the int64 sums is
-excluded by an a priori bound; inputs beyond it run the same broadcast on
-exact Python integers.
+The witness is the qualifying cell of largest dimension that comes first in
+the breadth-first W^P enumeration, whose length layers run in root-
+permutation order, lexicographic over the copies on W_base^t. In each copy
+it is the longest cell of its double coset, so only candidates are built,
+and its reduced word is the enumeration's (`weyl._reduced_word`).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
-from functools import cached_property, lru_cache
-
-import numpy as np
+from functools import lru_cache
+from operator import mul
 
 from .errors import BudgetExceeded, IndexOutOfRange, ValidationError
-from .rootdata import (
-    GroupDatum,
-    RelativeCoweight,
-    build_group,
-    inner_product,
-    integer_pairings,
-    relative_coweights,
-    solve_in_span,
-    split_nu,
-    vector,
-)
-from .weyl import (
-    WeylElement,
-    _tables,
-    dominant_delta,
-    enumerate_min_coset_reps,
-    parabolic_from_subset,
-    weyl_order,
-)
+from .rootdata import GroupDatum, build_group, doubled, integer_pairings, split_nu
+from .weyl import WeylElement, _parabolic, _tables, dominant_delta, weyl_order
 
 
 @dataclass(frozen=True)
@@ -84,207 +61,216 @@ class StrataReport:
     codim_y: int | float
 
 
-def slope_on_cell(w: WeylElement, omega, nu) -> Fraction:
-    """GIT slope on the cell BwP/P for vertex omega: -(omega, w nu).
-
-    The cell lies in Y_i exactly when the returned value is negative.
-    """
-    vec = omega.vector if isinstance(omega, RelativeCoweight) else vector(omega)
-    return -inner_product(vec, w.apply(nu))
-
-
-# Largest |W_base| for which one table over all of W_base serves every
-# parabolic of a copy. It covers F4 (1152) and excludes A7 (40,320) and E6
-# (51,840), whose full tables would cost seconds to build where W^P is small.
-FULL_TABLE_MAX_ORDER = 2 ** 15
-
-
-class _QualTable:
-    """Minimal coset reps of W/W_{delta_p} (all of W for delta_p = ()) of a
-    t = 1 group in root-permutation order, with their lengths, signs of
-    w(alpha_j) and rows of w^{-1}omega_i, shaped (vertex, element, coordinate)."""
-
-    def __init__(self, g: GroupDatum, delta_p: tuple[int, ...]):
-        rs = g.absolute
-        reps = enumerate_min_coset_reps(parabolic_from_subset(rs, delta_p), rs)
-        self.elements = tuple(sorted(reps, key=lambda w: w.root_perm))
-        # int16 keeps the broadcast length sums of A3 t=3 under 128 KB, where
-        # malloc stops mapping fresh pages for every report; a sum past 32767
-        # would need some 270 nontrivial copies, hence 2^270 cells.
-        self.lengths = np.array([w.length for w in self.elements], dtype=np.int16)
-        omegas = relative_coweights(g)
-        coeff_rows = [solve_in_span(rs.simple_roots, om.vector) for om in omegas]
-        tab = _tables(rs)
-        # signs[n, j] says whether elements[n] maps alpha_{j+1} to a positive root
-        self.signs = np.array(
-            [[w.root_perm[a] < tab.npos for a in tab.simple_idx] for w in self.elements],
-            dtype=bool)
-
-        # Doubling the root coordinates and clearing the coefficient
-        # denominators turns every row of w^{-1} omega_i = sum_k c_k
-        # w^{-1}(alpha_k) into small integers.
-        root2 = np.array(tab.root2, dtype=np.int64)
-        inv_at_simple = np.array(
-            [[w.inv_perm[tab.simple_idx[k]] for k in range(rs.rank)]
-             for w in self.elements],
-            dtype=np.intp)
-
-        self.rows = np.empty((len(coeff_rows), len(self.elements), rs.ambient_dim),
-                             dtype=np.int64)
-        for row, coeffs in zip(self.rows, coeff_rows):
-            scale = math.lcm(*(c.denominator for c in coeffs))
-            cint = np.array([int(c * scale) for c in coeffs], dtype=np.int64)
-            support = np.nonzero(cint)[0]
-            gathered = root2[inv_at_simple[:, support]]  # (n_elem, support, dim)
-            np.einsum("s,nsd->nd", cint[support], gathered, out=row)
-        self.max_abs = max(1, int(self.rows.max()), -int(self.rows.min()))
-        self._minimal: dict[tuple[int, ...], tuple[np.ndarray, np.ndarray]] = {}
-
-    def minimal(self, delta_p: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
-        """Indices of the minimal representatives of W/W_{delta_p} among the
-        elements, and their lengths."""
-        hit = self._minimal.get(delta_p)
-        if hit is None:
-            sel = np.flatnonzero(self.signs[:, [j - 1 for j in delta_p]].all(axis=1))
-            hit = self._minimal[delta_p] = (sel, self.lengths[sel])
-        return hit
-
-    @cached_property
-    def left(self) -> list[tuple[int, ...]]:
-        """left[n][b]: index of s_{b+1} w_n when that is shorter than w_n, else -1.
-
-        A W^P table holds every such element: predecessors of a minimal
-        representative are minimal.
-        """
-        tab = _tables(self.elements[0].realization)
-        index = {w.root_perm: n for n, w in enumerate(self.elements)}
-        return [tuple(index[tuple(sp[p] for p in w.root_perm)]
-                      if w.inv_perm[a] >= tab.npos else -1
-                      for a, sp in zip(tab.simple_idx, tab.sperm))
-                for w in self.elements]
-
-
-@lru_cache(maxsize=256)
-def _qual_table(g: GroupDatum, delta_p: tuple[int, ...]) -> _QualTable:
-    return _QualTable(g, delta_p)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _Copy:
-    """One restriction-of-scalars copy: its t = 1 group, and whether one
-    table over all of W_base serves it."""
+    """One restriction-of-scalars copy: its t = 1 group, the off-diagonal
+    Cartan integers (j, (alpha_k, alpha_j^vee)) of each k, the fundamental
+    coweights scaled by one integer, and Delta_{P_i} of each vertex."""
 
     group: GroupDatum
-    full: bool
+    cartan: tuple[tuple[tuple[int, int], ...], ...]
+    coweights: tuple[tuple[int, ...], ...]
+    vertex_deltas: tuple[tuple[int, ...], ...]
 
 
 @lru_cache(maxsize=None)
 def _copy(g: GroupDatum) -> _Copy:
-    base = build_group(g.base.kind, g.base.rank, g.form, 1)
-    return _Copy(base, weyl_order(base.absolute) <= FULL_TABLE_MAX_ORDER)
+    group = build_group(g.base.kind, g.base.rank, g.form, 1)
+    roots = [doubled(a) for a in g.base.simple_roots]
+    cartan = tuple(tuple((j, 2 * sum(map(mul, a, b)) // sum(map(mul, b, b)))
+                         for j, b in enumerate(roots) if j != k and sum(map(mul, a, b)))
+                   for k, a in enumerate(roots))
+    omegas = g.base.fundamental_coweights
+    scale = math.lcm(*(x.denominator for w in omegas for x in w))
+    return _Copy(group, cartan, tuple(tuple(int(x * scale) for x in w) for w in omegas),
+                 tuple(tuple(k for k in range(1, g.base.rank + 1) if k not in orbit)
+                       for orbit in group.galois_orbits))
 
 
-def _copy_parabolics(g: GroupDatum, nu) -> tuple[tuple[tuple[int, ...], ...],
-                                                  tuple[tuple[int, ...], ...]]:
-    """The blocks of nu scaled to integers, and delta_p of each copy (1-based).
+def _reflect(cartan, c: tuple[int, ...], k: int) -> tuple[int, ...]:
+    x = list(c)
+    x[k] = -c[k]
+    for j, a in cartan[k]:
+        x[j] -= c[k] * a
+    return tuple(x)
 
-    Absolute indices of the pairings run copy by copy, as in g.absolute.
-    """
-    ints, _, pairings = integer_pairings(g.base, split_nu(g, nu))
-    delta = dominant_delta(pairings)
-    r = g.base.rank
-    deltas = tuple(tuple(i - j * r for i in delta if j * r < i <= (j + 1) * r)
-                   for j in range(len(ints)))
-    return ints, deltas
+
+def _climb(cartan, c: tuple[int, ...]) -> list[int]:
+    """Letters k_1, k_2, ... (0-based) taking x up to the dominant chamber,
+    one length step each: the first negative label every time."""
+    letters = []
+    while (k := next((k for k, ck in enumerate(c) if ck < 0), None)) is not None:
+        c = _reflect(cartan, c, k)
+        letters.append(k)
+    return letters
+
+
+@lru_cache(maxsize=1024)
+def _double_cosets(copy: _Copy, delta_p: tuple[int, ...], i: int):
+    """The double cosets W_{P_i} d W_P of one copy by dimension descending, as
+    three tuples: longest-cell lengths, cell counts and mu = d^{-1} omega_i."""
+    rs = copy.group.absolute
+    delta_pi = copy.vertex_deltas[i - 1]
+    pi = _parabolic(rs, delta_pi)
+    omega = tuple(int(k + 1 not in delta_pi) for k in range(rs.rank))
+    from_omega = pi.w_p_order >= _parabolic(rs, delta_p).w_p_order
+    if from_omega:
+        layer, keep = [omega], delta_p
+    else:
+        layer, keep = [tuple(int(k + 1 not in delta_p) for k in range(rs.rank))], delta_pi
+    by_j: dict[tuple[int, ...], tuple[int, int]] = {}  # J -> (l(top) - l(d), count)
+    by_dim: dict[int, tuple[list[int], list[tuple[int, ...]]]] = {}
+    level = 0
+    while layer:
+        for c in layer:
+            if any(c[j - 1] < 0 for j in keep):
+                continue
+            mu = c
+            if not from_omega:  # c = d nu_P; carry omega_i back along d^{-1}
+                mu = omega
+                for k in _climb(copy.cartan, c):
+                    mu = _reflect(copy.cartan, mu, k)
+            j_mu = tuple(j for j in delta_p if mu[j - 1] == 0)
+            if j_mu not in by_j:
+                pj = _parabolic(rs, j_mu)
+                by_j[j_mu] = (pj.w0p_length - pi.w0p_length, pi.w_p_order // pj.w_p_order)
+            counts, mus = by_dim.setdefault(level + by_j[j_mu][0], ([], []))
+            counts.append(by_j[j_mu][1])
+            mus.append(mu)
+        nxt = {}
+        for c in layer:
+            for k, ck in enumerate(c):
+                if ck > 0:
+                    nxt[_reflect(copy.cartan, c, k)] = None
+        layer, level = list(nxt), level + 1
+    dims = sorted(by_dim, reverse=True)
+    return (tuple(d for d in dims for _ in by_dim[d][0]),
+            tuple(c for d in dims for c in by_dim[d][0]),
+            tuple(mu for d in dims for mu in by_dim[d][1]))
+
+
+@lru_cache(maxsize=None)
+def _w0(rs, delta: tuple[int, ...]) -> tuple[int, ...]:
+    """Root permutation of w0(W_delta): w <- w s_j while some w(alpha_j) > 0."""
+    tab = _tables(rs)
+    perm = tuple(range(2 * tab.npos))
+    while (j := next((j for j in delta if perm[tab.simple_idx[j - 1]] < tab.npos),
+                     None)) is not None:
+        perm = tuple(perm[q] for q in tab.sperm[j - 1])
+    return perm
 
 
 @lru_cache(maxsize=4096)
-def _product_element(g: GroupDatum, table_deltas: tuple[tuple[int, ...], ...],
-                     parts: tuple[int, ...]) -> WeylElement:
-    """The element of W_base^t = W(g.absolute) whose copy j is element
-    parts[j] of the copy's table for table_deltas[j].
+def _top_cell(copy: _Copy, i: int, delta_p: tuple[int, ...], mu: tuple[int, ...]
+              ) -> WeylElement:
+    """The longest cell w0(P_i) d w0(J) of the double coset of mu in one copy."""
+    rs = copy.group.absolute
+    tab = _tables(rs)
+    perm = _w0(rs, tuple(k for k in delta_p if mu[k - 1] == 0))
+    for k in _climb(copy.cartan, mu):  # d = s_{k_m} ... s_{k_1}
+        sp = tab.sperm[k]
+        perm = tuple(sp[p] for p in perm)
+    w0pi = _w0(rs, copy.vertex_deltas[i - 1])
+    perm = tuple(w0pi[p] for p in perm)
+    inv = tuple(sorted(range(len(perm)), key=perm.__getitem__))
+    return WeylElement(rs, perm, inv, sum(p >= tab.npos for p in perm[:tab.npos]))
 
-    Its word is the one breadth-first W^P enumeration gives: word(u) =
-    (j,) + word(v) for the smallest v = s_j u one left descent below u, in
-    the lexicographic order of the copies' table indices.
-    """
-    group = _copy(g).group
-    tables = [_qual_table(group, d) for d in table_deltas]
-    r = g.base.rank
-    letters = []
-    cur = parts
-    while True:
-        steps = [(cur[:j] + (prev,) + cur[j + 1:], j * r + b + 1)
-                 for j, (table, k) in enumerate(zip(tables, cur))
-                 for b, prev in enumerate(table.left[k]) if prev >= 0]
-        if not steps:
-            break
-        cur, letter = min(steps)
-        letters.append(letter)
 
-    elements = [table.elements[k] for table, k in zip(tables, parts)]
-    npos = _tables(g.base).npos
-    t = len(parts)
+@lru_cache(maxsize=4096)
+def _lift(g: GroupDatum, i: int, deltas: tuple[tuple[int, ...], ...],
+          mus: tuple[tuple[int, ...], ...]) -> WeylElement:
+    """The element of W_base^t whose copy j is the top cell of mus[j]."""
+    cells = [_top_cell(_copy(g), i, d, mu) for d, mu in zip(deltas, mus)]
+    npos, t = _tables(g.base).npos, len(cells)
 
-    def lift(perms):
-        # copy j's positive root m is root j*npos + m of the product, and its
-        # negative root m >= npos is root (t - 1 + j)*npos + m
+    def lift(perms):  # copy j's root m < npos is j*npos + m, m >= npos (t-1+j)*npos + m
         return tuple(m + j * npos if m < npos else m + (t - 1 + j) * npos
                      for half in (slice(0, npos), slice(npos, None))
                      for j, p in enumerate(perms) for m in p[half])
 
-    return WeylElement(g.absolute, lift([w.root_perm for w in elements]),
-                       lift([w.inv_perm for w in elements]),
-                       sum(w.length for w in elements), tuple(letters))
+    return WeylElement(g.absolute, lift([w.root_perm for w in cells]),
+                       lift([w.inv_perm for w in cells]), sum(w.length for w in cells))
 
 
 def _vertex_strata(g: GroupDatum, nu, max_cells=None) -> tuple[tuple[VertexStratum, ...], int]:
     if max_cells is not None and max_cells < 0:
         raise ValidationError(f"cell budget must be nonnegative, got {max_cells}")
-    c = _copy(g)
-    ints, deltas = _copy_parabolics(g, nu)
-    rs = c.group.absolute
-    pds = [parabolic_from_subset(rs, d) for d in deltas]
-    cells = math.prod(weyl_order(rs) // pd.w_p_order for pd in pds)
-    if max_cells is not None and cells > max_cells:
-        raise BudgetExceeded(f"|W^P| = {cells} exceeds budget {max_cells}")
-    table_deltas = tuple(() if c.full else d for d in deltas)
-    tables = [_qual_table(c.group, d) for d in table_deltas]
+    copy = _copy(g)
+    ints, _, pairings = integer_pairings(g.base, split_nu(g, nu))
+    delta = dominant_delta(pairings)
+    r = g.base.rank
+    deltas = tuple(tuple(k - j * r for k in delta if j * r < k <= (j + 1) * r)
+                   for j in range(len(ints)))
+    rs = copy.group.absolute
+    pds = [_parabolic(rs, d) for d in deltas]
+    visits = sum(weyl_order(rs) // max(_parabolic(rs, dpi).w_p_order, pd.w_p_order)
+                 for pd in pds for dpi in copy.vertex_deltas)
+    if max_cells is not None and visits > max_cells:
+        raise BudgetExceeded(f"{visits} orbit elements exceed budget {max_cells}")
+    pairs = [tuple(sum(map(mul, w, v)) for w in copy.coweights) for v in ints]
+    return tuple(_stratum(g, copy, i, deltas, pairs)
+                 for i in range(1, g.relative_rank + 1)), sum(pd.w0p_length for pd in pds)
 
-    # |sum over copies| <= max_abs * max_nu * (t * base dim)
-    max_nu = max(abs(x) for v in ints for x in v)
-    exact = max(tab.max_abs for tab in tables) * max_nu * g.absolute.ambient_dim >= 2 ** 62
-    dtype = object if exact else np.int64
-    sels = []
-    values = lengths = None
-    for table, d, v in zip(tables, deltas, ints):
-        sel, lens = table.minimal(d)
-        rows = table.rows.astype(object) if exact else table.rows
-        vals = (rows @ np.array(v, dtype=dtype)).take(sel, axis=1)
-        sels.append(sel)
-        if values is None:
-            values, lengths = vals, lens
-        else:  # (vertex, earlier copies, this copy) flattened in C order
-            values = (values[:, :, None] + vals[:, None, :]).reshape(len(vals), -1)
-            lengths = (lengths[:, None] + lens).reshape(-1)
 
-    qualifies = values > 0
-    counts = qualifies.sum(axis=1)
-    dims = np.where(qualifies, lengths, -1)
-    best = dims.max(axis=1)
-    first = np.unravel_index((dims == best[:, None]).argmax(axis=1), [len(s) for s in sels])
-
-    strata = []
-    for i in range(len(values)):
-        if counts[i] == 0:
-            strata.append(VertexStratum(index=i + 1, dim=None, witness=None, cell_count=0))
-            continue
-        parts = tuple(int(sel[k[i]]) for sel, k in zip(sels, first))
-        witness = (tables[0].elements[parts[0]] if len(parts) == 1
-                   else _product_element(g, table_deltas, parts))
-        strata.append(VertexStratum(index=i + 1, dim=int(best[i]), witness=witness,
-                                    cell_count=int(counts[i])))
-    return tuple(strata), sum(pd.w0p_length for pd in pds)
+def _stratum(g: GroupDatum, copy: _Copy, i: int, deltas, pairs) -> VertexStratum:
+    """Vertex i from each copy's double cosets and pairing values (mu, nu_j)."""
+    empty = VertexStratum(index=i, dim=None, witness=None, cell_count=0)
+    if len(deltas) == 1:  # the merge below, without the grouping by value
+        dims, counts, mus = _double_cosets(copy, deltas[0], i)
+        hits = [k for k, mu in enumerate(mus) if sum(map(mul, mu, pairs[0])) > 0]
+        if not hits:
+            return empty
+        witness = min((_top_cell(copy, i, deltas[0], mus[k])
+                       for k in hits if dims[k] == dims[hits[0]]), key=lambda w: w.root_perm)
+        return VertexStratum(index=i, dim=dims[hits[0]], witness=witness,
+                             cell_count=sum(counts[k] for k in hits))
+    groups = []  # per copy: pairing value -> [largest dim, summed count, its mus]
+    for d, nus in zip(deltas, pairs):
+        by_value: dict[int, list] = {}
+        for dim, count, mu in zip(*_double_cosets(copy, d, i)):
+            x = sum(map(mul, mu, nus))
+            if (hit := by_value.get(x)) is None:
+                by_value[x] = [dim, count, [mu]]
+            else:
+                hit[1] += count
+                if hit[0] == dim:
+                    hit[2].append(mu)
+        groups.append(by_value)
+    suffix = [{0: [0, 1]}]  # suffix[j]: value of copies j.. -> [largest dim, count]
+    for by_value in reversed(groups):
+        merged: dict[int, list[int]] = {}
+        for x, (dim, count, _) in by_value.items():
+            for y, (dim2, count2) in suffix[-1].items():
+                if (old := merged.get(x + y)) is None:
+                    merged[x + y] = [dim + dim2, count * count2]
+                else:
+                    old[0] = max(old[0], dim + dim2)
+                    old[1] += count * count2
+        suffix.append(merged)
+    suffix.reverse()
+    qualifying = [v for x, v in suffix[0].items() if x > 0]
+    if not qualifying:
+        return empty
+    best = max(dim for dim, _ in qualifying)
+    # copy by copy, the first cell that still completes to a witness: its
+    # value x and dim leave copies j+1.. a value above need - x at dim rest - dim
+    need, rest, parts = 0, best, []
+    for j, by_value in enumerate(groups):
+        highest: dict[int, int] = {}  # dim of copies j+1.. -> largest value there
+        for y, (dim2, _) in suffix[j + 1].items():
+            highest[dim2] = max(y, highest.get(dim2, y))
+        choice = None
+        for x, (dim, _, mus) in by_value.items():
+            if highest.get(rest - dim, need - x) > need - x:
+                for mu in mus:
+                    cell = _top_cell(copy, i, deltas[j], mu)
+                    if choice is None or cell.root_perm < choice[0].root_perm:
+                        choice = (cell, x, dim, mu)
+        _, x, dim, mu = choice
+        need, rest = need - x, rest - dim
+        parts.append(mu)
+    return VertexStratum(index=i, dim=best, witness=_lift(g, i, deltas, tuple(parts)),
+                         cell_count=sum(count for _, count in qualifying))
 
 
 def dim_y_i(g: GroupDatum, nu, i: int, max_cells: int | None = None) -> VertexStratum:

@@ -10,7 +10,9 @@ tuples.
 Minimal coset representatives of W/W_P are grown by *left* multiplication:
 if u is a minimal representative and u = s_i v with l(v) = l(u) - 1, then v
 is again minimal, so a breadth-first frontier over minimal representatives
-is exhaustive. (Right multiplication does not have this property.)
+is exhaustive. (Right multiplication does not have this property.) u gets
+(i,) + word(v) for the first such v in root-permutation order, which
+`_reduced_word` derives from u alone.
 
 Parabolic data needs no diagram classification: W_J has one positive root
 per inversion of its longest element, and |W_J| is the product of
@@ -69,25 +71,28 @@ def _tables(rs: Realization) -> _Tables:
     return _Tables(rs)
 
 
-def _reduced_word(rs: Realization, perm: tuple[int, ...]) -> tuple[int, ...]:
-    """A reduced word of the element with root permutation perm: while some
-    w(alpha_j) < 0, replace w by w s_j and record j (first such j)."""
-    t = _tables(rs)
+def _reduced_word(w: "WeylElement") -> tuple[int, ...]:
+    """The reduced word `enumerate_min_coset_reps` gives w: word(u) = (j,) +
+    word(v) for the smallest v = s_j u, by root permutation, one left descent
+    below u."""
+    t = _tables(w.realization)
+    perm, inv = w.root_perm, w.inv_perm
     letters: list[int] = []
     while True:
-        j = next((j for j, a in enumerate(t.simple_idx) if perm[a] >= t.npos), None)
-        if j is None:
-            return tuple(reversed(letters))
-        sp = t.sperm[j]
-        perm = tuple(perm[p] for p in sp)
+        steps = [(tuple(sp[p] for p in perm), j, sp)
+                 for j, (a, sp) in enumerate(zip(t.simple_idx, t.sperm)) if inv[a] >= t.npos]
+        if not steps:
+            return tuple(letters)
+        perm, j, sp = min(steps)
+        inv = tuple(inv[k] for k in sp)
         letters.append(j + 1)
 
 
 class WeylElement:
     """A Weyl group element: root permutation, cached length and a reduced word.
 
-    Elements built without a word derive one from the root permutation on
-    first use, so `word` is never None.
+    Elements built without a word derive the enumeration's word from the root
+    permutation on first use, so `word` is never None.
     """
 
     __slots__ = ("realization", "root_perm", "inv_perm", "length", "_word")
@@ -103,7 +108,7 @@ class WeylElement:
     def word(self) -> tuple[int, ...]:
         """Reduced word, 1-based letters; the element is s_{word[0]} s_{word[1]} ..."""
         if self._word is None:
-            self._word = _reduced_word(self.realization, self.root_perm)
+            self._word = _reduced_word(self)
         return self._word
 
     def apply(self, v) -> Vector:

@@ -234,15 +234,39 @@ def test_negative_budget_rejected(key):
     assert code == cli.EXIT_VALIDATION and out == ""
 
 
-def test_default_budget_refuses_e8_regular():
-    # |W^P| = |W(E8)| = 696,729,600 must be refused before any enumeration
-    rs = rd.build_root_system("E8", 8)
-    rho = ",".join(str(sum(w[k] for w in rs.fundamental_coweights))
-                   for k in range(rs.ambient_dim))
+def _rho(kind, rank):
+    rs = rd.build_root_system(kind, rank)
+    return ",".join(str(sum(w[k] for w in rs.fundamental_coweights))
+                    for k in range(rs.ambient_dim))
+
+
+def test_default_budget_refuses_e8_regular(capsys):
+    # the orbits of the 8 fundamental coweights hold 881,760 elements: refused
+    # before any orbit search
     start = time.perf_counter()
-    code, out = run_main("strata", f"kind=E8 rank=8 nu={rho}")
+    code, out = run_main("strata", f"kind=E8 rank=8 nu={_rho('E8', 8)}")
     assert code == cli.EXIT_BUDGET and out == ""
+    assert capsys.readouterr().err == \
+        "budget exceeded: 881760 orbit elements exceed budget 65536\n"
     assert time.perf_counter() - start < 1.0
+
+
+def test_default_budget_admits_e7_regular():
+    # 17,642 orbit elements, although |W^P| = 2,903,040
+    code, out = run_main("strata", "--record", f"kind=E7 rank=7 nu={_rho('E7', 7)}")
+    assert code == cli.EXIT_OK
+    assert out.splitlines()[:3] == ["dim_F=63", "dim_Y=49", "codim=14"]
+
+
+def test_default_budget_admits_a3_t4_regular():
+    # 4 copies of 4 + 6 + 4 orbit elements, although |W^P| = 331,776
+    nu = ";".join(["3,1,-1,-3"] * 4)
+    code, out = run_main("strata", "--record", f"kind=A rank=3 t=4 nu={nu}")
+    assert code == cli.EXIT_OK
+    assert out.splitlines()[:6] == ["dim_F=24", "dim_Y=17", "codim=7", "dim_Y_1=17",
+                                    "cells_1=137376",
+                                    "witness_1=s8.s11.s12.s11.s9.s8.s7.s6.s5.s4.s6.s5"
+                                    ".s3.s2.s1.s3.s2"]
 
 
 def test_default_field_budget_refuses_huge_verify(capsys):

@@ -34,18 +34,9 @@ def _package_imports(path):
     return names
 
 
-def test_only_strata_imports_numpy():
-    # the finite-field route and the classifier run without numpy, so the
-    # flag workloads and `classify` never pay for its import
-    sources = {path.stem: path for path in
-               Path(perioddomains.__file__).parent.glob("*.py")}
-    imports = {name: _package_imports(path) for name, path in sources.items()}
-    assert {name for name, names in imports.items() if "numpy" in names} == {"strata"}
-    for root in ("classify", "finflag", "rootdata", "weyl"):
-        reached, todo = set(), [root]
-        while todo:
-            name = todo.pop()
-            if name not in reached:
-                reached.add(name)
-                todo += [m for m in imports[name] if m in sources]
-        assert "strata" not in reached, root
+def test_no_module_imports_numpy():
+    # every route runs on exact Python integers and Fractions, so no workload
+    # and no subcommand pays for numpy's import
+    sources = sorted(Path(perioddomains.__file__).parent.glob("*.py"))
+    assert sources
+    assert [path.name for path in sources if "numpy" in _package_imports(path)] == []

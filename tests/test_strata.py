@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from perioddomains import classify as cf
+from perioddomains import cli
 from perioddomains import rootdata as rd
 from perioddomains import strata, weyl
 from perioddomains.errors import (
@@ -16,6 +18,7 @@ from perioddomains.errors import (
     NotDominant,
     PeriodDomainError,
 )
+from test_acceptance import SWEEP_CONFIGS
 
 
 def dominant_from_coeffs(rs, coeffs):
@@ -25,16 +28,33 @@ def dominant_from_coeffs(rs, coeffs):
     return nu
 
 
+def slope_on_cell(w, omega, nu):
+    """GIT slope on the cell BwP/P for vertex omega: -(omega, w nu).
+
+    The cell lies in Y_i exactly when the returned value is negative.
+    """
+    vec = omega.vector if isinstance(omega, rd.RelativeCoweight) else rd.vector(omega)
+    return -rd.inner_product(vec, w.apply(nu))
+
+
 def brute_report(g, nu_entries):
     """Independent slow route: explicit W^P enumeration with Fraction slopes.
 
     Each vertex gives (dim, cell count, reduced word of the first
-    longest qualifying cell in enumeration order).
+    longest qualifying cell in enumeration order). Every element's word is
+    (i,) + its predecessor's word, so each image w nu is one Fraction
+    reflection of an earlier one.
     """
+    rs = g.absolute
     flat = rd.assemble_nu(g, nu_entries)
-    pd = weyl.parabolic_of(flat, g.absolute)
-    reps = list(weyl.enumerate_min_coset_reps(pd, g.absolute))
-    images = [w.apply(flat) for w in reps]
+    pd = weyl.parabolic_of(flat, rs)
+    reps = list(weyl.enumerate_min_coset_reps(pd, rs))
+    reflections = [weyl.simple_reflection(rs, i) for i in range(1, rs.rank + 1)]
+    by_word = {}
+    for w in reps:
+        by_word[w.word] = (reflections[w.word[0] - 1].apply(by_word[w.word[1:]])
+                           if w.word else flat)
+    images = [by_word[w.word] for w in reps]
     per_vertex = []
     for rc in rd.relative_coweights(g):
         # the GIT slope -(omega_i, w nu) of the cell is negative
@@ -66,10 +86,10 @@ def test_slope_on_cell_examples():
     gA1 = rd.build_group("A", 1)
     omega = rd.relative_coweights(gA1)[0]
     e = weyl.identity_element(gA1.absolute)
-    assert strata.slope_on_cell(e, omega, (1, -1)) == -1
-    assert strata.slope_on_cell(e, omega, (0, 0)) == 0
+    assert slope_on_cell(e, omega, (1, -1)) == -1
+    assert slope_on_cell(e, omega, (0, 0)) == 0
     s = weyl.simple_reflection(gA1.absolute, 1)
-    assert strata.slope_on_cell(s, omega, (1, -1)) == 1
+    assert slope_on_cell(s, omega, (1, -1)) == 1
 
 
 def test_top_cell_slope_positive_for_regular_nu():
@@ -79,7 +99,7 @@ def test_top_cell_slope_positive_for_regular_nu():
     pd = weyl.parabolic_of(rd.vector(nu), rs)
     w0p = weyl.min_coset_rep(weyl.longest_element(rs), pd.delta_p)
     for rc in rd.relative_coweights(gA2):
-        assert strata.slope_on_cell(w0p, rc, nu) > 0
+        assert slope_on_cell(w0p, rc, nu) > 0
 
 
 def test_dim_y_i_a1():
@@ -170,49 +190,74 @@ def test_negative_budget_rejected():
         assert not isinstance(exc.value, BudgetExceeded)
 
 
-# Every base group here but E6 lies below strata.FULL_TABLE_MAX_ORDER and
-# reads one table over all of W_base per copy; E6 reads per-parabolic W^P
-# tables.
-@pytest.mark.parametrize("kind,rank,form,t", [
-    ("A", 2, "split", 1), ("A", 3, "split", 1), ("B", 2, "split", 1),
-    ("G2", 2, "split", 1), ("A", 2, "unitary", 1), ("A", 1, "split", 2),
-    ("A", 2, "split", 2), ("B", 2, "split", 2), ("A", 3, "split", 2),
-    ("B", 2, "split", 3), ("F4", 4, "split", 1), ("A", 2, "unitary", 2),
-    ("A", 3, "split", 3),
-])
+@pytest.mark.parametrize("kind,rank,form,t", SWEEP_CONFIGS + [("A", 2, "unitary", 2)])
 def test_fast_table_matches_fraction_route(kind, rank, form, t):
+    # the double-coset route against W^P enumeration on every criterion-3
+    # configuration: the regular and the zero nu, then seeded nus
     g = rd.build_group(kind, rank, form, t)
-    assert weyl.weyl_order(g.base) <= strata.FULL_TABLE_MAX_ORDER
     rng = random.Random(f"{kind}{rank} {form} t={t}")
     pool = [0, 0, 1, 2, F(1, 2), 3]
-    # the Fraction route applies every element of W^P; on A3 t=3 (13,824
-    # elements) a few samples take seconds
+    # the Fraction route visits every element of W^P; on A3 t=3 (13,824
+    # elements) each nu takes seconds
     samples = 3 if weyl.weyl_order(g.absolute) > 2 ** 12 else 25
-    for _ in range(samples):
-        entries = tuple(
-            dominant_from_coeffs(g.base, [rng.choice(pool) for _ in range(g.base.rank)])
-            for _ in range(t)
-        )
-        assert_matches_brute(g, entries)
+    coeffs = [[[1] * rank] * t, [[0] * rank] * t] + [
+        [[rng.choice(pool) for _ in range(rank)] for _ in range(t)] for _ in range(samples)]
+    for c in coeffs:
+        assert_matches_brute(g, tuple(dominant_from_coeffs(g.base, x) for x in c))
+
+
+def _orbit_branches(g, entries):
+    """The orbits the route searches over the vertices: True for that of
+    omega_i (|W/W_{P_i}| <= |W/W_P|), False for that of nu_P."""
+    rs = g.absolute
+    order_p = weyl.parabolic_of(rd.assemble_nu(g, entries), rs).w_p_order
+    return {weyl.parabolic_from_subset(
+        rs, [k for k in range(1, rs.rank + 1) if k not in orbit]).w_p_order >= order_p
+        for orbit in g.galois_orbits}
+
+
+@pytest.mark.parametrize("kind,rank,i", [("E6", 6, 1), ("E7", 7, 1), ("E7", 7, 7)])
+def test_maximal_parabolics_take_both_orbit_branches(kind, rank, i):
+    # some vertices search the orbit of omega_i, the others that of nu_P
+    g = rd.build_group(kind, rank)
+    assert _orbit_branches(g, (g.base.fundamental_coweights[i - 1],)) == {True, False}
+
+
+@pytest.mark.parametrize("i", range(1, 8))
+def test_e7_maximal_parabolics_match_enumeration(i):
+    g = rd.build_group("E7", 7)
+    omega = g.base.fundamental_coweights[i - 1]
+    assert_matches_brute(g, (omega,))
+
+
+def test_e7_regular_under_default_budget():
+    # |W^P| = 2,903,040 cells, but 17,642 orbit elements over the 7 vertices
+    g = rd.build_group("E7", 7)
+    rho = dominant_from_coeffs(g.base, [1] * 7)
+    start = time.perf_counter()
+    report = strata.strata_report(g, rho, max_cells=cli.DEFAULT_BUDGET_CELLS)
+    assert time.perf_counter() - start < 1.0
+    assert (report.dim_f, report.dim_y, report.codim_y) == (63, 49, 14)
+    assert cf.classify(g, (rho,)).verdict != cf.VERDICT_DRINFELD
+    with pytest.raises(BudgetExceeded, match=r"^17642 orbit elements exceed budget 17641$"):
+        strata.strata_report(g, rho, max_cells=17_641)
 
 
 @pytest.mark.parametrize("i", range(1, 7))
 def test_fallback_table_matches_fraction_route(i):
     g = rd.build_group("E6", 6)
-    assert weyl.weyl_order(g.absolute) > strata.FULL_TABLE_MAX_ORDER
     omega = g.base.fundamental_coweights[i - 1]
     assert_matches_brute(g, (omega,))
 
 
 def test_product_of_parabolic_tables_matches_fraction_route():
-    # E6 lies above strata.FULL_TABLE_MAX_ORDER, so each copy reads the W^P
-    # table of its own Delta_P (27 cells each here)
+    # each copy has its own Delta_P (27 cells each here)
     g = rd.build_group("E6", 6, res_degree=2)
     omegas = g.base.fundamental_coweights
     assert_matches_brute(g, (omegas[0], omegas[5]))
 
 
-# An integerized entry of 2^62 trips the int64 bound whatever the table.
+# Integerized entries of 2^62 and more: the pairings stay exact integers.
 @pytest.mark.parametrize("kind,rank,t,coeffs", [
     ("A", 2, 1, [[2 ** 64, 1]]),
     ("A", 2, 1, [[3, 2 ** 64 + 1]]),
@@ -222,33 +267,36 @@ def test_product_of_parabolic_tables_matches_fraction_route():
 def test_exact_route_matches_fraction_route(kind, rank, t, coeffs):
     g = rd.build_group(kind, rank, res_degree=t)
     entries = tuple(dominant_from_coeffs(g.base, c) for c in coeffs)
-    ints, _ = strata._copy_parabolics(g, entries)
+    ints, _, _ = rd.integer_pairings(g.base, entries)
     assert max(abs(x) for v in ints for x in v) >= 2 ** 62
     assert_matches_brute(g, entries)
 
 
 @pytest.mark.parametrize("kind,rank", [("A", 3), ("B", 2)])
 def test_product_element_matches_enumeration(kind, rank):
-    # every element of W_base^3 built from its copies' table indices has the
-    # root permutations, length and word of the breadth-first enumeration
+    # the longest cell of W_base^3 built from one double coset per copy is the
+    # enumeration's element, word included, and the root-permutation order on
+    # W_base^3 is lexicographic over the copies' longest cells
     g = rd.build_group(kind, rank, res_degree=3)
-    table = strata._qual_table(rd.build_group(kind, rank), ())
-    build = strata._product_element.__wrapped__
-    built = {}
-    for parts in itertools.product(range(len(table.elements)), repeat=3):
-        w = build(g, ((),) * 3, parts)
-        built[w.root_perm] = w
-    enumerated = list(weyl.enumerate_min_coset_reps(
-        weyl.parabolic_from_subset(g.absolute, ()), g.absolute))
-    assert len(built) == len(enumerated) == len(table.elements) ** 3
-    for u in enumerated:
-        w = built[u.root_perm]
-        assert (w.inv_perm, w.length, w.word) == (u.inv_perm, u.length, u.word)
+    copy = strata._copy(g)
+    enumerated = {u.root_perm: u for u in weyl.enumerate_min_coset_reps(
+        weyl.parabolic_from_subset(g.absolute, ()), g.absolute)}
+    for i in range(1, g.relative_rank + 1):
+        mus = strata._double_cosets(copy, (), i)[2]
+        built = []
+        for parts in itertools.product(mus, repeat=3):
+            w = strata._lift(g, i, ((),) * 3, parts)
+            u = enumerated[w.root_perm]
+            assert (w.inv_perm, w.length, w.word) == (u.inv_perm, u.length, u.word)
+            copies = [strata._top_cell(copy, i, (), mu) for mu in parts]
+            assert w.length == sum(c.length for c in copies)
+            built.append((w.root_perm, [c.root_perm for c in copies]))
+        assert sorted(built) == sorted(built, key=lambda b: b[1])
 
 
 @pytest.mark.parametrize("kind,rank,t", [("A", 3, 4), ("A", 1, 8)])
 def test_reach_past_product_enumeration(kind, rank, t):
-    # |W| = 331,776 for A3 t=4: the report reads one 24-element table
+    # |W| = 331,776 for A3 t=4: each copy reads at most 6 double cosets per vertex
     g = rd.build_group(kind, rank, res_degree=t)
     rng = random.Random(f"{kind}{rank} t={t} reach")
     pool = [0, 0, 1, 2, F(1, 2)]
@@ -262,14 +310,15 @@ def test_reach_past_product_enumeration(kind, rank, t):
 
 
 def test_budget_counts_product_cosets_before_any_table():
+    # budget_cells bounds the orbit elements visited, per copy and vertex the
+    # smaller of |W/W_{P_i}| and |W/W_P|: here 4 * (4 + 6 + 4), not |W| = 331,776
     g = rd.build_group("A", 3, res_degree=4)
     regular = (dominant_from_coeffs(g.base, [1, 1, 1]),) * 4
-    before = strata._qual_table.cache_info()
-    with pytest.raises(BudgetExceeded, match=r"\|W\^P\| = 331776 exceeds budget 331775"):
-        strata.strata_report(g, regular, max_cells=331_775)
-    after = strata._qual_table.cache_info()
-    assert (after.hits, after.misses) == (before.hits, before.misses)
-    assert strata.strata_report(g, regular, max_cells=331_776).dim_f == 24
+    strata._double_cosets.cache_clear()
+    with pytest.raises(BudgetExceeded, match=r"^56 orbit elements exceed budget 55$"):
+        strata.strata_report(g, regular, max_cells=55)
+    assert strata._double_cosets.cache_info().currsize == 0
+    assert strata.strata_report(g, regular, max_cells=56).dim_f == 24
 
 
 def test_not_dominant_message_on_product():
@@ -293,8 +342,8 @@ def test_integer_delta_matches_fraction_parabolic(kind, rank, t):
     for _ in range(40):
         entries = tuple(dominant_from_coeffs(g.base, [rng.choice(pool) for _ in range(rank)])
                         for _ in range(t))
-        _, deltas = strata._copy_parabolics(g, entries)
-        absolute = tuple(j * rank + i for j, d in enumerate(deltas) for i in d)
+        _, _, pairings = rd.integer_pairings(g.base, entries)
+        absolute = weyl.dominant_delta(pairings)
         flat = rd.assemble_nu(g, entries)
         reference = [rd.inner_product(flat, rd.coroot(a)) for a in g.absolute.simple_roots]
         assert absolute == tuple(k + 1 for k, c in enumerate(reference) if c == 0)

@@ -256,6 +256,23 @@ def test_derived_word_is_reduced_and_multiplies_out(kind, rank):
         assert product.root_perm == w.root_perm
 
 
+@pytest.mark.parametrize("kind,rank,t,delta_p", [
+    ("A", 3, 1, ()), ("A", 3, 1, (1,)), ("A", 3, 1, (2,)), ("A", 3, 1, (1, 3)),
+    ("B", 3, 1, ()), ("B", 3, 1, (1,)), ("B", 3, 1, (3,)), ("B", 3, 1, (2, 3)),
+    ("G2", 2, 1, ()), ("G2", 2, 1, (1,)), ("G2", 2, 1, (2,)),
+    ("F4", 4, 1, ()), ("F4", 4, 1, (1,)), ("F4", 4, 1, (4,)), ("F4", 4, 1, (2, 3)),
+    ("A", 2, 2, ()), ("A", 2, 2, (1, 4)),
+])
+def test_derived_word_is_the_enumeration_word(kind, rank, t, delta_p):
+    # an element rebuilt without its word derives the word the breadth-first
+    # enumeration gave it, on every W^P
+    rs = rd.build_group(kind, rank, res_degree=t).absolute
+    pd = weyl.parabolic_from_subset(rs, delta_p)
+    for w in weyl.enumerate_min_coset_reps(pd, rs):
+        bare = weyl.WeylElement(rs, w.root_perm, w.inv_perm, w.length)
+        assert bare.word == w.word
+
+
 def test_elements_without_a_built_word_get_one():
     rs = rd.build_root_system("A", 3)
     w = weyl.permutation_element(rs, (4, 3, 2, 1))
