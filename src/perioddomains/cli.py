@@ -10,7 +10,7 @@ Budgets: `budget_cells` caps the orbit elements strata visits, the sum
 over copies and vertices of min(|W/W_{P_i}|, |W/W_P|) (default 65536);
 `budget_field` is one cap that verify applies at once to the number of flag
 points, of rational subspaces per point and of translates per point
-(default 65536).
+(default 65536); the point count is checked before the field is built.
 A verify run that takes longer than two seconds reports its progress on
 stderr.
 
@@ -44,9 +44,10 @@ from .errors import (
     ValidationError,
 )
 from .finflag import (
+    checked_field_order,
+    checked_flag_count,
     enumerate_flags,
     finite_field,
-    flag_count,
     flag_dims,
     is_semistable_strata_test,
     is_semistable_subspace_test,
@@ -313,17 +314,20 @@ def _run_verify(job: JobSpec, record: bool) -> tuple[int, str]:
         raise ValidationError("verify supports split type A with t=1")
     if job.p is None:
         raise ValidationError("verify requires a field (q or p/e, plus m)")
-    ff = finite_field(job.p, job.e, job.m)
+    # the field's own checks, the dims and the point budget all run before
+    # the field's tables are built, which takes up to a second at 2^16
+    order = checked_field_order(job.p, job.e, job.m)
     nu = job.nu[0]
     dims = flag_dims(nu)
     if job.dims is not None and job.dims != dims:
         raise ValidationError(f"dims {job.dims} do not match nu steps {dims}")
+    budget = DEFAULT_BUDGET_FIELD if job.budget_field is None else job.budget_field
+    points = checked_flag_count(job.rank, dims, order, budget)
+    ff = finite_field(job.p, job.e, job.m)
 
     total = semistable = 0
     disagreements = 0
     witnesses: list[str] = []
-    points = flag_count(job.rank + 1, dims, ff.order)
-    budget = DEFAULT_BUDGET_FIELD if job.budget_field is None else job.budget_field
     next_report = time.monotonic() + PROGRESS_INTERVAL_S
     for x in enumerate_flags(ff, job.rank, dims, max_points=budget):
         a = is_semistable_subspace_test(x, nu, ff, max_subspaces=budget)

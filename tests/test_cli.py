@@ -279,6 +279,31 @@ def test_default_field_budget_refuses_huge_verify(capsys):
     assert time.perf_counter() - start < 5.0
 
 
+@pytest.mark.parametrize("config,code,err", [
+    # (line, plane) flags of F_{3^10}^4: refused before the field's tables
+    ("kind=A rank=3 nu=1,0,0,-1 q=3 m=10", cli.EXIT_BUDGET,
+     "budget exceeded: 717922303640454559383100 flag points exceed budget 65536"),
+    # the field's own checks still come first
+    ("kind=A rank=3 nu=1,0,0,-1 q=2 m=17", cli.EXIT_BUDGET,
+     "budget exceeded: field order 131072 exceeds bound 65536"),
+    ("kind=A rank=3 nu=1,0,0,-1 p=6 m=10", cli.EXIT_VALIDATION,
+     "validation error: 6 is not prime"),
+    ("kind=A rank=3 nu=1,0,0,-1 q=3 m=10 dims=2", cli.EXIT_VALIDATION,
+     "validation error: dims (2,) do not match nu steps (1, 3)"),
+    ("kind=A rank=2 nu=1,0,0,-1 q=3 m=10", cli.EXIT_VALIDATION,
+     "validation error: illegal step dimensions (1, 3) for ell=2"),
+])
+def test_verify_refuses_before_building_the_field(config, code, err, capsys, monkeypatch):
+    def no_field(*args):
+        raise AssertionError(f"field {args} built")
+
+    monkeypatch.setattr(cli, "finite_field", no_field)
+    start = time.perf_counter()
+    assert run_main("verify", config) == (code, "")
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr().err == err + "\n"
+
+
 def test_default_field_budget_admits_p3_over_f27(monkeypatch):
     # P^3 over F_27 (20,440 points) passes every budget check at the default;
     # only the first three points are tested, through the real budget checks

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 from fractions import Fraction as F
@@ -9,6 +10,7 @@ from perioddomains import rootdata as rd
 from perioddomains import weyl
 from perioddomains.errors import (
     BudgetExceeded,
+    InvariantViolation,
     MalformedNu,
     SingularTransform,
     ValidationError,
@@ -17,10 +19,13 @@ from perioddomains.errors import (
 
 
 @pytest.mark.parametrize("p,e,m", [(2, 1, 1), (2, 1, 2), (2, 1, 3), (2, 1, 4),
-                                   (3, 1, 1), (3, 1, 2), (5, 1, 1), (2, 2, 2)])
+                                   (3, 1, 1), (3, 1, 2), (5, 1, 1), (2, 2, 2),
+                                   # past the dense limit: Zech add and mul
+                                   (2, 1, 9), (3, 1, 8), (2, 1, 12), (5, 1, 6)])
 def test_field_axioms(p, e, m):
     ff = ffl.finite_field(p, e, m)
     Q = ff.order
+    assert (ff._add_table is None) == (Q > ffl._DENSE_LIMIT)
     sample = range(Q) if Q <= 16 else random.Random(0).sample(range(Q), 16)
     for a in sample:
         assert ff.add(a, 0) == a
@@ -31,6 +36,91 @@ def test_field_axioms(p, e, m):
     for a, b in itertools.product(sample, repeat=2):
         assert ff.add(a, b) == ff.add(b, a)
         assert ff.mul(a, b) == ff.mul(b, a)
+    for a, b, c in itertools.product(sample[:8], repeat=3):
+        assert ff.add(ff.add(a, b), c) == ff.add(a, ff.add(b, c))
+        assert ff.mul(ff.mul(a, b), c) == ff.mul(a, ff.mul(b, c))
+        assert ff.mul(a, ff.add(b, c)) == ff.add(ff.mul(a, b), ff.mul(a, c))
+
+
+def _reference_tables(p, n):
+    """Modulus, generator, exp, log and zech by a power-walk scan: the first
+    candidate whose powers do not return to 1 before Q - 1 steps, each step a
+    full polynomial product."""
+    Q = p ** n
+    modulus = next(f for f in (ffl._digits(c, p, n) + [1] for c in range(Q))
+                   if ffl._is_irreducible(f, p, n))
+    for gen in range(2 if n == 1 else p, Q):
+        gvec = ffl._digits(gen, p, n)
+        exp, cur = [1], [1] + [0] * (n - 1)
+        for _ in range(Q - 2):
+            cur = ffl._poly_mul_mod(cur, gvec, modulus, p)
+            val = ffl._undigits(cur, p)
+            if val == 1:
+                break
+            exp.append(val)
+        else:
+            break
+    log = [0] * Q
+    for k, v in enumerate(exp):
+        log[v] = k
+    zech = []
+    for v in exp:
+        plus_one = v - v % p + (v % p + 1) % p
+        zech.append(None if plus_one == 0 else log[plus_one])
+    return tuple(modulus), gen, exp, log, zech
+
+
+@pytest.mark.parametrize("p,e,m", [(2, 1, 2), (2, 1, 3), (2, 1, 5), (2, 1, 8), (2, 1, 11),
+                                   (2, 1, 12), (2, 2, 3), (3, 1, 1), (3, 1, 2),
+                                   (3, 1, 3), (3, 1, 5), (3, 1, 7), (3, 2, 2), (5, 1, 1),
+                                   (5, 1, 2), (5, 1, 5), (7, 1, 4), (11, 1, 3),
+                                   (13, 1, 3), (17, 1, 2), (251, 1, 1)])
+def test_tables_match_power_walk_reference(p, e, m):
+    ff = ffl.FiniteField(p, e, m)
+    assert ff.order <= 4096
+    modulus, gen, exp, log, zech = _reference_tables(p, e * m)
+    assert (ff.modulus, ff.generator) == (modulus, gen)
+    assert ff.exp == exp and ff.log == log and ff.zech == zech
+    assert ff._neg_one == p - 1  # the constant polynomial -1
+
+
+# (modulus, generator, first 16 hex digits of the sha256 of the exp table
+# written as comma-separated decimals) of the fields of the flag_count
+# benchmark and of the largest fields under the default order bound
+PINNED_TABLES = {
+    (2, 1, 5): ((1, 0, 1, 0, 0, 1), 2, "1aae48154ea2150d"),
+    (3, 1, 3): ((1, 2, 0, 1), 3, "62f2ccfa842b73c3"),
+    (2, 1, 12): ((1, 0, 0, 1) + (0,) * 8 + (1,), 3, "3b99066734910660"),
+    (3, 1, 8): ((2, 0, 1) + (0,) * 5 + (1,), 38, "ae4826aa570ad5b1"),
+    (2, 1, 14): ((1, 0, 0, 0, 0, 1) + (0,) * 8 + (1,), 7, "26c1da36aba3e49d"),
+    (2, 1, 16): ((1, 1, 0, 1, 0, 1) + (0,) * 10 + (1,), 3, "5860a63f932f7cb6"),
+    (3, 1, 10): ((1, 0, 2) + (0,) * 7 + (1,), 34, "9cc6265c9b4aa255"),
+}
+
+
+@pytest.mark.parametrize("p,e,m", sorted(PINNED_TABLES))
+def test_large_field_tables_pinned(p, e, m):
+    ff = ffl.finite_field(p, e, m)
+    Q = ff.order
+    modulus, gen, digest = PINNED_TABLES[p, e, m]
+    assert (ff.modulus, ff.generator) == (modulus, gen)
+    assert hashlib.sha256(",".join(map(str, ff.exp)).encode()).hexdigest()[:16] == digest
+    assert len(ff.exp) == Q - 1 and sorted(ff.exp) == list(range(1, Q))
+    assert all(ff.log[v] == k for k, v in enumerate(ff.exp))
+
+
+def test_tables_of_f2():
+    ff = ffl.FiniteField(2)
+    assert (ff.modulus, ff.generator, ff.exp, ff.log, ff.zech, ff._neg_one) == \
+        ((0, 1), 1, [1], [0, 0], [None], 1)
+    assert ff._add_table == [[0, 1], [1, 0]] and ff._mul_table == [[0, 0], [0, 1]]
+
+
+def test_generator_of_wrong_order_is_an_invariant_violation():
+    # x has order 5 modulo x^4 + x^3 + x^2 + x + 1 over F_2, not 15
+    with pytest.raises(InvariantViolation):
+        ffl._powers([0, 1, 0, 0], (1, 1, 1, 1, 1), 2, 15)
+    assert ffl._powers([0, 1, 0, 0], (1, 1, 0, 0, 1), 2, 15) == ffl.finite_field(2, 1, 4).exp
 
 
 def test_frobenius_fixes_exactly_the_base_field():
