@@ -10,7 +10,10 @@ Budgets: `budget_cells` caps the orbit elements strata visits, the sum
 over copies and vertices of min(|W/W_{P_i}|, |W/W_P|) (default 65536);
 `budget_field` is one cap that verify applies at once to the number of flag
 points, of rational subspaces per point and of translates per point
-(default 65536); the point count is checked before the field is built.
+(default 65536); the point count is checked before the field is built,
+and a q above the field order bound 2^16 before it is factored. Every
+command refuses a root system with more than 600 positive roots
+(`rootdata.MAX_POSITIVE_ROOTS`; A34 has 595) before building it.
 A verify run that takes longer than two seconds reports its progress on
 stderr.
 
@@ -44,6 +47,8 @@ from .errors import (
     ValidationError,
 )
 from .finflag import (
+    DEFAULT_MAX_ORDER,
+    _prime_divisors,
     checked_field_order,
     checked_flag_count,
     enumerate_flags,
@@ -54,12 +59,14 @@ from .finflag import (
 )
 from .rootdata import (
     FORM_SPLIT,
+    MAX_POSITIVE_ROOTS,
     Vector,
     build_group,
     build_root_system,
     format_vector,
     inner_product,
     relative_coweights,
+    split_nu,
 )
 from .strata import StrataReport, strata_report
 
@@ -180,6 +187,8 @@ def parse_jobspec(text: str) -> JobSpec:
                 f"nu has {len(job.nu)} factors but t={job.t}")
     if "q" in raw:
         q = _parse_int(get("q"), lineof("q"), "q")
+        if q > DEFAULT_MAX_ORDER:  # refused before it is factored
+            raise BudgetExceeded(f"q = {q} exceeds the field order bound {DEFAULT_MAX_ORDER}")
         p, e = _factor_prime_power(q)
         job.p, job.e = p, e
     if "p" in raw:
@@ -201,16 +210,13 @@ def parse_jobspec(text: str) -> JobSpec:
 
 
 def _factor_prime_power(q: int) -> tuple[int, int]:
-    for p in range(2, q + 1):
-        if q % p == 0:
-            e = 0
-            while q % p == 0:
-                q //= p
-                e += 1
-            if q != 1:
-                raise ValidationError("q must be a prime power")
-            return p, e
-    raise ValidationError("q must be a prime power >= 2")
+    primes = _prime_divisors(q)
+    if len(primes) != 1:
+        raise ValidationError("q must be a prime power" + ("" if primes else " >= 2"))
+    e = 1
+    while primes[0] ** e < q:
+        e += 1
+    return primes[0], e
 
 
 def render_jobspec(job: JobSpec) -> str:
@@ -314,8 +320,9 @@ def _run_verify(job: JobSpec, record: bool) -> tuple[int, str]:
         raise ValidationError("verify supports split type A with t=1")
     if job.p is None:
         raise ValidationError("verify requires a field (q or p/e, plus m)")
-    # the field's own checks, the dims and the point budget all run before
-    # the field's tables are built, which takes up to a second at 2^16
+    # the field's own checks, the dims, the point budget and the shape of the
+    # input all run before the field's tables are built, which takes up to a
+    # second at 2^16
     order = checked_field_order(job.p, job.e, job.m)
     nu = job.nu[0]
     dims = flag_dims(nu)
@@ -323,6 +330,7 @@ def _run_verify(job: JobSpec, record: bool) -> tuple[int, str]:
         raise ValidationError(f"dims {job.dims} do not match nu steps {dims}")
     budget = DEFAULT_BUDGET_FIELD if job.budget_field is None else job.budget_field
     points = checked_flag_count(job.rank, dims, order, budget)
+    split_nu(build_group(job.kind, job.rank), job.nu)  # (kind, rank) and len(nu)
     ff = finite_field(job.p, job.e, job.m)
 
     total = semistable = 0
@@ -370,7 +378,7 @@ def _run_tables(job: JobSpec, record: bool) -> tuple[int, str]:
     lines.append("# fundamental coweights")
     lines += [_vec_text(w) for w in rs.fundamental_coweights]
     lines.append("# gram simple roots")
-    lines += [_vec_text(row) for row in rs.cartan_pairings]
+    lines += [_vec_text(row) for row in rs.gram]
     lines.append("# gram coweights")
     lines += [_vec_text(tuple(inner_product(a, b) for b in rs.fundamental_coweights))
               for a in rs.fundamental_coweights]
@@ -406,7 +414,9 @@ class _Parser(argparse.ArgumentParser):
 
 
 def main(argv=None) -> int:
-    parser = _Parser(prog="perioddomains", description=__doc__.splitlines()[0])
+    parser = _Parser(prog="perioddomains", description=__doc__.splitlines()[0],
+                     epilog=f"A root system with more than {MAX_POSITIVE_ROOTS} positive "
+                            "roots is refused with exit code 3 before it is built.")
     parser.add_argument("command", choices=_COMMANDS)
     parser.add_argument("config", nargs="*",
                         help="config file, '-' for stdin, or inline key=value tokens")

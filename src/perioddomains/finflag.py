@@ -179,17 +179,6 @@ def _prime_divisors(n: int) -> list[int]:
     return out
 
 
-def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 1
-    return True
-
-
 class FiniteField:
     """F_{q^m} with q = p^e, with Zech-log arithmetic and subfield access.
 
@@ -325,11 +314,16 @@ class FiniteField:
 def checked_field_order(p: int, e: int = 1, m: int = 1,
                         max_order: int = DEFAULT_MAX_ORDER) -> int:
     """The order p^(e*m) of F_{q^m}, after the checks FiniteField makes before
-    it builds any table: p prime, positive degrees, order within max_order."""
-    if not _is_prime(p):
-        raise ValidationError(f"{p} is not prime")
+    it builds any table: positive degrees, p prime, order within max_order.
+    A p above max_order, or e*m above its bit length, is refused before the
+    primality test and without forming p^(e*m)."""
     if e < 1 or m < 1:
         raise ValidationError("field degrees must be positive")
+    if p > max_order or (p > 1 and e * m > max_order.bit_length()):
+        shown = p if e * m == 1 else f"{p}^{e * m}"
+        raise BudgetExceeded(f"field order {shown} exceeds bound {max_order}")
+    if p < 2 or _prime_divisors(p) != [p]:
+        raise ValidationError(f"{p} is not prime")
     order = p ** (e * m)
     if order > max_order:
         raise BudgetExceeded(f"field order {order} exceeds bound {max_order}")
@@ -571,9 +565,11 @@ def slope(u_dim: int, induced_jump_dims: Sequence[int], nu) -> Fraction:
     return total / u_dim
 
 
-def _check_point(x: FlagPoint, dims: tuple[int, ...]) -> None:
+def _check_point(x: FlagPoint, dims: tuple[int, ...], n: int) -> None:
     if x.dims != dims:
         raise ValidationError(f"flag dims {x.dims} do not match cocharacter dims {dims}")
+    if x.bases and len(x.bases[0][0]) != n:  # every row of a point has one width
+        raise ValidationError(f"flag point of width {len(x.bases[0][0])}, nu of length {n}")
 
 
 def _check_budget(n: int, ff: FiniteField, budget: int | None, what: str) -> None:
@@ -601,8 +597,8 @@ def is_semistable_subspace_test(x: FlagPoint, nu, ff: FiniteField,
     """Subspace route: every rational subspace has slope at most the ambient slope."""
     nu = tuple(nu)
     dims, above = _slope_test(nu)
-    _check_point(x, dims)
     n = len(nu)
+    _check_point(x, dims, n)
     _check_budget(n, ff, max_subspaces, "rational subspaces")
     for k, profiles in intersection_profiles(x, n, ff):
         if any(above(k, p) for p in profiles):
@@ -685,8 +681,8 @@ def is_semistable_strata_test(x: FlagPoint, nu, ff: FiniteField,
     """
     nu = tuple(nu)
     dims, pairing = _vertex_pairings(nu)
-    _check_point(x, dims)
     n = len(nu)
+    _check_point(x, dims, n)
     _check_budget(n, ff, max_translates, "translates")
     for i, profiles in intersection_profiles(x, n, ff):
         if any(pairing(i, p) > 0 for p in profiles):

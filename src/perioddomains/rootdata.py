@@ -9,6 +9,12 @@ roots e_i - e_{i+1}; the inner product is the Euclidean dot product of the
 realization. Type G2 is realized in the sum-zero hyperplane of Q^3 with
 alpha_1 = e_1 - e_2 and alpha_2 = -2e_1 + e_2 + e_3, which gives the Gram
 values (w_1,w_1)=2, (w_1,w_2)=3, (w_2,w_2)=6.
+
+Root closure, the w0 word, the opposition, `weyl`'s root permutations and
+`strata`'s orbit search all run on integer Dynkin labels c_j = (x,
+alpha_j^vee), on which s_k acts by c_j <- c_j - c_k (alpha_k, alpha_j^vee)
+(`reflect_labels`), with the Cartan integers of each realization computed
+once (`cartan_integers`).
 """
 
 from __future__ import annotations
@@ -18,11 +24,13 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 from typing import Iterable, Sequence
 
-from .errors import DimensionMismatch, IllegalType, InvariantViolation, MalformedNu
+from .errors import BudgetExceeded, DimensionMismatch, IllegalType, InvariantViolation, MalformedNu
 
 Vector = tuple[Fraction, ...]
+Cartan = tuple[tuple[tuple[int, int], ...], ...]
 
 FORM_SPLIT = "split"
 FORM_UNITARY = "unitary"
@@ -38,6 +46,10 @@ _POSITIVE_COUNTS = {
     "F4": lambda r: 24,
     "G2": lambda r: 6,
 }
+
+# build_root_system refuses more positive roots than this before building:
+# A34 (595) builds with its `weyl` tables in about 1.1 s (Python 3.11); E8 has 120.
+MAX_POSITIVE_ROOTS = 600
 
 
 def vector(entries: Iterable) -> Vector:
@@ -83,20 +95,18 @@ def _add(u: Vector, v: Vector) -> Vector:
     return tuple(a + b for a, b in zip(u, v))
 
 
-def _scale(v: Vector, c: Fraction) -> Vector:
-    return tuple(c * a for a in v)
-
-
 def _reflect(v: Vector, alpha: Vector, alphav: Vector) -> Vector:
     pairing = inner_product(v, alphav)
     return tuple(a - pairing * b for a, b in zip(v, alpha))
 
 
-def solve_in_span(columns: Sequence[Vector], target: Vector) -> tuple[Fraction, ...]:
-    """Coefficients c with sum c_j * columns[j] == target; target must lie in the span."""
-    n = len(target)
+def solve_in_span(columns: Sequence[Vector], targets: Sequence[Vector]
+                  ) -> tuple[tuple[Fraction, ...], ...]:
+    """For each target, the coefficients c with sum c_j * columns[j] == target,
+    from one elimination; every target must lie in the span."""
+    n = len(targets[0])
     r = len(columns)
-    aug = [[columns[j][i] for j in range(r)] + [target[i]] for i in range(n)]
+    aug = [[columns[j][i] for j in range(r)] + [t[i] for t in targets] for i in range(n)]
     pivots: list[int] = []
     row = 0
     for col in range(r):
@@ -112,13 +122,13 @@ def solve_in_span(columns: Sequence[Vector], target: Vector) -> tuple[Fraction, 
                 aug[k] = [x - f * y for x, y in zip(aug[k], aug[row])]
         pivots.append(col)
         row += 1
-    for k in range(row, n):
-        if aug[k][r] != 0:
-            raise DimensionMismatch("target vector not in span")
-    coeffs = [Fraction(0)] * r
+    if any(x != 0 for k in range(row, n) for x in aug[k][r:]):
+        raise DimensionMismatch("target vector not in span")
+    coeffs = [[Fraction(0)] * r for _ in targets]
     for i, col in enumerate(pivots):
-        coeffs[col] = aug[i][r]
-    return tuple(coeffs)
+        for c, x in zip(coeffs, aug[i][r:]):
+            c[col] = x
+    return tuple(map(tuple, coeffs))
 
 
 @dataclass(frozen=True, eq=False)
@@ -135,6 +145,7 @@ class Realization:
     fundamental_coweights: tuple[Vector, ...]
     positive_roots: tuple[Vector, ...]
     positive_coefficients: tuple[tuple[Fraction, ...], ...]
+    cartan: Cartan
 
 
 @dataclass(frozen=True, eq=False)
@@ -142,7 +153,7 @@ class RootSystemData(Realization):
     """A simple root system of kind A..G2 realized over exact rationals."""
 
     kind: str = ""
-    cartan_pairings: tuple[tuple[Fraction, ...], ...] = ()
+    gram: tuple[tuple[Fraction, ...], ...] = ()
     opposition: tuple[int, ...] = ()
 
 
@@ -196,97 +207,106 @@ def _simple_root_table(kind: str, rank: int) -> tuple[int, tuple[Vector, ...]]:
     raise IllegalType(f"unknown kind {kind!r}")
 
 
-def _close_roots(simple: tuple[Vector, ...]):
-    """All roots by reflection closure, with simple-root coefficient vectors."""
+def cartan_integers(simple: Sequence[Vector]) -> Cartan:
+    """For each k, the nonzero Cartan integers (j, (alpha_k, alpha_j^vee)),
+    j != k, from the doubled simple roots; the diagonal is 2."""
+    roots = [doubled(a) for a in simple]
+    return tuple(tuple((j, 2 * sum(map(mul, a, b)) // sum(map(mul, b, b)))
+                       for j, b in enumerate(roots) if j != k and sum(map(mul, a, b)))
+                 for k, a in enumerate(roots))
+
+
+def root_labels(cartan: Cartan, coeffs: Sequence) -> tuple[int, ...]:
+    """Dynkin labels (beta, alpha_j^vee) of beta = sum_k coeffs[k] alpha_k."""
+    labels = [2 * int(c) for c in coeffs]
+    for k, c in enumerate(coeffs):
+        if c:
+            for j, a in cartan[k]:
+                labels[j] += int(c) * a
+    return tuple(labels)
+
+
+def reflect_labels(cartan: Cartan, c: tuple[int, ...], k: int) -> tuple[int, ...]:
+    """s_k (0-based) on Dynkin labels: c_j <- c_j - c_k (alpha_k, alpha_j^vee)."""
+    x = list(c)
+    x[k] = -c[k]
+    for j, a in cartan[k]:
+        x[j] -= c[k] * a
+    return tuple(x)
+
+
+def climb(cartan: Cartan, c: tuple[int, ...]) -> list[int]:
+    """Letters k_1, k_2, ... (0-based) taking c up to the dominant chamber,
+    one length step each: the first negative label every time."""
+    letters = []
+    while (k := next((k for k, ck in enumerate(c) if ck < 0), None)) is not None:
+        c = reflect_labels(cartan, c, k)
+        letters.append(k)
+    return letters
+
+
+def _close_roots(simple: tuple[Vector, ...], cartan: Cartan):
+    """Positive roots, sorted, with their simple-root coefficients. On labels,
+    s_k raises a root with c_k < 0 by -c_k alpha_k, and so reaches every
+    positive root from the simple ones (Humphreys, Reflection Groups and
+    Coxeter Groups, 1.6); ambient vectors are formed once, doubled to sort."""
     r = len(simple)
-    coroots = [coroot(a) for a in simple]
-    known: dict[Vector, tuple[Fraction, ...]] = {
-        simple[i]: tuple(Fraction(int(i == j)) for j in range(r)) for i in range(r)
-    }
-    frontier = list(simple)
+    units = [tuple(int(i == j) for j in range(r)) for i in range(r)]
+    known = {root_labels(cartan, e): e for e in units}  # labels -> coefficients
+    frontier = list(known)
     while frontier:
         fresh = []
-        for root in frontier:
-            c = known[root]
-            for i in range(r):
-                pairing = inner_product(root, coroots[i])
-                if pairing == 0:
-                    continue
-                img = tuple(a - pairing * b for a, b in zip(root, simple[i]))
-                if img not in known:
-                    cc = list(c)
-                    cc[i] -= pairing
-                    known[img] = tuple(cc)
+        for c in frontier:
+            for k, ck in enumerate(c):
+                if ck < 0 and (img := reflect_labels(cartan, c, k)) not in known:
+                    coeffs = list(known[c])
+                    coeffs[k] -= ck
+                    known[img] = tuple(coeffs)
                     fresh.append(img)
         frontier = fresh
-    positives = sorted(v for v, c in known.items() if all(x >= 0 for x in c))
-    return tuple(positives), tuple(known[v] for v in positives)
-
-
-def _w0_word(simple: tuple[Vector, ...], coweights: tuple[Vector, ...]) -> tuple[int, ...]:
-    """A reduced word (1-based letters) for the longest element.
-
-    Walks -rho back to the dominant chamber; the recorded letters, applied
-    right to left, send rho to -rho.
-    """
-    coroots = [coroot(a) for a in simple]
-    rho = coweights[0]
-    for w in coweights[1:]:
-        rho = _add(rho, w)
-    v = tuple(-x for x in rho)
-    word: list[int] = []
-    while True:
-        for i, (alpha, alphav) in enumerate(zip(simple, coroots)):
-            if inner_product(v, alphav) < 0:
-                v = _reflect(v, alpha, alphav)
-                word.append(i + 1)
-                break
-        else:
-            break
-    if v != rho:
-        raise InvariantViolation("walk from -rho stopped outside the dominant chamber")
-    return tuple(word)
-
-
-def apply_word(word: Sequence[int], v: Vector, simple: tuple[Vector, ...]) -> Vector:
-    """Apply s_{word[0]} o s_{word[1]} o ... to v (letters are 1-based)."""
-    coroots = [coroot(a) for a in simple]
-    for i in reversed(word):
-        v = _reflect(v, simple[i - 1], coroots[i - 1])
-    return v
+    roots2 = [[(i, x) for i, x in enumerate(doubled(a)) if x] for a in simple]
+    twice = []
+    for coeffs in known.values():
+        v = [0] * len(simple[0])
+        for ck, root in zip(coeffs, roots2):
+            for i, x in root:
+                v[i] += ck * x
+        twice.append((tuple(v), coeffs))
+    twice.sort()
+    return (tuple(tuple(Fraction(x, 2) for x in v) for v, _ in twice),
+            tuple(tuple(map(Fraction, c)) for _, c in twice))
 
 
 @lru_cache(maxsize=None)
 def _build_root_system(kind: str, rank: int) -> RootSystemData:
     ambient, simple = _simple_root_table(kind, rank)
-    positives, coeffs = _close_roots(simple)
+    cartan = cartan_integers(simple)
+    positives, coeffs = _close_roots(simple, cartan)
     if len(positives) != _POSITIVE_COUNTS[kind](rank):
         raise InvariantViolation(f"{kind}{rank}: closure found {len(positives)} positive roots")
 
-    # omega_i = sum_j c_j alpha_j with c the i-th row of the inverse of the
-    # pairing matrix (alpha_j, alpha_k^vee), i.e. sum_j c_j row_j = e_i
-    pairing_matrix = [tuple(inner_product(a, coroot(b)) for b in simple) for a in simple]
-    coweights = []
-    for i in range(rank):
-        unit = tuple(Fraction(int(i == j)) for j in range(rank))
-        w = tuple(Fraction(0) for _ in range(ambient))
-        for alpha, c in zip(simple, solve_in_span(pairing_matrix, unit)):
-            w = _add(w, _scale(alpha, c))
-        coweights.append(w)
-    coweights = tuple(coweights)
-    for i in range(rank):
-        for j in range(rank):
-            if inner_product(coweights[i], coroot(simple[j])) != int(i == j):
-                raise InvariantViolation(
-                    f"{kind}{rank}: (omega_{i + 1}, alpha_{j + 1}^vee) != delta")
+    # omega_i = sum_j c_j alpha_j with sum_j c_j (alpha_j, alpha_k^vee) = delta_ik,
+    # against the labels of the simple roots
+    units = [tuple(int(i == j) for j in range(rank)) for i in range(rank)]
+    coweights = tuple(tuple(sum((c * a[k] for c, a in zip(row, simple)), Fraction(0))
+                            for k in range(ambient))
+                      for row in solve_in_span([root_labels(cartan, e) for e in units], units))
+    coroots = [coroot(a) for a in simple]
+    if any(inner_product(w, a) != int(i == j)
+           for i, w in enumerate(coweights) for j, a in enumerate(coroots)):
+        raise InvariantViolation(f"{kind}{rank}: (omega_i, alpha_j^vee) != delta_ij")
 
-    word = _w0_word(simple, coweights)
+    # -rho has every label -1, and its climb to rho spells a reduced word of
+    # w0; omega_i has labels e_i, and w0 omega_i = -omega_{opp(i)}
+    word = climb(cartan, (-1,) * rank)
+    if len(word) != len(positives):
+        raise InvariantViolation(f"{kind}{rank}: w0 word of length {len(word)}")
     opposition = []
-    for i in range(rank):
-        img = tuple(-x for x in apply_word(word, simple[i], simple))
-        opposition.append(simple.index(img) + 1)
+    for c in units:
+        for k in word:
+            c = reflect_labels(cartan, c, k)
+        opposition.append(c.index(-1) + 1)
 
-    gram = tuple(tuple(inner_product(a, b) for b in simple) for a in simple)
     return RootSystemData(
         ambient_dim=ambient,
         rank=rank,
@@ -294,8 +314,9 @@ def _build_root_system(kind: str, rank: int) -> RootSystemData:
         fundamental_coweights=coweights,
         positive_roots=positives,
         positive_coefficients=coeffs,
+        cartan=cartan,
         kind=kind,
-        cartan_pairings=gram,
+        gram=tuple(tuple(inner_product(a, b) for b in simple) for a in simple),
         opposition=tuple(opposition),
     )
 
@@ -315,7 +336,8 @@ def build_root_system(kind: str, rank: int) -> RootSystemData:
     """Interned exact realization of the (kind, rank) root system.
 
     Legal pairs: A (rank >= 1), B and C (rank >= 2), D (rank >= 3, with a
-    warning at 3 since D3 = A3), E6/E7/E8, F4, G2.
+    warning at 3 since D3 = A3), E6/E7/E8, F4, G2. A legal system with more
+    than MAX_POSITIVE_ROOTS positive roots raises BudgetExceeded.
     """
     kind = _normalize_kind(kind, rank)
     if kind == "A":
@@ -337,6 +359,9 @@ def build_root_system(kind: str, rank: int) -> RootSystemData:
         raise IllegalType(f"unknown kind {kind!r}")
     if not ok:
         raise IllegalType(f"illegal pair kind={kind} rank={rank}")
+    if (count := _POSITIVE_COUNTS[kind](rank)) > MAX_POSITIVE_ROOTS:
+        raise BudgetExceeded(f"{kind}{rank} has {count} positive roots, "
+                             f"above the bound {MAX_POSITIVE_ROOTS}")
     return _build_root_system(kind, rank)
 
 
@@ -391,6 +416,7 @@ def _product_realization(base: RootSystemData, t: int) -> Realization:
         fundamental_coweights=coweights,
         positive_roots=tuple(positives),
         positive_coefficients=tuple(coeffs),
+        cartan=cartan_integers(simple),
     )
 
 

@@ -11,8 +11,8 @@ the zero labels of mu in Delta_P (Carter, Finite Groups of Lie Type, 2.7),
 so D holds |W_{P_i}| / |W_J| cells, its longest cell w0(P_i) d w0(J) has
 length N(Delta_{P_i}) + l(d) - N(J), N counting positive roots, and its
 pairing is sum_j (mu, alpha_j^vee) (omega_j, nu). One breadth-first search
-over integer Dynkin labels, on which s_k acts by c_j <- c_j - c_k (alpha_k,
-alpha_j^vee), finds every mu at level l(d). It runs over the smaller orbit:
+over integer Dynkin labels, on which s_k acts by `rootdata.reflect_labels`,
+finds every mu at level l(d). It runs over the smaller orbit:
 that of omega_i, keeping the Delta_P-dominant elements, when |W/W_{P_i}| <=
 |W/W_P|, else that of nu_P (labels 1 off Delta_P), keeping the
 Delta_{P_i}-dominant d nu_P and carrying omega_i back along d^{-1}. The
@@ -37,8 +37,8 @@ from functools import lru_cache
 from operator import mul
 
 from .errors import BudgetExceeded, IndexOutOfRange, ValidationError
-from .rootdata import GroupDatum, build_group, doubled, integer_pairings, split_nu
-from .weyl import WeylElement, _parabolic, _tables, dominant_delta, weyl_order
+from .rootdata import GroupDatum, build_group, climb, integer_pairings, reflect_labels, split_nu
+from .weyl import WeylElement, _parabolic, _tables, dominant_delta, longest_element, weyl_order
 
 
 @dataclass(frozen=True)
@@ -63,9 +63,9 @@ class StrataReport:
 
 @dataclass(frozen=True, eq=False)
 class _Copy:
-    """One restriction-of-scalars copy: its t = 1 group, the off-diagonal
-    Cartan integers (j, (alpha_k, alpha_j^vee)) of each k, the fundamental
-    coweights scaled by one integer, and Delta_{P_i} of each vertex."""
+    """One restriction-of-scalars copy: its t = 1 group, its Cartan integers
+    (`rootdata.cartan_integers`), the fundamental coweights scaled by one
+    integer, and Delta_{P_i} of each vertex."""
 
     group: GroupDatum
     cartan: tuple[tuple[tuple[int, int], ...], ...]
@@ -76,33 +76,11 @@ class _Copy:
 @lru_cache(maxsize=None)
 def _copy(g: GroupDatum) -> _Copy:
     group = build_group(g.base.kind, g.base.rank, g.form, 1)
-    roots = [doubled(a) for a in g.base.simple_roots]
-    cartan = tuple(tuple((j, 2 * sum(map(mul, a, b)) // sum(map(mul, b, b)))
-                         for j, b in enumerate(roots) if j != k and sum(map(mul, a, b)))
-                   for k, a in enumerate(roots))
     omegas = g.base.fundamental_coweights
     scale = math.lcm(*(x.denominator for w in omegas for x in w))
-    return _Copy(group, cartan, tuple(tuple(int(x * scale) for x in w) for w in omegas),
+    return _Copy(group, g.base.cartan, tuple(tuple(int(x * scale) for x in w) for w in omegas),
                  tuple(tuple(k for k in range(1, g.base.rank + 1) if k not in orbit)
                        for orbit in group.galois_orbits))
-
-
-def _reflect(cartan, c: tuple[int, ...], k: int) -> tuple[int, ...]:
-    x = list(c)
-    x[k] = -c[k]
-    for j, a in cartan[k]:
-        x[j] -= c[k] * a
-    return tuple(x)
-
-
-def _climb(cartan, c: tuple[int, ...]) -> list[int]:
-    """Letters k_1, k_2, ... (0-based) taking x up to the dominant chamber,
-    one length step each: the first negative label every time."""
-    letters = []
-    while (k := next((k for k, ck in enumerate(c) if ck < 0), None)) is not None:
-        c = _reflect(cartan, c, k)
-        letters.append(k)
-    return letters
 
 
 @lru_cache(maxsize=1024)
@@ -128,8 +106,8 @@ def _double_cosets(copy: _Copy, delta_p: tuple[int, ...], i: int):
             mu = c
             if not from_omega:  # c = d nu_P; carry omega_i back along d^{-1}
                 mu = omega
-                for k in _climb(copy.cartan, c):
-                    mu = _reflect(copy.cartan, mu, k)
+                for k in climb(copy.cartan, c):
+                    mu = reflect_labels(copy.cartan, mu, k)
             j_mu = tuple(j for j in delta_p if mu[j - 1] == 0)
             if j_mu not in by_j:
                 pj = _parabolic(rs, j_mu)
@@ -141,23 +119,12 @@ def _double_cosets(copy: _Copy, delta_p: tuple[int, ...], i: int):
         for c in layer:
             for k, ck in enumerate(c):
                 if ck > 0:
-                    nxt[_reflect(copy.cartan, c, k)] = None
+                    nxt[reflect_labels(copy.cartan, c, k)] = None
         layer, level = list(nxt), level + 1
     dims = sorted(by_dim, reverse=True)
     return (tuple(d for d in dims for _ in by_dim[d][0]),
             tuple(c for d in dims for c in by_dim[d][0]),
             tuple(mu for d in dims for mu in by_dim[d][1]))
-
-
-@lru_cache(maxsize=None)
-def _w0(rs, delta: tuple[int, ...]) -> tuple[int, ...]:
-    """Root permutation of w0(W_delta): w <- w s_j while some w(alpha_j) > 0."""
-    tab = _tables(rs)
-    perm = tuple(range(2 * tab.npos))
-    while (j := next((j for j in delta if perm[tab.simple_idx[j - 1]] < tab.npos),
-                     None)) is not None:
-        perm = tuple(perm[q] for q in tab.sperm[j - 1])
-    return perm
 
 
 @lru_cache(maxsize=4096)
@@ -166,11 +133,11 @@ def _top_cell(copy: _Copy, i: int, delta_p: tuple[int, ...], mu: tuple[int, ...]
     """The longest cell w0(P_i) d w0(J) of the double coset of mu in one copy."""
     rs = copy.group.absolute
     tab = _tables(rs)
-    perm = _w0(rs, tuple(k for k in delta_p if mu[k - 1] == 0))
-    for k in _climb(copy.cartan, mu):  # d = s_{k_m} ... s_{k_1}
+    perm = longest_element(rs, tuple(k for k in delta_p if mu[k - 1] == 0)).root_perm
+    for k in climb(copy.cartan, mu):  # d = s_{k_m} ... s_{k_1}
         sp = tab.sperm[k]
         perm = tuple(sp[p] for p in perm)
-    w0pi = _w0(rs, copy.vertex_deltas[i - 1])
+    w0pi = longest_element(rs, copy.vertex_deltas[i - 1]).root_perm
     perm = tuple(w0pi[p] for p in perm)
     inv = tuple(sorted(range(len(perm)), key=perm.__getitem__))
     return WeylElement(rs, perm, inv, sum(p >= tab.npos for p in perm[:tab.npos]))

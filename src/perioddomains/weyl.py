@@ -5,7 +5,8 @@ exact faithful encoding for these realizations, where everything fixes the
 orthogonal complement of the root span pointwise) together with a reduced
 word. Vector images apply the word's simple reflections, so lengths, coset
 tests and slope pairings stay exact while enumeration runs on integer
-tuples.
+tuples. The simple reflections permute the roots by their Dynkin labels
+(`rootdata.reflect_labels`), and `longest_element` gives w0 of any W_J.
 
 Minimal coset representatives of W/W_P are grown by *left* multiplication:
 if u is a minimal representative and u = s_i v with l(v) = l(u) - 1, then v
@@ -33,17 +34,17 @@ from .rootdata import (
     Realization,
     Vector,
     _reflect,
-    _w0_word,
     coroot,
-    doubled,
     integer_pairings,
+    reflect_labels,
+    root_labels,
     vector,
 )
 
 
 class _Tables:
-    """Per-realization lookup tables: the root list, each root doubled to
-    integers, and the simple reflections as root permutations."""
+    """Per-realization lookup tables: the root list and the simple
+    reflections as root permutations, read from the roots' Dynkin labels."""
 
     def __init__(self, rs: Realization):
         positives = rs.positive_roots
@@ -53,17 +54,13 @@ class _Tables:
         self.index = {v: k for k, v in enumerate(roots)}
         self.simple_idx = tuple(self.index[a] for a in rs.simple_roots)
         self.coroots = tuple(coroot(a) for a in rs.simple_roots)
-        self.root2 = tuple(doubled(v) for v in roots)
-        index2 = {v: k for k, v in enumerate(self.root2)}
+        labels = [root_labels(rs.cartan, c) for c in rs.positive_coefficients]
+        labels += [tuple(-x for x in c) for c in labels]
+        by_labels = {c: v for v, c in enumerate(labels)}
         self.sperm = tuple(
-            tuple(index2[_reflect_doubled(v, self.root2[a])] for v in self.root2)
-            for a in self.simple_idx)
-
-
-def _reflect_doubled(v: tuple[int, ...], a: tuple[int, ...]) -> tuple[int, ...]:
-    """s_a on doubled roots, where (v, a^vee) = 2 (2v, 2a)/(2a, 2a) is an integer."""
-    c = 2 * sum(x * y for x, y in zip(v, a)) // sum(x * x for x in a)
-    return tuple(x - c * y for x, y in zip(v, a))
+            tuple(by_labels[reflect_labels(rs.cartan, c, k)] if c[k] else v
+                  for v, c in enumerate(labels))
+            for k in range(rs.rank))
 
 
 @lru_cache(maxsize=None)
@@ -165,15 +162,20 @@ def simple_reflection(rs: Realization, i: int) -> WeylElement:
 
 
 @lru_cache(maxsize=None)
-def longest_element(rs: Realization) -> WeylElement:
-    """The longest element w0; its length is the number of positive roots."""
-    word = _w0_word(rs.simple_roots, rs.fundamental_coweights)
-    w = identity_element(rs)
-    for i in word:
-        w = w * simple_reflection(rs, i)
-    if w.length != _tables(rs).npos:
-        raise InvariantViolation(f"w0 word of length {w.length} is not reduced")
-    return w
+def longest_element(rs: Realization, delta: tuple[int, ...] | None = None) -> WeylElement:
+    """The longest element of W_delta (a tuple of 1-based simple-root indices;
+    all of W by default): w <- w s_j for the first j in delta with w(alpha_j) > 0,
+    until there is none. Each step adds one to the length, and the letters,
+    in order, are its reduced word; for W it is the climb of -rho's labels
+    (`rootdata.climb`), so w0 has length the number of positive roots."""
+    t = _tables(rs)
+    delta = range(1, rs.rank + 1) if delta is None else delta
+    perm, word = tuple(range(2 * t.npos)), []
+    while (j := next((j for j in delta if perm[t.simple_idx[j - 1]] < t.npos),
+                     None)) is not None:
+        perm = tuple(perm[q] for q in t.sperm[j - 1])
+        word.append(j)
+    return WeylElement(rs, perm, perm, len(word), tuple(word))
 
 
 @dataclass(frozen=True)
@@ -186,14 +188,9 @@ class ParabolicData:
     w0p_length: int
 
 
-def reflection_subgroup_order(rs: Realization, indices: Sequence[int]) -> int:
-    """Order of the reflection subgroup generated by the listed simple roots (1-based)."""
-    return parabolic_from_subset(rs, indices).w_p_order
-
-
 @lru_cache(maxsize=None)
 def weyl_order(rs: Realization) -> int:
-    return reflection_subgroup_order(rs, range(1, rs.rank + 1))
+    return _parabolic(rs, tuple(range(1, rs.rank + 1))).w_p_order
 
 
 def parabolic_from_subset(rs: Realization, delta_p: Sequence[int]) -> ParabolicData:

@@ -292,6 +292,19 @@ def test_default_field_budget_refuses_huge_verify(capsys):
      "validation error: dims (2,) do not match nu steps (1, 3)"),
     ("kind=A rank=2 nu=1,0,0,-1 q=3 m=10", cli.EXIT_VALIDATION,
      "validation error: illegal step dimensions (1, 3) for ell=2"),
+    # the shape of the input: len(nu) = rank + 1, and a legal (kind, rank)
+    ("kind=A rank=3 nu=1,0,-1 q=2 m=3", cli.EXIT_VALIDATION,
+     "error: factor of length 3; base ambient dimension is 4"),
+    ("kind=A rank=0 nu=0 q=3 m=10", cli.EXIT_VALIDATION,
+     "validation error: illegal pair kind=A rank=0"),
+    # a q past the field bound before it is factored, a p past it before the
+    # primality test, and a degree past it without forming 2^20000
+    ("kind=A rank=1 nu=1,-1 q=1000000007 m=1", cli.EXIT_BUDGET,
+     "budget exceeded: q = 1000000007 exceeds the field order bound 65536"),
+    ("kind=A rank=1 nu=1,-1 p=1000000000000000003 m=1", cli.EXIT_BUDGET,
+     "budget exceeded: field order 1000000000000000003 exceeds bound 65536"),
+    ("kind=A rank=1 nu=1,-1 q=2 m=20000", cli.EXIT_BUDGET,
+     "budget exceeded: field order 2^20000 exceeds bound 65536"),
 ])
 def test_verify_refuses_before_building_the_field(config, code, err, capsys, monkeypatch):
     def no_field(*args):
@@ -302,6 +315,18 @@ def test_verify_refuses_before_building_the_field(config, code, err, capsys, mon
     assert run_main("verify", config) == (code, "")
     assert time.perf_counter() - start < 1.0
     assert capsys.readouterr().err == err + "\n"
+
+
+@pytest.mark.parametrize("command,config,err", [
+    ("classify", "kind=A rank=3000 nu=1", "A3000 has 4501500 positive roots, above the bound 600"),
+    ("strata", "kind=A rank=40 nu=1", "A40 has 820 positive roots, above the bound 600"),
+    ("tables", "kind=B rank=25", "B25 has 625 positive roots, above the bound 600"),
+])
+def test_oversized_root_system_refused_before_it_is_built(command, config, err, capsys):
+    start = time.perf_counter()
+    assert run_main(command, config) == (cli.EXIT_BUDGET, "")
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr().err == f"budget exceeded: {err}\n"
 
 
 def test_default_field_budget_admits_p3_over_f27(monkeypatch):

@@ -172,6 +172,32 @@ def test_flag_budget_and_validation():
         list(ffl.enumerate_flags(ff, 2, (3,)))
 
 
+def test_point_of_the_wrong_width_is_refused():
+    # a point of F_2^4 against a cocharacter of length 3 with the same dims
+    ff = ffl.finite_field(2)
+    x = ffl.FlagPoint(dims=(1, 2), bases=(((1, 0, 0, 0),), ((1, 0, 0, 0), (0, 1, 0, 0))))
+    with pytest.raises(ValidationError, match="length 3"):
+        ffl.is_semistable_subspace_test(x, (1, 0, -1), ff)
+    with pytest.raises(ValidationError, match="length 3"):
+        ffl.is_semistable_strata_test(x, (1, 0, -1), ff)
+
+
+def test_field_order_refused_before_primality_and_power():
+    # a p above the bound is never tested for primality, and 2^(10^9) is
+    # never formed; p at most the bound is tested first as before
+    with pytest.raises(BudgetExceeded, match="field order 1000000000000000003 exceeds"):
+        ffl.checked_field_order(10 ** 18 + 3)
+    with pytest.raises(BudgetExceeded, match=r"field order 2\^1000000000 exceeds"):
+        ffl.checked_field_order(2, 1, 10 ** 9)
+    with pytest.raises(BudgetExceeded, match="field order 131072 exceeds"):
+        ffl.checked_field_order(2, 1, 17)
+    with pytest.raises(ValidationError, match="6 is not prime"):
+        ffl.checked_field_order(6, 1, 10)
+    with pytest.raises(ValidationError, match="1 is not prime"):
+        ffl.checked_field_order(1, 1, 100)
+    assert ffl.checked_field_order(2, 1, 16) == 65536
+
+
 def test_subspace_enumeration_matches_gaussian_counts():
     ff = ffl.finite_field(3, 1, 1)
     for k in (1, 2):

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from perioddomains import rootdata as rd
 from perioddomains import weyl
-from perioddomains.errors import DimensionMismatch, IllegalType
+from perioddomains.errors import BudgetExceeded, DimensionMismatch, IllegalType
 
 ALL_SYSTEMS = (
     [("A", r) for r in range(1, 9)]
@@ -121,6 +121,18 @@ def test_illegal_pairs():
             rd.build_root_system(kind, rank)
 
 
+@pytest.mark.parametrize("kind,rank", [("A", 35), ("B", 25), ("C", 25), ("D", 26), ("A", 10 ** 6)])
+def test_oversized_systems_refused_before_the_build(kind, rank, monkeypatch):
+    def no_table(*args):
+        raise AssertionError(f"{args} built")
+
+    monkeypatch.setattr(rd, "_simple_root_table", no_table)
+    with pytest.raises(BudgetExceeded, match=f"above the bound {rd.MAX_POSITIVE_ROOTS}"):
+        rd.build_root_system(kind, rank)
+    with pytest.raises(BudgetExceeded):
+        rd.build_group(kind, rank, res_degree=2)
+
+
 def test_d3_alias_warns():
     with pytest.warns(UserWarning, match="D3"):
         rs = rd.build_root_system("D", 3)
@@ -132,12 +144,128 @@ def test_weyl_invariance_sampled(rng):
         rs = rd.build_root_system(kind, rank)
         n = rs.ambient_dim
         for _ in range(1000 // len(ALL_SYSTEMS) + 1):
-            word = [rng.randint(1, rank) for _ in range(rng.randint(0, 8))]
+            w = weyl.identity_element(rs)
+            for _ in range(rng.randint(0, 8)):
+                w = w * weyl.simple_reflection(rs, rng.randint(1, rank))
             u = rd.vector([rng.randint(-3, 3) for _ in range(n)])
             v = rd.vector([rng.randint(-3, 3) for _ in range(n)])
-            wu = rd.apply_word(word, u, rs.simple_roots)
-            wv = rd.apply_word(word, v, rs.simple_roots)
-            assert rd.inner_product(wu, wv) == rd.inner_product(u, v)
+            assert rd.inner_product(w.apply(u), w.apply(v)) == rd.inner_product(u, v)
+
+
+# The Fraction build that the integer label rule replaced, kept as the
+# reference: reflection closure on ambient vectors, the walk from -rho, and
+# the opposition read from w0 applied to the simple roots.
+
+def _reference_close_roots(simple):
+    r = len(simple)
+    coroots = [rd.coroot(a) for a in simple]
+    known = {simple[i]: tuple(F(int(i == j)) for j in range(r)) for i in range(r)}
+    frontier = list(simple)
+    while frontier:
+        fresh = []
+        for root in frontier:
+            c = known[root]
+            for i in range(r):
+                pairing = rd.inner_product(root, coroots[i])
+                if pairing == 0:
+                    continue
+                img = tuple(a - pairing * b for a, b in zip(root, simple[i]))
+                if img not in known:
+                    cc = list(c)
+                    cc[i] -= pairing
+                    known[img] = tuple(cc)
+                    fresh.append(img)
+        frontier = fresh
+    positives = sorted(v for v, c in known.items() if all(x >= 0 for x in c))
+    return tuple(positives), tuple(known[v] for v in positives)
+
+
+def _reference_apply_word(word, v, simple):
+    for i in reversed(word):
+        alpha = simple[i - 1]
+        pairing = rd.inner_product(v, rd.coroot(alpha))
+        v = tuple(a - pairing * b for a, b in zip(v, alpha))
+    return v
+
+
+def _reference_w0_word(simple, coweights):
+    rho = tuple(sum(xs) for xs in zip(*coweights))
+    v = tuple(-x for x in rho)
+    word = []
+    while (i := next((i for i, a in enumerate(simple)
+                      if rd.inner_product(v, rd.coroot(a)) < 0), None)) is not None:
+        v = _reference_apply_word([i + 1], v, simple)
+        word.append(i + 1)
+    assert v == rho
+    return tuple(word)
+
+
+def _reference_opposition(word, simple):
+    return tuple(simple.index(tuple(-x for x in _reference_apply_word(word, a, simple))) + 1
+                 for a in simple)
+
+
+def _reference_coweights(simple):
+    # omega_i = sum_j B_ij alpha_j, B the inverse of ((alpha_i, alpha_j^vee)),
+    # by Gauss-Jordan elimination of [P | I]
+    r = len(simple)
+    rows = [[rd.inner_product(a, rd.coroot(b)) for b in simple] + [F(int(i == j)) for j in range(r)]
+            for i, a in enumerate(simple)]
+    for col in range(r):
+        piv = next(k for k in range(col, r) if rows[k][col])
+        rows[col], rows[piv] = rows[piv], rows[col]
+        rows[col] = [x / rows[col][col] for x in rows[col]]
+        for k in range(r):
+            f = rows[k][col]
+            if k != col and f:
+                rows[k] = [x - f * y for x, y in zip(rows[k], rows[col])]
+    return tuple(tuple(sum((c * a[k] for c, a in zip(row[r:], simple)), F(0))
+                       for k in range(len(simple[0]))) for row in rows)
+
+
+def _reference_sperm(rs):
+    roots = list(rs.positive_roots) + [tuple(-x for x in v) for v in rs.positive_roots]
+    index = {v: k for k, v in enumerate(roots)}
+    return tuple(tuple(index[_reference_apply_word([i], v, rs.simple_roots)] for v in roots)
+                 for i in range(1, rs.rank + 1))
+
+
+def _reference_cartan(simple):
+    return tuple(tuple((j, int(rd.inner_product(a, rd.coroot(b))))
+                       for j, b in enumerate(simple) if j != k and rd.inner_product(a, b))
+                 for k, a in enumerate(simple))
+
+
+@pytest.mark.parametrize("kind,rank", ALL_SYSTEMS)
+def test_build_matches_fraction_reference(kind, rank):
+    rs = rd.build_root_system(kind, rank)
+    simple = rs.simple_roots
+    assert rs.cartan == _reference_cartan(simple)
+    positives, coeffs = _reference_close_roots(simple)
+    assert rs.positive_roots == positives
+    assert rs.positive_coefficients == coeffs
+    assert all(type(x) is F for v in positives + coeffs for x in v)
+    assert rs.fundamental_coweights == _reference_coweights(simple)
+    assert rs.gram == tuple(tuple(rd.inner_product(a, b) for b in simple) for a in simple)
+    word = _reference_w0_word(simple, rs.fundamental_coweights)
+    assert weyl.longest_element(rs).word == word
+    assert rs.opposition == _reference_opposition(word, simple)
+    assert weyl._tables(rs).sperm == _reference_sperm(rs)
+
+
+@pytest.mark.parametrize("kind,rank", [("A", 3), ("B", 2)])
+def test_product_tables_match_fraction_reference(kind, rank):
+    g = rd.build_group(kind, rank, res_degree=3)
+    rs = g.absolute
+    assert rs.cartan == _reference_cartan(rs.simple_roots)
+    positives, coeffs = _reference_close_roots(rs.simple_roots)
+    assert sorted(zip(rs.positive_roots, rs.positive_coefficients)) == list(zip(positives, coeffs))
+    assert rs.fundamental_coweights == _reference_coweights(rs.simple_roots)
+    word = _reference_w0_word(rs.simple_roots, rs.fundamental_coweights)
+    assert weyl.longest_element(rs).word == word
+    assert _reference_opposition(word, rs.simple_roots) == \
+        tuple(j * rank + o for j in range(3) for o in g.base.opposition)
+    assert weyl._tables(rs).sperm == _reference_sperm(rs)
 
 
 def test_decompose_examples():

@@ -176,6 +176,23 @@ def test_product_realization_order():
     assert sum(1 for _ in weyl.enumerate_min_coset_reps(pd, g.absolute)) == 18
 
 
+@pytest.mark.parametrize("kind,rank", [("A", 4), ("B", 3), ("D", 4), ("F4", 4), ("G2", 2)])
+def test_longest_element_of_every_parabolic(kind, rank):
+    # w0(W_J) is the element of W_J sending every alpha_j, j in J, to a
+    # negative root; it is an involution of length N(J)
+    rs = rd.build_root_system(kind, rank)
+    t = weyl._tables(rs)
+    for size in range(rank + 1):
+        for delta in itertools.combinations(range(1, rank + 1), size):
+            w = weyl.longest_element(rs, delta)
+            assert set(w.word) <= set(delta)
+            assert all(w.root_perm[t.simple_idx[j - 1]] >= t.npos for j in delta)
+            assert w * w == weyl.identity_element(rs)
+            pd = weyl.parabolic_from_subset(rs, delta)
+            assert w.length == len(w.word) == pd.w0_length - pd.w0p_length
+    assert weyl.longest_element(rs, tuple(range(1, rank + 1))) == weyl.longest_element(rs)
+
+
 @pytest.mark.parametrize("kind,rank", [("A", 2), ("A", 3), ("B", 3), ("C", 3), ("G2", 2)])
 def test_length_of_w0_times_w(kind, rank):
     rs = rd.build_root_system(kind, rank)
