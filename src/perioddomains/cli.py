@@ -7,13 +7,16 @@ or inline `key=value` tokens on the command line. Output is deterministic;
 `--record` switches to machine-readable `key=value` lines.
 
 Budgets: `budget_cells` caps the orbit elements strata visits, the sum
-over copies and vertices of min(|W/W_{P_i}|, |W/W_P|) (default 65536);
-`budget_field` is one cap that verify applies at once to the number of flag
-points, of rational subspaces per point and of translates per point
-(default 65536); the point count is checked before the field is built,
-and a q above the field order bound 2^16 before it is factored. Every
-command refuses a root system with more than 600 positive roots
-(`rootdata.MAX_POSITIVE_ROOTS`; A34 has 595) before building it.
+over copies and vertices of min(|W/W_{P_i}|, |W/W_P|) (default 65536), and
+is checked before the orbit search. `budget_field` is one cap that verify
+applies to the number of flag points and to the number sum_k [n, k]_q of
+rational subspaces (and translates) tested per point (default 65536). Both
+counts, the shape of the input and the field order bound 2^16
+(`finflag.MAX_FIELD_ORDER`) are checked before the field is built, and a q
+above that bound before it is factored. Every command refuses a root
+system with more than 600 positive roots (`rootdata.MAX_POSITIVE_ROOTS`;
+A34 has 595), or a restriction of scalars of degree t whose t copies have
+more, before building it; t must be at least 1.
 A verify run that takes longer than two seconds reports its progress on
 stderr.
 
@@ -39,6 +42,7 @@ from .classify import (
 )
 from .errors import (
     BudgetExceeded,
+    DimensionMismatch,
     IllegalType,
     MalformedNu,
     NotDominant,
@@ -47,13 +51,14 @@ from .errors import (
     ValidationError,
 )
 from .finflag import (
-    DEFAULT_MAX_ORDER,
+    MAX_FIELD_ORDER,
     _prime_divisors,
     checked_field_order,
     checked_flag_count,
     enumerate_flags,
     finite_field,
     flag_dims,
+    gaussian_binomial,
     is_semistable_strata_test,
     is_semistable_subspace_test,
 )
@@ -63,7 +68,6 @@ from .rootdata import (
     Vector,
     build_group,
     build_root_system,
-    format_vector,
     inner_product,
     relative_coweights,
     split_nu,
@@ -176,6 +180,8 @@ def parse_jobspec(text: str) -> JobSpec:
         t=_parse_int(get("t"), lineof("t"), "t") if "t" in raw else 1,
         output=get("output", "text"),
     )
+    if job.t < 1:
+        raise ValidationError(f"t must be at least 1, got {job.t}")
     if job.output not in ("text", "record"):
         raise ValidationError(f"output must be text or record, got {job.output!r}")
 
@@ -187,8 +193,8 @@ def parse_jobspec(text: str) -> JobSpec:
                 f"nu has {len(job.nu)} factors but t={job.t}")
     if "q" in raw:
         q = _parse_int(get("q"), lineof("q"), "q")
-        if q > DEFAULT_MAX_ORDER:  # refused before it is factored
-            raise BudgetExceeded(f"q = {q} exceeds the field order bound {DEFAULT_MAX_ORDER}")
+        if q > MAX_FIELD_ORDER:  # refused before it is factored
+            raise BudgetExceeded(f"q = {q} exceeds the field order bound {MAX_FIELD_ORDER}")
         p, e = _factor_prime_power(q)
         job.p, job.e = p, e
     if "p" in raw:
@@ -217,31 +223,6 @@ def _factor_prime_power(q: int) -> tuple[int, int]:
     while primes[0] ** e < q:
         e += 1
     return primes[0], e
-
-
-def render_jobspec(job: JobSpec) -> str:
-    """Canonical config text; parse(render(parse(x))) == parse(x)."""
-    lines = [
-        f"command = {job.command}",
-        f"kind = {job.kind}",
-        f"rank = {job.rank}",
-        f"form = {job.form}",
-        f"t = {job.t}",
-    ]
-    if job.nu is not None:
-        lines.append("nu = " + ";".join(format_vector(v) for v in job.nu))
-    if job.p is not None:
-        lines.append(f"p = {job.p}")
-        lines.append(f"e = {job.e}")
-        lines.append(f"m = {job.m}")
-    if job.dims is not None:
-        lines.append("dims = " + ",".join(str(d) for d in job.dims))
-    if job.budget_cells is not None:
-        lines.append(f"budget_cells = {job.budget_cells}")
-    if job.budget_field is not None:
-        lines.append(f"budget_field = {job.budget_field}")
-    lines.append(f"output = {job.output}")
-    return "\n".join(lines) + "\n"
 
 
 def _kv(key: str, value, record: bool) -> str:
@@ -285,17 +266,6 @@ def _render_strata(report: StrataReport, record: bool) -> str:
     return "\n".join(lines)
 
 
-def render_report(result, record: bool = False, job: JobSpec | None = None) -> str:
-    """Deterministic text for any result object this package produces."""
-    if isinstance(result, JobSpec):
-        return render_jobspec(result)
-    if isinstance(result, Classification):
-        return _render_classification(result, job, record)
-    if isinstance(result, StrataReport):
-        return _render_strata(result, record)
-    raise TypeError(f"cannot render {type(result).__name__}")
-
-
 def _run_classify(job: JobSpec, record: bool) -> tuple[int, str]:
     g = build_group(job.kind, job.rank, job.form, job.t)
     if job.nu is None:
@@ -320,9 +290,9 @@ def _run_verify(job: JobSpec, record: bool) -> tuple[int, str]:
         raise ValidationError("verify supports split type A with t=1")
     if job.p is None:
         raise ValidationError("verify requires a field (q or p/e, plus m)")
-    # the field's own checks, the dims, the point budget and the shape of the
-    # input all run before the field's tables are built, which takes up to a
-    # second at 2^16
+    # the field's own checks, the dims, the point budget, the shape of the
+    # input and the subspace budget all run before the field's tables are
+    # built, which takes up to a second at 2^16
     order = checked_field_order(job.p, job.e, job.m)
     nu = job.nu[0]
     dims = flag_dims(nu)
@@ -331,15 +301,20 @@ def _run_verify(job: JobSpec, record: bool) -> tuple[int, str]:
     budget = DEFAULT_BUDGET_FIELD if job.budget_field is None else job.budget_field
     points = checked_flag_count(job.rank, dims, order, budget)
     split_nu(build_group(job.kind, job.rank), job.nu)  # (kind, rank) and len(nu)
+    # both tests visit every rational subspace of F_q^n at every point
+    n = job.rank + 1
+    subspaces = sum(gaussian_binomial(n, k, job.p ** job.e) for k in range(1, n))
+    if subspaces > budget:
+        raise BudgetExceeded(f"{subspaces} rational subspaces exceed budget")
     ff = finite_field(job.p, job.e, job.m)
 
     total = semistable = 0
     disagreements = 0
     witnesses: list[str] = []
     next_report = time.monotonic() + PROGRESS_INTERVAL_S
-    for x in enumerate_flags(ff, job.rank, dims, max_points=budget):
-        a = is_semistable_subspace_test(x, nu, ff, max_subspaces=budget)
-        b = is_semistable_strata_test(x, nu, ff, max_translates=budget)
+    for x in enumerate_flags(ff, job.rank, dims):
+        a = is_semistable_subspace_test(x, nu, ff)
+        b = is_semistable_strata_test(x, nu, ff)
         total += 1
         now = time.monotonic()
         if now >= next_report:
@@ -416,7 +391,10 @@ class _Parser(argparse.ArgumentParser):
 def main(argv=None) -> int:
     parser = _Parser(prog="perioddomains", description=__doc__.splitlines()[0],
                      epilog=f"A root system with more than {MAX_POSITIVE_ROOTS} positive "
-                            "roots is refused with exit code 3 before it is built.")
+                            "roots, counting every copy of a restriction of scalars, is "
+                            "refused with exit code 3 before it is built. verify checks "
+                            "its field order, flag points and rational subspaces before "
+                            "it builds the field.")
     parser.add_argument("command", choices=_COMMANDS)
     parser.add_argument("config", nargs="*",
                         help="config file, '-' for stdin, or inline key=value tokens")
@@ -425,9 +403,8 @@ def main(argv=None) -> int:
     parser.add_argument("--budget-cells", type=int, default=None,
                         help="strata: cap on orbit elements visited (default 65536)")
     parser.add_argument("--budget-field", type=int, default=None,
-                        help="verify: one cap on flag points, on rational subspaces "
-                             "per point and on translates per point at once "
-                             "(default 65536)")
+                        help="verify: one cap on flag points and on rational subspaces "
+                             "tested per point (default 65536)")
 
     try:
         args = parser.parse_intermixed_args(argv)
@@ -469,7 +446,8 @@ def report_error(exc: PeriodDomainError) -> int:
     if isinstance(exc, ParseError):
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    if isinstance(exc, (ValidationError, MalformedNu, IllegalType, NotDominant)):
+    if isinstance(exc, (ValidationError, MalformedNu, IllegalType, NotDominant,
+                        DimensionMismatch)):
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     if isinstance(exc, BudgetExceeded):

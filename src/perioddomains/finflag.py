@@ -17,16 +17,21 @@ rank of a small matrix. The two routes keep separate formulas on top:
   explicit basis, an independent reference for that reading.
 
 Field arithmetic uses Zech logarithm tables (exp/log plus log(1 + g^k)), so
-addition and multiplication are single table lookups; fields up to 2^16
-elements are supported. Elements are integers 0..q^m-1 whose base-p digits
-are the coefficients of the residue polynomial. The modulus is the first
-irreducible monic polynomial in that encoding, and the generator g is the
-first element of order q^m - 1, found by the cofactor test: g^((Q-1)/r) != 1
-for every prime r | Q - 1. exp is one walk through the powers of g, each a
-product with g, whose few nonzero digits keep it cheap; F_{2^16}
-builds in about 0.65 s and F_{3^10} in about 0.7 s (Python 3.11, three runs
-each on a shared CPU). For very small fields dense addition/multiplication
-tables are layered on top of the Zech data.
+addition and multiplication are single table lookups; fields up to
+MAX_FIELD_ORDER = 2^16 elements are supported. Elements are integers
+0..q^m-1 whose base-p digits are the coefficients of the residue
+polynomial. The modulus is the first irreducible monic polynomial in that
+encoding, and the generator g is the first element of order q^m - 1, found
+by the cofactor test: g^((Q-1)/r) != 1 for every prime r | Q - 1. exp is
+one walk through the powers of g, each a product with g, whose few nonzero
+digits keep it cheap; F_{2^16} builds in about 0.65 s and F_{3^10} in about
+0.7 s (Python 3.11, three runs each on a shared CPU). For very small fields
+dense addition/multiplication tables are layered on top of the Zech data.
+
+The tests and the enumeration take no budget. A caller bounds the work up
+front: `checked_flag_count` gives the number of points, and every point is
+tested against all sum_k [n, k]_q rational subspaces (or translates), a
+number fixed by n and q alone.
 """
 
 from __future__ import annotations
@@ -57,7 +62,8 @@ from .weyl import WeylElement, permutation_element
 Row = tuple[int, ...]
 Matrix = tuple[Row, ...]
 
-DEFAULT_MAX_ORDER = 1 << 16
+# FiniteField refuses a larger order before it builds any table
+MAX_FIELD_ORDER = 1 << 16
 _DENSE_LIMIT = 256
 
 
@@ -189,9 +195,8 @@ class FiniteField:
     time linear in the order: about 0.65 s at the 2^16 bound.
     """
 
-    def __init__(self, p: int, e: int = 1, m: int = 1,
-                 max_order: int = DEFAULT_MAX_ORDER):
-        self.order = checked_field_order(p, e, m, max_order)
+    def __init__(self, p: int, e: int = 1, m: int = 1):
+        self.order = checked_field_order(p, e, m)
         self.p, self.e, self.m = p, e, m
         self.q = p ** e
         self.degree = e * m
@@ -311,29 +316,27 @@ class FiniteField:
         return f"FiniteField(p={self.p}, e={self.e}, m={self.m})"
 
 
-def checked_field_order(p: int, e: int = 1, m: int = 1,
-                        max_order: int = DEFAULT_MAX_ORDER) -> int:
+def checked_field_order(p: int, e: int = 1, m: int = 1) -> int:
     """The order p^(e*m) of F_{q^m}, after the checks FiniteField makes before
-    it builds any table: positive degrees, p prime, order within max_order.
-    A p above max_order, or e*m above its bit length, is refused before the
-    primality test and without forming p^(e*m)."""
+    it builds any table: positive degrees, p prime, order within
+    MAX_FIELD_ORDER. A p above the bound, or e*m above its bit length, is
+    refused before the primality test and without forming p^(e*m)."""
     if e < 1 or m < 1:
         raise ValidationError("field degrees must be positive")
-    if p > max_order or (p > 1 and e * m > max_order.bit_length()):
+    if p > MAX_FIELD_ORDER or (p > 1 and e * m > MAX_FIELD_ORDER.bit_length()):
         shown = p if e * m == 1 else f"{p}^{e * m}"
-        raise BudgetExceeded(f"field order {shown} exceeds bound {max_order}")
+        raise BudgetExceeded(f"field order {shown} exceeds bound {MAX_FIELD_ORDER}")
     if p < 2 or _prime_divisors(p) != [p]:
         raise ValidationError(f"{p} is not prime")
     order = p ** (e * m)
-    if order > max_order:
-        raise BudgetExceeded(f"field order {order} exceeds bound {max_order}")
+    if order > MAX_FIELD_ORDER:
+        raise BudgetExceeded(f"field order {order} exceeds bound {MAX_FIELD_ORDER}")
     return order
 
 
 @lru_cache(maxsize=None)
-def finite_field(p: int, e: int = 1, m: int = 1,
-                 max_order: int = DEFAULT_MAX_ORDER) -> FiniteField:
-    return FiniteField(p, e, m, max_order=max_order)
+def finite_field(p: int, e: int = 1, m: int = 1) -> FiniteField:
+    return FiniteField(p, e, m)
 
 
 def gaussian_binomial(n: int, k: int, q: int) -> int:
@@ -437,9 +440,9 @@ def flag_count(n: int, dims: Sequence[int], order: int) -> int:
 def checked_flag_count(ell: int, dims: Sequence[int], order: int,
                        max_points: int | None = None) -> int:
     """The number of points of the flag variety with step dims `dims` in an
-    (ell+1)-space over the field of `order` elements, after the checks
-    `enumerate_flags` makes before its first point: legal dims, and at most
-    `max_points` points."""
+    (ell+1)-space over the field of `order` elements. Illegal dims raise
+    ValidationError, the check `enumerate_flags` makes before its first
+    point; more than `max_points` points raise BudgetExceeded."""
     dims = tuple(dims)
     if any(d1 >= d2 for d1, d2 in zip(dims, dims[1:])) or \
             any(not 1 <= d <= ell for d in dims):
@@ -450,8 +453,7 @@ def checked_flag_count(ell: int, dims: Sequence[int], order: int,
     return total
 
 
-def enumerate_flags(ff: FiniteField, ell: int, dims: Sequence[int],
-                    max_points: int | None = None) -> Iterator[FlagPoint]:
+def enumerate_flags(ff: FiniteField, ell: int, dims: Sequence[int]) -> Iterator[FlagPoint]:
     """All working-field points of the partial flag variety, each exactly once.
 
     Deterministic order: steps are extended recursively, quotient subspaces
@@ -459,7 +461,7 @@ def enumerate_flags(ff: FiniteField, ell: int, dims: Sequence[int],
     """
     n = ell + 1
     dims = tuple(dims)
-    checked_flag_count(ell, dims, ff.order, max_points)
+    checked_flag_count(ell, dims, ff.order)
     all_elems = tuple(range(ff.order))
 
     def extend(step: int, rows: Matrix, pivots: tuple[int, ...]) -> Iterator[tuple[Matrix, ...]]:
@@ -572,13 +574,6 @@ def _check_point(x: FlagPoint, dims: tuple[int, ...], n: int) -> None:
         raise ValidationError(f"flag point of width {len(x.bases[0][0])}, nu of length {n}")
 
 
-def _check_budget(n: int, ff: FiniteField, budget: int | None, what: str) -> None:
-    if budget is not None:
-        count = sum(gaussian_binomial(n, k, ff.q) for k in range(1, n))
-        if count > budget:
-            raise BudgetExceeded(f"{count} {what} exceed budget")
-
-
 @lru_cache(maxsize=256)
 def _slope_test(nu: tuple):
     """The flag dims of nu, and k, profile -> whether a rational k-dimensional
@@ -592,14 +587,12 @@ def _slope_test(nu: tuple):
     return flag_dims(nu), above
 
 
-def is_semistable_subspace_test(x: FlagPoint, nu, ff: FiniteField,
-                                max_subspaces: int | None = None) -> bool:
+def is_semistable_subspace_test(x: FlagPoint, nu, ff: FiniteField) -> bool:
     """Subspace route: every rational subspace has slope at most the ambient slope."""
     nu = tuple(nu)
     dims, above = _slope_test(nu)
     n = len(nu)
     _check_point(x, dims, n)
-    _check_budget(n, ff, max_subspaces, "rational subspaces")
     for k, profiles in intersection_profiles(x, n, ff):
         if any(above(k, p) for p in profiles):
             return False
@@ -673,8 +666,7 @@ def _vertex_pairings(nu: tuple):
     return dims, pairing
 
 
-def is_semistable_strata_test(x: FlagPoint, nu, ff: FiniteField,
-                              max_translates: int | None = None) -> bool:
+def is_semistable_strata_test(x: FlagPoint, nu, ff: FiniteField) -> bool:
     """Strata route: no rational translate of a vertex stratum contains the point.
 
     Every translate class g P_i, one per rational i-dimensional T, is checked.
@@ -683,22 +675,19 @@ def is_semistable_strata_test(x: FlagPoint, nu, ff: FiniteField,
     dims, pairing = _vertex_pairings(nu)
     n = len(nu)
     _check_point(x, dims, n)
-    _check_budget(n, ff, max_translates, "translates")
     for i, profiles in intersection_profiles(x, n, ff):
         if any(pairing(i, p) > 0 for p in profiles):
             return False
     return True
 
 
-def count_semistable(ff: FiniteField, ell: int, nu,
-                     max_points: int | None = None,
-                     max_subspaces: int | None = None) -> int:
+def count_semistable(ff: FiniteField, ell: int, nu) -> int:
     """Number of semistable working-field points, by the subspace test."""
     nu = vector(nu)
     dims = flag_dims(nu)
     count = 0
-    for x in enumerate_flags(ff, ell, dims, max_points=max_points):
-        if is_semistable_subspace_test(x, nu, ff, max_subspaces=max_subspaces):
+    for x in enumerate_flags(ff, ell, dims):
+        if is_semistable_subspace_test(x, nu, ff):
             count += 1
     return count
 

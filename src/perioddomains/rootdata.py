@@ -391,32 +391,25 @@ class RelativeCoweight:
     vector: Vector
 
 
-def _block_embed(v: Vector, copy: int, t: int) -> Vector:
-    n = len(v)
-    zero = (Fraction(0),) * n
-    return sum((v if j == copy else zero for j in range(t)), ())
-
-
 def _product_realization(base: RootSystemData, t: int) -> Realization:
-    n = base.ambient_dim
-    r = base.rank
-    simple = tuple(_block_embed(a, j, t) for j in range(t) for a in base.simple_roots)
-    coweights = tuple(_block_embed(w, j, t) for j in range(t) for w in base.fundamental_coweights)
-    positives = []
-    coeffs = []
-    zero_block = (Fraction(0),) * r
-    for j in range(t):
-        for root, c in zip(base.positive_roots, base.positive_coefficients):
-            positives.append(_block_embed(root, j, t))
-            coeffs.append(sum((c if h == j else zero_block for h in range(t)), ()))
+    """t block-embedded copies of base; copy j's Cartan integers are the
+    base's with every index shifted by j * rank."""
+    n, r = base.ambient_dim, base.rank
+    zero = (Fraction(0),)
+
+    def copies(vectors, width):
+        return tuple(zero * (j * width) + v + zero * ((t - 1 - j) * width)
+                     for j in range(t) for v in vectors)
+
     return Realization(
         ambient_dim=t * n,
         rank=t * r,
-        simple_roots=simple,
-        fundamental_coweights=coweights,
-        positive_roots=tuple(positives),
-        positive_coefficients=tuple(coeffs),
-        cartan=cartan_integers(simple),
+        simple_roots=copies(base.simple_roots, n),
+        fundamental_coweights=copies(base.fundamental_coweights, n),
+        positive_roots=copies(base.positive_roots, n),
+        positive_coefficients=copies(base.positive_coefficients, r),
+        cartan=tuple(tuple((j * r + k, a) for k, a in row)
+                     for j in range(t) for row in base.cartan),
     )
 
 
@@ -460,7 +453,9 @@ def build_group(kind: str, rank: int, form: str = FORM_SPLIT,
 
     `form` is "split" or "unitary" (quasi-split outer form; type A, rank >= 2
     only); `res_degree` is the degree t of the restriction of scalars, i.e.
-    the number of absolute diagram copies.
+    the number of absolute diagram copies. A group with more than
+    MAX_POSITIVE_ROOTS absolute positive roots raises BudgetExceeded before
+    it is built.
     """
     kind = _normalize_kind(kind, rank)
     form = form.strip().lower()
@@ -470,7 +465,10 @@ def build_group(kind: str, rank: int, form: str = FORM_SPLIT,
         raise IllegalType("unitary form requires kind A with rank >= 2")
     if res_degree < 1:
         raise IllegalType("res_degree must be >= 1")
-    build_root_system(kind, rank)  # validates the pair (and warns on D3)
+    base = build_root_system(kind, rank)  # validates the pair (and warns on D3)
+    if (count := res_degree * len(base.positive_roots)) > MAX_POSITIVE_ROOTS:
+        raise BudgetExceeded(f"{base.kind}{'' if base.kind[1:] else rank} t={res_degree} has "
+                             f"{count} positive roots, above the bound {MAX_POSITIVE_ROOTS}")
     return _build_group(kind, rank, form, res_degree)
 
 

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from operator import mul
 
-from .errors import BudgetExceeded, IndexOutOfRange, ValidationError
+from .errors import BudgetExceeded, ValidationError
 from .rootdata import GroupDatum, build_group, climb, integer_pairings, reflect_labels, split_nu
 from .weyl import WeylElement, _parabolic, _tables, dominant_delta, longest_element, weyl_order
 
@@ -159,7 +159,10 @@ def _lift(g: GroupDatum, i: int, deltas: tuple[tuple[int, ...], ...],
                        lift([w.inv_perm for w in cells]), sum(w.length for w in cells))
 
 
-def _vertex_strata(g: GroupDatum, nu, max_cells=None) -> tuple[tuple[VertexStratum, ...], int]:
+def strata_report(g: GroupDatum, nu, max_cells: int | None = None) -> StrataReport:
+    """Full unstable-locus report for a dominant cocharacter tuple. It visits
+    the sum over copies and vertices of min(|W/W_{P_i}|, |W/W_P|) orbit
+    elements; more than max_cells raise BudgetExceeded before any search."""
     if max_cells is not None and max_cells < 0:
         raise ValidationError(f"cell budget must be nonnegative, got {max_cells}")
     copy = _copy(g)
@@ -175,8 +178,16 @@ def _vertex_strata(g: GroupDatum, nu, max_cells=None) -> tuple[tuple[VertexStrat
     if max_cells is not None and visits > max_cells:
         raise BudgetExceeded(f"{visits} orbit elements exceed budget {max_cells}")
     pairs = [tuple(sum(map(mul, w, v)) for w in copy.coweights) for v in ints]
-    return tuple(_stratum(g, copy, i, deltas, pairs)
-                 for i in range(1, g.relative_rank + 1)), sum(pd.w0p_length for pd in pds)
+    strata = tuple(_stratum(g, copy, i, deltas, pairs) for i in range(1, g.relative_rank + 1))
+    dim_f = sum(pd.w0p_length for pd in pds)
+    dims = [s.dim for s in strata if s.dim is not None]
+    if dims:
+        dim_y = max(dims)
+        codim: int | float = dim_f - dim_y
+    else:
+        dim_y = None
+        codim = math.inf
+    return StrataReport(dim_f=dim_f, per_vertex=strata, dim_y=dim_y, codim_y=codim)
 
 
 def _stratum(g: GroupDatum, copy: _Copy, i: int, deltas, pairs) -> VertexStratum:
@@ -238,24 +249,3 @@ def _stratum(g: GroupDatum, copy: _Copy, i: int, deltas, pairs) -> VertexStratum
         parts.append(mu)
     return VertexStratum(index=i, dim=best, witness=_lift(g, i, deltas, tuple(parts)),
                          cell_count=sum(count for _, count in qualifying))
-
-
-def dim_y_i(g: GroupDatum, nu, i: int, max_cells: int | None = None) -> VertexStratum:
-    """Dimension data of the i-th vertex stratum (1 <= i <= relative rank)."""
-    if not 1 <= i <= g.relative_rank:
-        raise IndexOutOfRange(f"vertex {i} outside 1..{g.relative_rank}")
-    strata, _ = _vertex_strata(g, nu, max_cells)
-    return strata[i - 1]
-
-
-def strata_report(g: GroupDatum, nu, max_cells: int | None = None) -> StrataReport:
-    """Full unstable-locus report for a dominant cocharacter tuple."""
-    strata, dim_f = _vertex_strata(g, nu, max_cells)
-    dims = [s.dim for s in strata if s.dim is not None]
-    if dims:
-        dim_y = max(dims)
-        codim: int | float = dim_f - dim_y
-    else:
-        dim_y = None
-        codim = math.inf
-    return StrataReport(dim_f=dim_f, per_vertex=strata, dim_y=dim_y, codim_y=codim)

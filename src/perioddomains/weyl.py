@@ -13,7 +13,9 @@ if u is a minimal representative and u = s_i v with l(v) = l(u) - 1, then v
 is again minimal, so a breadth-first frontier over minimal representatives
 is exhaustive. (Right multiplication does not have this property.) u gets
 (i,) + word(v) for the first such v in root-permutation order, which
-`_reduced_word` derives from u alone.
+`_reduced_word` derives from u alone. The enumeration takes no budget: it
+yields |W|/|W_P| elements, a number `weyl_order` and `ParabolicData` give
+before it starts.
 
 Parabolic data needs no diagram classification: W_J has one positive root
 per inversion of its longest element, and |W_J| is the product of
@@ -29,7 +31,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterator, Sequence
 
-from .errors import BudgetExceeded, IndexOutOfRange, InvariantViolation, NotDominant
+from .errors import IndexOutOfRange, InvariantViolation, NotDominant
 from .rootdata import (
     Realization,
     Vector,
@@ -235,17 +237,14 @@ def dominant_delta(pairings: Sequence) -> tuple[int, ...]:
     return tuple(i + 1 for i, c in enumerate(pairings) if c == 0)
 
 
-def enumerate_min_coset_reps(pd: ParabolicData, rs: Realization,
-                             max_count: int | None = None) -> Iterator[WeylElement]:
+def enumerate_min_coset_reps(pd: ParabolicData, rs: Realization) -> Iterator[WeylElement]:
     """All minimal-length coset representatives of W/W_P, once each.
 
     Breadth first in length; within a length layer, ordered by the root
-    permutation tuple, so the output order is deterministic. Raises
-    BudgetExceeded up front when |W^P| = |W|/|W_P| exceeds max_count.
+    permutation tuple, so the output order is deterministic. The caller
+    bounds the work: there are |W^P| = |W|/|W_P| of them.
     """
     total = weyl_order(rs) // pd.w_p_order
-    if max_count is not None and total > max_count:
-        raise BudgetExceeded(f"|W^P| = {total} exceeds budget {max_count}")
     t = _tables(rs)
     npos = t.npos
     alpha_idx = tuple(t.simple_idx[i - 1] for i in pd.delta_p)

@@ -8,8 +8,6 @@ import time
 from pathlib import Path
 
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from perioddomains import cli
 from perioddomains import finflag as ffl
@@ -73,19 +71,6 @@ def test_parse_q_prime_power():
     assert (job.p, job.e, job.m) == (2, 2, 2)
     with pytest.raises(ValidationError):
         cli.parse_jobspec("command=verify kind=A rank=1 nu=1,-1 q=6 m=1")
-
-
-def test_roundtrip_parse_render():
-    texts = [
-        "command=classify kind=A rank=1 form=split t=1 nu=1,-1",
-        "command=strata kind=G2 rank=2 nu=0,-1,1",
-        "command=verify kind=A rank=2 nu=2,-1,-1 q=2 m=3",
-        "command=tables kind=F4 rank=4 output=record",
-    ]
-    for text in texts:
-        job = cli.parse_jobspec(text)
-        again = cli.parse_jobspec(cli.render_report(job))
-        assert again == job
 
 
 def test_classify_end_to_end_drinfeld():
@@ -213,11 +198,18 @@ def test_validation_error_prints_rationals(command, config, capsys):
     assert "1,2,-3" in err and "Fraction(" not in err
 
 
-def test_exit_code_validation_error():
-    code, _ = run_main("classify", "kind=A rank=2 nu=0,1,-1")
-    assert code == 2
-    code, _ = run_main("classify", "kind=Q rank=2 nu=1,-1")
-    assert code == 2
+def test_exit_code_validation_error(capsys):
+    for command, config in [
+        ("classify", "kind=A rank=2 nu=0,1,-1"),
+        ("classify", "kind=Q rank=2 nu=1,-1"),
+        # a nu of the wrong length, and a restriction degree below 1
+        ("classify", "kind=A rank=3 nu=1,0,-1"),
+        ("strata", "kind=A rank=3 nu=1,0,-1"),
+        ("tables", "kind=A rank=1 t=0"),
+        ("tables", "kind=A rank=1 t=-5"),
+    ]:
+        assert run_main(command, config) == (cli.EXIT_VALIDATION, "")
+        assert capsys.readouterr().err.startswith("validation error: ")
 
 
 def test_exit_code_budget():
@@ -294,7 +286,7 @@ def test_default_field_budget_refuses_huge_verify(capsys):
      "validation error: illegal step dimensions (1, 3) for ell=2"),
     # the shape of the input: len(nu) = rank + 1, and a legal (kind, rank)
     ("kind=A rank=3 nu=1,0,-1 q=2 m=3", cli.EXIT_VALIDATION,
-     "error: factor of length 3; base ambient dimension is 4"),
+     "validation error: factor of length 3; base ambient dimension is 4"),
     ("kind=A rank=0 nu=0 q=3 m=10", cli.EXIT_VALIDATION,
      "validation error: illegal pair kind=A rank=0"),
     # a q past the field bound before it is factored, a p past it before the
@@ -305,6 +297,10 @@ def test_default_field_budget_refuses_huge_verify(capsys):
      "budget exceeded: field order 1000000000000000003 exceeds bound 65536"),
     ("kind=A rank=1 nu=1,-1 q=2 m=20000", cli.EXIT_BUDGET,
      "budget exceeded: field order 2^20000 exceeds bound 65536"),
+    # P^3 over F_2 has 15 points, but each is tested against 65 rational
+    # subspaces
+    ("kind=A rank=3 nu=3,-1,-1,-1 q=2 m=1 budget_field=20", cli.EXIT_BUDGET,
+     "budget exceeded: 65 rational subspaces exceed budget"),
 ])
 def test_verify_refuses_before_building_the_field(config, code, err, capsys, monkeypatch):
     def no_field(*args):
@@ -321,6 +317,8 @@ def test_verify_refuses_before_building_the_field(config, code, err, capsys, mon
     ("classify", "kind=A rank=3000 nu=1", "A3000 has 4501500 positive roots, above the bound 600"),
     ("strata", "kind=A rank=40 nu=1", "A40 has 820 positive roots, above the bound 600"),
     ("tables", "kind=B rank=25", "B25 has 625 positive roots, above the bound 600"),
+    ("tables", "kind=A rank=1 t=100000",
+     "A1 t=100000 has 100000 positive roots, above the bound 600"),
 ])
 def test_oversized_root_system_refused_before_it_is_built(command, config, err, capsys):
     start = time.perf_counter()
@@ -330,30 +328,16 @@ def test_oversized_root_system_refused_before_it_is_built(command, config, err, 
 
 
 def test_default_field_budget_admits_p3_over_f27(monkeypatch):
-    # P^3 over F_27 (20,440 points) passes every budget check at the default;
-    # only the first three points are tested, through the real budget checks
-    seen = {}
-
-    def first_points(ff, ell, dims, max_points=None):
-        seen["points"] = max_points
-        return itertools.islice(ffl.enumerate_flags(ff, ell, dims, max_points=max_points), 3)
-
-    def subspace_test(x, nu, ff, max_subspaces=None):
-        seen["subspaces"] = max_subspaces
-        return ffl.is_semistable_subspace_test(x, nu, ff, max_subspaces=max_subspaces)
-
-    def strata_test(x, nu, ff, max_translates=None):
-        seen["translates"] = max_translates
-        return ffl.is_semistable_strata_test(x, nu, ff, max_translates=max_translates)
+    # P^3 over F_27 (20,440 points, 210 rational subspaces of F_3^4) passes
+    # every up-front check at the default budget; only the first three points
+    # are then tested
+    def first_points(ff, ell, dims):
+        return itertools.islice(ffl.enumerate_flags(ff, ell, dims), 3)
 
     monkeypatch.setattr(cli, "enumerate_flags", first_points)
-    monkeypatch.setattr(cli, "is_semistable_subspace_test", subspace_test)
-    monkeypatch.setattr(cli, "is_semistable_strata_test", strata_test)
     code, out = run_main("verify", "kind=A rank=3 nu=3,-1,-1,-1 q=3 m=3", "--record")
     assert code == cli.EXIT_OK
     assert out.splitlines()[0] == "points=3"
-    assert seen == dict.fromkeys(("points", "subspaces", "translates"),
-                                 cli.DEFAULT_BUDGET_FIELD)
     assert cli.DEFAULT_BUDGET_FIELD == 2 ** 16
 
 
@@ -372,14 +356,3 @@ def test_console_invocation():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert "pi1 = pi1(Omega^(2)/k)" in proc.stdout
-
-
-@given(st.integers(1, 3), st.integers(0, 3))
-def test_roundtrip_property(rank, shift):
-    nu = list(range(shift + rank, shift - 1, -1))
-    # integer-friendly zero-sum: scale by the length to stay integral
-    n = len(nu)
-    nu = [x * n - sum(nu) for x in nu]
-    text = f"command=classify kind=A rank={rank} nu=" + ",".join(str(x) for x in nu)
-    job = cli.parse_jobspec(text)
-    assert cli.parse_jobspec(cli.render_report(job)) == job

@@ -134,10 +134,11 @@ def test_frobenius_fixes_exactly_the_base_field():
 
 
 def test_field_budget():
+    assert ffl.checked_field_order(2, 1, 16) == ffl.MAX_FIELD_ORDER == 2 ** 16
     with pytest.raises(BudgetExceeded):
         ffl.FiniteField(2, 1, 17)
     with pytest.raises(BudgetExceeded):
-        ffl.FiniteField(2, 1, 5, max_order=16)
+        ffl.FiniteField(3, 1, 11)
 
 
 def test_gaussian_binomial():
@@ -164,8 +165,9 @@ def test_flag_counts(q, m, ell, dims, expected):
 
 def test_flag_budget_and_validation():
     ff = ffl.finite_field(2, 1, 2)
+    assert ffl.checked_flag_count(2, (1, 2), ff.order) == 105
     with pytest.raises(BudgetExceeded):
-        list(ffl.enumerate_flags(ff, 2, (1, 2), max_points=3))
+        ffl.checked_flag_count(2, (1, 2), ff.order, max_points=3)
     with pytest.raises(ValidationError):
         list(ffl.enumerate_flags(ff, 2, (2, 1)))
     with pytest.raises(ValidationError):
@@ -451,15 +453,6 @@ def test_every_point_semistable_when_unstable_locus_empty():
     assert len(points) == 1
     assert ffl.is_semistable_subspace_test(points[0], (0, 0), ff)
     assert ffl.is_semistable_strata_test(points[0], (0, 0), ff)
-
-
-def test_budget_rank_one():
-    ff = ffl.finite_field(2, 1, 2)
-    x = next(iter(ffl.enumerate_flags(ff, 1, (1,))))
-    with pytest.raises(BudgetExceeded):
-        ffl.is_semistable_subspace_test(x, (1, -1), ff, max_subspaces=1)
-    with pytest.raises(BudgetExceeded):
-        ffl.is_semistable_strata_test(x, (1, -1), ff, max_translates=1)
 
 
 def test_res_pair_diagonal_complement():

@@ -14,7 +14,6 @@ from perioddomains import rootdata as rd
 from perioddomains import strata, weyl
 from perioddomains.errors import (
     BudgetExceeded,
-    IndexOutOfRange,
     NotDominant,
     PeriodDomainError,
 )
@@ -104,15 +103,14 @@ def test_top_cell_slope_positive_for_regular_nu():
 
 def test_dim_y_i_a1():
     g = rd.build_group("A", 1)
-    s = strata.dim_y_i(g, (1, -1), 1)
+    (s,) = strata.strata_report(g, (1, -1)).per_vertex
     assert s.dim == 0 and s.cell_count == 1
     assert s.witness.length == 0
 
 
 def test_dim_y_i_a2():
     g = rd.build_group("A", 2)
-    s1 = strata.dim_y_i(g, (2, -1, -1), 1)
-    s2 = strata.dim_y_i(g, (2, -1, -1), 2)
+    s1, s2 = strata.strata_report(g, (2, -1, -1)).per_vertex
     assert (s1.dim, s1.cell_count) == (0, 1)
     assert (s2.dim, s2.cell_count) == (1, 2)
     assert s2.witness.word == (1,)
@@ -170,9 +168,12 @@ def test_strata_reject_non_dominant():
 
 
 def test_dim_y_i_vertex_range():
-    g = rd.build_group("A", 2)
-    with pytest.raises(IndexOutOfRange):
-        strata.dim_y_i(g, (1, 0, -1), 3)
+    # one stratum per relative vertex, in order
+    for g in (rd.build_group("A", 2), rd.build_group("A", 3, "unitary"),
+              rd.build_group("A", 1, res_degree=3)):
+        nu = rd.assemble_nu(g, [(1,) + (0,) * (g.base.rank - 1) + (-1,)] * g.res_degree)
+        report = strata.strata_report(g, nu)
+        assert [s.index for s in report.per_vertex] == list(range(1, g.relative_rank + 1))
 
 
 def test_budget_propagates():
@@ -183,11 +184,9 @@ def test_budget_propagates():
 
 def test_negative_budget_rejected():
     g = rd.build_group("A", 3)
-    for call in (lambda: strata.strata_report(g, (3, 1, -1, -3), max_cells=-1),
-                 lambda: strata.dim_y_i(g, (3, 1, -1, -3), 1, max_cells=-1)):
-        with pytest.raises(PeriodDomainError) as exc:
-            call()
-        assert not isinstance(exc.value, BudgetExceeded)
+    with pytest.raises(PeriodDomainError) as exc:
+        strata.strata_report(g, (3, 1, -1, -3), max_cells=-1)
+    assert not isinstance(exc.value, BudgetExceeded)
 
 
 @pytest.mark.parametrize("kind,rank,form,t", SWEEP_CONFIGS + [("A", 2, "unitary", 2)])
