@@ -68,7 +68,6 @@ from .rootdata import (
     Vector,
     build_group,
     build_root_system,
-    inner_product,
     relative_coweights,
     split_nu,
 )
@@ -191,6 +190,8 @@ def parse_jobspec(text: str) -> JobSpec:
         if len(job.nu) != job.t:
             raise ValidationError(
                 f"nu has {len(job.nu)} factors but t={job.t}")
+    if "q" in raw and ("p" in raw or "e" in raw):
+        raise ValidationError("give the field as q or as p and e, not both")
     if "q" in raw:
         q = _parse_int(get("q"), lineof("q"), "q")
         if q > MAX_FIELD_ORDER:  # refused before it is factored
@@ -355,8 +356,7 @@ def _run_tables(job: JobSpec, record: bool) -> tuple[int, str]:
     lines.append("# gram simple roots")
     lines += [_vec_text(row) for row in rs.gram]
     lines.append("# gram coweights")
-    lines += [_vec_text(tuple(inner_product(a, b) for b in rs.fundamental_coweights))
-              for a in rs.fundamental_coweights]
+    lines += [_vec_text(row) for row in rs.coweight_gram]
     lines.append("# opposition")
     lines.append(" ".join(str(i) for i in rs.opposition))
     if job.form != FORM_SPLIT or job.t > 1:
@@ -417,8 +417,13 @@ def main(argv=None) -> int:
         if item == "-":
             pieces.append(sys.stdin.read())
         elif "=" not in item and os.path.exists(item):
-            with open(item, encoding="utf-8") as handle:
-                pieces.append(handle.read())
+            try:
+                with open(item, encoding="utf-8") as handle:
+                    pieces.append(handle.read())
+            except (OSError, UnicodeDecodeError) as exc:
+                reason = getattr(exc, "strerror", None) or exc
+                print(f"error: cannot read config file {item!r}: {reason}", file=sys.stderr)
+                return EXIT_USAGE
         elif "=" in item:
             pieces.append(item)
         else:

@@ -12,7 +12,9 @@ rank of a small matrix. The two routes keep separate formulas on top:
 * the strata test treats each rational i-dimensional T as a translate g P_i
   of vertex parabolic P_i: the profile fixes the double coset
   W_{P_i} w W_P of the point's Bruhat position, and the cell slope
-  -(omega_i, w nu) is read from a one-line representative of it.
+  -(omega_i, w nu) is read from a one-line representative w of it as
+  sum_j c_j (omega_j, nu), with c the Dynkin labels of w^-1 omega_i
+  (`rootdata.reflect_labels` along w's word), as `strata` reads its cells.
   `relative_position` computes w itself from rank matrices against an
   explicit basis, an independent reference for that reading.
 
@@ -40,6 +42,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 from typing import Iterator, Sequence
 
 from .errors import (
@@ -54,6 +57,7 @@ from .rootdata import (
     build_root_system,
     format_vector,
     inner_product,
+    reflect_labels,
     run_lengths,
     vector,
 )
@@ -644,13 +648,16 @@ def _vertex_pairings(nu: tuple):
     The one-line representative of the double coset W_{P_i} w W_P puts, in
     block b, dim(T cap F^b) - dim(T cap F^{b-1}) values from 1..i followed by
     values from i+1..n; the pairing is invariant under W_{P_i} on the left
-    and W_P on the right, so any such representative gives it exactly.
+    and W_P on the right, so any such representative gives it exactly. It
+    is sum_j c_j (omega_j, nu) for the labels c of w^-1 omega_i, which
+    start at e_i and take w's word first letter first.
     """
     nu = vector(nu)
     n = len(nu)
     dims = flag_dims(nu)
     steps = dims + (n,)
     rs = build_root_system("A", n - 1)
+    weights = tuple(inner_product(w, nu) for w in rs.fundamental_coweights)
 
     @lru_cache(maxsize=None)
     def pairing(i: int, profile: tuple[int, ...]) -> Fraction:
@@ -661,8 +668,10 @@ def _vertex_pairings(nu: tuple):
             one_line += [next(small) for _ in range(c - prev_c)]
             one_line += [next(large) for _ in range(d - prev_d - c + prev_c)]
             prev_d, prev_c = d, c
-        w = permutation_element(rs, one_line)
-        return inner_product(rs.fundamental_coweights[i - 1], w.apply(nu))
+        c = tuple(int(j == i - 1) for j in range(n - 1))
+        for k in permutation_element(rs, one_line).word:
+            c = reflect_labels(rs.cartan, c, k - 1)
+        return sum(map(mul, c, weights))
     return dims, pairing
 
 

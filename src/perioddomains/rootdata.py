@@ -1,8 +1,10 @@
 """Exact rational root-system realizations in Bourbaki coordinates.
 
-Every vector is a tuple of `fractions.Fraction`; pairings, weights and chamber
-tests are all exact. Floating point is never used anywhere in this package's
-mathematical kernel.
+The build runs on integers: doubled simple roots, Dynkin labels and one
+fraction-free inverse of the Cartan matrix. Roots, coweights and the Gram
+matrix are stored as tuples of `fractions.Fraction`, the exact view that
+`tables` prints and that callers pair with a cocharacter. Floating point is
+never used anywhere in this package's mathematical kernel.
 
 Conventions: type A lives in the sum-zero hyperplane of Q^(l+1) with simple
 roots e_i - e_{i+1}; the inner product is the Euclidean dot product of the
@@ -10,11 +12,11 @@ realization. Type G2 is realized in the sum-zero hyperplane of Q^3 with
 alpha_1 = e_1 - e_2 and alpha_2 = -2e_1 + e_2 + e_3, which gives the Gram
 values (w_1,w_1)=2, (w_1,w_2)=3, (w_2,w_2)=6.
 
-Root closure, the w0 word, the opposition, `weyl`'s root permutations and
-`strata`'s orbit search all run on integer Dynkin labels c_j = (x,
-alpha_j^vee), on which s_k acts by c_j <- c_j - c_k (alpha_k, alpha_j^vee)
-(`reflect_labels`), with the Cartan integers of each realization computed
-once (`cartan_integers`).
+Root closure, the w0 word, the opposition, `weyl`'s root permutations,
+`strata`'s orbit search and `finflag`'s strata test all run on integer
+Dynkin labels c_j = (x, alpha_j^vee), on which s_k acts by
+c_j <- c_j - c_k (alpha_k, alpha_j^vee) (`reflect_labels`), with the Cartan
+integers of each realization computed once (`cartan_integers`).
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ _POSITIVE_COUNTS = {
 }
 
 # build_root_system refuses more positive roots than this before building:
-# A34 (595) builds with its `weyl` tables in about 1.1 s (Python 3.11); E8 has 120.
+# A34 (595) builds with its `weyl` tables in about 0.2 s (Python 3.11); E8 has 120.
 MAX_POSITIVE_ROOTS = 600
 
 
@@ -91,44 +93,22 @@ def coroot(alpha: Vector) -> Vector:
     return tuple(2 * a / norm for a in alpha)
 
 
-def _add(u: Vector, v: Vector) -> Vector:
-    return tuple(a + b for a, b in zip(u, v))
-
-
-def _reflect(v: Vector, alpha: Vector, alphav: Vector) -> Vector:
-    pairing = inner_product(v, alphav)
-    return tuple(a - pairing * b for a, b in zip(v, alpha))
-
-
-def solve_in_span(columns: Sequence[Vector], targets: Sequence[Vector]
-                  ) -> tuple[tuple[Fraction, ...], ...]:
-    """For each target, the coefficients c with sum c_j * columns[j] == target,
-    from one elimination; every target must lie in the span."""
-    n = len(targets[0])
-    r = len(columns)
-    aug = [[columns[j][i] for j in range(r)] + [t[i] for t in targets] for i in range(n)]
-    pivots: list[int] = []
-    row = 0
-    for col in range(r):
-        piv = next((k for k in range(row, n) if aug[k][col] != 0), None)
-        if piv is None:
-            continue
-        aug[row], aug[piv] = aug[piv], aug[row]
-        inv = Fraction(1) / aug[row][col]
-        aug[row] = [x * inv for x in aug[row]]
-        for k in range(n):
-            if k != row and aug[k][col] != 0:
-                f = aug[k][col]
-                aug[k] = [x - f * y for x, y in zip(aug[k], aug[row])]
-        pivots.append(col)
-        row += 1
-    if any(x != 0 for k in range(row, n) for x in aug[k][r:]):
-        raise DimensionMismatch("target vector not in span")
-    coeffs = [[Fraction(0)] * r for _ in targets]
-    for i, col in enumerate(pivots):
-        for c, x in zip(coeffs, aug[i][r:]):
-            c[col] = x
-    return tuple(map(tuple, coeffs))
+def _bareiss_inverse(m: Sequence[Sequence[int]]) -> tuple[int, list[list[int]]]:
+    """det M and det(M) M^-1, by fraction-free Gauss-Jordan elimination
+    (Bareiss): after step k every entry is a minor of [M | I], so each
+    division is exact. No pivot search: every leading principal minor of a
+    finite-type Cartan matrix is the determinant of a subdiagram's Cartan
+    matrix, which is positive."""
+    r = len(m)
+    a = [list(row) + [int(i == j) for j in range(r)] for i, row in enumerate(m)]
+    prev = 1
+    for k in range(r):
+        pivot = a[k]
+        a = [row if i == k else
+             [(pivot[k] * x - row[k] * y) // prev for x, y in zip(row, pivot)]
+             for i, row in enumerate(a)]
+        prev = pivot[k]
+    return prev, [row[r:] for row in a]
 
 
 @dataclass(frozen=True, eq=False)
@@ -144,16 +124,18 @@ class Realization:
     simple_roots: tuple[Vector, ...]
     fundamental_coweights: tuple[Vector, ...]
     positive_roots: tuple[Vector, ...]
-    positive_coefficients: tuple[tuple[Fraction, ...], ...]
+    positive_coefficients: tuple[tuple[int, ...], ...]
     cartan: Cartan
 
 
 @dataclass(frozen=True, eq=False)
 class RootSystemData(Realization):
-    """A simple root system of kind A..G2 realized over exact rationals."""
+    """A simple root system of kind A..G2 realized over exact rationals, with
+    the Gram matrices of its simple roots and of its fundamental coweights."""
 
     kind: str = ""
     gram: tuple[tuple[Fraction, ...], ...] = ()
+    coweight_gram: tuple[tuple[Fraction, ...], ...] = ()
     opposition: tuple[int, ...] = ()
 
 
@@ -218,11 +200,11 @@ def cartan_integers(simple: Sequence[Vector]) -> Cartan:
 
 def root_labels(cartan: Cartan, coeffs: Sequence) -> tuple[int, ...]:
     """Dynkin labels (beta, alpha_j^vee) of beta = sum_k coeffs[k] alpha_k."""
-    labels = [2 * int(c) for c in coeffs]
+    labels = [2 * c for c in coeffs]
     for k, c in enumerate(coeffs):
         if c:
             for j, a in cartan[k]:
-                labels[j] += int(c) * a
+                labels[j] += c * a
     return tuple(labels)
 
 
@@ -274,7 +256,7 @@ def _close_roots(simple: tuple[Vector, ...], cartan: Cartan):
         twice.append((tuple(v), coeffs))
     twice.sort()
     return (tuple(tuple(Fraction(x, 2) for x in v) for v, _ in twice),
-            tuple(tuple(map(Fraction, c)) for _, c in twice))
+            tuple(c for _, c in twice))
 
 
 @lru_cache(maxsize=None)
@@ -285,15 +267,17 @@ def _build_root_system(kind: str, rank: int) -> RootSystemData:
     if len(positives) != _POSITIVE_COUNTS[kind](rank):
         raise InvariantViolation(f"{kind}{rank}: closure found {len(positives)} positive roots")
 
-    # omega_i = sum_j c_j alpha_j with sum_j c_j (alpha_j, alpha_k^vee) = delta_ik,
-    # against the labels of the simple roots
+    # omega_i = sum_j c_ij alpha_j with sum_j c_ij (alpha_j, alpha_k^vee) =
+    # delta_ik: c = M^-1 for M the labels of the simple roots, so with D = det M
+    # and a_j = 2 alpha_j, W_i = 2D omega_i = sum_j (D M^-1)_ij a_j is integral
     units = [tuple(int(i == j) for j in range(rank)) for i in range(rank)]
-    coweights = tuple(tuple(sum((c * a[k] for c, a in zip(row, simple)), Fraction(0))
-                            for k in range(ambient))
-                      for row in solve_in_span([root_labels(cartan, e) for e in units], units))
-    coroots = [coroot(a) for a in simple]
-    if any(inner_product(w, a) != int(i == j)
-           for i, w in enumerate(coweights) for j, a in enumerate(coroots)):
+    det, adj = _bareiss_inverse([root_labels(cartan, e) for e in units])
+    roots2 = [doubled(a) for a in simple]
+    scaled = [[sum(c * a[k] for c, a in zip(row, roots2)) for k in range(ambient)]
+              for row in adj]
+    # (omega_i, alpha_j^vee) = delta_ij reads 2 (W_i, a_j) = D (a_j, a_j) delta_ij
+    if any(2 * sum(map(mul, w, a)) != (det * sum(map(mul, a, a)) if i == j else 0)
+           for i, w in enumerate(scaled) for j, a in enumerate(roots2)):
         raise InvariantViolation(f"{kind}{rank}: (omega_i, alpha_j^vee) != delta_ij")
 
     # -rho has every label -1, and its climb to rho spells a reduced word of
@@ -311,12 +295,14 @@ def _build_root_system(kind: str, rank: int) -> RootSystemData:
         ambient_dim=ambient,
         rank=rank,
         simple_roots=simple,
-        fundamental_coweights=coweights,
+        fundamental_coweights=tuple(tuple(Fraction(x, 2 * det) for x in w) for w in scaled),
         positive_roots=positives,
         positive_coefficients=coeffs,
         cartan=cartan,
         kind=kind,
-        gram=tuple(tuple(inner_product(a, b) for b in simple) for a in simple),
+        gram=tuple(tuple(Fraction(sum(map(mul, a, b)), 4) for b in roots2) for a in roots2),
+        coweight_gram=tuple(tuple(Fraction(sum(map(mul, v, w)), 4 * det * det) for w in scaled)
+                            for v in scaled),
         opposition=tuple(opposition),
     )
 
@@ -395,10 +381,9 @@ def _product_realization(base: RootSystemData, t: int) -> Realization:
     """t block-embedded copies of base; copy j's Cartan integers are the
     base's with every index shifted by j * rank."""
     n, r = base.ambient_dim, base.rank
-    zero = (Fraction(0),)
 
-    def copies(vectors, width):
-        return tuple(zero * (j * width) + v + zero * ((t - 1 - j) * width)
+    def copies(vectors, width, zero=Fraction(0)):
+        return tuple((zero,) * (j * width) + v + (zero,) * ((t - 1 - j) * width)
                      for j in range(t) for v in vectors)
 
     return Realization(
@@ -407,7 +392,7 @@ def _product_realization(base: RootSystemData, t: int) -> Realization:
         simple_roots=copies(base.simple_roots, n),
         fundamental_coweights=copies(base.fundamental_coweights, n),
         positive_roots=copies(base.positive_roots, n),
-        positive_coefficients=copies(base.positive_coefficients, r),
+        positive_coefficients=copies(base.positive_coefficients, r, 0),
         cartan=tuple(tuple((j * r + k, a) for k, a in row)
                      for j in range(t) for row in base.cartan),
     )
@@ -473,13 +458,14 @@ def build_group(kind: str, rank: int, form: str = FORM_SPLIT,
 
 
 def relative_coweights(g: GroupDatum) -> tuple[RelativeCoweight, ...]:
-    """Relative cofundamental weights: orbit sums of absolute fundamental coweights."""
+    """Relative cofundamental weights: orbit sums of absolute fundamental
+    coweights. A Galois orbit is its base orbit copied into every block, so
+    the sum is the base orbit's sum repeated in each of the t blocks."""
+    omegas = g.base.fundamental_coweights
     out = []
-    for i, orbit in enumerate(g.galois_orbits, start=1):
-        w = (Fraction(0),) * g.absolute.ambient_dim
-        for b in orbit:
-            w = _add(w, g.absolute.fundamental_coweights[b - 1])
-        out.append(RelativeCoweight(index=i, vector=w))
+    for i, orbit in enumerate(_base_orbits(g.base, g.form), start=1):
+        w = tuple(map(sum, zip(*(omegas[b - 1] for b in orbit))))
+        out.append(RelativeCoweight(index=i, vector=w * g.res_degree))
     return tuple(out)
 
 

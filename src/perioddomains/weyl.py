@@ -3,10 +3,12 @@
 Elements are stored by their permutation action on the full root list (an
 exact faithful encoding for these realizations, where everything fixes the
 orthogonal complement of the root span pointwise) together with a reduced
-word. Vector images apply the word's simple reflections, so lengths, coset
-tests and slope pairings stay exact while enumeration runs on integer
-tuples. The simple reflections permute the roots by their Dynkin labels
-(`rootdata.reflect_labels`), and `longest_element` gives w0 of any W_J.
+word, so lengths and coset tests run on integer tuples. The simple
+reflections permute the roots by their Dynkin labels
+(`rootdata.reflect_labels`); a caller that needs the image of a weight
+reflects its labels along the word. `longest_element` gives w0 of any W_J,
+and `permutation_element` builds a type-A element from one-line notation by
+sorting it with adjacent transpositions.
 
 Minimal coset representatives of W/W_P are grown by *left* multiplication:
 if u is a minimal representative and u = s_i v with l(v) = l(u) - 1, then v
@@ -27,38 +29,25 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from typing import Iterator, Sequence
 
 from .errors import IndexOutOfRange, InvariantViolation, NotDominant
-from .rootdata import (
-    Realization,
-    Vector,
-    _reflect,
-    coroot,
-    integer_pairings,
-    reflect_labels,
-    root_labels,
-    vector,
-)
+from .rootdata import Realization, integer_pairings, reflect_labels, root_labels, vector
 
 
 class _Tables:
-    """Per-realization lookup tables: the root list and the simple
+    """Per-realization lookup tables over the root list (the positive roots,
+    then their negatives): where each simple root sits, and the simple
     reflections as root permutations, read from the roots' Dynkin labels."""
 
     def __init__(self, rs: Realization):
-        positives = rs.positive_roots
-        self.npos = len(positives)
-        roots = list(positives) + [tuple(-x for x in v) for v in positives]
-        self.roots = tuple(roots)
-        self.index = {v: k for k, v in enumerate(roots)}
-        self.simple_idx = tuple(self.index[a] for a in rs.simple_roots)
-        self.coroots = tuple(coroot(a) for a in rs.simple_roots)
+        self.npos = len(rs.positive_coefficients)
         labels = [root_labels(rs.cartan, c) for c in rs.positive_coefficients]
         labels += [tuple(-x for x in c) for c in labels]
         by_labels = {c: v for v, c in enumerate(labels)}
+        units = (tuple(int(j == k) for j in range(rs.rank)) for k in range(rs.rank))
+        self.simple_idx = tuple(by_labels[root_labels(rs.cartan, e)] for e in units)
         self.sperm = tuple(
             tuple(by_labels[reflect_labels(rs.cartan, c, k)] if c[k] else v
                   for v, c in enumerate(labels))
@@ -109,15 +98,6 @@ class WeylElement:
         if self._word is None:
             self._word = _reduced_word(self)
         return self._word
-
-    def apply(self, v) -> Vector:
-        """Image of an arbitrary ambient vector, exact."""
-        v = vector(v)
-        rs = self.realization
-        coroots = _tables(rs).coroots
-        for i in reversed(self.word):
-            v = _reflect(v, rs.simple_roots[i - 1], coroots[i - 1])
-        return v
 
     def __mul__(self, other: "WeylElement") -> "WeylElement":
         if self.realization is not other.realization:
@@ -208,9 +188,9 @@ def _parabolic(rs: Realization, delta: tuple[int, ...]) -> ParabolicData:
         if not 1 <= i <= rs.rank:
             raise IndexOutOfRange(f"simple root index {i} outside 1..{rs.rank}")
     dset = {i - 1 for i in delta}
-    heights = [int(sum(c)) for c in rs.positive_coefficients
+    heights = [sum(c) for c in rs.positive_coefficients
                if all(c[k] == 0 or k in dset for k in range(rs.rank))]
-    npos = len(rs.positive_roots)
+    npos = len(rs.positive_coefficients)
     return ParabolicData(
         delta_p=delta,
         w_p_order=math.prod(h + 1 for h in heights) // math.prod(heights),
@@ -305,22 +285,20 @@ def permutation_element(rs: Realization, one_line: Sequence[int]) -> WeylElement
 
 @lru_cache(maxsize=4096)
 def _permutation_element(rs: Realization, one_line: tuple[int, ...]) -> WeylElement:
+    """Swapping the entries at positions i and i+1 multiplies by s_i on the
+    right and, at a descent, lowers the length by one; sorting one_line
+    this way to the identity spells w = s_{i_m} ... s_{i_1}."""
     n = rs.ambient_dim
     if sorted(one_line) != list(range(1, n + 1)):
         raise InvariantViolation(f"{one_line} is not a permutation of 1..{n}")
     t = _tables(rs)
-    sigma = [x - 1 for x in one_line]
-    inv_sigma = [0] * n
-    for k, x in enumerate(sigma):
-        inv_sigma[x] = k
-
-    def image(v, s):
-        out = [Fraction(0)] * n
-        for a in range(n):
-            out[s[a]] = v[a]
-        return tuple(out)
-
-    perm = tuple(t.index[image(v, sigma)] for v in t.roots)
-    inv = tuple(t.index[image(v, inv_sigma)] for v in t.roots)
-    length = sum(1 for k in range(t.npos) if perm[k] >= t.npos)
-    return WeylElement(rs, perm, inv, length, None)
+    line, letters = list(one_line), []
+    while (i := next((i for i in range(n - 1) if line[i] > line[i + 1]), None)) is not None:
+        line[i], line[i + 1] = line[i + 1], line[i]
+        letters.append(i)
+    perm = inv = tuple(range(2 * t.npos))
+    for i in letters:  # perm <- s_i perm, inv <- inv s_i
+        sp = t.sperm[i]
+        perm = tuple(sp[p] for p in perm)
+        inv = tuple(inv[q] for q in sp)
+    return WeylElement(rs, perm, inv, len(letters), None)

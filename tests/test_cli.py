@@ -349,6 +349,27 @@ def test_stdin_config(tmp_path):
     assert "pi1 = pi1(Omega^(2)/k)" in out
 
 
+def test_unreadable_config_file(tmp_path, capsys):
+    # a directory, or a file that is not UTF-8, is refused in one line like a
+    # missing file
+    latin = tmp_path / "job.cfg"
+    latin.write_bytes(b"kind = A\nrank = 1\nnu = 1,-1  # \xff\n")
+    for path, reason in [(tmp_path, "Is a directory"),
+                         (latin, "'utf-8' codec can't decode byte 0xff in position")]:
+        assert run_main("classify", str(path)) == (cli.EXIT_USAGE, "")
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot read config file '{path}': {reason}")
+        assert err.count("\n") == 1 and err.endswith("\n")
+
+
+@pytest.mark.parametrize("field", ["q=4 e=3", "q=4 p=3", "q=9 p=3 e=2"])
+def test_field_given_both_ways_refused(field, capsys):
+    # q=4 e=3 would otherwise run over F_8 and q=4 p=3 over F_9
+    assert run_main("verify", f"kind=A rank=1 nu=1,-1 m=1 {field}") == (cli.EXIT_VALIDATION, "")
+    assert capsys.readouterr().err == \
+        "validation error: give the field as q or as p and e, not both\n"
+
+
 def test_console_invocation():
     proc = subprocess.run(
         [sys.executable, "-m", "perioddomains.cli", "classify",

@@ -1,3 +1,4 @@
+import functools
 import random
 from fractions import Fraction as F
 
@@ -110,7 +111,7 @@ def test_opposition_matches_longest_element(kind, rank):
     rs = rd.build_root_system(kind, rank)
     w0 = weyl.longest_element(rs)
     for i in range(rank):
-        img = tuple(-x for x in w0.apply(rs.fundamental_coweights[i]))
+        img = tuple(-x for x in reference_apply(w0, rs.fundamental_coweights[i]))
         assert img == rs.fundamental_coweights[rs.opposition[i] - 1]
 
 
@@ -149,7 +150,8 @@ def test_weyl_invariance_sampled(rng):
                 w = w * weyl.simple_reflection(rs, rng.randint(1, rank))
             u = rd.vector([rng.randint(-3, 3) for _ in range(n)])
             v = rd.vector([rng.randint(-3, 3) for _ in range(n)])
-            assert rd.inner_product(w.apply(u), w.apply(v)) == rd.inner_product(u, v)
+            image_u, image_v = reference_apply(w, u), reference_apply(w, v)
+            assert rd.inner_product(image_u, image_v) == rd.inner_product(u, v)
 
 
 # The Fraction build that the integer label rule replaced, kept as the
@@ -180,12 +182,25 @@ def _reference_close_roots(simple):
     return tuple(positives), tuple(known[v] for v in positives)
 
 
-def _reference_apply_word(word, v, simple):
+def _reference_apply_word(word, v, simple, coroots=None):
     for i in reversed(word):
         alpha = simple[i - 1]
-        pairing = rd.inner_product(v, rd.coroot(alpha))
+        alphav = rd.coroot(alpha) if coroots is None else coroots[i - 1]
+        pairing = rd.inner_product(v, alphav)
         v = tuple(a - pairing * b for a, b in zip(v, alpha))
     return v
+
+
+@functools.lru_cache(maxsize=None)
+def _reference_coroots(rs):
+    return tuple(rd.coroot(a) for a in rs.simple_roots)
+
+
+def reference_apply(w, v):
+    """w v for a Weyl element w and an ambient vector v: Fraction reflections
+    along w's word, the suite's one reference for images of vectors."""
+    rs = w.realization
+    return _reference_apply_word(w.word, rd.vector(v), rs.simple_roots, _reference_coroots(rs))
 
 
 def _reference_w0_word(simple, coweights):
@@ -247,6 +262,8 @@ def test_build_matches_fraction_reference(kind, rank):
     assert all(type(x) is F for v in positives + coeffs for x in v)
     assert rs.fundamental_coweights == _reference_coweights(simple)
     assert rs.gram == tuple(tuple(rd.inner_product(a, b) for b in simple) for a in simple)
+    omegas = rs.fundamental_coweights
+    assert rs.coweight_gram == tuple(tuple(rd.inner_product(v, w) for w in omegas) for v in omegas)
     word = _reference_w0_word(simple, rs.fundamental_coweights)
     assert weyl.longest_element(rs).word == word
     assert rs.opposition == _reference_opposition(word, simple)
@@ -362,6 +379,24 @@ def test_relative_coweights_res_a1():
     rcs = rd.relative_coweights(g)
     assert len(rcs) == 1
     assert rcs[0].vector == frac_vec(F(1, 2), F(-1, 2), F(1, 2), F(-1, 2))
+
+
+@pytest.mark.parametrize("kind,rank,form,t", [
+    ("A", 3, "split", 3), ("A", 3, "unitary", 2), ("E6", 6, "split", 2), ("A", 1, "split", 50),
+])
+def test_relative_coweights_match_absolute_orbit_sums(kind, rank, form, t):
+    # the Fraction sum of the absolute coweights over each Galois orbit
+    g = rd.build_group(kind, rank, form, t)
+    want = []
+    for orbit in g.galois_orbits:
+        w = (F(0),) * g.absolute.ambient_dim
+        for b in orbit:
+            w = tuple(x + y for x, y in zip(w, g.absolute.fundamental_coweights[b - 1]))
+        want.append(w)
+    rcs = rd.relative_coweights(g)
+    assert [rc.index for rc in rcs] == list(range(1, g.relative_rank + 1))
+    assert [rc.vector for rc in rcs] == want
+    assert all(type(x) is F for rc in rcs for x in rc.vector)
 
 
 @pytest.mark.parametrize("kind,rank,form,t", [

@@ -40,3 +40,11 @@ def test_no_module_imports_numpy():
     sources = sorted(Path(perioddomains.__file__).parent.glob("*.py"))
     assert sources
     assert [path.name for path in sources if "numpy" in _package_imports(path)] == []
+
+
+def test_weyl_and_strata_import_no_fractions():
+    # both read root data as integer Dynkin labels and Cartan integers;
+    # Fraction vectors are rootdata's output view
+    root = Path(perioddomains.__file__).parent
+    assert [name for name in ("weyl.py", "strata.py")
+            if "fractions" in _package_imports(root / name)] == []
