@@ -77,12 +77,10 @@ class Classification:
         return f"pi1(Omega^({self.ell + 1})/{field})"
 
 
-def _fired_sides(entries: tuple[Vector, ...], j: int) -> list[str]:
-    """Sides on which factor j (0-based) satisfies both step and margin conditions."""
-    x = entries[j]
+def _fired_sides(x: Vector, sum_first: Fraction, sum_last: Fraction) -> list[str]:
+    """Sides on which factor x satisfies both step and margin conditions, given
+    the sums of the other factors' first and last entries."""
     sides = []
-    sum_first = sum((e[0] for k, e in enumerate(entries) if k != j), Fraction(0))
-    sum_last = sum((e[-1] for k, e in enumerate(entries) if k != j), Fraction(0))
     if x[1] < 0 and sum_first < -x[1]:
         sides.append(SIDE_FIRST)
     if x[-2] > 0 and sum_last > -x[-2]:
@@ -94,7 +92,6 @@ def classify(g: GroupDatum, nu) -> Classification:
     """Decide pi_1 of the semistable locus for (g, nu)."""
     entries = nu_tuple(g, nu)
     ell = g.base.rank
-    t = g.res_degree
 
     if g.base.kind != "A" or g.form != FORM_SPLIT:
         return Classification(VERDICT_TRIVIAL, None, None, False, None, {}, ())
@@ -102,19 +99,18 @@ def classify(g: GroupDatum, nu) -> Classification:
     details: dict[str, Fraction] = {}
     fired: list[tuple[int, str]] = []
     near_miss: list[int] = []
-    for j in range(t):
-        x = entries[j]
-        details[f"x2[{j + 1}]"] = x[1]
-        details[f"xl[{j + 1}]"] = x[-2]
-        details[f"sum_first_others[{j + 1}]"] = sum(
-            (e[0] for k, e in enumerate(entries) if k != j), Fraction(0))
-        details[f"sum_last_others[{j + 1}]"] = sum(
-            (e[-1] for k, e in enumerate(entries) if k != j), Fraction(0))
-        sides = _fired_sides(entries, j)
+    total_first = sum((e[0] for e in entries), Fraction(0))
+    total_last = sum((e[-1] for e in entries), Fraction(0))
+    for j, x in enumerate(entries, start=1):
+        details[f"x2[{j}]"] = x[1]
+        details[f"xl[{j}]"] = x[-2]
+        details[f"sum_first_others[{j}]"] = sum_first = total_first - x[0]
+        details[f"sum_last_others[{j}]"] = sum_last = total_last - x[-1]
+        sides = _fired_sides(x, sum_first, sum_last)
         if sides:
-            fired.append((j + 1, sides[0]))
+            fired.append((j, sides[0]))
         elif x[1] < 0 or x[-2] > 0:
-            near_miss.append(j + 1)
+            near_miss.append(j)
 
     if not fired:
         return Classification(VERDICT_TRIVIAL, ell, None, False, None, details,

@@ -8,17 +8,20 @@ or inline `key=value` tokens on the command line. Output is deterministic;
 
 Budgets: `budget_cells` caps the orbit elements strata visits, the sum
 over copies and vertices of min(|W/W_{P_i}|, |W/W_P|) (default 65536), and
-is checked before the orbit search. `budget_field` is one cap that verify
-applies to the number of flag points and to the number sum_k [n, k]_q of
-rational subspaces (and translates) tested per point (default 65536). Both
-counts, the shape of the input and the field order bound 2^16
+is checked before the orbit search. verify takes split type A with any t
+dividing m; a point is then a t-tuple of flags, one per copy, and its
+rational subspaces are those of F_{q^t}^n. `budget_field` is one cap that
+verify applies to the number of points (the product of the copies' flag
+counts) and to the number sum_k [n, k]_{q^t} of rational subspaces (and
+translates) tested per point (default 65536). Both counts, t | m, the
+shape of the input and the field order bound 2^16
 (`finflag.MAX_FIELD_ORDER`) are checked before the field is built, and a q
 above that bound before it is factored. Every command refuses a root
 system with more than 600 positive roots (`rootdata.MAX_POSITIVE_ROOTS`;
 A34 has 595), or a restriction of scalars of degree t whose t copies have
 more, before building it; t must be at least 1.
 A verify run that takes longer than two seconds reports its progress on
-stderr.
+stderr. An unstable witness lists each copy's steps, copies joined by `;`.
 
 Exit codes: 0 success, 1 usage/parse, 2 validation, 3 budget exceeded,
 4 oracle disagreement (verify).
@@ -27,6 +30,7 @@ Exit codes: 0 success, 1 usage/parse, 2 validation, 3 budget exceeded,
 from __future__ import annotations
 
 import argparse
+import itertools
 import math
 import os
 import sys
@@ -97,7 +101,7 @@ PROGRESS_INTERVAL_S = 2.0
 
 _KNOWN_KEYS = {
     "command", "kind", "rank", "form", "t", "nu", "q", "p", "e", "m",
-    "dims", "budget_cells", "budget_field", "output",
+    "budget_cells", "budget_field", "output",
 }
 
 
@@ -114,7 +118,6 @@ class JobSpec:
     p: int | None = None
     e: int = 1
     m: int = 1
-    dims: tuple[int, ...] | None = None
     budget_cells: int | None = None
     budget_field: int | None = None
     output: str = "text"
@@ -204,9 +207,6 @@ def parse_jobspec(text: str) -> JobSpec:
         job.e = _parse_int(get("e"), lineof("e"), "e")
     if "m" in raw:
         job.m = _parse_int(get("m"), lineof("m"), "m")
-    if "dims" in raw:
-        job.dims = tuple(_parse_int(x, lineof("dims"), "dims")
-                         for x in get("dims").split(","))
     for key in ("budget_cells", "budget_field"):
         if key in raw:
             budget = _parse_int(get(key), lineof(key), key)
@@ -287,24 +287,25 @@ def _run_strata(job: JobSpec, record: bool) -> tuple[int, str]:
 def _run_verify(job: JobSpec, record: bool) -> tuple[int, str]:
     if job.nu is None:
         raise ValidationError("verify requires nu")
-    if job.t != 1 or job.form != FORM_SPLIT or job.kind != "A":
-        raise ValidationError("verify supports split type A with t=1")
+    if job.form != FORM_SPLIT or job.kind != "A":
+        raise ValidationError("verify supports split type A")
     if job.p is None:
         raise ValidationError("verify requires a field (q or p/e, plus m)")
-    # the field's own checks, the dims, the point budget, the shape of the
-    # input and the subspace budget all run before the field's tables are
-    # built, which takes up to a second at 2^16
+    # the field's own checks, t | m, the dims, the point budget, the shape of
+    # the input and the subspace budget all run before the field's tables
+    # are built, which takes up to a second at 2^16
     order = checked_field_order(job.p, job.e, job.m)
-    nu = job.nu[0]
-    dims = flag_dims(nu)
-    if job.dims is not None and job.dims != dims:
-        raise ValidationError(f"dims {job.dims} do not match nu steps {dims}")
+    if job.m % job.t:
+        raise ValidationError(f"t={job.t} does not divide m={job.m}: no degree-t extension")
+    dims = [flag_dims(nu) for nu in job.nu]
     budget = DEFAULT_BUDGET_FIELD if job.budget_field is None else job.budget_field
-    points = checked_flag_count(job.rank, dims, order, budget)
-    split_nu(build_group(job.kind, job.rank), job.nu)  # (kind, rank) and len(nu)
-    # both tests visit every rational subspace of F_q^n at every point
+    points = math.prod(checked_flag_count(job.rank, d, order) for d in dims)
+    if points > budget:
+        raise BudgetExceeded(f"{points} flag points exceed budget {budget}")
+    split_nu(build_group(job.kind, job.rank, job.form, job.t), job.nu)  # (kind, rank), len(nu)
+    # both tests visit every subspace of F_{q^t}^n at every point
     n = job.rank + 1
-    subspaces = sum(gaussian_binomial(n, k, job.p ** job.e) for k in range(1, n))
+    subspaces = sum(gaussian_binomial(n, k, job.p ** (job.e * job.t)) for k in range(1, n))
     if subspaces > budget:
         raise BudgetExceeded(f"{subspaces} rational subspaces exceed budget")
     ff = finite_field(job.p, job.e, job.m)
@@ -313,9 +314,12 @@ def _run_verify(job: JobSpec, record: bool) -> tuple[int, str]:
     disagreements = 0
     witnesses: list[str] = []
     next_report = time.monotonic() + PROGRESS_INTERVAL_S
-    for x in enumerate_flags(ff, job.rank, dims):
-        a = is_semistable_subspace_test(x, nu, ff)
-        b = is_semistable_strata_test(x, nu, ff)
+    # the first copy's points stream; the tuples of the others are listed once
+    copies = [enumerate_flags(ff, job.rank, d) for d in dims]
+    others = list(itertools.product(*copies[1:]))
+    for x in ((first,) + rest for first in copies[0] for rest in others):
+        a = is_semistable_subspace_test(x, job.nu, ff)
+        b = is_semistable_strata_test(x, job.nu, ff)
         total += 1
         now = time.monotonic()
         if now >= next_report:
@@ -326,9 +330,9 @@ def _run_verify(job: JobSpec, record: bool) -> tuple[int, str]:
         if a != b:
             disagreements += 1
         if not a and len(witnesses) < 3:
-            witnesses.append("|".join(
+            witnesses.append(";".join("|".join(
                 " ".join(",".join(str(v) for v in row) for row in step)
-                for step in x.bases))
+                for step in copy.bases) for copy in x))
 
     lines = [
         _kv("points", total, record),
@@ -392,9 +396,10 @@ def main(argv=None) -> int:
     parser = _Parser(prog="perioddomains", description=__doc__.splitlines()[0],
                      epilog=f"A root system with more than {MAX_POSITIVE_ROOTS} positive "
                             "roots, counting every copy of a restriction of scalars, is "
-                            "refused with exit code 3 before it is built. verify checks "
-                            "its field order, flag points and rational subspaces before "
-                            "it builds the field.")
+                            "refused with exit code 3 before it is built. verify takes split "
+                            "type A with t dividing m, and checks its field order, t | m, "
+                            "flag points (the product over the t copies) and rational "
+                            "subspaces before it builds the field.")
     parser.add_argument("command", choices=_COMMANDS)
     parser.add_argument("config", nargs="*",
                         help="config file, '-' for stdin, or inline key=value tokens")
@@ -442,7 +447,12 @@ def main(argv=None) -> int:
         code, text = run_job(job)
     except PeriodDomainError as exc:
         return report_error(exc)
-    print(text)
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        # the reader has closed stdout; point it at devnull so that the flush
+        # at exit does not raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return code
 
 

@@ -1,11 +1,16 @@
 """Finite-field oracle: enumerate flag-variety points and test semistability.
 
-Two routes decide semistability of a type-A flag point. Both read the
-intersection profiles b -> dim(U cap F^b) of the rational subspaces U
-against the steps F^b of the point from one kernel, `intersection_profiles`:
-per point it tabulates u . a once for every rational echelon row u and
-every vector a of each step's annihilator, so each U costs lookups plus the
-rank of a small matrix. The two routes keep separate formulas on top:
+Two routes decide semistability of a point of a type-A flag variety, or,
+for the restriction of scalars Res_{k'/k} GL_n with [k' : k] = t and t | m,
+of a t-tuple of flag points (F_0, ..., F_{t-1}), one per copy. A
+k-rational subspace is then a k'-subspace U of k'^n, and copy j meets
+Frob_q^j(U) (Dat-Orlik-Rapoport, Period Domains over Finite and p-adic
+Fields, 2010); t = 1 is the split case. Both routes read the intersection
+profiles (dim(Frob^j U cap F_j^b))_{j, b} from one kernel,
+`intersection_profiles`: per point it tabulates u . a once for every
+echelon row u of the U and every vector a of each Frob^-j-twisted step's
+annihilator, so each U costs lookups plus the rank of a small matrix. The
+two routes keep separate formulas on top, each summed over the copies:
 
 * the subspace test compares the weighted-average jump `slope` of each
   profile with the ambient slope;
@@ -31,9 +36,9 @@ digits keep it cheap; F_{2^16} builds in about 0.65 s and F_{3^10} in about
 dense addition/multiplication tables are layered on top of the Zech data.
 
 The tests and the enumeration take no budget. A caller bounds the work up
-front: `checked_flag_count` gives the number of points, and every point is
-tested against all sum_k [n, k]_q rational subspaces (or translates), a
-number fixed by n and q alone.
+front: `checked_flag_count` gives each copy's number of points, and every
+point is tested against all sum_k [n, k]_{q^t} rational subspaces (or
+translates), a number fixed by n and q^t alone.
 """
 
 from __future__ import annotations
@@ -48,14 +53,12 @@ from typing import Iterator, Sequence
 from .errors import (
     BudgetExceeded,
     InvariantViolation,
-    MalformedNu,
     SingularTransform,
     ValidationError,
     ZeroDimensional,
 )
 from .rootdata import (
     build_root_system,
-    format_vector,
     inner_product,
     reflect_labels,
     run_lengths,
@@ -292,11 +295,12 @@ class FiniteField:
             raise ZeroDivisionError("inverse of zero")
         return self.exp[(-self.log[a]) % (self.order - 1)]
 
-    def frobenius(self, a: int) -> int:
-        """The base-field Frobenius a -> a^q."""
+    def frobenius(self, a: int, power: int = 1) -> int:
+        """The base-field Frobenius a -> a^q, applied `power` times (mod m)."""
         if a == 0:
             return 0
-        return self.exp[(self.log[a] * self.q) % (self.order - 1)]
+        Q1 = self.order - 1
+        return self.exp[self.log[a] * pow(self.q, power % self.m, Q1) % Q1]
 
     def subfield(self, size: int) -> tuple[int, ...]:
         """Elements of the subfield with `size` elements, sorted."""
@@ -310,11 +314,6 @@ class FiniteField:
             raise ValidationError(f"no subfield of size {size} in F_{self.order}")
         self._subfields[size] = elems
         return elems
-
-    @property
-    def base_elements(self) -> tuple[int, ...]:
-        """The rational (degree-one) subfield F_q inside F_{q^m}."""
-        return self.subfield(self.q)
 
     def __repr__(self):
         return f"FiniteField(p={self.p}, e={self.e}, m={self.m})"
@@ -441,20 +440,16 @@ def flag_count(n: int, dims: Sequence[int], order: int) -> int:
     return count
 
 
-def checked_flag_count(ell: int, dims: Sequence[int], order: int,
-                       max_points: int | None = None) -> int:
+def checked_flag_count(ell: int, dims: Sequence[int], order: int) -> int:
     """The number of points of the flag variety with step dims `dims` in an
     (ell+1)-space over the field of `order` elements. Illegal dims raise
     ValidationError, the check `enumerate_flags` makes before its first
-    point; more than `max_points` points raise BudgetExceeded."""
+    point."""
     dims = tuple(dims)
     if any(d1 >= d2 for d1, d2 in zip(dims, dims[1:])) or \
             any(not 1 <= d <= ell for d in dims):
         raise ValidationError(f"illegal step dimensions {dims} for ell={ell}")
-    total = flag_count(ell + 1, dims, order)
-    if max_points is not None and total > max_points:
-        raise BudgetExceeded(f"{total} flag points exceed budget {max_points}")
-    return total
+    return flag_count(ell + 1, dims, order)
 
 
 def enumerate_flags(ff: FiniteField, ell: int, dims: Sequence[int]) -> Iterator[FlagPoint]:
@@ -493,15 +488,15 @@ def enumerate_flags(ff: FiniteField, ell: int, dims: Sequence[int]) -> Iterator[
 
 
 @lru_cache(maxsize=None)
-def _rational_rows(ff: FiniteField,
-                   n: int) -> tuple[tuple[Row, ...], tuple[tuple[tuple[int, ...], ...], ...]]:
-    """Distinct echelon rows of the rational subspaces of F_q^n, and, for each
-    k = 1..n-1, every rational k-dimensional subspace (in `enumerate_rref`
-    order) as indices into them."""
+def _rational_rows(ff: FiniteField, n: int,
+                   t: int) -> tuple[tuple[Row, ...], tuple[tuple[tuple[int, ...], ...], ...]]:
+    """Distinct echelon rows of the subspaces of F_{q^t}^n, and, for each
+    k = 1..n-1, every k-dimensional one (in `enumerate_rref` order) as
+    indices into them. A t that does not divide m raises ValidationError."""
     index: dict[Row, int] = {}
     families = tuple(
         tuple(tuple(index.setdefault(row, len(index)) for row in u)
-              for u in enumerate_rref(n, k, ff.base_elements, ff))
+              for u in enumerate_rref(n, k, ff.subfield(ff.q ** t), ff))
         for k in range(1, n))
     return tuple(index), families
 
@@ -516,35 +511,43 @@ def _rank(vecs: Sequence[Row], ff: FiniteField) -> int:
     return len(rref(vecs, ff)[0])
 
 
-def intersection_profiles(x: FlagPoint, n: int,
+def intersection_profiles(points: Sequence[FlagPoint], n: int,
                           ff: FiniteField) -> Iterator[tuple[int, set[tuple[int, ...]]]]:
-    """For k = 1..n-1, the distinct profiles (dim(U cap F^b))_b of the point's
-    proper steps F^b, over all rational k-dimensional subspaces U.
+    """For k = 1..n-1, the distinct profiles over all k-dimensional subspaces
+    U of F_{q^t}^n, t = len(points): the dims dim(Frob^j U cap F_j^b) for the
+    proper steps F_j^b of copy j, concatenated over j = 0..t-1. For t = 1
+    these are the rational subspaces of F_q^n.
 
-    Each step is put in echelon form once; its annihilator has one vector a_f
-    per free column f, and dim(U cap F^b) = k - rank(u . a_f) over the rows u
-    of U and the free columns f. The products u . a_f are tabulated once per
-    rational row u, so each U costs lookups plus the rank of a
-    k x (n - dim F^b) matrix.
+    dim(Frob^j U cap F) = dim(U cap Frob^-j F), so copy j's steps are
+    twisted by Frob^-j and every copy reads the rows of U itself. Each step
+    is put in echelon form once; its annihilator has one vector a_f per free
+    column f, and dim(U cap F^b) = k - rank(u . a_f) over the rows u of U and
+    the free columns f. The products u . a_f are tabulated once per row u,
+    so each U costs lookups plus the rank of a k x (n - dim F^b) matrix.
     """
-    rows, families = _rational_rows(ff, n)
+    rows, families = _rational_rows(ff, n, len(points))
     add, mul = ff.add, ff.mul
     tables = []
-    for basis in x.bases:
-        ech, pivots = rref(basis, ff)
-        annihilator = [(f, [(pc, ff.neg(r[f])) for r, pc in zip(ech, pivots) if r[f]])
-                       for f in range(n) if f not in pivots]
-        table = []
-        for u in rows:
-            products = []
-            for f, terms in annihilator:
-                s = u[f]
-                for pc, c in terms:
-                    if u[pc]:
-                        s = add(s, mul(u[pc], c))
-                products.append(s)
-            table.append(tuple(products) if any(products) else None)  # None: u in F^b
-        tables.append(table)
+    power = 0  # copy j's steps take Frob^-j
+    for x in points:
+        for basis in x.bases:
+            if power:
+                basis = [[ff.frobenius(v, power) for v in row] for row in basis]
+            ech, pivots = rref(basis, ff)
+            annihilator = [(f, [(pc, ff.neg(r[f])) for r, pc in zip(ech, pivots) if r[f]])
+                           for f in range(n) if f not in pivots]
+            table = []
+            for u in rows:
+                products = []
+                for f, terms in annihilator:
+                    s = u[f]
+                    for pc, c in terms:
+                        if u[pc]:
+                            s = add(s, mul(u[pc], c))
+                    products.append(s)
+                table.append(tuple(products) if any(products) else None)  # None: u in F^b
+            tables.append(table)
+        power -= 1
     for k, family in enumerate(families, start=1):
         per_step = [[k - _rank([t[r] for r in u if t[r] is not None], ff) for u in family]
                     for t in tables]
@@ -571,33 +574,60 @@ def slope(u_dim: int, induced_jump_dims: Sequence[int], nu) -> Fraction:
     return total / u_dim
 
 
-def _check_point(x: FlagPoint, dims: tuple[int, ...], n: int) -> None:
-    if x.dims != dims:
-        raise ValidationError(f"flag dims {x.dims} do not match cocharacter dims {dims}")
-    if x.bases and len(x.bases[0][0]) != n:  # every row of a point has one width
-        raise ValidationError(f"flag point of width {len(x.bases[0][0])}, nu of length {n}")
+def _factors(nu: tuple) -> tuple[tuple[tuple[Fraction, ...], ...], tuple[tuple[int, ...], ...]]:
+    """The factors of a flat nu (t = 1) or of t vectors, as exact vectors of
+    one length, and their flag dims."""
+    nus = tuple(map(vector, nu)) if nu and isinstance(nu[0], tuple) else (vector(nu),)
+    if len({len(v) for v in nus}) != 1:
+        raise ValidationError(f"cocharacter factors of lengths {[len(v) for v in nus]}")
+    return nus, tuple(map(flag_dims, nus))
+
+
+def _split(profile: tuple[int, ...], dims) -> list[tuple[int, ...]]:
+    """A profile concatenated over the copies, cut into one part per copy."""
+    it = iter(profile)
+    return [tuple(itertools.islice(it, len(d))) for d in dims]
+
+
+def _check_points(points: tuple[FlagPoint, ...], dims, n: int) -> None:
+    if len(points) != len(dims):
+        raise ValidationError(f"{len(points)} flag points for {len(dims)} cocharacter factors")
+    j = 0  # a plain loop: zip would cost more than the checks for t = 1
+    for x in points:
+        if x.dims != dims[j]:
+            raise ValidationError(f"flag dims {x.dims} do not match cocharacter dims {dims[j]}")
+        if x.bases and len(x.bases[0][0]) != n:  # every row of a point has one width
+            raise ValidationError(f"flag point of width {len(x.bases[0][0])}, nu of length {n}")
+        j += 1
 
 
 @lru_cache(maxsize=256)
 def _slope_test(nu: tuple):
-    """The flag dims of nu, and k, profile -> whether a rational k-dimensional
-    U with that profile has slope above the ambient one; memoized per nu."""
-    nu = vector(nu)
-    ambient = sum(nu) / len(nu)
+    """The width n and flag dims of the factors of nu, and k, profile ->
+    whether a k-dimensional U with that profile has a slope above the ambient
+    one, both summed over the copies; memoized per nu."""
+    nus, dims = _factors(nu)
+    ambient = sum(sum(v) / len(v) for v in nus)
 
     @lru_cache(maxsize=None)
     def above(k: int, profile: tuple[int, ...]) -> bool:
-        return slope(k, profile + (k,), nu) > ambient
-    return flag_dims(nu), above
+        parts = _split(profile, dims)
+        return sum(slope(k, part + (k,), v) for part, v in zip(parts, nus)) > ambient
+    return len(nus[0]), dims, above
 
 
-def is_semistable_subspace_test(x: FlagPoint, nu, ff: FiniteField) -> bool:
-    """Subspace route: every rational subspace has slope at most the ambient slope."""
-    nu = tuple(nu)
-    dims, above = _slope_test(nu)
-    n = len(nu)
-    _check_point(x, dims, n)
-    for k, profiles in intersection_profiles(x, n, ff):
+def is_semistable_subspace_test(x, nu, ff: FiniteField) -> bool:
+    """Subspace route: every rational subspace has slope at most the ambient slope.
+
+    x is a FlagPoint and nu one vector, or, for a restriction of scalars of
+    degree t (t | m), x holds t points and nu is a tuple of t factor tuples;
+    the rational subspaces are then those of F_{q^t}^n, and slopes add over
+    the copies.
+    """
+    points = (x,) if isinstance(x, FlagPoint) else tuple(x)
+    n, dims, above = _slope_test(tuple(nu))
+    _check_points(points, dims, n)
+    for k, profiles in intersection_profiles(points, n, ff):
         if any(above(k, p) for p in profiles):
             return False
     return True
@@ -641,9 +671,10 @@ def relative_position(x: FlagPoint, g: Sequence[Sequence[int]],
 
 @lru_cache(maxsize=256)
 def _vertex_pairings(nu: tuple):
-    """The flag dims of nu, and i, profile -> (omega_i, w nu) for the position
-    w of a point relative to a rational i-dimensional T, read from profile =
-    (dim(T cap F^b))_b; memoized per nu.
+    """The width n and flag dims of the factors of nu, and i, profile -> the
+    sum over copies j of (omega_i, w_j nu_j) for the position w_j of copy j
+    relative to Frob^j T, T an i-dimensional subspace of F_{q^t}^n, read
+    from its part (dim(Frob^j T cap F_j^b))_b of the profile; memoized per nu.
 
     The one-line representative of the double coset W_{P_i} w W_P puts, in
     block b, dim(T cap F^b) - dim(T cap F^{b-1}) values from 1..i followed by
@@ -652,39 +683,41 @@ def _vertex_pairings(nu: tuple):
     is sum_j c_j (omega_j, nu) for the labels c of w^-1 omega_i, which
     start at e_i and take w's word first letter first.
     """
-    nu = vector(nu)
-    n = len(nu)
-    dims = flag_dims(nu)
-    steps = dims + (n,)
+    nus, dims = _factors(nu)
+    n = len(nus[0])
     rs = build_root_system("A", n - 1)
-    weights = tuple(inner_product(w, nu) for w in rs.fundamental_coweights)
+    weights = [tuple(inner_product(w, v) for w in rs.fundamental_coweights) for v in nus]
 
-    @lru_cache(maxsize=None)
-    def pairing(i: int, profile: tuple[int, ...]) -> Fraction:
+    def labels(i: int, steps: tuple[int, ...], part: tuple[int, ...]) -> tuple[int, ...]:
         small, large = iter(range(1, i + 1)), iter(range(i + 1, n + 1))
         one_line: list[int] = []
         prev_d = prev_c = 0
-        for d, c in zip(steps, profile + (i,)):
+        for d, c in zip(steps, part + (i,)):
             one_line += [next(small) for _ in range(c - prev_c)]
             one_line += [next(large) for _ in range(d - prev_d - c + prev_c)]
             prev_d, prev_c = d, c
         c = tuple(int(j == i - 1) for j in range(n - 1))
         for k in permutation_element(rs, one_line).word:
             c = reflect_labels(rs.cartan, c, k - 1)
-        return sum(map(mul, c, weights))
-    return dims, pairing
+        return c
+
+    @lru_cache(maxsize=None)
+    def pairing(i: int, profile: tuple[int, ...]) -> Fraction:
+        return sum(sum(map(mul, labels(i, d + (n,), part), w))
+                   for d, part, w in zip(dims, _split(profile, dims), weights))
+    return n, dims, pairing
 
 
-def is_semistable_strata_test(x: FlagPoint, nu, ff: FiniteField) -> bool:
+def is_semistable_strata_test(x, nu, ff: FiniteField) -> bool:
     """Strata route: no rational translate of a vertex stratum contains the point.
 
-    Every translate class g P_i, one per rational i-dimensional T, is checked.
+    Every translate class g P_i, one per rational i-dimensional T, is checked;
+    x and nu are read as by `is_semistable_subspace_test`.
     """
-    nu = tuple(nu)
-    dims, pairing = _vertex_pairings(nu)
-    n = len(nu)
-    _check_point(x, dims, n)
-    for i, profiles in intersection_profiles(x, n, ff):
+    points = (x,) if isinstance(x, FlagPoint) else tuple(x)
+    n, dims, pairing = _vertex_pairings(tuple(nu))
+    _check_points(points, dims, n)
+    for i, profiles in intersection_profiles(points, n, ff):
         if any(pairing(i, p) > 0 for p in profiles):
             return False
     return True
@@ -699,69 +732,3 @@ def count_semistable(ff: FiniteField, ell: int, nu) -> int:
         if is_semistable_subspace_test(x, nu, ff):
             count += 1
     return count
-
-
-# ---------------------------------------------------------------------------
-# restriction-of-scalars check for t=2, rank 1 (pairs of projective lines)
-
-
-def projective_line_points(ff: FiniteField) -> tuple[Row, ...]:
-    """P^1 over the working field, points as normalized (1, x) and (0, 1)."""
-    return tuple((1, x) for x in range(ff.order)) + ((0, 1),)
-
-
-def _frobenius_line(L: Row, ff: FiniteField) -> Row:
-    return (L[0], ff.frobenius(L[1])) if L[0] == 1 else L
-
-
-def _res_pair_weights(nu1, nu2) -> tuple[Fraction, Fraction]:
-    a = vector(nu1)
-    b = vector(nu2)
-    for x in (a, b):
-        if len(x) != 2 or sum(x) != 0 or x[0] < 0:
-            raise MalformedNu(f"factor {format_vector(x)} is not a dominant sum-zero pair")
-    return a[0], b[0]
-
-
-def is_semistable_res_pair(ff: FiniteField, L1: Row, L2: Row, nu1, nu2) -> bool:
-    """Semistability of a point of P^1 x P^1 for the degree-2 scalar restriction.
-
-    The working field must contain the quadratic extension k' of the base
-    field; rational translates are indexed by k'-rational lines T, matching
-    the first factor directly and the second through the base Frobenius.
-    """
-    if ff.m % 2 != 0:
-        raise ValidationError("working field must contain the quadratic extension")
-    a, b = _res_pair_weights(nu1, nu2)
-    kprime = set(ff.subfield(ff.q ** 2))
-    for t in projective_line_points(ff):
-        if not (t[1] in kprime if t[0] == 1 else True):
-            continue
-        value = (a if L1 == t else -a) + (b if L2 == _frobenius_line(t, ff) else -b)
-        if value > 0:
-            return False
-    return True
-
-
-def count_semistable_res_pair(ff: FiniteField, nu1, nu2) -> tuple[int, int]:
-    """(semistable, total) point counts for the degree-2 restriction case."""
-    a, b = _res_pair_weights(nu1, nu2)
-    points = projective_line_points(ff)
-    if a == 0 and b == 0:
-        return 1, 1
-    if b == 0:
-        pairs = [(L, None) for L in points]
-    elif a == 0:
-        pairs = [(None, L) for L in points]
-    else:
-        pairs = [(L1, L2) for L1 in points for L2 in points]
-    fixed = (1, 0)
-    count = 0
-    for L1, L2 in pairs:
-        ok = is_semistable_res_pair(ff, L1 if L1 is not None else fixed,
-                                    L2 if L2 is not None else fixed,
-                                    nu1 if L1 is not None else (0, 0),
-                                    nu2 if L2 is not None else (0, 0))
-        if ok:
-            count += 1
-    return count, len(pairs)

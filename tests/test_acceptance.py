@@ -5,6 +5,7 @@ report. Every assertion is exact (rational sign tests or integer counts);
 the stated runtime bounds are asserted as well.
 """
 
+import itertools
 import random
 import time
 from fractions import Fraction as F
@@ -13,6 +14,7 @@ from perioddomains import classify as cf
 from perioddomains import finflag as ffl
 from perioddomains import rootdata as rd
 from perioddomains import strata, weyl
+from test_finflag import frobenius_point
 from test_rootdata import reference_apply
 
 SEED = 20240811
@@ -235,15 +237,16 @@ def test_criterion_7_scalar_restriction_example():
 
     # finite check at q=2: the working field is the quadratic extension F4;
     # the semistable locus of the equal-weights case is P1 x P1 minus a
-    # twisted-diagonal copy of P1(F4): 25 - 5 = 20 points.
+    # twisted-diagonal copy of P1(F4): 25 - 5 = 20 points. A point is a pair
+    # of flag points, one per copy, read by the general restriction route.
     ff = ffl.finite_field(2, 1, 2)
-    count, total = ffl.count_semistable_res_pair(ff, (1, -1), (1, -1))
-    assert (count, total) == (20, 25)
-    points = ffl.projective_line_points(ff)
-    unstable = {(L1, L2) for L1 in points for L2 in points
-                if not ffl.is_semistable_res_pair(ff, L1, L2, (1, -1), (1, -1))}
-    assert unstable == {(L, ffl._frobenius_line(L, ff)) for L in points}
-    assert len(unstable) == 5 == total - count
+    nus = ((1, -1), (1, -1))
+    lines = list(ffl.enumerate_flags(ff, 1, (1,)))
+    pairs = list(itertools.product(lines, repeat=2))
+    unstable = {x for x in pairs if not ffl.is_semistable_subspace_test(x, nus, ff)}
+    assert unstable == {x for x in pairs if not ffl.is_semistable_strata_test(x, nus, ff)}
+    assert unstable == {(x, frobenius_point(x, ff)) for x in lines}
+    assert len(pairs) == 25 and len(unstable) == 5 == len(lines)
     _report(7, "degree-2 restriction example: verdicts and the 25-5=20 "
                "diagonal-complement count exact")
 

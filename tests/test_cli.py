@@ -116,6 +116,38 @@ def test_verify_end_to_end():
     assert "agreement = ok" in lines
 
 
+def test_verify_restriction_of_scalars():
+    # degree-2 restriction over F_4 = k': pairs of points of P^1(F_4), of
+    # which the twisted diagonal {(L, Frob L)} is unstable
+    code, out = run_main("verify", "--record", "kind=A rank=1 t=2 nu=1,-1;1,-1 q=2 m=2")
+    assert code == cli.EXIT_OK
+    assert out.splitlines() == [
+        "points=25", "semistable=20", "unstable=5", "disagreements=0", "agreement=ok",
+        "unstable_witness_1=1,0;1,0", "unstable_witness_2=1,1;1,1",
+        "unstable_witness_3=1,2;1,3"]
+    # a constant factor is a point: P^1(F_16) minus P^1(F_4)
+    code, out = run_main("verify", "kind=A rank=1 t=2 nu=1,-1;0,0 q=2 m=4")
+    assert code == cli.EXIT_OK
+    assert out.splitlines()[:3] == ["points = 17", "semistable = 12", "unstable = 5"]
+
+
+def test_closed_stdout_is_not_a_traceback():
+    # the reader of stdout has gone before the report is written
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(__file__).parents[1] / "src"), env.get("PYTHONPATH", "")])
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "perioddomains.cli", "verify",
+             "kind=A rank=1 nu=1,-1 p=2 e=2 m=1"],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, env=env, timeout=60)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (cli.EXIT_OK, "")
+
+
 @pytest.mark.parametrize("flags", [(), ("--record",)])
 def test_verify_progress_goes_to_stderr_only(monkeypatch, capsys, flags):
     job = ("verify", "kind=A rank=2 nu=1,0,-1 q=2 m=1", *flags)
@@ -280,8 +312,9 @@ def test_default_field_budget_refuses_huge_verify(capsys):
      "budget exceeded: field order 131072 exceeds bound 65536"),
     ("kind=A rank=3 nu=1,0,0,-1 p=6 m=10", cli.EXIT_VALIDATION,
      "validation error: 6 is not prime"),
-    ("kind=A rank=3 nu=1,0,0,-1 q=3 m=10 dims=2", cli.EXIT_VALIDATION,
-     "validation error: dims (2,) do not match nu steps (1, 3)"),
+    # verify derives the flag dims from nu, so there is no dims key
+    ("kind=A rank=3 nu=1,0,0,-1 q=3 m=10 dims=2", cli.EXIT_USAGE,
+     "parse error: line 1: unknown key 'dims'"),
     ("kind=A rank=2 nu=1,0,0,-1 q=3 m=10", cli.EXIT_VALIDATION,
      "validation error: illegal step dimensions (1, 3) for ell=2"),
     # the shape of the input: len(nu) = rank + 1, and a legal (kind, rank)
@@ -301,6 +334,15 @@ def test_default_field_budget_refuses_huge_verify(capsys):
     # subspaces
     ("kind=A rank=3 nu=3,-1,-1,-1 q=2 m=1 budget_field=20", cli.EXIT_BUDGET,
      "budget exceeded: 65 rational subspaces exceed budget"),
+    # a restriction of scalars of degree t needs t | m, and its points are
+    # t-tuples: 17 * 17 pairs of points of P^1(F_16)
+    ("kind=A rank=1 t=2 nu=1,-1;1,-1 q=2 m=3", cli.EXIT_VALIDATION,
+     "validation error: t=2 does not divide m=3: no degree-t extension"),
+    ("kind=A rank=1 t=2 nu=1,-1;1,-1 q=2 m=4 budget_field=100", cli.EXIT_BUDGET,
+     "budget exceeded: 289 flag points exceed budget 100"),
+    # P^2 over F_4 has 21 points, and F_4^3 has 42 subspaces, not F_2^3's 14
+    ("kind=A rank=2 t=2 nu=2,-1,-1;0,0,0 q=2 m=2 budget_field=30", cli.EXIT_BUDGET,
+     "budget exceeded: 42 rational subspaces exceed budget"),
 ])
 def test_verify_refuses_before_building_the_field(config, code, err, capsys, monkeypatch):
     def no_field(*args):

@@ -127,10 +127,10 @@ def test_generator_of_wrong_order_is_an_invariant_violation():
 def test_frobenius_fixes_exactly_the_base_field():
     ff = ffl.finite_field(2, 1, 3)
     fixed = {a for a in range(ff.order) if ff.frobenius(a) == a}
-    assert fixed == set(ff.base_elements)
+    assert fixed == set(ff.subfield(ff.q))
     ff = ffl.finite_field(2, 2, 2)  # base F4 inside F16
     fixed = {a for a in range(ff.order) if ff.frobenius(a) == a}
-    assert fixed == set(ff.base_elements)
+    assert fixed == set(ff.subfield(ff.q))
     assert len(fixed) == 4
 
 
@@ -167,8 +167,6 @@ def test_flag_counts(q, m, ell, dims, expected):
 def test_flag_budget_and_validation():
     ff = ffl.finite_field(2, 1, 2)
     assert ffl.checked_flag_count(2, (1, 2), ff.order) == 105
-    with pytest.raises(BudgetExceeded):
-        ffl.checked_flag_count(2, (1, 2), ff.order, max_points=3)
     with pytest.raises(ValidationError):
         list(ffl.enumerate_flags(ff, 2, (2, 1)))
     with pytest.raises(ValidationError):
@@ -229,7 +227,7 @@ def test_run_lengths_and_dims():
 
 def test_semistable_p1_f4():
     ff = ffl.finite_field(2, 1, 2)
-    rational = set(ff.base_elements)
+    rational = set(ff.subfield(ff.q))
     for x in ffl.enumerate_flags(ff, 1, (1,)):
         row = x.bases[0][0]
         is_rational = all(v in rational for v in row)
@@ -325,11 +323,40 @@ def _completed_basis(t_rows, ff, n):
 def test_intersection_profiles_match_brute_force(q, m, ell, dims, every):
     ff = ffl.finite_field(q, 1, m)
     n = ell + 1
-    rational = {k: list(ffl.enumerate_rref(n, k, ff.base_elements, ff)) for k in range(1, n)}
+    rational = {k: list(ffl.enumerate_rref(n, k, ff.subfield(ff.q), ff)) for k in range(1, n)}
     for x in list(ffl.enumerate_flags(ff, ell, dims))[::every]:
         spans = _step_spans(x, ff)
         want = {k: {_brute_profile(u, spans, ff) for u in us} for k, us in rational.items()}
+        assert dict(ffl.intersection_profiles((x,), n, ff)) == want, x
+
+
+@pytest.mark.parametrize("q,m,ell,dims", [
+    (2, 2, 1, ((1,), (1,))),        # pairs of lines in F_4^2, k' = F_4
+    (2, 4, 1, ((1,), (1,))),        # pairs over F_16, k' = F_4
+    (2, 3, 1, ((1,), (1,), (1,))),  # triples over F_8, k' = F_8: Frob^-1 is not Frob
+    (2, 2, 2, ((1,), (1, 2))),      # a line and a full flag of F_4^3
+])
+def test_intersection_profiles_of_copies_match_brute_force(q, m, ell, dims):
+    # copy j of a t-tuple meets Frob^j U for every subspace U of F_{q^t}^n
+    ff = ffl.finite_field(q, 1, m)
+    n, t = ell + 1, len(dims)
+    subspaces = {k: list(ffl.enumerate_rref(n, k, ff.subfield(q ** t), ff)) for k in range(1, n)}
+    points = list(itertools.product(*(ffl.enumerate_flags(ff, ell, d) for d in dims)))
+    for x in points[::max(1, len(points) // 40)]:
+        spans = [_step_spans(copy, ff) for copy in x]
+        want = {k: {sum((_brute_profile([[ff.frobenius(v, j) for v in row] for row in u],
+                                        spans[j], ff) for j in range(t)), ())
+                    for u in us}
+                for k, us in subspaces.items()}
         assert dict(ffl.intersection_profiles(x, n, ff)) == want, x
+
+
+def test_frobenius_powers():
+    ff = ffl.finite_field(2, 2, 3)  # F_64 over F_4: Frob_4 has order 3
+    for a in range(ff.order):
+        assert ff.frobenius(a, 0) == a == ff.frobenius(a, 3)
+        assert ff.frobenius(a, 2) == ff.frobenius(ff.frobenius(a))
+        assert ff.frobenius(ff.frobenius(a, -1)) == a
 
 
 @pytest.mark.parametrize("p,e,m,n", [
@@ -337,13 +364,13 @@ def test_intersection_profiles_match_brute_force(q, m, ell, dims, every):
 ])
 def test_rational_subspace_counts(p, e, m, n):
     ff = ffl.finite_field(p, e, m)
-    rows, families = ffl._rational_rows(ff, n)
+    rows, families = ffl._rational_rows(ff, n, 1)
     assert len(set(rows)) == len(rows)
-    assert all(v in ff.base_elements for row in rows for v in row)
+    assert all(v in ff.subfield(ff.q) for row in rows for v in row)
     for k, family in enumerate(families, start=1):
         assert len(family) == len(set(family)) == ffl.gaussian_binomial(n, k, ff.q)
         assert family == tuple(tuple(rows.index(r) for r in u)
-                               for u in ffl.enumerate_rref(n, k, ff.base_elements, ff))
+                               for u in ffl.enumerate_rref(n, k, ff.subfield(ff.q), ff))
 
 
 @pytest.mark.parametrize("q,m,nu,every", [
@@ -357,11 +384,11 @@ def test_vertex_pairing_matches_relative_position(q, m, nu, every):
     ff = ffl.finite_field(q, 1, m)
     n = len(nu)
     rs = rd.build_root_system("A", n - 1)
-    _, pairing = ffl._vertex_pairings(rd.vector(nu))
+    _, _, pairing = ffl._vertex_pairings(rd.vector(nu))
     for x in list(ffl.enumerate_flags(ff, n - 1, ffl.flag_dims(nu)))[::every]:
         spans = _step_spans(x, ff)
         for i in range(1, n):
-            for t in ffl.enumerate_rref(n, i, ff.base_elements, ff):
+            for t in ffl.enumerate_rref(n, i, ff.subfield(ff.q), ff):
                 w = ffl.relative_position(x, _completed_basis(t, ff, n), ff)
                 want = rd.inner_product(rs.fundamental_coweights[i - 1],
                                         reference_apply(w, nu))
@@ -457,38 +484,92 @@ def test_every_point_semistable_when_unstable_locus_empty():
     assert ffl.is_semistable_strata_test(points[0], (0, 0), ff)
 
 
-def test_res_pair_diagonal_complement():
+def frobenius_point(x, ff):
+    """The point whose steps are those of x with Frob_q applied to every entry."""
+    return ffl.FlagPoint(x.dims, tuple(tuple(tuple(ff.frobenius(v) for v in row) for row in step)
+                                       for step in x.bases))
+
+
+def _restriction_counts(q, m, ell, nus):
+    """(semistable, points, points where the two tests disagree) over every
+    t-tuple of flag points, t = len(nus)."""
+    ff = ffl.finite_field(q, 1, m)
+    points = list(itertools.product(*(ffl.enumerate_flags(ff, ell, ffl.flag_dims(nu))
+                                      for nu in nus)))
+    verdicts = [(ffl.is_semistable_subspace_test(x, nus, ff),
+                 ffl.is_semistable_strata_test(x, nus, ff)) for x in points]
+    return sum(a for a, _ in verdicts), len(points), sum(a != b for a, b in verdicts)
+
+
+def test_restriction_diagonal_complement():
     # degree-2 restriction of the rank-one group at q=2: working field F4 is
     # the quadratic extension itself; equal nonzero weights leave the
     # complement of a twisted-diagonal copy of P1(F4): 25 - 5 = 20 points
     ff = ffl.finite_field(2, 1, 2)
-    count, total = ffl.count_semistable_res_pair(ff, (1, -1), (1, -1))
-    assert (count, total) == (20, 25)
-    points = ffl.projective_line_points(ff)
-    unstable = [(L1, L2) for L1 in points for L2 in points
-                if not ffl.is_semistable_res_pair(ff, L1, L2, (1, -1), (1, -1))]
-    frob = {(L, ffl._frobenius_line(L, ff)) for L in points}
-    assert set(unstable) == frob
-    assert len(frob) == len(points) == 5
+    nus = ((1, -1), (1, -1))
+    lines = list(ffl.enumerate_flags(ff, 1, (1,)))
+    unstable = {(x, y) for x in lines for y in lines
+                if not ffl.is_semistable_subspace_test((x, y), nus, ff)}
+    assert unstable == {(x, frobenius_point(x, ff)) for x in lines}
+    assert len(lines) == len(unstable) == 5
+    assert _restriction_counts(2, 2, 1, nus) == (20, 25, 0)
 
 
-def test_res_pair_unequal_weights():
-    ff = ffl.finite_field(2, 1, 2)
-    # second factor trivial: the first factor must avoid rational points of
-    # the quadratic-extension line, which over F4 itself leaves nothing
-    count, total = ffl.count_semistable_res_pair(ff, (1, -1), (0, 0))
-    assert (count, total) == (0, 5)
-    # over F16 the twisted check leaves P1(F16) minus P1(F4) on the first factor
-    ff16 = ffl.finite_field(2, 1, 4)
-    count, total = ffl.count_semistable_res_pair(ff16, (2, -2), (1, -1))
-    assert total == 17 * 17
-    assert count == (17 - 5) * 17
+def test_restriction_unequal_weights():
+    # second factor trivial: a point of its flag variety, while the first
+    # factor must avoid the lines rational over the quadratic extension,
+    # which over F4 itself leaves nothing
+    assert _restriction_counts(2, 2, 1, ((1, -1), (0, 0))) == (0, 5, 0)
+    # over F16 the first factor decides: P1(F16) minus P1(F4), times P1(F16)
+    assert _restriction_counts(2, 4, 1, ((2, -2), (1, -1))) == ((17 - 5) * 17, 17 * 17, 0)
+    # equal weights: only the twisted diagonal over F4 is unstable
+    assert _restriction_counts(2, 4, 1, ((1, -1), (1, -1))) == (17 * 17 - 5, 17 * 17, 0)
 
 
-def test_res_pair_validation():
-    ff = ffl.finite_field(2, 1, 2)
-    with pytest.raises(MalformedNu):
-        ffl.count_semistable_res_pair(ff, (1, 0), (1, -1))
+def test_restriction_degree_must_divide_m():
+    # F_8 contains no quadratic extension of F_2
     odd = ffl.finite_field(2, 1, 3)
-    with pytest.raises(ValidationError):
-        ffl.is_semistable_res_pair(odd, (1, 0), (1, 0), (1, -1), (1, -1))
+    x = ffl.FlagPoint(dims=(1,), bases=(((1, 0),),))
+    for test in (ffl.is_semistable_subspace_test, ffl.is_semistable_strata_test):
+        with pytest.raises(ValidationError, match="no subfield of size 4 in F_8"):
+            test((x, x), ((1, -1), (1, -1)), odd)
+
+
+@pytest.mark.parametrize("q,m,ell,nus,semistable", [
+    # t = 3 over F_8 = k': each of the 9 k'-lines T destabilizes the 25
+    # triples that meet Frob^j T in at least two copies j
+    (2, 3, 1, ((1, -1),) * 3, 9 * 9 * 9 - 9 * 25),
+    # t = 2 over F_9 = k': the twisted diagonal, 10 of 100 pairs
+    (3, 2, 1, ((1, -1), (1, -1)), 90),
+    (2, 2, 1, ((3, -3), (1, -1)), 0),
+    (2, 4, 1, ((1, -1), (0, 0)), 17 - 5),
+    (2, 2, 2, ((2, -1, -1), (1, 1, -2)), None),
+    (2, 2, 2, ((1, 0, -1), (0, 0, 0)), None),
+    (2, 2, 2, ((2, -1, -1), (0, 0, 0)), 0),
+    (2, 4, 1, ((1, 0), (0, -1)), None),  # factors with nonzero sums
+    (2, 2, 2, ((2, -1, -1), (1, 0, -1)), 0),  # 21 x 105 points
+])
+def test_restriction_routes_agree(q, m, ell, nus, semistable):
+    count, points, disagreements = _restriction_counts(q, m, ell, nus)
+    assert disagreements == 0
+    assert semistable is None or count == semistable, count
+
+
+def test_restriction_of_degree_one_is_the_flag_variety():
+    # a 1-tuple of points with a 1-tuple of factors is the FlagPoint case
+    ff = ffl.finite_field(2, 1, 3)
+    for nu in ((2, -1, -1), (1, 0, -1)):
+        for x in list(ffl.enumerate_flags(ff, 2, ffl.flag_dims(nu)))[::7]:
+            assert ffl.is_semistable_subspace_test((x,), (nu,), ff) == \
+                ffl.is_semistable_subspace_test(x, nu, ff)
+            assert ffl.is_semistable_strata_test((x,), (nu,), ff) == \
+                ffl.is_semistable_strata_test(x, nu, ff)
+
+
+def test_restriction_shape_is_checked():
+    ff = ffl.finite_field(2, 1, 2)
+    x = ffl.FlagPoint(dims=(1,), bases=(((1, 0),),))
+    with pytest.raises(ValidationError, match="1 flag points for 2 cocharacter factors"):
+        ffl.is_semistable_subspace_test((x,), ((1, -1), (1, -1)), ff)
+    with pytest.raises(ValidationError, match="factors of lengths"):
+        ffl.is_semistable_strata_test((x, x), ((1, -1), (2, -1, -1)), ff)

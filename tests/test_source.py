@@ -1,6 +1,7 @@
-"""Static checks on the package source."""
+"""Static checks on the package source, and on what the benchmark reads of it."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import perioddomains
@@ -48,3 +49,28 @@ def test_weyl_and_strata_import_no_fractions():
     root = Path(perioddomains.__file__).parent
     assert [name for name in ("weyl.py", "strata.py")
             if "fractions" in _package_imports(root / name)] == []
+
+
+def test_perfbench_reads_only_names_the_package_has():
+    # the benchmark reads the package through module aliases (ffl, rd, cf,
+    # strata, weyl, cli); a rename in the package must fail here, since the
+    # benchmark's own tests are not part of this suite
+    bench = Path(__file__).parents[1] / "perfbench"
+    sources = sorted(bench.glob("*.py"))
+    assert sources
+    reads, missing = set(), []
+    for path in sources:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        aliases = {alias.asname or alias.name: alias.name for node in ast.walk(tree)
+                   if isinstance(node, ast.ImportFrom) and node.module == "perioddomains"
+                   for alias in node.names}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) \
+                    and node.value.id in aliases:
+                module = importlib.import_module(f"perioddomains.{aliases[node.value.id]}")
+                reads.add((node.value.id, node.attr))
+                if not hasattr(module, node.attr):
+                    missing.append(f"{path.name}:{node.lineno} {node.value.id}.{node.attr}")
+    assert missing == []
+    assert {alias for alias, _ in reads} == {"ffl", "rd", "cf", "strata", "weyl", "cli"}
+    assert ("ffl", "is_semistable_strata_test") in reads
