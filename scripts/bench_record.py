@@ -12,8 +12,9 @@ end-to-end metric each side's runs, median and quartiles, the pairs the
 change won, and a verdict:
 
 - gain: the change won at least nine tenths of the pairs (ties count for
-  neither side) and the medians differ by more than the distance between
-  the quartiles of the parent's runs;
+  neither side), and the medians differ by more than the distance between
+  the quartiles of the parent's runs and by at least one fifth of the
+  metric's bound, relative to the parent's median (GAIN_SHARE);
 - regression: the change's median is worse than the parent's by more than
   the metric's bound in BENCHMARK.json;
 - unresolved: either side's spread, (q3 - q1) / |median|, is wider than the
@@ -42,6 +43,8 @@ ROOT = Path(__file__).resolve().parents[1]
 SIDES = ("before", "after")
 SEED = 1
 PAIRS = 10
+# a gain must move the median by at least this share of the metric's bound
+GAIN_SHARE = 0.2
 
 
 def git(*args: str) -> str:
@@ -97,10 +100,10 @@ def compare(before: list[float], after: list[float], better: str, bound: float) 
     wins = sum(sign * (a - b) > 0 for b, a in zip(before, after))
     b, a = summary(before), summary(after)
     gap = sign * (a["median"] - b["median"])
-    worse = -gap / abs(b["median"]) if b["median"] else 0.0
-    if wins >= 0.9 * len(before) and gap > b["q3"] - b["q1"]:
+    shift = gap / abs(b["median"]) if b["median"] else 0.0
+    if wins >= 0.9 * len(before) and gap > b["q3"] - b["q1"] and shift >= GAIN_SHARE * bound:
         verdict = "gain"
-    elif worse > bound:
+    elif -shift > bound:
         verdict = "regression"
     elif max(spread(b), spread(a)) > bound and \
             not all(sign * (x - y) > 0 for x in after for y in before):

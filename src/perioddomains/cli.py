@@ -8,7 +8,8 @@ or inline `key=value` tokens on the command line. Output is deterministic;
 
 Budgets: `budget_cells` caps the orbit elements strata visits, the sum
 over copies and vertices of min(|W/W_{P_i}|, |W/W_P|) (default 65536), and
-is checked before the orbit search. verify takes split type A with any t
+is checked before the orbit search. verify works over F_{q^m}, with the
+prime power q the one field key, and takes split type A with any t
 dividing m; a point is then a t-tuple of flags, one per copy, and its
 rational subspaces are those of F_{q^t}^n. `budget_field` is one cap that
 verify applies to the number of points (the product of the copies' flag
@@ -100,7 +101,7 @@ DEFAULT_BUDGET_FIELD = 2 ** 16
 PROGRESS_INTERVAL_S = 2.0
 
 _KNOWN_KEYS = {
-    "command", "kind", "rank", "form", "t", "nu", "q", "p", "e", "m",
+    "command", "kind", "rank", "form", "t", "nu", "q", "m",
     "budget_cells", "budget_field", "output",
 }
 
@@ -115,7 +116,7 @@ class JobSpec:
     form: str = FORM_SPLIT
     t: int = 1
     nu: tuple[Vector, ...] | None = None
-    p: int | None = None
+    p: int | None = None  # q = p^e, derived from the q key
     e: int = 1
     m: int = 1
     budget_cells: int | None = None
@@ -193,18 +194,11 @@ def parse_jobspec(text: str) -> JobSpec:
         if len(job.nu) != job.t:
             raise ValidationError(
                 f"nu has {len(job.nu)} factors but t={job.t}")
-    if "q" in raw and ("p" in raw or "e" in raw):
-        raise ValidationError("give the field as q or as p and e, not both")
     if "q" in raw:
         q = _parse_int(get("q"), lineof("q"), "q")
         if q > MAX_FIELD_ORDER:  # refused before it is factored
             raise BudgetExceeded(f"q = {q} exceeds the field order bound {MAX_FIELD_ORDER}")
-        p, e = _factor_prime_power(q)
-        job.p, job.e = p, e
-    if "p" in raw:
-        job.p = _parse_int(get("p"), lineof("p"), "p")
-    if "e" in raw:
-        job.e = _parse_int(get("e"), lineof("e"), "e")
+        job.p, job.e = _factor_prime_power(q)
     if "m" in raw:
         job.m = _parse_int(get("m"), lineof("m"), "m")
     for key in ("budget_cells", "budget_field"):
@@ -290,7 +284,7 @@ def _run_verify(job: JobSpec, record: bool) -> tuple[int, str]:
     if job.form != FORM_SPLIT or job.kind != "A":
         raise ValidationError("verify supports split type A")
     if job.p is None:
-        raise ValidationError("verify requires a field (q or p/e, plus m)")
+        raise ValidationError("verify requires a field (q, plus m)")
     # the field's own checks, t | m, the dims, the point budget, the shape of
     # the input and the subspace budget all run before the field's tables
     # are built, which takes up to a second at 2^16

@@ -44,6 +44,7 @@ translates), a number fixed by n and q^t alone.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -208,7 +209,6 @@ class FiniteField:
         self.q = p ** e
         self.degree = e * m
         self._build_tables()
-        self._subfields: dict[int, tuple[int, ...]] = {}
 
     def _build_tables(self):
         p, n, Q = self.p, self.degree, self.order
@@ -303,17 +303,13 @@ class FiniteField:
         return self.exp[self.log[a] * pow(self.q, power % self.m, Q1) % Q1]
 
     def subfield(self, size: int) -> tuple[int, ...]:
-        """Elements of the subfield with `size` elements, sorted."""
-        if size in self._subfields:
-            return self._subfields[size]
-        if size < 2 or (self.order - 1) % (size - 1) != 0:
+        """Elements of the subfield with `size` elements, sorted: the size must
+        be p^d with (p^d - 1) | (order - 1), that is d | degree."""
+        if size not in {self.p ** d for d in range(1, self.degree + 1)} \
+                or (self.order - 1) % (size - 1):
             raise ValidationError(f"no subfield of size {size} in F_{self.order}")
         step = (self.order - 1) // (size - 1)
-        elems = tuple(sorted({0, 1} | {self.exp[k * step] for k in range(size - 1)}))
-        if len(elems) != size:
-            raise ValidationError(f"no subfield of size {size} in F_{self.order}")
-        self._subfields[size] = elems
-        return elems
+        return tuple(sorted({0} | {self.exp[k * step] for k in range(size - 1)}))
 
     def __repr__(self):
         return f"FiniteField(p={self.p}, e={self.e}, m={self.m})"
@@ -372,8 +368,9 @@ def rref(rows: Sequence[Sequence[int]], ff: FiniteField) -> tuple[Matrix, tuple[
         if piv is None:
             continue
         mat[rank], mat[piv] = mat[piv], mat[rank]
-        inv = ff.inv(mat[rank][col])
-        mat[rank] = [ff.mul(inv, x) for x in mat[rank]]
+        if mat[rank][col] != 1:  # the steps of a FlagPoint are canonical already
+            inv = ff.inv(mat[rank][col])
+            mat[rank] = [ff.mul(inv, x) for x in mat[rank]]
         for r in range(len(mat)):
             if r != rank and mat[r][col]:
                 c = mat[r][col]
@@ -385,12 +382,12 @@ def rref(rows: Sequence[Sequence[int]], ff: FiniteField) -> tuple[Matrix, tuple[
     return tuple(tuple(r) for r in mat[:rank]), tuple(pivots)
 
 
-def enumerate_rref(n: int, k: int, elements: Sequence[int],
-                   ff: FiniteField) -> Iterator[Matrix]:
+def enumerate_rref(n: int, k: int, elements: Sequence[int]) -> Iterator[Matrix]:
     """All canonical reduced echelon k x n matrices with entries in `elements`.
 
-    `elements` must be a subfield (or the whole field); pivot columns run in
-    lexicographic order, free entries in the order of `elements`.
+    `elements` are the encodings of a subfield (or of the whole field); no
+    field arithmetic is needed. Pivot columns run in lexicographic order,
+    free entries in the order of `elements`.
     """
     free_values = tuple(elements)
     for pivots in itertools.combinations(range(n), k):
@@ -431,25 +428,19 @@ def flag_dims(nu) -> tuple[int, ...]:
     return tuple(itertools.accumulate(mults[:-1]))
 
 
-def flag_count(n: int, dims: Sequence[int], order: int) -> int:
-    count = 1
-    prev = 0
-    for d in list(dims) + [n]:
-        count *= gaussian_binomial(n - prev, d - prev, order)
-        prev = d
-    return count
-
-
 def checked_flag_count(ell: int, dims: Sequence[int], order: int) -> int:
     """The number of points of the flag variety with step dims `dims` in an
     (ell+1)-space over the field of `order` elements. Illegal dims raise
     ValidationError, the check `enumerate_flags` makes before its first
-    point."""
+    point. It is the product over the steps, the ambient one too, of
+    [n - d_(i-1), d_i - d_(i-1)]_order."""
     dims = tuple(dims)
     if any(d1 >= d2 for d1, d2 in zip(dims, dims[1:])) or \
             any(not 1 <= d <= ell for d in dims):
         raise ValidationError(f"illegal step dimensions {dims} for ell={ell}")
-    return flag_count(ell + 1, dims, order)
+    steps = (0,) + dims + (ell + 1,)
+    return math.prod(gaussian_binomial(ell + 1 - a, b - a, order)
+                     for a, b in zip(steps, steps[1:]))
 
 
 def enumerate_flags(ff: FiniteField, ell: int, dims: Sequence[int]) -> Iterator[FlagPoint]:
@@ -469,7 +460,7 @@ def enumerate_flags(ff: FiniteField, ell: int, dims: Sequence[int]) -> Iterator[
             return
         k = dims[step] - len(rows)
         free_cols = [j for j in range(n) if j not in pivots]
-        for quo in enumerate_rref(len(free_cols), k, all_elems, ff):
+        for quo in enumerate_rref(len(free_cols), k, all_elems):
             lifted = []
             for qrow in quo:
                 row = [0] * n
@@ -496,7 +487,7 @@ def _rational_rows(ff: FiniteField, n: int,
     index: dict[Row, int] = {}
     families = tuple(
         tuple(tuple(index.setdefault(row, len(index)) for row in u)
-              for u in enumerate_rref(n, k, ff.subfield(ff.q ** t), ff))
+              for u in enumerate_rref(n, k, ff.subfield(ff.q ** t)))
         for k in range(1, n))
     return tuple(index), families
 

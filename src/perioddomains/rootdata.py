@@ -37,16 +37,17 @@ Cartan = tuple[tuple[tuple[int, int], ...], ...]
 FORM_SPLIT = "split"
 FORM_UNITARY = "unitary"
 
-_POSITIVE_COUNTS = {
-    "A": lambda r: r * (r + 1) // 2,
-    "B": lambda r: r * r,
-    "C": lambda r: r * r,
-    "D": lambda r: r * (r - 1),
-    "E6": lambda r: 36,
-    "E7": lambda r: 63,
-    "E8": lambda r: 120,
-    "F4": lambda r: 24,
-    "G2": lambda r: 6,
+# kind -> (smallest rank, largest rank or None, positive roots at rank r)
+_KINDS = {
+    "A": (1, None, lambda r: r * (r + 1) // 2),
+    "B": (2, None, lambda r: r * r),
+    "C": (2, None, lambda r: r * r),
+    "D": (3, None, lambda r: r * (r - 1)),
+    "E6": (6, 6, lambda r: 36),
+    "E7": (7, 7, lambda r: 63),
+    "E8": (8, 8, lambda r: 120),
+    "F4": (4, 4, lambda r: 24),
+    "G2": (2, 2, lambda r: 6),
 }
 
 # build_root_system refuses more positive roots than this before building:
@@ -140,6 +141,7 @@ class RootSystemData(Realization):
 
 
 def _simple_root_table(kind: str, rank: int) -> tuple[int, tuple[Vector, ...]]:
+    """Ambient dimension and simple roots of a legal pair of `_KINDS`."""
     F = Fraction
     if kind == "A":
         n = rank + 1
@@ -184,9 +186,7 @@ def _simple_root_table(kind: str, rank: int) -> tuple[int, tuple[Vector, ...]]:
             (F(0), F(0), F(0), F(1)),
             (half, -half, -half, -half),
         )
-    if kind == "G2":
-        return 3, ((F(1), F(-1), F(0)), (F(-2), F(1), F(1)))
-    raise IllegalType(f"unknown kind {kind!r}")
+    return 3, ((F(1), F(-1), F(0)), (F(-2), F(1), F(1)))  # G2
 
 
 def cartan_integers(simple: Sequence[Vector]) -> Cartan:
@@ -264,7 +264,7 @@ def _build_root_system(kind: str, rank: int) -> RootSystemData:
     ambient, simple = _simple_root_table(kind, rank)
     cartan = cartan_integers(simple)
     positives, coeffs = _close_roots(simple, cartan)
-    if len(positives) != _POSITIVE_COUNTS[kind](rank):
+    if len(positives) != _KINDS[kind][2](rank):
         raise InvariantViolation(f"{kind}{rank}: closure found {len(positives)} positive roots")
 
     # omega_i = sum_j c_ij alpha_j with sum_j c_ij (alpha_j, alpha_k^vee) =
@@ -309,43 +309,25 @@ def _build_root_system(kind: str, rank: int) -> RootSystemData:
 
 def _normalize_kind(kind: str, rank: int) -> str:
     kind = kind.strip().upper()
-    if kind == "E":
-        kind = f"E{rank}"
-    elif kind == "F":
-        kind = "F4"
-    elif kind == "G":
-        kind = "G2"
-    return kind
+    return {"E": f"E{rank}", "F": "F4", "G": "G2"}.get(kind, kind)
 
 
 def build_root_system(kind: str, rank: int) -> RootSystemData:
     """Interned exact realization of the (kind, rank) root system.
 
-    Legal pairs: A (rank >= 1), B and C (rank >= 2), D (rank >= 3, with a
-    warning at 3 since D3 = A3), E6/E7/E8, F4, G2. A legal system with more
-    than MAX_POSITIVE_ROOTS positive roots raises BudgetExceeded.
+    Legal pairs are those `_KINDS` admits (D3 with a warning, since D3 = A3).
+    A legal system with more than MAX_POSITIVE_ROOTS positive roots raises
+    BudgetExceeded.
     """
     kind = _normalize_kind(kind, rank)
-    if kind == "A":
-        ok = rank >= 1
-    elif kind in ("B", "C"):
-        ok = rank >= 2
-    elif kind == "D":
-        ok = rank >= 3
-        if rank == 3:
-            warnings.warn("D3 is an alias of A3; building the D-style realization",
-                          stacklevel=2)
-    elif kind in ("E6", "E7", "E8"):
-        ok = rank == int(kind[1])
-    elif kind == "F4":
-        ok = rank == 4
-    elif kind == "G2":
-        ok = rank == 2
-    else:
+    if kind not in _KINDS:
         raise IllegalType(f"unknown kind {kind!r}")
-    if not ok:
+    low, high, positives = _KINDS[kind]
+    if rank < low or (high is not None and rank > high):
         raise IllegalType(f"illegal pair kind={kind} rank={rank}")
-    if (count := _POSITIVE_COUNTS[kind](rank)) > MAX_POSITIVE_ROOTS:
+    if kind == "D" and rank == 3:
+        warnings.warn("D3 is an alias of A3; building the D-style realization", stacklevel=2)
+    if (count := positives(rank)) > MAX_POSITIVE_ROOTS:
         raise BudgetExceeded(f"{kind}{rank} has {count} positive roots, "
                              f"above the bound {MAX_POSITIVE_ROOTS}")
     return _build_root_system(kind, rank)
@@ -513,20 +495,17 @@ def decompose_in_coweights(nu: Sequence, rs: Realization) -> tuple[Fraction, ...
 def split_nu(g: GroupDatum, nu) -> tuple[Vector, ...]:
     """Normalize a cocharacter input to a tuple of res_degree base-ambient vectors.
 
-    Accepts a single flat vector when res_degree == 1, a sequence of
-    res_degree vectors, or one already-flat block vector.
+    Accepts a sequence of res_degree vectors or, when res_degree == 1, one
+    flat vector.
     """
     t = g.res_degree
     n = g.base.ambient_dim
     seq = list(nu)
     if seq and not isinstance(seq[0], (list, tuple)):
-        flat = vector(seq)
-        if len(flat) == n and t == 1:
-            return (flat,)
-        if len(flat) == t * n:
-            return tuple(flat[j * n:(j + 1) * n] for j in range(t))
-        raise DimensionMismatch(
-            f"flat cocharacter of length {len(flat)}; expected {t} blocks of {n}")
+        if t != 1:
+            raise DimensionMismatch(
+                f"flat cocharacter of length {len(seq)}; expected {t} factors of {n}")
+        seq = [seq]
     if len(seq) != t:
         raise MalformedNu(f"expected {t} cocharacter factors, got {len(seq)}")
     entries = tuple(vector(x) for x in seq)

@@ -139,8 +139,7 @@ def _top_cell(copy: _Copy, i: int, delta_p: tuple[int, ...], mu: tuple[int, ...]
         perm = tuple(sp[p] for p in perm)
     w0pi = longest_element(rs, copy.vertex_deltas[i - 1]).root_perm
     perm = tuple(w0pi[p] for p in perm)
-    inv = tuple(sorted(range(len(perm)), key=perm.__getitem__))
-    return WeylElement(rs, perm, inv, sum(p >= tab.npos for p in perm[:tab.npos]))
+    return WeylElement(rs, perm, sum(p >= tab.npos for p in perm[:tab.npos]))
 
 
 @lru_cache(maxsize=4096)
@@ -149,14 +148,11 @@ def _lift(g: GroupDatum, i: int, deltas: tuple[tuple[int, ...], ...],
     """The element of W_base^t whose copy j is the top cell of mus[j]."""
     cells = [_top_cell(_copy(g), i, d, mu) for d, mu in zip(deltas, mus)]
     npos, t = _tables(g.base).npos, len(cells)
-
-    def lift(perms):  # copy j's root m < npos is j*npos + m, m >= npos (t-1+j)*npos + m
-        return tuple(m + j * npos if m < npos else m + (t - 1 + j) * npos
-                     for half in (slice(0, npos), slice(npos, None))
-                     for j, p in enumerate(perms) for m in p[half])
-
-    return WeylElement(g.absolute, lift([w.root_perm for w in cells]),
-                       lift([w.inv_perm for w in cells]), sum(w.length for w in cells))
+    # copy j's root m < npos is j*npos + m, and m >= npos is (t-1+j)*npos + m
+    perm = tuple(m + j * npos if m < npos else m + (t - 1 + j) * npos
+                 for half in (slice(0, npos), slice(npos, None))
+                 for j, w in enumerate(cells) for m in w.root_perm[half])
+    return WeylElement(g.absolute, perm, sum(w.length for w in cells))
 
 
 def strata_report(g: GroupDatum, nu, max_cells: int | None = None) -> StrataReport:

@@ -3,12 +3,14 @@
 Elements are stored by their permutation action on the full root list (an
 exact faithful encoding for these realizations, where everything fixes the
 orthogonal complement of the root span pointwise) together with a reduced
-word, so lengths and coset tests run on integer tuples. The simple
-reflections permute the roots by their Dynkin labels
-(`rootdata.reflect_labels`); a caller that needs the image of a weight
-reflects its labels along the word. `longest_element` gives w0 of any W_J,
-and `permutation_element` builds a type-A element from one-line notation by
-sorting it with adjacent transpositions.
+word, so lengths and coset tests run on integer tuples. No inverse is
+stored: s_j shortens u exactly when alpha_j is the image of a negative root,
+so left descents are read from the permutation, and `inverse()` inverts it
+when called. The simple reflections permute the roots by their Dynkin
+labels (`rootdata.reflect_labels`); a caller that needs the image of a
+weight reflects its labels along the word. `longest_element` gives w0 of any
+W_J, and `permutation_element` builds a type-A element, with a reduced word,
+from one-line notation by sorting it with adjacent transpositions.
 
 Minimal coset representatives of W/W_P are grown by *left* multiplication:
 if u is a minimal representative and u = s_i v with l(v) = l(u) - 1, then v
@@ -59,36 +61,40 @@ def _tables(rs: Realization) -> _Tables:
     return _Tables(rs)
 
 
+def _left_descents(t: _Tables, perm: tuple[int, ...]) -> set[int]:
+    """The j (0-based) with l(s_j u) < l(u): alpha_j = u(beta) for a negative
+    root beta, so the simple roots among root_perm[npos:]."""
+    negative = set(perm[t.npos:])
+    return {j for j, a in enumerate(t.simple_idx) if a in negative}
+
+
 def _reduced_word(w: "WeylElement") -> tuple[int, ...]:
     """The reduced word `enumerate_min_coset_reps` gives w: word(u) = (j,) +
     word(v) for the smallest v = s_j u, by root permutation, one left descent
     below u."""
     t = _tables(w.realization)
-    perm, inv = w.root_perm, w.inv_perm
+    perm = w.root_perm
     letters: list[int] = []
-    while True:
-        steps = [(tuple(sp[p] for p in perm), j, sp)
-                 for j, (a, sp) in enumerate(zip(t.simple_idx, t.sperm)) if inv[a] >= t.npos]
-        if not steps:
-            return tuple(letters)
-        perm, j, sp = min(steps)
-        inv = tuple(inv[k] for k in sp)
+    while descents := _left_descents(t, perm):
+        perm, j = min((tuple(sp[p] for p in perm), j)
+                      for j, sp in enumerate(t.sperm) if j in descents)
         letters.append(j + 1)
+    return tuple(letters)
 
 
 class WeylElement:
     """A Weyl group element: root permutation, cached length and a reduced word.
 
-    Elements built without a word derive the enumeration's word from the root
-    permutation on first use, so `word` is never None.
+    root_perm[k] is the index of the image of root k. Elements built without
+    a word derive the enumeration's word from the root permutation on first
+    use, so `word` is never None.
     """
 
-    __slots__ = ("realization", "root_perm", "inv_perm", "length", "_word")
+    __slots__ = ("realization", "root_perm", "length", "_word")
 
-    def __init__(self, realization, root_perm, inv_perm, length, word=None):
+    def __init__(self, realization, root_perm, length, word=None):
         self.realization = realization
         self.root_perm = root_perm
-        self.inv_perm = inv_perm
         self.length = length
         self._word = word
 
@@ -103,19 +109,20 @@ class WeylElement:
         if self.realization is not other.realization:
             raise ValueError("elements of different realizations")
         perm = tuple(self.root_perm[p] for p in other.root_perm)
-        inv = tuple(other.inv_perm[p] for p in self.inv_perm)
         npos = _tables(self.realization).npos
         length = sum(1 for k in range(npos) if perm[k] >= npos)
         word = None
         if self._word is not None and other._word is not None \
                 and length == self.length + other.length:
             word = self._word + other._word
-        return WeylElement(self.realization, perm, inv, length, word)
+        return WeylElement(self.realization, perm, length, word)
 
     def inverse(self) -> "WeylElement":
+        inv = [0] * len(self.root_perm)
+        for k, p in enumerate(self.root_perm):
+            inv[p] = k
         word = tuple(reversed(self._word)) if self._word is not None else None
-        return WeylElement(self.realization, self.inv_perm, self.root_perm,
-                           self.length, word)
+        return WeylElement(self.realization, tuple(inv), self.length, word)
 
     def __eq__(self, other):
         return (isinstance(other, WeylElement)
@@ -130,17 +137,14 @@ class WeylElement:
 
 
 def identity_element(rs: Realization) -> WeylElement:
-    n = 2 * _tables(rs).npos
-    perm = tuple(range(n))
-    return WeylElement(rs, perm, perm, 0, ())
+    return WeylElement(rs, tuple(range(2 * _tables(rs).npos)), 0, ())
 
 
 def simple_reflection(rs: Realization, i: int) -> WeylElement:
     """The reflection s_i: v -> v - (v, alpha_i^vee) alpha_i (1-based index)."""
     if not 1 <= i <= rs.rank:
         raise IndexOutOfRange(f"simple reflection index {i} outside 1..{rs.rank}")
-    perm = _tables(rs).sperm[i - 1]
-    return WeylElement(rs, perm, perm, 1, (i,))
+    return WeylElement(rs, _tables(rs).sperm[i - 1], 1, (i,))
 
 
 @lru_cache(maxsize=None)
@@ -157,7 +161,7 @@ def longest_element(rs: Realization, delta: tuple[int, ...] | None = None) -> We
                      None)) is not None:
         perm = tuple(perm[q] for q in t.sperm[j - 1])
         word.append(j)
-    return WeylElement(rs, perm, perm, len(word), tuple(word))
+    return WeylElement(rs, perm, len(word), tuple(word))
 
 
 @dataclass(frozen=True)
@@ -237,17 +241,17 @@ def enumerate_min_coset_reps(pd: ParabolicData, rs: Realization) -> Iterator[Wey
             yield w
         nxt = {}
         for w in layer:
+            descents = _left_descents(t, w.root_perm)  # l(s_i w) = l(w) - 1
             for i in range(rs.rank):
-                if w.inv_perm[t.simple_idx[i]] >= npos:
-                    continue  # l(s_i w) = l(w) - 1
+                if i in descents:
+                    continue
                 sp = t.sperm[i]
                 perm = tuple(sp[p] for p in w.root_perm)
                 if perm in seen or perm in nxt:
                     continue
                 if any(perm[a] >= npos for a in alpha_idx):
                     continue  # left multiplication broke minimality
-                inv = tuple(w.inv_perm[sp[k]] for k in range(len(sp)))
-                nxt[perm] = WeylElement(rs, perm, inv, w.length + 1, (i + 1,) + w.word)
+                nxt[perm] = WeylElement(rs, perm, w.length + 1, (i + 1,) + w.word)
         seen.update(nxt)
         layer = [nxt[p] for p in sorted(nxt)]
     if produced != total:
@@ -259,7 +263,7 @@ def min_coset_rep(w: WeylElement, delta_p: Sequence[int]) -> WeylElement:
     rs = w.realization
     t = _tables(rs)
     npos = t.npos
-    perm, inv, length = w.root_perm, w.inv_perm, w.length
+    perm, length = w.root_perm, w.length
     changed = True
     while changed:
         changed = False
@@ -268,10 +272,9 @@ def min_coset_rep(w: WeylElement, delta_p: Sequence[int]) -> WeylElement:
             if perm[a] >= npos:
                 sp = t.sperm[j - 1]
                 perm = tuple(perm[sp[k]] for k in range(len(sp)))
-                inv = tuple(sp[p] for p in inv)
                 length -= 1
                 changed = True
-    return WeylElement(rs, perm, inv, length, None)
+    return WeylElement(rs, perm, length, None)
 
 
 def permutation_element(rs: Realization, one_line: Sequence[int]) -> WeylElement:
@@ -287,7 +290,7 @@ def permutation_element(rs: Realization, one_line: Sequence[int]) -> WeylElement
 def _permutation_element(rs: Realization, one_line: tuple[int, ...]) -> WeylElement:
     """Swapping the entries at positions i and i+1 multiplies by s_i on the
     right and, at a descent, lowers the length by one; sorting one_line
-    this way to the identity spells w = s_{i_m} ... s_{i_1}."""
+    this way to the identity spells the reduced word w = s_{i_m} ... s_{i_1}."""
     n = rs.ambient_dim
     if sorted(one_line) != list(range(1, n + 1)):
         raise InvariantViolation(f"{one_line} is not a permutation of 1..{n}")
@@ -296,9 +299,7 @@ def _permutation_element(rs: Realization, one_line: tuple[int, ...]) -> WeylElem
     while (i := next((i for i in range(n - 1) if line[i] > line[i + 1]), None)) is not None:
         line[i], line[i + 1] = line[i + 1], line[i]
         letters.append(i)
-    perm = inv = tuple(range(2 * t.npos))
-    for i in letters:  # perm <- s_i perm, inv <- inv s_i
-        sp = t.sperm[i]
-        perm = tuple(sp[p] for p in perm)
-        inv = tuple(inv[q] for q in sp)
-    return WeylElement(rs, perm, inv, len(letters), None)
+    perm = tuple(range(2 * t.npos))
+    for i in letters:  # perm <- s_i perm
+        perm = tuple(t.sperm[i][p] for p in perm)
+    return WeylElement(rs, perm, len(letters), tuple(i + 1 for i in reversed(letters)))

@@ -32,6 +32,20 @@ def test_gain_needs_nine_of_ten_wins_and_a_gap_past_the_parent_spread(bench):
     assert close["after_wins"] == 10 and close["verdict"] == "within bound"
 
 
+def test_gain_needs_a_median_shift_of_a_fifth_of_the_bound(bench):
+    compare = bench["compare"]
+    steady = [1.0 + 0.0001 * k for k in range(10)]
+    # ten wins far past the parent's spread, but a 1% shift against a 25%
+    # bound: less than the 5% a gain needs
+    small = compare(steady, [b - 0.01 for b in steady], "lower", 0.25)
+    assert small["after_wins"] == 10 and small["verdict"] == "within bound"
+    assert bench["GAIN_SHARE"] == 0.2
+    # a 6% shift is a gain against that bound, and the same 1% shift is one
+    # against a 4% bound
+    assert compare(steady, [b - 0.06 for b in steady], "lower", 0.25)["verdict"] == "gain"
+    assert compare(steady, [b - 0.01 for b in steady], "lower", 0.04)["verdict"] == "gain"
+
+
 def test_spread_wider_than_the_bound_is_unresolved(bench):
     compare = bench["compare"]
     # the parent's quartiles lie 55% of its median apart, past the 0.25 bound

@@ -141,7 +141,7 @@ def test_closed_stdout_is_not_a_traceback():
     try:
         proc = subprocess.run(
             [sys.executable, "-m", "perioddomains.cli", "verify",
-             "kind=A rank=1 nu=1,-1 p=2 e=2 m=1"],
+             "kind=A rank=1 nu=1,-1 q=4 m=1"],
             stdout=write_end, stderr=subprocess.PIPE, text=True, env=env, timeout=60)
     finally:
         os.close(write_end)
@@ -310,8 +310,8 @@ def test_default_field_budget_refuses_huge_verify(capsys):
     # the field's own checks still come first
     ("kind=A rank=3 nu=1,0,0,-1 q=2 m=17", cli.EXIT_BUDGET,
      "budget exceeded: field order 131072 exceeds bound 65536"),
-    ("kind=A rank=3 nu=1,0,0,-1 p=6 m=10", cli.EXIT_VALIDATION,
-     "validation error: 6 is not prime"),
+    ("kind=A rank=3 nu=1,0,0,-1 q=6 m=10", cli.EXIT_VALIDATION,
+     "validation error: q must be a prime power"),
     # verify derives the flag dims from nu, so there is no dims key
     ("kind=A rank=3 nu=1,0,0,-1 q=3 m=10 dims=2", cli.EXIT_USAGE,
      "parse error: line 1: unknown key 'dims'"),
@@ -322,12 +322,13 @@ def test_default_field_budget_refuses_huge_verify(capsys):
      "validation error: factor of length 3; base ambient dimension is 4"),
     ("kind=A rank=0 nu=0 q=3 m=10", cli.EXIT_VALIDATION,
      "validation error: illegal pair kind=A rank=0"),
-    # a q past the field bound before it is factored, a p past it before the
-    # primality test, and a degree past it without forming 2^20000
+    # a q past the field bound before it is factored (trial division of the
+    # prime 10^18 + 3 would take 10^9 steps), and a degree past it without
+    # forming 2^20000
     ("kind=A rank=1 nu=1,-1 q=1000000007 m=1", cli.EXIT_BUDGET,
      "budget exceeded: q = 1000000007 exceeds the field order bound 65536"),
-    ("kind=A rank=1 nu=1,-1 p=1000000000000000003 m=1", cli.EXIT_BUDGET,
-     "budget exceeded: field order 1000000000000000003 exceeds bound 65536"),
+    ("kind=A rank=1 nu=1,-1 q=1000000000000000003 m=1", cli.EXIT_BUDGET,
+     "budget exceeded: q = 1000000000000000003 exceeds the field order bound 65536"),
     ("kind=A rank=1 nu=1,-1 q=2 m=20000", cli.EXIT_BUDGET,
      "budget exceeded: field order 2^20000 exceeds bound 65536"),
     # P^3 over F_2 has 15 points, but each is tested against 65 rational
@@ -404,12 +405,11 @@ def test_unreadable_config_file(tmp_path, capsys):
         assert err.count("\n") == 1 and err.endswith("\n")
 
 
-@pytest.mark.parametrize("field", ["q=4 e=3", "q=4 p=3", "q=9 p=3 e=2"])
-def test_field_given_both_ways_refused(field, capsys):
-    # q=4 e=3 would otherwise run over F_8 and q=4 p=3 over F_9
-    assert run_main("verify", f"kind=A rank=1 nu=1,-1 m=1 {field}") == (cli.EXIT_VALIDATION, "")
-    assert capsys.readouterr().err == \
-        "validation error: give the field as q or as p and e, not both\n"
+@pytest.mark.parametrize("field", ["p=3", "e=2", "p=3 e=2"])
+def test_field_keys_p_and_e_are_unknown(field, capsys):
+    # q is the one field key: F_9 is q=9, never p=3 e=2
+    assert run_main("verify", f"kind=A rank=1 nu=1,-1 m=1 {field}") == (cli.EXIT_USAGE, "")
+    assert capsys.readouterr().err == f"parse error: line 1: unknown key '{field[0]}'\n"
 
 
 def test_console_invocation():

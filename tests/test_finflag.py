@@ -160,7 +160,7 @@ def test_flag_counts(q, m, ell, dims, expected):
     ff = ffl.finite_field(q, 1, m)
     points = list(ffl.enumerate_flags(ff, ell, dims))
     assert len(points) == expected
-    assert len(points) == ffl.flag_count(ell + 1, dims, ff.order)
+    assert len(points) == ffl.checked_flag_count(ell, dims, ff.order)
     assert len(set(points)) == expected  # no duplicates
 
 
@@ -200,9 +200,8 @@ def test_field_order_refused_before_primality_and_power():
 
 
 def test_subspace_enumeration_matches_gaussian_counts():
-    ff = ffl.finite_field(3, 1, 1)
     for k in (1, 2):
-        subs = list(ffl.enumerate_rref(3, k, range(3), ff))
+        subs = list(ffl.enumerate_rref(3, k, range(3)))
         assert len(subs) == ffl.gaussian_binomial(3, k, 3)
         assert len(set(subs)) == len(subs)
 
@@ -323,7 +322,7 @@ def _completed_basis(t_rows, ff, n):
 def test_intersection_profiles_match_brute_force(q, m, ell, dims, every):
     ff = ffl.finite_field(q, 1, m)
     n = ell + 1
-    rational = {k: list(ffl.enumerate_rref(n, k, ff.subfield(ff.q), ff)) for k in range(1, n)}
+    rational = {k: list(ffl.enumerate_rref(n, k, ff.subfield(ff.q))) for k in range(1, n)}
     for x in list(ffl.enumerate_flags(ff, ell, dims))[::every]:
         spans = _step_spans(x, ff)
         want = {k: {_brute_profile(u, spans, ff) for u in us} for k, us in rational.items()}
@@ -340,7 +339,7 @@ def test_intersection_profiles_of_copies_match_brute_force(q, m, ell, dims):
     # copy j of a t-tuple meets Frob^j U for every subspace U of F_{q^t}^n
     ff = ffl.finite_field(q, 1, m)
     n, t = ell + 1, len(dims)
-    subspaces = {k: list(ffl.enumerate_rref(n, k, ff.subfield(q ** t), ff)) for k in range(1, n)}
+    subspaces = {k: list(ffl.enumerate_rref(n, k, ff.subfield(q ** t))) for k in range(1, n)}
     points = list(itertools.product(*(ffl.enumerate_flags(ff, ell, d) for d in dims)))
     for x in points[::max(1, len(points) // 40)]:
         spans = [_step_spans(copy, ff) for copy in x]
@@ -370,7 +369,7 @@ def test_rational_subspace_counts(p, e, m, n):
     for k, family in enumerate(families, start=1):
         assert len(family) == len(set(family)) == ffl.gaussian_binomial(n, k, ff.q)
         assert family == tuple(tuple(rows.index(r) for r in u)
-                               for u in ffl.enumerate_rref(n, k, ff.subfield(ff.q), ff))
+                               for u in ffl.enumerate_rref(n, k, ff.subfield(ff.q)))
 
 
 @pytest.mark.parametrize("q,m,nu,every", [
@@ -388,7 +387,7 @@ def test_vertex_pairing_matches_relative_position(q, m, nu, every):
     for x in list(ffl.enumerate_flags(ff, n - 1, ffl.flag_dims(nu)))[::every]:
         spans = _step_spans(x, ff)
         for i in range(1, n):
-            for t in ffl.enumerate_rref(n, i, ff.subfield(ff.q), ff):
+            for t in ffl.enumerate_rref(n, i, ff.subfield(ff.q)):
                 w = ffl.relative_position(x, _completed_basis(t, ff, n), ff)
                 want = rd.inner_product(rs.fundamental_coweights[i - 1],
                                         reference_apply(w, nu))
@@ -524,6 +523,17 @@ def test_restriction_unequal_weights():
     assert _restriction_counts(2, 4, 1, ((2, -2), (1, -1))) == ((17 - 5) * 17, 17 * 17, 0)
     # equal weights: only the twisted diagonal over F4 is unstable
     assert _restriction_counts(2, 4, 1, ((1, -1), (1, -1))) == (17 * 17 - 5, 17 * 17, 0)
+
+
+def test_subfield_sizes_are_powers_of_p():
+    # F_16 has subfields of 2, 4 and 16 elements; 6 - 1 divides 16 - 1, but 6
+    # is no power of 2, and 8 - 1 does not divide 15
+    ff = ffl.finite_field(2, 1, 4)
+    assert [len(ff.subfield(size)) for size in (2, 4, 16)] == [2, 4, 16]
+    assert set(ff.subfield(4)) == {a for a in range(16) if ff.frobenius(a, 2) == a}
+    for size in (6, 8, 1, 0):
+        with pytest.raises(ValidationError, match=f"no subfield of size {size} in F_16$"):
+            ff.subfield(size)
 
 
 def test_restriction_degree_must_divide_m():

@@ -117,9 +117,20 @@ def test_opposition_matches_longest_element(kind, rank):
 
 def test_illegal_pairs():
     for kind, rank in [("A", 0), ("B", 1), ("C", 1), ("D", 2), ("E6", 7),
-                       ("F4", 3), ("G2", 3), ("X", 2)]:
+                       ("F4", 3), ("G2", 3), ("X", 2), ("E6", 5), ("E7", 8),
+                       ("E8", 7), ("F4", 5), ("G2", 1)]:
         with pytest.raises(IllegalType):
             rd.build_root_system(kind, rank)
+
+
+def test_flat_cocharacter_only_for_t_1():
+    # a restriction of scalars takes its cocharacter as t factors; one flat
+    # vector of length t * n is refused, and is a cocharacter only at t = 1
+    g = rd.build_group("A", 1, res_degree=3)
+    with pytest.raises(DimensionMismatch, match="flat cocharacter of length 6"):
+        rd.split_nu(g, (1, -1) * 3)
+    assert rd.split_nu(g, [(1, -1)] * 3) == (rd.vector((1, -1)),) * 3
+    assert rd.split_nu(rd.build_group("A", 1), (1, -1)) == (rd.vector((1, -1)),)
 
 
 @pytest.mark.parametrize("kind,rank", [("A", 35), ("B", 25), ("C", 25), ("D", 26), ("A", 10 ** 6)])

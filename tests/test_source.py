@@ -5,6 +5,7 @@ import importlib
 from pathlib import Path
 
 import perioddomains
+from perioddomains import cli
 
 
 def test_no_assert_in_package():
@@ -74,3 +75,14 @@ def test_perfbench_reads_only_names_the_package_has():
     assert missing == []
     assert {alias for alias, _ in reads} == {"ffl", "rd", "cf", "strata", "weyl", "cli"}
     assert ("ffl", "is_semistable_strata_test") in reads
+
+
+def test_readme_keys_line_names_the_config_keys():
+    # README's `Keys:` line lists every config key but `command`, which the
+    # subcommand sets; the two must not drift apart
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    lines = [line for line in readme.splitlines() if line.startswith("Keys: `")]
+    assert len(lines) == 1
+    keys = lines[0].split("`")[1].split()
+    assert len(keys) == len(set(keys))
+    assert set(keys) == cli._KNOWN_KEYS - {"command"}

@@ -257,7 +257,7 @@ def test_matrix_and_word_apply_agree():
 def test_derived_word_is_reduced_and_multiplies_out(kind, rank):
     rs = rd.build_root_system(kind, rank)
     for w in all_elements(rs):
-        bare = weyl.WeylElement(rs, w.root_perm, w.inv_perm, w.length)
+        bare = weyl.WeylElement(rs, w.root_perm, w.length)
         word = bare.word
         assert len(word) == w.length
         product = weyl.identity_element(rs)
@@ -279,13 +279,13 @@ def test_derived_word_is_the_enumeration_word(kind, rank, t, delta_p):
     rs = rd.build_group(kind, rank, res_degree=t).absolute
     pd = weyl.parabolic_from_subset(rs, delta_p)
     for w in weyl.enumerate_min_coset_reps(pd, rs):
-        bare = weyl.WeylElement(rs, w.root_perm, w.inv_perm, w.length)
+        bare = weyl.WeylElement(rs, w.root_perm, w.length)
         assert bare.word == w.word
 
 
 def test_elements_without_a_built_word_get_one():
     rs = rd.build_root_system("A", 3)
-    w = weyl.permutation_element(rs, (4, 3, 2, 1))
+    w = weyl.WeylElement(rs, weyl.permutation_element(rs, (4, 3, 2, 1)).root_perm, 6)
     assert len(w.word) == w.length == 6
     assert reference_apply(w, (1, 2, 3, 4)) == rd.vector((4, 3, 2, 1))
     u = weyl.min_coset_rep(weyl.longest_element(rs), (1,))
@@ -306,7 +306,7 @@ def test_permutation_element_roundtrip():
 def test_permutation_element_on_all_of_s4():
     # the element built from adjacent transpositions moves coordinate a to
     # one_line[a], has the one-line word's inversion count as its length,
-    # and carries the inverse root permutation
+    # and carries a reduced word that multiplies out to it
     rs = rd.build_root_system("A", 3)
     v = (10, 20, 30, 40)
     for one_line in itertools.permutations(range(1, 5)):
@@ -317,6 +317,10 @@ def test_permutation_element_on_all_of_s4():
         assert reference_apply(w, v) == rd.vector(image)
         assert w.length == sum(x > y for x, y in itertools.combinations(one_line, 2))
         assert w * w.inverse() == weyl.identity_element(rs)
+        product = weyl.identity_element(rs)
+        for i in w.word:
+            product = product * weyl.simple_reflection(rs, i)
+        assert product == w and len(w.word) == w.length
 
 
 def test_permutation_element_rejects_non_permutation():
