@@ -4,7 +4,9 @@ Input is a line-oriented `key = value` config (hand-parsed, no external
 config dependencies): vectors are comma-separated rationals `p/q`, tuples
 are semicolon-separated vectors. A config may come from a file, stdin (`-`),
 or inline `key=value` tokens on the command line. Output is deterministic;
-`--record` switches to machine-readable `key=value` lines.
+`--record` switches to machine-readable `key=value` lines. A warning prints
+once, as one `warning:` line on stderr. A rational longer than str() prints
+(sys.get_int_max_str_digits()) is a parse error; a longer result exits 2.
 
 Budgets: `budget_cells` caps the orbit elements strata visits, the sum
 over copies and vertices of min(|W/W_{P_i}|, |W/W_P|) (default 65536), and
@@ -36,6 +38,7 @@ import math
 import os
 import sys
 import time
+import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -125,8 +128,18 @@ class JobSpec:
 
 
 def _parse_fraction(token: str, line: int) -> Fraction:
+    text = token.strip()
     try:
-        return Fraction(token.strip())
+        if "e" in text or "E" in text:
+            # Fraction would build 10^exponent, so its digits are read from the
+            # text first; int() bounds the digits of a token without one
+            mantissa, _, exponent = text.lower().partition("e")
+            whole, _, decimals = mantissa.partition(".")
+            shift = int(exponent) - len(decimals)
+            digits = max(sum(map(str.isdigit, whole + decimals)) + shift, 1 - shift)
+            if 0 < (limit := sys.get_int_max_str_digits()) < digits:
+                raise ParseError(line, f"rational {token!r} has more than {limit} digits")
+        return Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise ParseError(line, f"bad rational {token!r}") from None
 
@@ -221,7 +234,10 @@ def _factor_prime_power(q: int) -> tuple[int, int]:
 
 
 def _kv(key: str, value, record: bool) -> str:
-    return f"{key}={value}" if record else f"{key} = {value}"
+    try:
+        return f"{key}={value}" if record else f"{key} = {value}"
+    except ValueError:  # an integer longer than sys.get_int_max_str_digits()
+        raise ValidationError(f"{key} has more digits than can be printed") from None
 
 
 def _render_classification(cls: Classification, job: JobSpec, record: bool) -> str:
@@ -436,11 +452,18 @@ def main(argv=None) -> int:
     if args.budget_field is not None:
         pieces.append(f"budget_field={args.budget_field}")
 
-    try:
-        job = parse_jobspec("\n".join(pieces))
-        code, text = run_job(job)
-    except PeriodDomainError as exc:
-        return report_error(exc)
+    error = None
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")  # whatever the filters, each warning is one line
+        try:
+            job = parse_jobspec("\n".join(pieces))
+            code, text = run_job(job)
+        except PeriodDomainError as exc:
+            error = exc
+    for message in dict.fromkeys(str(w.message) for w in caught):
+        print(f"warning: {message}", file=sys.stderr)
+    if error is not None:
+        return report_error(error)
     try:
         print(text, flush=True)
     except BrokenPipeError:

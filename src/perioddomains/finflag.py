@@ -28,12 +28,14 @@ addition and multiplication are single table lookups; fields up to
 MAX_FIELD_ORDER = 2^16 elements are supported. Elements are integers
 0..q^m-1 whose base-p digits are the coefficients of the residue
 polynomial. The modulus is the first irreducible monic polynomial in that
-encoding, and the generator g is the first element of order q^m - 1, found
-by the cofactor test: g^((Q-1)/r) != 1 for every prime r | Q - 1. exp is
-one walk through the powers of g, each a product with g, whose few nonzero
-digits keep it cheap; F_{2^16} builds in about 0.65 s and F_{3^10} in about
-0.7 s (Python 3.11, three runs each on a shared CPU). For very small fields
-dense addition/multiplication tables are layered on top of the Zech data.
+encoding, by Berlekamp's rank test (`_is_irreducible`: `rref` over F_p,
+the one elimination routine over a field). The generator g is the first
+element of order q^m - 1, found by the cofactor test: g^((Q-1)/r) != 1 for
+every prime r | Q - 1. exp is one walk through the powers of g, each a
+product with g, whose few nonzero digits keep it cheap; F_{2^16} and
+F_{3^10} each build in about 0.7 s (Python 3.11, three runs each on a
+shared CPU). For very small fields dense addition/multiplication tables
+are layered on top of the Zech data.
 
 The tests and the enumeration take no budget. A caller bounds the work up
 front: `checked_flag_count` gives each copy's number of points, and every
@@ -136,47 +138,21 @@ def _powers(g, f, p, count) -> list[int]:
     return out
 
 
-def _poly_gcd(a, b, p):
-    a, b = list(a), list(b)
-    while any(b):
-        while b and b[-1] == 0:
-            b.pop()
-        if not b:
-            break
-        inv = pow(b[-1], p - 2, p)
-        while len(a) >= len(b) and any(a):
-            while a and a[-1] == 0:
-                a.pop()
-            if len(a) < len(b):
-                break
-            c = a[-1] * inv % p
-            shift = len(a) - len(b)
-            for i, x in enumerate(b):
-                a[shift + i] = (a[shift + i] - c * x) % p
-        a, b = b, a
-    return a
-
-
 def _is_irreducible(f, p, n) -> bool:
+    """Whether the monic f of degree n is irreducible over F_p: f divides
+    x^(p^n) - x, so it is squarefree, and the rows x^(ip) - x^i mod f
+    (i < n) have rank n - 1, since the algebra F_p[x]/f fixed by a -> a^p has
+    one dimension per irreducible factor (Berlekamp 1967)."""
     if n == 1:
         return True
-    x = [0, 1]
-    xx = [0, 1] + [0] * (n - 2)  # the residue of x, padded to length n
-    if _poly_pow_mod(x, p ** n, f, p) != xx:
+    x = [0, 1] + [0] * (n - 2)
+    if _poly_pow_mod(x, p ** n, f, p) != x:
         return False
-    for r in _prime_divisors(n):
-        xr = _poly_pow_mod(x, p ** (n // r), f, p)
-        diff = [(u - v) % p for u, v in itertools.zip_longest(xr, xx, fillvalue=0)]
-        if _poly_degree(_poly_gcd(list(f), diff, p)) > 0:
-            return False
-    return True
-
-
-def _poly_degree(a) -> int:
-    for k in range(len(a) - 1, -1, -1):
-        if a[k]:
-            return k
-    return -1
+    xp, cur, rows = _poly_pow_mod(x, p, f, p), [1] + [0] * (n - 1), []
+    for i in range(n):  # cur = x^(ip) mod f
+        rows.append([(c - (k == i)) % p for k, c in enumerate(cur)])
+        cur = _poly_mul_mod(xp, cur, f, p)
+    return len(rref(rows, finite_field(p))[0]) == n - 1
 
 
 def _prime_divisors(n: int) -> list[int]:
@@ -413,13 +389,16 @@ def enumerate_rref(n: int, k: int, elements: Sequence[int]) -> Iterator[Matrix]:
 class FlagPoint:
     """A point of a type-A partial flag variety over the working field.
 
-    `dims` are the proper step dimensions (the ambient space itself is
-    implicit); `bases[i]` is the canonical reduced echelon basis of the
-    i-th step.
+    `bases[i]` is the canonical reduced echelon basis of the i-th proper
+    step, `dims` their sizes. Both semistability tests assume the steps nest;
+    the strata test refuses a profile that no nested flag has.
     """
 
-    dims: tuple[int, ...]
     bases: tuple[Matrix, ...]
+
+    @property
+    def dims(self) -> tuple[int, ...]:
+        return tuple(map(len, self.bases))
 
 
 def flag_dims(nu) -> tuple[int, ...]:
@@ -475,7 +454,7 @@ def enumerate_flags(ff: FiniteField, ell: int, dims: Sequence[int]) -> Iterator[
                 yield (new_rows,) + rest
 
     for chain in extend(0, (), ()):
-        yield FlagPoint(dims=dims, bases=chain)
+        yield FlagPoint(chain)
 
 
 @lru_cache(maxsize=None)
@@ -624,16 +603,6 @@ def is_semistable_subspace_test(x, nu, ff: FiniteField) -> bool:
     return True
 
 
-@lru_cache(maxsize=65536)
-def _check_invertible(g: Matrix, ff: FiniteField) -> tuple[Row, ...]:
-    n = len(g)
-    cols = tuple(tuple(g[r][c] for r in range(n)) for c in range(n))
-    full_rank, _ = rref(cols, ff)
-    if len(full_rank) != n:
-        raise SingularTransform("basis change matrix is singular")
-    return cols
-
-
 def relative_position(x: FlagPoint, g: Sequence[Sequence[int]],
                       ff: FiniteField) -> WeylElement:
     """Bruhat position w with x in g.(BwP/P), as a minimal coset representative.
@@ -642,7 +611,9 @@ def relative_position(x: FlagPoint, g: Sequence[Sequence[int]],
     reference full flag of g's leading column spans.
     """
     n = len(g)
-    cols = _check_invertible(tuple(tuple(row) for row in g), ff)
+    cols = tuple(tuple(row[c] for row in g) for c in range(n))
+    if len(rref(cols, ff)[0]) != n:
+        raise SingularTransform("basis change matrix is singular")
 
     jump_sets = []
     for step_rows in x.bases:
@@ -684,6 +655,9 @@ def _vertex_pairings(nu: tuple):
         one_line: list[int] = []
         prev_d = prev_c = 0
         for d, c in zip(steps, part + (i,)):
+            if not 0 <= c - prev_c <= d - prev_d:
+                raise ValidationError(f"intersection dims {part} of a subspace of dim {i} "
+                                      f"with steps of dims {steps[:-1]}: the steps do not nest")
             one_line += [next(small) for _ in range(c - prev_c)]
             one_line += [next(large) for _ in range(d - prev_d - c + prev_c)]
             prev_d, prev_c = d, c

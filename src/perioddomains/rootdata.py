@@ -394,9 +394,7 @@ def _base_orbits(base: RootSystemData, form: str) -> tuple[tuple[int, ...], ...]
 
 
 @lru_cache(maxsize=None)
-def _build_group(kind: str, rank: int, form: str, res_degree: int) -> GroupDatum:
-    base = build_root_system(kind, rank)
-    t = res_degree
+def _build_group(base: RootSystemData, form: str, t: int) -> GroupDatum:
     base_orbits = _base_orbits(base, form)
     d = len(base_orbits)
     orbits = tuple(
@@ -436,7 +434,7 @@ def build_group(kind: str, rank: int, form: str = FORM_SPLIT,
     if (count := res_degree * len(base.positive_roots)) > MAX_POSITIVE_ROOTS:
         raise BudgetExceeded(f"{base.kind}{'' if base.kind[1:] else rank} t={res_degree} has "
                              f"{count} positive roots, above the bound {MAX_POSITIVE_ROOTS}")
-    return _build_group(kind, rank, form, res_degree)
+    return _build_group(base, form, res_degree)
 
 
 def relative_coweights(g: GroupDatum) -> tuple[RelativeCoweight, ...]:

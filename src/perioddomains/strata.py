@@ -16,7 +16,9 @@ finds every mu at level l(d). It runs over the smaller orbit:
 that of omega_i, keeping the Delta_P-dominant elements, when |W/W_{P_i}| <=
 |W/W_P|, else that of nu_P (labels 1 off Delta_P), keeping the
 Delta_{P_i}-dominant d nu_P and carrying omega_i back along d^{-1}. The
-records are cached per (copy, Delta_P, vertex), so a report only scans them.
+records are cached per (base system, Delta_P, Delta_{P_i}), so a report
+only scans them, and every degree t and form of one base reads the same
+records.
 
 A restriction of scalars of degree t has W = W_base^t: lengths and pairings
 add over the copies and counts multiply, so each copy's double cosets are
@@ -37,7 +39,8 @@ from functools import lru_cache
 from operator import mul
 
 from .errors import BudgetExceeded, ValidationError
-from .rootdata import GroupDatum, build_group, climb, integer_pairings, reflect_labels, split_nu
+from .rootdata import (GroupDatum, RootSystemData, _base_orbits, climb, integer_pairings,
+                       reflect_labels, split_nu)
 from .weyl import WeylElement, _parabolic, _tables, dominant_delta, longest_element, weyl_order
 
 
@@ -61,34 +64,21 @@ class StrataReport:
     codim_y: int | float
 
 
-@dataclass(frozen=True, eq=False)
-class _Copy:
-    """One restriction-of-scalars copy: its t = 1 group, its Cartan integers
-    (`rootdata.cartan_integers`), the fundamental coweights scaled by one
-    integer, and Delta_{P_i} of each vertex."""
-
-    group: GroupDatum
-    cartan: tuple[tuple[tuple[int, int], ...], ...]
-    coweights: tuple[tuple[int, ...], ...]
-    vertex_deltas: tuple[tuple[int, ...], ...]
-
-
 @lru_cache(maxsize=None)
-def _copy(g: GroupDatum) -> _Copy:
-    group = build_group(g.base.kind, g.base.rank, g.form, 1)
-    omegas = g.base.fundamental_coweights
+def _vertex_data(base: RootSystemData, form: str):
+    """What each copy of (base, form) shares: the fundamental coweights
+    scaled by one integer, and Delta_{P_i} of each vertex."""
+    omegas = base.fundamental_coweights
     scale = math.lcm(*(x.denominator for w in omegas for x in w))
-    return _Copy(group, g.base.cartan, tuple(tuple(int(x * scale) for x in w) for w in omegas),
-                 tuple(tuple(k for k in range(1, g.base.rank + 1) if k not in orbit)
-                       for orbit in group.galois_orbits))
+    return (tuple(tuple(int(x * scale) for x in w) for w in omegas),
+            tuple(tuple(k for k in range(1, base.rank + 1) if k not in orbit)
+                  for orbit in _base_orbits(base, form)))
 
 
 @lru_cache(maxsize=1024)
-def _double_cosets(copy: _Copy, delta_p: tuple[int, ...], i: int):
+def _double_cosets(rs: RootSystemData, delta_p: tuple[int, ...], delta_pi: tuple[int, ...]):
     """The double cosets W_{P_i} d W_P of one copy by dimension descending, as
     three tuples: longest-cell lengths, cell counts and mu = d^{-1} omega_i."""
-    rs = copy.group.absolute
-    delta_pi = copy.vertex_deltas[i - 1]
     pi = _parabolic(rs, delta_pi)
     omega = tuple(int(k + 1 not in delta_pi) for k in range(rs.rank))
     from_omega = pi.w_p_order >= _parabolic(rs, delta_p).w_p_order
@@ -106,8 +96,8 @@ def _double_cosets(copy: _Copy, delta_p: tuple[int, ...], i: int):
             mu = c
             if not from_omega:  # c = d nu_P; carry omega_i back along d^{-1}
                 mu = omega
-                for k in climb(copy.cartan, c):
-                    mu = reflect_labels(copy.cartan, mu, k)
+                for k in climb(rs.cartan, c):
+                    mu = reflect_labels(rs.cartan, mu, k)
             j_mu = tuple(j for j in delta_p if mu[j - 1] == 0)
             if j_mu not in by_j:
                 pj = _parabolic(rs, j_mu)
@@ -119,7 +109,7 @@ def _double_cosets(copy: _Copy, delta_p: tuple[int, ...], i: int):
         for c in layer:
             for k, ck in enumerate(c):
                 if ck > 0:
-                    nxt[reflect_labels(copy.cartan, c, k)] = None
+                    nxt[reflect_labels(rs.cartan, c, k)] = None
         layer, level = list(nxt), level + 1
     dims = sorted(by_dim, reverse=True)
     return (tuple(d for d in dims for _ in by_dim[d][0]),
@@ -128,25 +118,21 @@ def _double_cosets(copy: _Copy, delta_p: tuple[int, ...], i: int):
 
 
 @lru_cache(maxsize=4096)
-def _top_cell(copy: _Copy, i: int, delta_p: tuple[int, ...], mu: tuple[int, ...]
-              ) -> WeylElement:
+def _top_cell(rs: RootSystemData, delta_pi: tuple[int, ...], delta_p: tuple[int, ...],
+              mu: tuple[int, ...]) -> WeylElement:
     """The longest cell w0(P_i) d w0(J) of the double coset of mu in one copy."""
-    rs = copy.group.absolute
     tab = _tables(rs)
     perm = longest_element(rs, tuple(k for k in delta_p if mu[k - 1] == 0)).root_perm
-    for k in climb(copy.cartan, mu):  # d = s_{k_m} ... s_{k_1}
+    for k in climb(rs.cartan, mu):  # d = s_{k_m} ... s_{k_1}
         sp = tab.sperm[k]
         perm = tuple(sp[p] for p in perm)
-    w0pi = longest_element(rs, copy.vertex_deltas[i - 1]).root_perm
+    w0pi = longest_element(rs, delta_pi).root_perm
     perm = tuple(w0pi[p] for p in perm)
     return WeylElement(rs, perm, sum(p >= tab.npos for p in perm[:tab.npos]))
 
 
-@lru_cache(maxsize=4096)
-def _lift(g: GroupDatum, i: int, deltas: tuple[tuple[int, ...], ...],
-          mus: tuple[tuple[int, ...], ...]) -> WeylElement:
-    """The element of W_base^t whose copy j is the top cell of mus[j]."""
-    cells = [_top_cell(_copy(g), i, d, mu) for d, mu in zip(deltas, mus)]
+def _lift(g: GroupDatum, cells: list[WeylElement]) -> WeylElement:
+    """The element of W_base^t whose copy j is cells[j]."""
     npos, t = _tables(g.base).npos, len(cells)
     # copy j's root m < npos is j*npos + m, and m >= npos is (t-1+j)*npos + m
     perm = tuple(m + j * npos if m < npos else m + (t - 1 + j) * npos
@@ -161,20 +147,21 @@ def strata_report(g: GroupDatum, nu, max_cells: int | None = None) -> StrataRepo
     elements; more than max_cells raise BudgetExceeded before any search."""
     if max_cells is not None and max_cells < 0:
         raise ValidationError(f"cell budget must be nonnegative, got {max_cells}")
-    copy = _copy(g)
+    coweights, vertex_deltas = _vertex_data(g.base, g.form)
     ints, _, pairings = integer_pairings(g.base, split_nu(g, nu))
     delta = dominant_delta(pairings)
     r = g.base.rank
     deltas = tuple(tuple(k - j * r for k in delta if j * r < k <= (j + 1) * r)
                    for j in range(len(ints)))
-    rs = copy.group.absolute
+    rs = g.base
     pds = [_parabolic(rs, d) for d in deltas]
     visits = sum(weyl_order(rs) // max(_parabolic(rs, dpi).w_p_order, pd.w_p_order)
-                 for pd in pds for dpi in copy.vertex_deltas)
+                 for pd in pds for dpi in vertex_deltas)
     if max_cells is not None and visits > max_cells:
         raise BudgetExceeded(f"{visits} orbit elements exceed budget {max_cells}")
-    pairs = [tuple(sum(map(mul, w, v)) for w in copy.coweights) for v in ints]
-    strata = tuple(_stratum(g, copy, i, deltas, pairs) for i in range(1, g.relative_rank + 1))
+    pairs = [tuple(sum(map(mul, w, v)) for w in coweights) for v in ints]
+    strata = tuple(_stratum(g, i, dpi, deltas, pairs)
+                   for i, dpi in enumerate(vertex_deltas, start=1))
     dim_f = sum(pd.w0p_length for pd in pds)
     dims = [s.dim for s in strata if s.dim is not None]
     if dims:
@@ -186,22 +173,23 @@ def strata_report(g: GroupDatum, nu, max_cells: int | None = None) -> StrataRepo
     return StrataReport(dim_f=dim_f, per_vertex=strata, dim_y=dim_y, codim_y=codim)
 
 
-def _stratum(g: GroupDatum, copy: _Copy, i: int, deltas, pairs) -> VertexStratum:
-    """Vertex i from each copy's double cosets and pairing values (mu, nu_j)."""
+def _stratum(g: GroupDatum, i: int, delta_pi: tuple[int, ...], deltas, pairs) -> VertexStratum:
+    """Vertex i, with Delta_{P_i} = delta_pi, from each copy's double cosets
+    and pairing values (mu, nu_j)."""
     empty = VertexStratum(index=i, dim=None, witness=None, cell_count=0)
     if len(deltas) == 1:  # the merge below, without the grouping by value
-        dims, counts, mus = _double_cosets(copy, deltas[0], i)
+        dims, counts, mus = _double_cosets(g.base, deltas[0], delta_pi)
         hits = [k for k, mu in enumerate(mus) if sum(map(mul, mu, pairs[0])) > 0]
         if not hits:
             return empty
-        witness = min((_top_cell(copy, i, deltas[0], mus[k])
+        witness = min((_top_cell(g.base, delta_pi, deltas[0], mus[k])
                        for k in hits if dims[k] == dims[hits[0]]), key=lambda w: w.root_perm)
         return VertexStratum(index=i, dim=dims[hits[0]], witness=witness,
                              cell_count=sum(counts[k] for k in hits))
     groups = []  # per copy: pairing value -> [largest dim, summed count, its mus]
     for d, nus in zip(deltas, pairs):
         by_value: dict[int, list] = {}
-        for dim, count, mu in zip(*_double_cosets(copy, d, i)):
+        for dim, count, mu in zip(*_double_cosets(g.base, d, delta_pi)):
             x = sum(map(mul, mu, nus))
             if (hit := by_value.get(x)) is None:
                 by_value[x] = [dim, count, [mu]]
@@ -237,11 +225,11 @@ def _stratum(g: GroupDatum, copy: _Copy, i: int, deltas, pairs) -> VertexStratum
         for x, (dim, _, mus) in by_value.items():
             if highest.get(rest - dim, need - x) > need - x:
                 for mu in mus:
-                    cell = _top_cell(copy, i, deltas[j], mu)
+                    cell = _top_cell(g.base, delta_pi, deltas[j], mu)
                     if choice is None or cell.root_perm < choice[0].root_perm:
-                        choice = (cell, x, dim, mu)
-        _, x, dim, mu = choice
+                        choice = (cell, x, dim)
+        cell, x, dim = choice
         need, rest = need - x, rest - dim
-        parts.append(mu)
-    return VertexStratum(index=i, dim=best, witness=_lift(g, i, deltas, tuple(parts)),
+        parts.append(cell)
+    return VertexStratum(index=i, dim=best, witness=_lift(g, parts),
                          cell_count=sum(count for _, count in qualifying))

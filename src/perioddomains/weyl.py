@@ -10,7 +10,8 @@ when called. The simple reflections permute the roots by their Dynkin
 labels (`rootdata.reflect_labels`); a caller that needs the image of a
 weight reflects its labels along the word. `longest_element` gives w0 of any
 W_J, and `permutation_element` builds a type-A element, with a reduced word,
-from one-line notation by sorting it with adjacent transpositions.
+from one-line notation by sorting it with adjacent transpositions; it keeps
+no cache, since finflag's strata test memoizes what it reads per profile.
 
 Minimal coset representatives of W/W_P are grown by *left* multiplication:
 if u is a minimal representative and u = s_i v with l(v) = l(u) - 1, then v
@@ -281,16 +282,11 @@ def permutation_element(rs: Realization, one_line: Sequence[int]) -> WeylElement
     """Type-A element from one-line notation on coordinates (1-based values).
 
     one_line[k] is the image of position k+1; the element permutes the
-    ambient coordinates accordingly.
+    ambient coordinates accordingly. Swapping the entries at positions i and
+    i+1 multiplies by s_i on the right and, at a descent, lowers the length
+    by one; sorting one_line this way to the identity spells the reduced
+    word w = s_{i_m} ... s_{i_1}.
     """
-    return _permutation_element(rs, tuple(one_line))
-
-
-@lru_cache(maxsize=4096)
-def _permutation_element(rs: Realization, one_line: tuple[int, ...]) -> WeylElement:
-    """Swapping the entries at positions i and i+1 multiplies by s_i on the
-    right and, at a descent, lowers the length by one; sorting one_line
-    this way to the identity spells the reduced word w = s_{i_m} ... s_{i_1}."""
     n = rs.ambient_dim
     if sorted(one_line) != list(range(1, n + 1)):
         raise InvariantViolation(f"{one_line} is not a permutation of 1..{n}")

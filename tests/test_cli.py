@@ -5,6 +5,7 @@ import runpy
 import subprocess
 import sys
 import time
+from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
@@ -242,6 +243,54 @@ def test_exit_code_validation_error(capsys):
     ]:
         assert run_main(command, config) == (cli.EXIT_VALIDATION, "")
         assert capsys.readouterr().err.startswith("validation error: ")
+
+
+@pytest.mark.parametrize("command,config", [
+    ("tables", "kind=D rank=3"),
+    ("strata", "kind=D rank=3 nu=1,0,0"),
+    ("classify", "kind=D rank=3 nu=1,0,0"),
+])
+def test_d3_warning_is_one_line_under_any_filter(command, config):
+    # one line, whatever PYTHONWARNINGS says, and no install path in it
+    env = dict(os.environ, PYTHONWARNINGS="error")
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(__file__).parents[1] / "src"), env.get("PYTHONPATH", "")])
+    proc = subprocess.run([sys.executable, "-m", "perioddomains.cli", command, config],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == cli.EXIT_OK and proc.stdout
+    assert proc.stderr == "warning: D3 is an alias of A3; building the D-style realization\n"
+
+
+@pytest.mark.parametrize("token", ["1e5000", "1e300000000", "-2.5e4300", "1e-4300",
+                                   "1" * 4301, "1e" + "9" * 5000])
+def test_long_rationals_are_parse_errors_before_they_are_built(token, capsys):
+    # 10^exponent is never formed: a numerator or denominator longer than
+    # str() prints is refused from the text
+    start = time.perf_counter()
+    assert run_main("classify", f"kind=A rank=1 nu={token},-1") == (cli.EXIT_USAGE, "")
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert err.startswith("parse error: line 1: ") and err.count("\n") == 1
+
+
+def test_longest_printable_rationals_are_read():
+    limit = sys.get_int_max_str_digits()
+    for token in (f"1e{limit - 1}", f"1e-{limit - 1}", "1" * limit, "1." + "0" * limit):
+        assert cli._parse_fraction(token, 1) == F(token)
+
+
+def test_value_too_long_to_print_exits_two(capsys):
+    # each 1/d is legal, but classify's sums over the copies have about
+    # three times as many digits
+    limit = sys.get_int_max_str_digits()
+    ds = [10 ** (limit * 2 // 3) + k for k in (7, 9, 13)]
+    nu = ";".join(f"1/{d},-1/{d}" for d in ds)
+    start = time.perf_counter()
+    assert run_main("classify", f"kind=A rank=1 t=3 nu={nu}") == (cli.EXIT_VALIDATION, "")
+    assert time.perf_counter() - start < 5.0
+    err = capsys.readouterr().err
+    assert err.startswith("validation error: ") and "can be printed" in err
+    assert err.count("\n") == 1
 
 
 def test_exit_code_budget():

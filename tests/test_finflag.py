@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import math
 import random
 from fractions import Fraction as F
 
@@ -110,6 +111,22 @@ def test_large_field_tables_pinned(p, e, m):
     assert all(ff.log[v] == k for k, v in enumerate(ff.exp))
 
 
+def _moebius(n):
+    primes = ffl._prime_divisors(n)
+    return 0 if math.prod(primes) != n else (-1) ** len(primes)
+
+
+def test_irreducible_counts_match_gauss():
+    # Gauss: (1/n) sum_{d | n} mu(d) p^(n/d) monic irreducibles of degree n
+    # over F_p, a reference for the rank test that shares no code with it
+    for p in (p for p in range(2, 1025) if ffl._prime_divisors(p) == [p]):
+        for n in itertools.takewhile(lambda n: p ** n <= 1024, itertools.count(1)):
+            count = sum(ffl._is_irreducible(ffl._digits(c, p, n) + [1], p, n)
+                        for c in range(p ** n))
+            expected = sum(_moebius(d) * p ** (n // d) for d in range(1, n + 1) if n % d == 0)
+            assert count * n == expected, (p, n)
+
+
 def test_tables_of_f2():
     ff = ffl.FiniteField(2)
     assert (ff.modulus, ff.generator, ff.exp, ff.log, ff.zech, ff._neg_one) == \
@@ -176,10 +193,29 @@ def test_flag_budget_and_validation():
 def test_point_of_the_wrong_width_is_refused():
     # a point of F_2^4 against a cocharacter of length 3 with the same dims
     ff = ffl.finite_field(2)
-    x = ffl.FlagPoint(dims=(1, 2), bases=(((1, 0, 0, 0),), ((1, 0, 0, 0), (0, 1, 0, 0))))
+    x = ffl.FlagPoint((((1, 0, 0, 0),), ((1, 0, 0, 0), (0, 1, 0, 0))))
     with pytest.raises(ValidationError, match="length 3"):
         ffl.is_semistable_subspace_test(x, (1, 0, -1), ff)
     with pytest.raises(ValidationError, match="length 3"):
+        ffl.is_semistable_strata_test(x, (1, 0, -1), ff)
+
+
+def test_flag_point_dims_are_its_step_sizes():
+    # a step of two rows is a step of dim 2, whatever nu expects
+    ff = ffl.finite_field(2)
+    x = ffl.FlagPoint((((1, 0), (0, 1)),))
+    assert x.dims == (2,)
+    for test in (ffl.is_semistable_subspace_test, ffl.is_semistable_strata_test):
+        with pytest.raises(ValidationError, match=r"flag dims \(2,\) do not match"):
+            test(x, (1, -1), ff)
+
+
+def test_steps_that_do_not_nest_are_refused_by_the_strata_test():
+    # F^1 = <e1> does not lie in F^2 = <e2, e3>: the line <e1> meets F^1 but
+    # not F^2, which no nested flag allows
+    ff = ffl.finite_field(2)
+    x = ffl.FlagPoint((((1, 0, 0),), ((0, 1, 0), (0, 0, 1))))
+    with pytest.raises(ValidationError, match="the steps do not nest"):
         ffl.is_semistable_strata_test(x, (1, 0, -1), ff)
 
 
@@ -236,7 +272,7 @@ def test_semistable_p1_f4():
 def test_full_rational_flag_never_semistable():
     # any rational full flag is destabilized by its own first step
     ff = ffl.finite_field(2, 1, 2)
-    point = ffl.FlagPoint(dims=(1, 2), bases=(((1, 0, 0),), ((1, 0, 0), (0, 1, 0))))
+    point = ffl.FlagPoint((((1, 0, 0),), ((1, 0, 0), (0, 1, 0))))
     assert not ffl.is_semistable_subspace_test(point, (1, 0, -1), ff)
     assert not ffl.is_semistable_strata_test(point, (1, 0, -1), ff)
 
@@ -244,10 +280,10 @@ def test_full_rational_flag_never_semistable():
 def test_relative_position_identity_and_flip():
     ff = ffl.finite_field(2, 1, 2)
     ident = ((1, 0), (0, 1))
-    std = ffl.FlagPoint(dims=(1,), bases=(((1, 0),),))
+    std = ffl.FlagPoint((((1, 0),),))
     w = ffl.relative_position(std, ident, ff)
     assert w.length == 0
-    opposite = ffl.FlagPoint(dims=(1,), bases=(((0, 1),),))
+    opposite = ffl.FlagPoint((((0, 1),),))
     w = ffl.relative_position(opposite, ident, ff)
     assert w.length == 1
 
@@ -271,7 +307,7 @@ def test_relative_position_column_flip_on_coordinate_flags():
 
 def test_relative_position_rejects_singular():
     ff = ffl.finite_field(2, 1, 2)
-    std = ffl.FlagPoint(dims=(1,), bases=(((1, 0),),))
+    std = ffl.FlagPoint((((1, 0),),))
     with pytest.raises(SingularTransform):
         ffl.relative_position(std, ((1, 0), (1, 0)), ff)
 
@@ -485,8 +521,8 @@ def test_every_point_semistable_when_unstable_locus_empty():
 
 def frobenius_point(x, ff):
     """The point whose steps are those of x with Frob_q applied to every entry."""
-    return ffl.FlagPoint(x.dims, tuple(tuple(tuple(ff.frobenius(v) for v in row) for row in step)
-                                       for step in x.bases))
+    return ffl.FlagPoint(tuple(tuple(tuple(ff.frobenius(v) for v in row) for row in step)
+                               for step in x.bases))
 
 
 def _restriction_counts(q, m, ell, nus):
@@ -539,7 +575,7 @@ def test_subfield_sizes_are_powers_of_p():
 def test_restriction_degree_must_divide_m():
     # F_8 contains no quadratic extension of F_2
     odd = ffl.finite_field(2, 1, 3)
-    x = ffl.FlagPoint(dims=(1,), bases=(((1, 0),),))
+    x = ffl.FlagPoint((((1, 0),),))
     for test in (ffl.is_semistable_subspace_test, ffl.is_semistable_strata_test):
         with pytest.raises(ValidationError, match="no subfield of size 4 in F_8"):
             test((x, x), ((1, -1), (1, -1)), odd)
@@ -578,7 +614,7 @@ def test_restriction_of_degree_one_is_the_flag_variety():
 
 def test_restriction_shape_is_checked():
     ff = ffl.finite_field(2, 1, 2)
-    x = ffl.FlagPoint(dims=(1,), bases=(((1, 0),),))
+    x = ffl.FlagPoint((((1, 0),),))
     with pytest.raises(ValidationError, match="1 flag points for 2 cocharacter factors"):
         ffl.is_semistable_subspace_test((x,), ((1, -1), (1, -1)), ff)
     with pytest.raises(ValidationError, match="factors of lengths"):

@@ -52,29 +52,45 @@ def test_weyl_and_strata_import_no_fractions():
             if "fractions" in _package_imports(root / name)] == []
 
 
-def test_perfbench_reads_only_names_the_package_has():
-    # the benchmark reads the package through module aliases (ffl, rd, cf,
-    # strata, weyl, cli); a rename in the package must fail here, since the
-    # benchmark's own tests are not part of this suite
-    bench = Path(__file__).parents[1] / "perfbench"
-    sources = sorted(bench.glob("*.py"))
+def _package_reads(directory):
+    """The (module, name) pairs the scripts in directory read of the package,
+    through `from perioddomains import module [as alias]` and attribute reads,
+    or `from perioddomains.module import name`, and the reads it lacks."""
+    sources = sorted(directory.glob("*.py"))
     assert sources
     reads, missing = set(), []
     for path in sources:
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-        aliases = {alias.asname or alias.name: alias.name for node in ast.walk(tree)
-                   if isinstance(node, ast.ImportFrom) and node.module == "perioddomains"
-                   for alias in node.names}
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) \
-                    and node.value.id in aliases:
-                module = importlib.import_module(f"perioddomains.{aliases[node.value.id]}")
-                reads.add((node.value.id, node.attr))
-                if not hasattr(module, node.attr):
-                    missing.append(f"{path.name}:{node.lineno} {node.value.id}.{node.attr}")
+        imports = [node for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
+        aliases = {alias.asname or alias.name: alias.name for node in imports
+                   if node.module == "perioddomains" for alias in node.names}
+        found = [(node.lineno, node.module.split(".", 1)[1], alias.name) for node in imports
+                 if (node.module or "").startswith("perioddomains.") for alias in node.names]
+        found += [(node.lineno, aliases[node.value.id], node.attr) for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                  and node.value.id in aliases]
+        for lineno, module, name in found:
+            reads.add((module, name))
+            if not hasattr(importlib.import_module(f"perioddomains.{module}"), name):
+                missing.append(f"{path.name}:{lineno} {module}.{name}")
+    return reads, missing
+
+
+def test_perfbench_reads_only_names_the_package_has():
+    # a rename in the package must fail here, since the benchmark's own
+    # tests are not part of this suite
+    reads, missing = _package_reads(Path(__file__).parents[1] / "perfbench")
     assert missing == []
-    assert {alias for alias, _ in reads} == {"ffl", "rd", "cf", "strata", "weyl", "cli"}
-    assert ("ffl", "is_semistable_strata_test") in reads
+    assert {module for module, _ in reads} == \
+        {"finflag", "rootdata", "classify", "strata", "weyl", "cli"}
+    assert ("finflag", "is_semistable_strata_test") in reads
+
+
+def test_scripts_read_only_names_the_package_has():
+    reads, missing = _package_reads(Path(__file__).parents[1] / "scripts")
+    assert missing == []
+    assert {("cli", "parse_jobspec"), ("cli", "run_job"), ("cli", "report_error"),
+            ("finflag", "flag_dims")} <= reads
 
 
 def test_readme_keys_line_names_the_config_keys():

@@ -17,15 +17,8 @@ from perioddomains.errors import (
     NotDominant,
     PeriodDomainError,
 )
-from test_acceptance import SWEEP_CONFIGS
+from test_acceptance import SWEEP_CONFIGS, dominant_from_coeffs
 from test_rootdata import reference_apply
-
-
-def dominant_from_coeffs(rs, coeffs):
-    nu = (F(0),) * rs.ambient_dim
-    for c, w in zip(coeffs, rs.fundamental_coweights):
-        nu = tuple(a + F(c) * b for a, b in zip(nu, w))
-    return nu
 
 
 def slope_on_cell(w, omega, nu):
@@ -278,20 +271,34 @@ def test_product_element_matches_enumeration(kind, rank):
     # enumeration's element, word included, and the root-permutation order on
     # W_base^3 is lexicographic over the copies' longest cells
     g = rd.build_group(kind, rank, res_degree=3)
-    copy = strata._copy(g)
+    _, vertex_deltas = strata._vertex_data(g.base, g.form)
     enumerated = {u.root_perm: u for u in weyl.enumerate_min_coset_reps(
         weyl.parabolic_from_subset(g.absolute, ()), g.absolute)}
-    for i in range(1, g.relative_rank + 1):
-        mus = strata._double_cosets(copy, (), i)[2]
+    for delta_pi in vertex_deltas:
+        mus = strata._double_cosets(g.base, (), delta_pi)[2]
         built = []
         for parts in itertools.product(mus, repeat=3):
-            w = strata._lift(g, i, ((),) * 3, parts)
+            copies = [strata._top_cell(g.base, delta_pi, (), mu) for mu in parts]
+            w = strata._lift(g, copies)
             u = enumerated[w.root_perm]
             assert (w.length, w.word) == (u.length, u.word)
-            copies = [strata._top_cell(copy, i, (), mu) for mu in parts]
             assert w.length == sum(c.length for c in copies)
             built.append((w.root_perm, [c.root_perm for c in copies]))
         assert sorted(built) == sorted(built, key=lambda b: b[1])
+
+
+@pytest.mark.parametrize("kind,rank,form", [("A", 3, "split"), ("B", 3, "split"),
+                                            ("A", 4, "unitary")])
+def test_every_degree_reads_the_records_of_its_base(kind, rank, form):
+    # the double cosets are kept per (base system, form, Delta_P, vertex): a
+    # t = 2 report after a t = 1 report on the same parabolic builds none
+    base = rd.build_group(kind, rank, form)
+    nu = dominant_from_coeffs(base.base, [1] + [0] * (rank - 1))
+    first = strata.strata_report(base, nu)
+    misses = strata._double_cosets.cache_info().misses
+    second = strata.strata_report(rd.build_group(kind, rank, form, 2), (nu, nu))
+    assert strata._double_cosets.cache_info().misses == misses
+    assert second.dim_f == 2 * first.dim_f
 
 
 @pytest.mark.parametrize("kind,rank,t", [("A", 3, 4), ("A", 1, 8)])
