@@ -57,6 +57,7 @@ from .errors import (
     ParseError,
     PeriodDomainError,
     ValidationError,
+    shown,
 )
 from .finflag import (
     MAX_FIELD_ORDER,
@@ -138,17 +139,17 @@ def _parse_fraction(token: str, line: int) -> Fraction:
             shift = int(exponent) - len(decimals)
             digits = max(sum(map(str.isdigit, whole + decimals)) + shift, 1 - shift)
             if 0 < (limit := sys.get_int_max_str_digits()) < digits:
-                raise ParseError(line, f"rational {token!r} has more than {limit} digits")
+                raise ParseError(line, f"rational {shown(token)} has more than {limit} digits")
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
-        raise ParseError(line, f"bad rational {token!r}") from None
+        raise ParseError(line, f"bad rational {shown(token)}") from None
 
 
 def _parse_int(token: str, line: int, key: str) -> int:
     try:
         return int(token.strip())
     except ValueError:
-        raise ParseError(line, f"key {key}: bad integer {token!r}") from None
+        raise ParseError(line, f"key {key}: bad integer {shown(token)}") from None
 
 
 def _parse_vector(token: str, line: int) -> Vector:
@@ -165,11 +166,11 @@ def parse_jobspec(text: str) -> JobSpec:
         tokens = line.split() if line.count("=") > 1 and " " in line else [line]
         for token in tokens:
             if "=" not in token:
-                raise ParseError(lineno, f"expected key=value, got {token!r}")
+                raise ParseError(lineno, f"expected key=value, got {shown(token)}")
             key, value = token.split("=", 1)
             key = key.strip().lower()
             if key not in _KNOWN_KEYS:
-                raise ParseError(lineno, f"unknown key {key!r}")
+                raise ParseError(lineno, f"unknown key {shown(key)}")
             raw[key] = (value.strip(), lineno)
 
     def get(key, default=None):
@@ -182,7 +183,7 @@ def parse_jobspec(text: str) -> JobSpec:
     if command is None:
         raise ParseError(0, "missing key 'command'")
     if command not in _COMMANDS:
-        raise ValidationError(f"unknown command {command!r}")
+        raise ValidationError(f"unknown command {shown(command)}")
     if "kind" not in raw:
         raise ParseError(0, "missing key 'kind'")
     if "rank" not in raw:
@@ -197,20 +198,20 @@ def parse_jobspec(text: str) -> JobSpec:
         output=get("output", "text"),
     )
     if job.t < 1:
-        raise ValidationError(f"t must be at least 1, got {job.t}")
+        raise ValidationError(f"t must be at least 1, got {shown(job.t)}")
     if job.output not in ("text", "record"):
-        raise ValidationError(f"output must be text or record, got {job.output!r}")
+        raise ValidationError(f"output must be text or record, got {shown(job.output)}")
 
     if "nu" in raw:
         parts = get("nu").split(";")
         job.nu = tuple(_parse_vector(p, lineof("nu")) for p in parts)
         if len(job.nu) != job.t:
             raise ValidationError(
-                f"nu has {len(job.nu)} factors but t={job.t}")
+                f"nu has {len(job.nu)} factors but t={shown(job.t)}")
     if "q" in raw:
         q = _parse_int(get("q"), lineof("q"), "q")
         if q > MAX_FIELD_ORDER:  # refused before it is factored
-            raise BudgetExceeded(f"q = {q} exceeds the field order bound {MAX_FIELD_ORDER}")
+            raise BudgetExceeded(f"q = {shown(q)} exceeds the field order bound {MAX_FIELD_ORDER}")
         job.p, job.e = _factor_prime_power(q)
     if "m" in raw:
         job.m = _parse_int(get("m"), lineof("m"), "m")
@@ -218,7 +219,7 @@ def parse_jobspec(text: str) -> JobSpec:
         if key in raw:
             budget = _parse_int(get(key), lineof(key), key)
             if budget < 0:
-                raise ValidationError(f"{key} must be nonnegative, got {budget}")
+                raise ValidationError(f"{key} must be nonnegative, got {shown(budget)}")
             setattr(job, key, budget)
     return job
 
@@ -311,13 +312,13 @@ def _run_verify(job: JobSpec, record: bool) -> tuple[int, str]:
     budget = DEFAULT_BUDGET_FIELD if job.budget_field is None else job.budget_field
     points = math.prod(checked_flag_count(job.rank, d, order) for d in dims)
     if points > budget:
-        raise BudgetExceeded(f"{points} flag points exceed budget {budget}")
+        raise BudgetExceeded(f"{shown(points)} flag points exceed budget {budget}")
     split_nu(build_group(job.kind, job.rank, job.form, job.t), job.nu)  # (kind, rank), len(nu)
     # both tests visit every subspace of F_{q^t}^n at every point
     n = job.rank + 1
     subspaces = sum(gaussian_binomial(n, k, job.p ** (job.e * job.t)) for k in range(1, n))
     if subspaces > budget:
-        raise BudgetExceeded(f"{subspaces} rational subspaces exceed budget")
+        raise BudgetExceeded(f"{shown(subspaces)} rational subspaces exceed budget")
     ff = finite_field(job.p, job.e, job.m)
 
     total = semistable = 0
@@ -442,7 +443,7 @@ def main(argv=None) -> int:
         elif "=" in item:
             pieces.append(item)
         else:
-            print(f"error: no such config file {item!r}", file=sys.stderr)
+            print(f"error: no such config file {shown(item)}", file=sys.stderr)
             return EXIT_USAGE
     pieces.append(f"command={args.command}")
     if args.record:

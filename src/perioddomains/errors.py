@@ -1,4 +1,22 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and how a message quotes a token."""
+
+# a message quotes at most this many characters of one token or count
+SHOWN = 40
+
+
+def shown(token: str | int) -> str:
+    """A token as a message quotes it, a string by repr and an int in decimal:
+    whole up to SHOWN characters, else its first SHOWN and its length. An int
+    too long for str() to print is cut before it is printed."""
+    if isinstance(token, str):
+        return repr(token) if len(token) <= SHOWN else \
+            f"{token[:SHOWN]!r}... ({len(token)} characters)"
+    size = abs(token)
+    digits = size.bit_length() * 3 // 10  # at most its digits, since log10(2) > 0.3
+    while 10 ** digits <= size:
+        digits += 1
+    return str(token) if digits <= SHOWN else \
+        f"{'-' * (token < 0)}{size // 10 ** (digits - SHOWN)}... ({digits} digits)"
 
 
 class PeriodDomainError(Exception):

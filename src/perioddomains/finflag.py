@@ -25,17 +25,17 @@ two routes keep separate formulas on top, each summed over the copies:
 
 Field arithmetic uses Zech logarithm tables (exp/log plus log(1 + g^k)), so
 addition and multiplication are single table lookups; fields up to
-MAX_FIELD_ORDER = 2^16 elements are supported. Elements are integers
-0..q^m-1 whose base-p digits are the coefficients of the residue
-polynomial. The modulus is the first irreducible monic polynomial in that
-encoding, by Berlekamp's rank test (`_is_irreducible`: `rref` over F_p,
-the one elimination routine over a field). The generator g is the first
-element of order q^m - 1, found by the cofactor test: g^((Q-1)/r) != 1 for
-every prime r | Q - 1. exp is one walk through the powers of g, each a
-product with g, whose few nonzero digits keep it cheap; F_{2^16} and
-F_{3^10} each build in about 0.7 s (Python 3.11, three runs each on a
-shared CPU). For very small fields dense addition/multiplication tables
-are layered on top of the Zech data.
+MAX_FIELD_ORDER = 2^16 elements are supported. The build chooses `add` and
+`mul` once: dense tables up to 256 elements, the Zech data above. Elements
+are integers 0..q^m-1 whose base-p digits are the coefficients of the
+residue polynomial. The modulus is the first irreducible monic polynomial
+in that encoding, by Berlekamp's rank test (`_is_irreducible`: `rref` over
+F_p, the one elimination routine over a field). The generator g is the
+first element of order q^m - 1, found by the cofactor test:
+g^((Q-1)/r) != 1 for every prime r | Q - 1. exp is one walk through the
+powers of g, each a product with g, whose few nonzero digits keep it
+cheap; F_{2^16} and F_{3^10} each build in about 0.7 s (Python 3.11, three
+runs each on a shared CPU).
 
 The tests and the enumeration take no budget. A caller bounds the work up
 front: `checked_flag_count` gives each copy's number of points, and every
@@ -59,6 +59,7 @@ from .errors import (
     SingularTransform,
     ValidationError,
     ZeroDimensional,
+    shown,
 )
 from .rootdata import (
     build_root_system,
@@ -175,8 +176,9 @@ class FiniteField:
     Elements are integers 0..order-1 (base-p digit encoding of residue
     polynomials); 0 and 1 are the field zero and one. `generator` is the
     first nonzero element of multiplicative order `order - 1`, found by the
-    cofactor test, and `exp[k]` is generator^k. Building the tables takes
-    time linear in the order: about 0.65 s at the 2^16 bound.
+    cofactor test, and `exp[k]` is generator^k. `add` and `mul` are chosen
+    once at build: dense tables up to _DENSE_LIMIT elements, Zech logs above.
+    The build takes time linear in the order: about 0.65 s at 2^16.
     """
 
     def __init__(self, p: int, e: int = 1, m: int = 1):
@@ -227,11 +229,12 @@ class FiniteField:
         self.zech = zech
         self._neg_one = 1 if p == 2 else exp[(Q - 1) // 2]
 
-        self._add_table = None
-        self._mul_table = None
+        self._add_table = self._mul_table = None
+        self.add, self.mul = self._add_zech, self._mul_zech
         if Q <= _DENSE_LIMIT:
-            self._add_table = [[self._add_zech(a, b) for b in range(Q)] for a in range(Q)]
-            self._mul_table = [[self._mul_zech(a, b) for b in range(Q)] for a in range(Q)]
+            add_rows = self._add_table = [[self.add(a, b) for b in range(Q)] for a in range(Q)]
+            mul_rows = self._mul_table = [[self.mul(a, b) for b in range(Q)] for a in range(Q)]
+            self.add, self.mul = (lambda a, b: add_rows[a][b]), (lambda a, b: mul_rows[a][b])
 
     def _add_zech(self, a: int, b: int) -> int:
         if a == 0:
@@ -250,21 +253,8 @@ class FiniteField:
             return 0
         return self.exp[(self.log[a] + self.log[b]) % (self.order - 1)]
 
-    def add(self, a: int, b: int) -> int:
-        if self._add_table is not None:
-            return self._add_table[a][b]
-        return self._add_zech(a, b)
-
-    def mul(self, a: int, b: int) -> int:
-        if self._mul_table is not None:
-            return self._mul_table[a][b]
-        return self._mul_zech(a, b)
-
     def neg(self, a: int) -> int:
         return self.mul(a, self._neg_one) if self.p != 2 else a
-
-    def sub(self, a: int, b: int) -> int:
-        return self.add(a, self.neg(b))
 
     def inv(self, a: int) -> int:
         if a == 0:
@@ -299,8 +289,8 @@ def checked_field_order(p: int, e: int = 1, m: int = 1) -> int:
     if e < 1 or m < 1:
         raise ValidationError("field degrees must be positive")
     if p > MAX_FIELD_ORDER or (p > 1 and e * m > MAX_FIELD_ORDER.bit_length()):
-        shown = p if e * m == 1 else f"{p}^{e * m}"
-        raise BudgetExceeded(f"field order {shown} exceeds bound {MAX_FIELD_ORDER}")
+        order = shown(p) if e * m == 1 else f"{shown(p)}^{shown(e * m)}"
+        raise BudgetExceeded(f"field order {order} exceeds bound {MAX_FIELD_ORDER}")
     if p < 2 or _prime_divisors(p) != [p]:
         raise ValidationError(f"{p} is not prime")
     order = p ** (e * m)
@@ -336,6 +326,7 @@ def rref(rows: Sequence[Sequence[int]], ff: FiniteField) -> tuple[Matrix, tuple[
     mat = [list(r) for r in rows]
     if not mat:
         return (), ()
+    add, mul = ff.add, ff.mul
     ncols = len(mat[0])
     pivots: list[int] = []
     rank = 0
@@ -346,11 +337,11 @@ def rref(rows: Sequence[Sequence[int]], ff: FiniteField) -> tuple[Matrix, tuple[
         mat[rank], mat[piv] = mat[piv], mat[rank]
         if mat[rank][col] != 1:  # the steps of a FlagPoint are canonical already
             inv = ff.inv(mat[rank][col])
-            mat[rank] = [ff.mul(inv, x) for x in mat[rank]]
+            mat[rank] = [mul(inv, x) for x in mat[rank]]
         for r in range(len(mat)):
             if r != rank and mat[r][col]:
-                c = mat[r][col]
-                mat[r] = [ff.sub(x, ff.mul(c, y)) for x, y in zip(mat[r], mat[rank])]
+                minus_c = ff.neg(mat[r][col])
+                mat[r] = [add(x, mul(minus_c, y)) for x, y in zip(mat[r], mat[rank])]
         pivots.append(col)
         rank += 1
         if rank == len(mat):
@@ -390,8 +381,8 @@ class FlagPoint:
     """A point of a type-A partial flag variety over the working field.
 
     `bases[i]` is the canonical reduced echelon basis of the i-th proper
-    step, `dims` their sizes. Both semistability tests assume the steps nest;
-    the strata test refuses a profile that no nested flag has.
+    step, `dims` their sizes. Both semistability tests assume the steps nest,
+    and refuse a profile that no nested flag has.
     """
 
     bases: tuple[Matrix, ...]
@@ -553,10 +544,19 @@ def _factors(nu: tuple) -> tuple[tuple[tuple[Fraction, ...], ...], tuple[tuple[i
     return nus, tuple(map(flag_dims, nus))
 
 
-def _split(profile: tuple[int, ...], dims) -> list[tuple[int, ...]]:
-    """A profile concatenated over the copies, cut into one part per copy."""
+def _split(k: int, profile: tuple[int, ...], dims, n: int) -> list[tuple[int, ...]]:
+    """The profile of a k-dimensional subspace cut into one part per copy; a
+    part that no nested flag of F^n has raises ValidationError."""
     it = iter(profile)
-    return [tuple(itertools.islice(it, len(d))) for d in dims]
+    parts = [tuple(itertools.islice(it, len(d))) for d in dims]
+    for d, part in zip(dims, parts):
+        prev_d = prev_c = 0
+        for step, c in zip(d + (n,), part + (k,)):
+            if not 0 <= c - prev_c <= step - prev_d:
+                raise ValidationError(f"intersection dims {part} of a subspace of dim {k} "
+                                      f"with steps of dims {d}: the steps do not nest")
+            prev_d, prev_c = step, c
+    return parts
 
 
 def _check_points(points: tuple[FlagPoint, ...], dims, n: int) -> None:
@@ -577,13 +577,14 @@ def _slope_test(nu: tuple):
     whether a k-dimensional U with that profile has a slope above the ambient
     one, both summed over the copies; memoized per nu."""
     nus, dims = _factors(nu)
+    n = len(nus[0])
     ambient = sum(sum(v) / len(v) for v in nus)
 
     @lru_cache(maxsize=None)
     def above(k: int, profile: tuple[int, ...]) -> bool:
-        parts = _split(profile, dims)
+        parts = _split(k, profile, dims, n)
         return sum(slope(k, part + (k,), v) for part, v in zip(parts, nus)) > ambient
-    return len(nus[0]), dims, above
+    return n, dims, above
 
 
 def is_semistable_subspace_test(x, nu, ff: FiniteField) -> bool:
@@ -655,9 +656,6 @@ def _vertex_pairings(nu: tuple):
         one_line: list[int] = []
         prev_d = prev_c = 0
         for d, c in zip(steps, part + (i,)):
-            if not 0 <= c - prev_c <= d - prev_d:
-                raise ValidationError(f"intersection dims {part} of a subspace of dim {i} "
-                                      f"with steps of dims {steps[:-1]}: the steps do not nest")
             one_line += [next(small) for _ in range(c - prev_c)]
             one_line += [next(large) for _ in range(d - prev_d - c + prev_c)]
             prev_d, prev_c = d, c
@@ -669,7 +667,7 @@ def _vertex_pairings(nu: tuple):
     @lru_cache(maxsize=None)
     def pairing(i: int, profile: tuple[int, ...]) -> Fraction:
         return sum(sum(map(mul, labels(i, d + (n,), part), w))
-                   for d, part, w in zip(dims, _split(profile, dims), weights))
+                   for d, part, w in zip(dims, _split(i, profile, dims, n), weights))
     return n, dims, pairing
 
 

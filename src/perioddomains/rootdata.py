@@ -1,10 +1,13 @@
 """Exact rational root-system realizations in Bourbaki coordinates.
 
-The build runs on integers: doubled simple roots, Dynkin labels and one
-fraction-free inverse of the Cartan matrix. Roots, coweights and the Gram
-matrix are stored as tuples of `fractions.Fraction`, the exact view that
-`tables` prints and that callers pair with a cocharacter. Floating point is
-never used anywhere in this package's mathematical kernel.
+The build starts from one integer table, the doubled simple roots 2 alpha_j,
+and runs on integers: Dynkin labels and one fraction-free inverse of the
+Cartan matrix. Integer readers get the nonzero entries of each 2 alpha_j
+(`simple_pairs`) and a base system's coweights W_i = 2 det(M) omega_i
+(`integer_coweights`). Roots, coweights and the Gram matrices are also
+stored as tuples of `fractions.Fraction`, the exact view that `tables`
+prints and that callers pair with a cocharacter. Floating point is never
+used anywhere in this package's mathematical kernel.
 
 Conventions: type A lives in the sum-zero hyperplane of Q^(l+1) with simple
 roots e_i - e_{i+1}; the inner product is the Euclidean dot product of the
@@ -29,10 +32,12 @@ from functools import lru_cache
 from operator import mul
 from typing import Iterable, Sequence
 
-from .errors import BudgetExceeded, DimensionMismatch, IllegalType, InvariantViolation, MalformedNu
+from .errors import (BudgetExceeded, DimensionMismatch, IllegalType, InvariantViolation,
+                     MalformedNu, shown)
 
 Vector = tuple[Fraction, ...]
 Cartan = tuple[tuple[tuple[int, int], ...], ...]
+Pairs = tuple[tuple[tuple[int, int], ...], ...]  # nonzero (coordinate, entry) of each 2 alpha_j
 
 FORM_SPLIT = "split"
 FORM_UNITARY = "unitary"
@@ -123,6 +128,7 @@ class Realization:
     ambient_dim: int
     rank: int
     simple_roots: tuple[Vector, ...]
+    simple_pairs: Pairs
     fundamental_coweights: tuple[Vector, ...]
     positive_roots: tuple[Vector, ...]
     positive_coefficients: tuple[tuple[int, ...], ...]
@@ -132,67 +138,43 @@ class Realization:
 @dataclass(frozen=True, eq=False)
 class RootSystemData(Realization):
     """A simple root system of kind A..G2 realized over exact rationals, with
-    the Gram matrices of its simple roots and of its fundamental coweights."""
+    the Gram matrices of its simple roots and of its fundamental coweights,
+    and its integer coweights W_i = 2 det(M) omega_i, M the Cartan matrix."""
 
     kind: str = ""
+    integer_coweights: tuple[tuple[int, ...], ...] = ()
     gram: tuple[tuple[Fraction, ...], ...] = ()
     coweight_gram: tuple[tuple[Fraction, ...], ...] = ()
     opposition: tuple[int, ...] = ()
 
 
-def _simple_root_table(kind: str, rank: int) -> tuple[int, tuple[Vector, ...]]:
-    """Ambient dimension and simple roots of a legal pair of `_KINDS`."""
-    F = Fraction
+def _simple_root_table(kind: str, rank: int) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """Ambient dimension and the doubled simple roots 2 alpha_j of a legal
+    pair of `_KINDS`, in integers: every kind is integral when doubled."""
+    def step(n: int, i: int) -> tuple[int, ...]:  # 2 (e_i - e_{i+1}) in Q^n
+        return tuple(2 * (k == i) - 2 * (k == i + 1) for k in range(n))
+
     if kind == "A":
-        n = rank + 1
-        roots = []
-        for i in range(rank):
-            v = [F(0)] * n
-            v[i], v[i + 1] = F(1), F(-1)
-            roots.append(tuple(v))
-        return n, tuple(roots)
+        return rank + 1, tuple(step(rank + 1, i) for i in range(rank))
     if kind in ("B", "C", "D"):
-        n = rank
-        roots = []
-        for i in range(rank - 1):
-            v = [F(0)] * n
-            v[i], v[i + 1] = F(1), F(-1)
-            roots.append(tuple(v))
-        last = [F(0)] * n
-        if kind == "B":
-            last[-1] = F(1)
-        elif kind == "C":
-            last[-1] = F(2)
-        else:
-            last[-2], last[-1] = F(1), F(1)
-        roots.append(tuple(last))
-        return n, tuple(roots)
+        last = (0,) * (rank - 2) + {"B": (0, 2), "C": (0, 4), "D": (2, 2)}[kind]
+        return rank, tuple(step(rank, i) for i in range(rank - 1)) + (last,)
     if kind in ("E6", "E7", "E8"):
-        n = 8
-        half = F(1, 2)
-        a1 = (half, -half, -half, -half, -half, -half, -half, half)
-        a2 = (F(1), F(1)) + (F(0),) * 6
-        roots = [a1, a2]
-        for i in range(3, rank + 1):
-            v = [F(0)] * n
-            v[i - 3], v[i - 2] = F(-1), F(1)
-            roots.append(tuple(v))
-        return n, tuple(roots)
+        return 8, ((1, -1, -1, -1, -1, -1, -1, 1),
+                   (2, 2, 0, 0, 0, 0, 0, 0),
+                   *(tuple(-x for x in step(8, i)) for i in range(rank - 2)))
     if kind == "F4":
-        half = F(1, 2)
-        return 4, (
-            (F(0), F(1), F(-1), F(0)),
-            (F(0), F(0), F(1), F(-1)),
-            (F(0), F(0), F(0), F(1)),
-            (half, -half, -half, -half),
-        )
-    return 3, ((F(1), F(-1), F(0)), (F(-2), F(1), F(1)))  # G2
+        return 4, ((0, 2, -2, 0),
+                   (0, 0, 2, -2),
+                   (0, 0, 0, 2),
+                   (1, -1, -1, -1))
+    return 3, ((2, -2, 0),  # G2
+               (-4, 2, 2))
 
 
-def cartan_integers(simple: Sequence[Vector]) -> Cartan:
+def cartan_integers(roots: Sequence[Sequence[int]]) -> Cartan:
     """For each k, the nonzero Cartan integers (j, (alpha_k, alpha_j^vee)),
     j != k, from the doubled simple roots; the diagonal is 2."""
-    roots = [doubled(a) for a in simple]
     return tuple(tuple((j, 2 * sum(map(mul, a, b)) // sum(map(mul, b, b)))
                        for j, b in enumerate(roots) if j != k and sum(map(mul, a, b)))
                  for k, a in enumerate(roots))
@@ -227,12 +209,12 @@ def climb(cartan: Cartan, c: tuple[int, ...]) -> list[int]:
     return letters
 
 
-def _close_roots(simple: tuple[Vector, ...], cartan: Cartan):
+def _close_roots(pairs: Pairs, cartan: Cartan, ambient: int):
     """Positive roots, sorted, with their simple-root coefficients. On labels,
     s_k raises a root with c_k < 0 by -c_k alpha_k, and so reaches every
     positive root from the simple ones (Humphreys, Reflection Groups and
     Coxeter Groups, 1.6); ambient vectors are formed once, doubled to sort."""
-    r = len(simple)
+    r = len(pairs)
     units = [tuple(int(i == j) for j in range(r)) for i in range(r)]
     known = {root_labels(cartan, e): e for e in units}  # labels -> coefficients
     frontier = list(known)
@@ -246,11 +228,10 @@ def _close_roots(simple: tuple[Vector, ...], cartan: Cartan):
                     known[img] = tuple(coeffs)
                     fresh.append(img)
         frontier = fresh
-    roots2 = [[(i, x) for i, x in enumerate(doubled(a)) if x] for a in simple]
     twice = []
     for coeffs in known.values():
-        v = [0] * len(simple[0])
-        for ck, root in zip(coeffs, roots2):
+        v = [0] * ambient
+        for ck, root in zip(coeffs, pairs):
             for i, x in root:
                 v[i] += ck * x
         twice.append((tuple(v), coeffs))
@@ -261,9 +242,10 @@ def _close_roots(simple: tuple[Vector, ...], cartan: Cartan):
 
 @lru_cache(maxsize=None)
 def _build_root_system(kind: str, rank: int) -> RootSystemData:
-    ambient, simple = _simple_root_table(kind, rank)
-    cartan = cartan_integers(simple)
-    positives, coeffs = _close_roots(simple, cartan)
+    ambient, roots2 = _simple_root_table(kind, rank)
+    pairs = tuple(tuple((k, x) for k, x in enumerate(a) if x) for a in roots2)
+    cartan = cartan_integers(roots2)
+    positives, coeffs = _close_roots(pairs, cartan, ambient)
     if len(positives) != _KINDS[kind][2](rank):
         raise InvariantViolation(f"{kind}{rank}: closure found {len(positives)} positive roots")
 
@@ -272,8 +254,7 @@ def _build_root_system(kind: str, rank: int) -> RootSystemData:
     # and a_j = 2 alpha_j, W_i = 2D omega_i = sum_j (D M^-1)_ij a_j is integral
     units = [tuple(int(i == j) for j in range(rank)) for i in range(rank)]
     det, adj = _bareiss_inverse([root_labels(cartan, e) for e in units])
-    roots2 = [doubled(a) for a in simple]
-    scaled = [[sum(c * a[k] for c, a in zip(row, roots2)) for k in range(ambient)]
+    scaled = [tuple(sum(c * a[k] for c, a in zip(row, roots2)) for k in range(ambient))
               for row in adj]
     # (omega_i, alpha_j^vee) = delta_ij reads 2 (W_i, a_j) = D (a_j, a_j) delta_ij
     if any(2 * sum(map(mul, w, a)) != (det * sum(map(mul, a, a)) if i == j else 0)
@@ -294,12 +275,14 @@ def _build_root_system(kind: str, rank: int) -> RootSystemData:
     return RootSystemData(
         ambient_dim=ambient,
         rank=rank,
-        simple_roots=simple,
+        simple_roots=tuple(tuple(Fraction(x, 2) for x in a) for a in roots2),
+        simple_pairs=pairs,
         fundamental_coweights=tuple(tuple(Fraction(x, 2 * det) for x in w) for w in scaled),
         positive_roots=positives,
         positive_coefficients=coeffs,
         cartan=cartan,
         kind=kind,
+        integer_coweights=tuple(scaled),
         gram=tuple(tuple(Fraction(sum(map(mul, a, b)), 4) for b in roots2) for a in roots2),
         coweight_gram=tuple(tuple(Fraction(sum(map(mul, v, w)), 4 * det * det) for w in scaled)
                             for v in scaled),
@@ -321,14 +304,14 @@ def build_root_system(kind: str, rank: int) -> RootSystemData:
     """
     kind = _normalize_kind(kind, rank)
     if kind not in _KINDS:
-        raise IllegalType(f"unknown kind {kind!r}")
+        raise IllegalType(f"unknown kind {shown(kind)}")
     low, high, positives = _KINDS[kind]
     if rank < low or (high is not None and rank > high):
-        raise IllegalType(f"illegal pair kind={kind} rank={rank}")
+        raise IllegalType(f"illegal pair kind={kind} rank={shown(rank)}")
     if kind == "D" and rank == 3:
         warnings.warn("D3 is an alias of A3; building the D-style realization", stacklevel=2)
     if (count := positives(rank)) > MAX_POSITIVE_ROOTS:
-        raise BudgetExceeded(f"{kind}{rank} has {count} positive roots, "
+        raise BudgetExceeded(f"{kind}{shown(rank)} has {shown(count)} positive roots, "
                              f"above the bound {MAX_POSITIVE_ROOTS}")
     return _build_root_system(kind, rank)
 
@@ -361,7 +344,7 @@ class RelativeCoweight:
 
 def _product_realization(base: RootSystemData, t: int) -> Realization:
     """t block-embedded copies of base; copy j's Cartan integers are the
-    base's with every index shifted by j * rank."""
+    base's with every index shifted by j * rank, and its root pairs by j * n."""
     n, r = base.ambient_dim, base.rank
 
     def copies(vectors, width, zero=Fraction(0)):
@@ -372,6 +355,8 @@ def _product_realization(base: RootSystemData, t: int) -> Realization:
         ambient_dim=t * n,
         rank=t * r,
         simple_roots=copies(base.simple_roots, n),
+        simple_pairs=tuple(tuple((j * n + k, x) for k, x in root)
+                           for j in range(t) for root in base.simple_pairs),
         fundamental_coweights=copies(base.fundamental_coweights, n),
         positive_roots=copies(base.positive_roots, n),
         positive_coefficients=copies(base.positive_coefficients, r, 0),
@@ -425,15 +410,16 @@ def build_group(kind: str, rank: int, form: str = FORM_SPLIT,
     kind = _normalize_kind(kind, rank)
     form = form.strip().lower()
     if form not in (FORM_SPLIT, FORM_UNITARY):
-        raise IllegalType(f"unknown form {form!r}")
+        raise IllegalType(f"unknown form {shown(form)}")
     if form == FORM_UNITARY and (kind != "A" or rank < 2):
         raise IllegalType("unitary form requires kind A with rank >= 2")
     if res_degree < 1:
         raise IllegalType("res_degree must be >= 1")
     base = build_root_system(kind, rank)  # validates the pair (and warns on D3)
     if (count := res_degree * len(base.positive_roots)) > MAX_POSITIVE_ROOTS:
-        raise BudgetExceeded(f"{base.kind}{'' if base.kind[1:] else rank} t={res_degree} has "
-                             f"{count} positive roots, above the bound {MAX_POSITIVE_ROOTS}")
+        raise BudgetExceeded(f"{base.kind}{'' if base.kind[1:] else rank} t={shown(res_degree)} "
+                             f"has {shown(count)} positive roots, above the bound "
+                             f"{MAX_POSITIVE_ROOTS}")
     return _build_group(base, form, res_degree)
 
 
@@ -447,20 +433,6 @@ def relative_coweights(g: GroupDatum) -> tuple[RelativeCoweight, ...]:
         w = tuple(map(sum, zip(*(omegas[b - 1] for b in orbit))))
         out.append(RelativeCoweight(index=i, vector=w * g.res_degree))
     return tuple(out)
-
-
-def doubled(v: Vector) -> tuple[int, ...]:
-    """2v as integers; every root coordinate here is half-integral at worst."""
-    if any((2 * x).denominator != 1 for x in v):
-        raise InvariantViolation("root coordinates are not half-integral")
-    return tuple(int(2 * x) for x in v)
-
-
-@lru_cache(maxsize=None)
-def _doubled_simple_roots(rs: Realization) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """The nonzero (coordinate, entry) pairs of each 2 alpha_j."""
-    return tuple(tuple((k, x) for k, x in enumerate(doubled(a)) if x)
-                 for a in rs.simple_roots)
 
 
 def integer_pairings(rs: Realization, blocks: Sequence[Vector]
@@ -478,16 +450,16 @@ def integer_pairings(rs: Realization, blocks: Sequence[Vector]
                 f"vector of length {len(v)} in ambient dimension {rs.ambient_dim}")
     scale = math.lcm(*(x.denominator for v in blocks for x in v))
     ints = tuple(tuple(x.numerator * (scale // x.denominator) for x in v) for v in blocks)
-    roots = _doubled_simple_roots(rs)
-    return ints, scale, tuple(sum(a * v[k] for k, a in root) for v in ints for root in roots)
+    return ints, scale, tuple(sum(a * v[k] for k, a in root)
+                              for v in ints for root in rs.simple_pairs)
 
 
 def decompose_in_coweights(nu: Sequence, rs: Realization) -> tuple[Fraction, ...]:
     """Coefficients n_i = (nu, alpha_i^vee), exact, from the integer pairings;
     nu is dominant iff all are >= 0."""
     _, scale, pairings = integer_pairings(rs, (vector(nu),))
-    return tuple(p / (scale * inner_product(a, a))
-                 for p, a in zip(pairings, rs.simple_roots))
+    return tuple(Fraction(4 * p, scale * sum(a * a for _, a in root))
+                 for p, root in zip(pairings, rs.simple_pairs))
 
 
 def split_nu(g: GroupDatum, nu) -> tuple[Vector, ...]:

@@ -66,11 +66,11 @@ class StrataReport:
 
 @lru_cache(maxsize=None)
 def _vertex_data(base: RootSystemData, form: str):
-    """What each copy of (base, form) shares: the fundamental coweights
-    scaled by one integer, and Delta_{P_i} of each vertex."""
-    omegas = base.fundamental_coweights
-    scale = math.lcm(*(x.denominator for w in omegas for x in w))
-    return (tuple(tuple(int(x * scale) for x in w) for w in omegas),
+    """What each copy of (base, form) shares: the integer coweights W_i =
+    2 det(M) omega_i, and Delta_{P_i} of each vertex. A pairing read with W_i
+    is a common positive multiple of (omega_i, nu), which leaves every sign,
+    every group by value and every merge across copies the same."""
+    return (base.integer_coweights,
             tuple(tuple(k for k in range(1, base.rank + 1) if k not in orbit)
                   for orbit in _base_orbits(base, form)))
 

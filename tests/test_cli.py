@@ -13,7 +13,7 @@ import pytest
 from perioddomains import cli
 from perioddomains import finflag as ffl
 from perioddomains import rootdata as rd
-from perioddomains.errors import ParseError, ValidationError
+from perioddomains.errors import ParseError, ValidationError, shown
 
 
 def run_main(*args):
@@ -291,6 +291,63 @@ def test_value_too_long_to_print_exits_two(capsys):
     err = capsys.readouterr().err
     assert err.startswith("validation error: ") and "can be printed" in err
     assert err.count("\n") == 1
+
+
+def _long(c, size=3000):
+    """What an error line quotes of a token of `size` copies of c."""
+    return f"'{c * 40}'... ({size} characters)"
+
+
+@pytest.mark.parametrize("command,args,err", [
+    ("classify", [f"kind=A rank=1 nu={'x' * 3000},-1"],
+     f"parse error: line 1: bad rational {_long('x')}"),
+    ("classify", [f"kind=A rank=1 nu=1e{'9' * 2998},-1"],
+     f"parse error: line 1: rational '1e{'9' * 38}'... (3000 characters) has more than "
+     f"{sys.get_int_max_str_digits()} digits"),
+    ("classify", [f"kind=A rank=1 {'k' * 3000}=1 nu=1,-1"],
+     f"parse error: line 1: unknown key {_long('k')}"),
+    ("classify", [f"kind=A rank={'r' * 3000} nu=1,-1"],
+     f"parse error: line 1: key rank: bad integer {_long('r')}"),
+    ("classify", [f"kind=A rank=1 nu=1,-1 {'w' * 3000}"],
+     f"parse error: line 1: expected key=value, got {_long('w')}"),
+    ("classify", [f"kind={'Q' * 3000} rank=1 nu=1,-1"],
+     f"validation error: unknown kind {_long('Q')}"),
+    ("classify", [f"kind=A rank=2 form={'u' * 3000} nu=1,0,-1"],
+     f"validation error: unknown form {_long('u')}"),
+    ("classify", [f"kind=A rank=1 nu=1,-1 output={'o' * 3000}"],
+     f"validation error: output must be text or record, got {_long('o')}"),
+    ("classify", ["x/" * 1500], f"error: no such config file '{'x/' * 20}'... (3000 characters)"),
+], ids=["bad_rational", "digits", "unknown_key", "bad_integer", "key_value", "kind", "form",
+        "output", "config_file"])
+def test_long_tokens_are_quoted_by_a_prefix_and_their_length(command, args, err, capsys):
+    # a 3000-character token, which each message once echoed whole
+    start = time.perf_counter()
+    assert run_main(command, *args)[1] == ""
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr().err == err + "\n"
+
+
+@pytest.mark.parametrize("command,config,err", [
+    ("classify", f"kind=A rank=1{'0' * 3000} nu=1,-1",
+     f"A1{'0' * 39}... (3001 digits) has 5{'0' * 39}... (6000 digits) positive roots"),
+    ("strata", f"kind=E8 rank=8 t={'9' * 4299}",
+     f"E8 t={'9' * 40}... (4299 digits) has 11{'9' * 38}... (4302 digits) positive roots"),
+], ids=["classify", "strata"])
+def test_root_counts_too_long_to_print_are_budget_lines(command, config, err, capsys):
+    # the positive-root count has more digits than str() prints: one budget
+    # line, not a traceback
+    start = time.perf_counter()
+    assert run_main(command, config) == (cli.EXIT_BUDGET, "")
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr().err == f"budget exceeded: {err}, above the bound 600\n"
+
+
+def test_shown_quotes_short_tokens_whole():
+    assert [shown(x) for x in ("dims", "x" * 40, 0, -7, 10 ** 40 - 1)] == \
+        ["'dims'", repr("x" * 40), "0", "-7", "9" * 40]
+    assert shown("x" * 41) == "'" + "x" * 40 + "'... (41 characters)"
+    assert shown(-10 ** 40) == "-1" + "0" * 39 + "... (41 digits)"
+    assert shown(3 * 10 ** 9000) == "3" + "0" * 39 + "... (9001 digits)"
 
 
 def test_exit_code_budget():

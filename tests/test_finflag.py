@@ -210,13 +210,15 @@ def test_flag_point_dims_are_its_step_sizes():
             test(x, (1, -1), ff)
 
 
-def test_steps_that_do_not_nest_are_refused_by_the_strata_test():
+@pytest.mark.parametrize("test", [ffl.is_semistable_subspace_test,
+                                  ffl.is_semistable_strata_test], ids=["subspace", "strata"])
+def test_steps_that_do_not_nest_are_refused_by_both_tests(test):
     # F^1 = <e1> does not lie in F^2 = <e2, e3>: the line <e1> meets F^1 but
-    # not F^2, which no nested flag allows
+    # not F^2, which no nested flag allows; both tests refuse the point
     ff = ffl.finite_field(2)
     x = ffl.FlagPoint((((1, 0, 0),), ((0, 1, 0), (0, 0, 1))))
     with pytest.raises(ValidationError, match="the steps do not nest"):
-        ffl.is_semistable_strata_test(x, (1, 0, -1), ff)
+        test(x, (1, 0, -1), ff)
 
 
 def test_field_order_refused_before_primality_and_power():

@@ -279,6 +279,15 @@ def test_build_matches_fraction_reference(kind, rank):
     assert weyl.longest_element(rs).word == word
     assert rs.opposition == _reference_opposition(word, simple)
     assert weyl._tables(rs).sperm == _reference_sperm(rs)
+    # the integer tables: the nonzero entries of each 2 alpha_j, and
+    # W_i = c omega_i for one integer c > 0 shared by all i
+    assert rs.simple_pairs == tuple(tuple((k, 2 * x) for k, x in enumerate(a) if x)
+                                    for a in simple)
+    assert all(type(x) is int for root in rs.simple_pairs for _, x in root)
+    (c,) = {x / y for w, v in zip(rs.integer_coweights, omegas) for x, y in zip(w, v) if y}
+    assert c.denominator == 1 and c > 0
+    assert rs.integer_coweights == tuple(tuple(c * y for y in v) for v in omegas)
+    assert all(type(x) is int for w in rs.integer_coweights for x in w)
 
 
 @pytest.mark.parametrize("kind,rank", [("A", 3), ("B", 2)])
@@ -294,6 +303,14 @@ def test_product_tables_match_fraction_reference(kind, rank):
     assert _reference_opposition(word, rs.simple_roots) == \
         tuple(j * rank + o for j in range(3) for o in g.base.opposition)
     assert weyl._tables(rs).sperm == _reference_sperm(rs)
+    # copy j's root pairs are the base's shifted by j * n, and every copy
+    # shares the base's integer coweights, W_i = c omega_i for one c > 0
+    assert rs.simple_pairs == tuple(tuple((k, 2 * x) for k, x in enumerate(a) if x)
+                                    for a in rs.simple_roots)
+    omegas = g.base.fundamental_coweights
+    (c,) = {x / y for w, v in zip(g.base.integer_coweights, omegas) for x, y in zip(w, v) if y}
+    assert c.denominator == 1 and c > 0
+    assert g.base.integer_coweights == tuple(tuple(c * y for y in v) for v in omegas)
 
 
 def test_decompose_examples():

@@ -45,11 +45,18 @@ def test_no_module_imports_numpy():
 
 
 def test_weyl_and_strata_import_no_fractions():
-    # both read root data as integer Dynkin labels and Cartan integers;
-    # Fraction vectors are rootdata's output view
+    # both read root data as integer Dynkin labels, Cartan integers and
+    # integer coweights; Fraction vectors are rootdata's output view, which
+    # neither imports nor reads
     root = Path(perioddomains.__file__).parent
     assert [name for name in ("weyl.py", "strata.py")
             if "fractions" in _package_imports(root / name)] == []
+    fraction_views = {"simple_roots", "fundamental_coweights", "positive_roots", "gram",
+                      "coweight_gram"}
+    reads = [f"{name}:{node.lineno} {node.attr}" for name in ("weyl.py", "strata.py")
+             for node in ast.walk(ast.parse((root / name).read_text(encoding="utf-8")))
+             if isinstance(node, ast.Attribute) and node.attr in fraction_views]
+    assert reads == []
 
 
 def _package_reads(directory):
