@@ -16,8 +16,9 @@ dividing m; a point is then a t-tuple of flags, one per copy, and its
 rational subspaces are those of F_{q^t}^n. `budget_field` is one cap that
 verify applies to the number of points (the product of the copies' flag
 counts) and to the number sum_k [n, k]_{q^t} of rational subspaces (and
-translates) tested per point (default 65536). Both counts, t | m, the
-shape of the input and the field order bound 2^16
+translates) tested per point (default 65536), both from
+`finflag.checked_flag_count` once the rank passes the root bound below.
+They, t | m, the shape of the input and the field order bound 2^16
 (`finflag.MAX_FIELD_ORDER`) are checked before the field is built, and a q
 above that bound before it is factored. Every command refuses a root
 system with more than 600 positive roots (`rootdata.MAX_POSITIVE_ROOTS`;
@@ -67,7 +68,6 @@ from .finflag import (
     enumerate_flags,
     finite_field,
     flag_dims,
-    gaussian_binomial,
     is_semistable_strata_test,
     is_semistable_subspace_test,
 )
@@ -302,9 +302,9 @@ def _run_verify(job: JobSpec, record: bool) -> tuple[int, str]:
         raise ValidationError("verify supports split type A")
     if job.p is None:
         raise ValidationError("verify requires a field (q, plus m)")
-    # the field's own checks, t | m, the dims, the point budget, the shape of
-    # the input and the subspace budget all run before the field's tables
-    # are built, which takes up to a second at 2^16
+    # the field's own checks, t | m, the dims, the root bound on A_rank, the
+    # point budget, the shape of the input and the subspace budget all run
+    # before the field's tables are built, which takes up to a second at 2^16
     order = checked_field_order(job.p, job.e, job.m)
     if job.m % job.t:
         raise ValidationError(f"t={job.t} does not divide m={job.m}: no degree-t extension")
@@ -315,8 +315,8 @@ def _run_verify(job: JobSpec, record: bool) -> tuple[int, str]:
         raise BudgetExceeded(f"{shown(points)} flag points exceed budget {budget}")
     split_nu(build_group(job.kind, job.rank, job.form, job.t), job.nu)  # (kind, rank), len(nu)
     # both tests visit every subspace of F_{q^t}^n at every point
-    n = job.rank + 1
-    subspaces = sum(gaussian_binomial(n, k, job.p ** (job.e * job.t)) for k in range(1, n))
+    subspaces = sum(checked_flag_count(job.rank, (k,), job.p ** (job.e * job.t))
+                    for k in range(1, job.rank + 1))
     if subspaces > budget:
         raise BudgetExceeded(f"{shown(subspaces)} rational subspaces exceed budget")
     ff = finite_field(job.p, job.e, job.m)
@@ -438,7 +438,8 @@ def main(argv=None) -> int:
                     pieces.append(handle.read())
             except (OSError, UnicodeDecodeError) as exc:
                 reason = getattr(exc, "strerror", None) or exc
-                print(f"error: cannot read config file {item!r}: {reason}", file=sys.stderr)
+                print(f"error: cannot read config file {shown(item)}: {reason}",
+                      file=sys.stderr)
                 return EXIT_USAGE
         elif "=" in item:
             pieces.append(item)

@@ -38,15 +38,15 @@ cheap; F_{2^16} and F_{3^10} each build in about 0.7 s (Python 3.11, three
 runs each on a shared CPU).
 
 The tests and the enumeration take no budget. A caller bounds the work up
-front: `checked_flag_count` gives each copy's number of points, and every
-point is tested against all sum_k [n, k]_{q^t} rational subspaces (or
-translates), a number fixed by n and q^t alone.
+front: `checked_flag_count`, a quotient of `weyl`'s Poincare polynomials,
+gives each copy's number of points and, for one step k over F_{q^t}, the
+number [n, k]_{q^t} of rational k-subspaces (or translates); every point is
+tested against all sum_k [n, k]_{q^t} of them.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -68,7 +68,7 @@ from .rootdata import (
     run_lengths,
     vector,
 )
-from .weyl import WeylElement, permutation_element
+from .weyl import WeylElement, _parabolic, permutation_element
 
 Row = tuple[int, ...]
 Matrix = tuple[Row, ...]
@@ -304,19 +304,6 @@ def finite_field(p: int, e: int = 1, m: int = 1) -> FiniteField:
     return FiniteField(p, e, m)
 
 
-def gaussian_binomial(n: int, k: int, q: int) -> int:
-    """Number of k-dimensional subspaces of an n-space over F_q."""
-    if k < 0 or k > n:
-        return 0
-    num = den = 1
-    for i in range(k):
-        num *= q ** (n - i) - 1
-        den *= q ** (i + 1) - 1
-    if num % den:
-        raise InvariantViolation(f"[{n} choose {k}]_{q} is not an integer")
-    return num // den
-
-
 # ---------------------------------------------------------------------------
 # linear algebra over a FiniteField
 
@@ -400,17 +387,18 @@ def flag_dims(nu) -> tuple[int, ...]:
 
 def checked_flag_count(ell: int, dims: Sequence[int], order: int) -> int:
     """The number of points of the flag variety with step dims `dims` in an
-    (ell+1)-space over the field of `order` elements. Illegal dims raise
+    (ell+1)-space over the field of `order` elements: W(order) / W_P(order)
+    for A_ell and the P whose Levi blocks are the steps. Illegal dims raise
     ValidationError, the check `enumerate_flags` makes before its first
-    point. It is the product over the steps, the ambient one too, of
-    [n - d_(i-1), d_i - d_(i-1)]_order."""
+    point; then a rank past MAX_POSITIVE_ROOTS raises BudgetExceeded."""
     dims = tuple(dims)
     if any(d1 >= d2 for d1, d2 in zip(dims, dims[1:])) or \
             any(not 1 <= d <= ell for d in dims):
         raise ValidationError(f"illegal step dimensions {dims} for ell={ell}")
-    steps = (0,) + dims + (ell + 1,)
-    return math.prod(gaussian_binomial(ell + 1 - a, b - a, order)
-                     for a, b in zip(steps, steps[1:]))
+    rs = build_root_system("A", ell)
+    nodes = range(1, ell + 1)
+    return _parabolic(rs, tuple(nodes)).poincare(order) // \
+        _parabolic(rs, tuple(j for j in nodes if j not in dims)).poincare(order)
 
 
 def enumerate_flags(ff: FiniteField, ell: int, dims: Sequence[int]) -> Iterator[FlagPoint]:

@@ -23,14 +23,18 @@ yields |W|/|W_P| elements, a number `weyl_order` and `ParabolicData` give
 before it starts.
 
 Parabolic data needs no diagram classification: W_J has one positive root
-per inversion of its longest element, and |W_J| is the product of
-(ht + 1)/ht over those roots. The parabolic of a dominant nu is read from
-the integer pairings of `rootdata.integer_pairings`.
+per inversion of its longest element, and m is an exponent of W_J
+#(height m) - #(height m + 1) times (Humphreys, 3.20). The Poincare polynomial
+W_J(q) = sum_w q^l(w) is the product of 1 + q + ... + q^m over them
+(Macdonald, 1972): |W_J| = W_J(1), and G/P has W(q) / W_P(q) F_q-points, the
+package's one q-count. The parabolic of a dominant nu is read from the
+integer pairings of `rootdata.integer_pairings`.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, Sequence
@@ -167,15 +171,18 @@ def longest_element(rs: Realization, delta: tuple[int, ...] | None = None) -> We
 
 @dataclass(frozen=True)
 class ParabolicData:
-    """Combinatorial data of the parabolic W_P inside W."""
+    """Combinatorial data of the parabolic W_P inside W, exponents included."""
 
     delta_p: tuple[int, ...]
     w_p_order: int
-    w0_length: int
     w0p_length: int
+    exponents: tuple[int, ...]
+
+    def poincare(self, q: int) -> int:
+        """W_P(q), the sum over W_P of q^l(w): prod (1 + q + ... + q^m)."""
+        return math.prod(sum(q ** i for i in range(m + 1)) for m in self.exponents)
 
 
-@lru_cache(maxsize=None)
 def weyl_order(rs: Realization) -> int:
     return _parabolic(rs, tuple(range(1, rs.rank + 1))).w_p_order
 
@@ -195,12 +202,14 @@ def _parabolic(rs: Realization, delta: tuple[int, ...]) -> ParabolicData:
     dset = {i - 1 for i in delta}
     heights = [sum(c) for c in rs.positive_coefficients
                if all(c[k] == 0 or k in dset for k in range(rs.rank))]
-    npos = len(rs.positive_coefficients)
+    per_height = Counter(heights)
+    exponents = tuple(m for m in range(1, max(heights, default=0) + 1)
+                      for _ in range(per_height[m] - per_height[m + 1]))
     return ParabolicData(
         delta_p=delta,
-        w_p_order=math.prod(h + 1 for h in heights) // math.prod(heights),
-        w0_length=npos,
-        w0p_length=npos - len(heights),
+        w_p_order=math.prod(m + 1 for m in exponents),
+        w0p_length=len(rs.positive_coefficients) - len(heights),
+        exponents=exponents,
     )
 
 

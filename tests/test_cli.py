@@ -465,6 +465,8 @@ def test_verify_refuses_before_building_the_field(config, code, err, capsys, mon
 @pytest.mark.parametrize("command,config,err", [
     ("classify", "kind=A rank=3000 nu=1", "A3000 has 4501500 positive roots, above the bound 600"),
     ("strata", "kind=A rank=40 nu=1", "A40 has 820 positive roots, above the bound 600"),
+    ("verify", "kind=A rank=40 nu=1,-1 q=2 m=1",
+     "A40 has 820 positive roots, above the bound 600"),
     ("tables", "kind=B rank=25", "B25 has 625 positive roots, above the bound 600"),
     ("tables", "kind=A rank=1 t=100000",
      "A1 t=100000 has 100000 positive roots, above the bound 600"),
@@ -474,6 +476,20 @@ def test_oversized_root_system_refused_before_it_is_built(command, config, err, 
     assert run_main(command, config) == (cli.EXIT_BUDGET, "")
     assert time.perf_counter() - start < 1.0
     assert capsys.readouterr().err == f"budget exceeded: {err}\n"
+
+
+def test_verify_refuses_a_huge_rank_before_counting_points():
+    # A_100000: the root bound is checked before [100001, 1]_2 is formed
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(__file__).parents[1] / "src"), env.get("PYTHONPATH", "")])
+    proc = subprocess.run(
+        [sys.executable, "-m", "perioddomains.cli", "verify",
+         "kind=A rank=100000 nu=1,-1 q=2 m=1"],
+        capture_output=True, text=True, env=env, timeout=5)
+    assert (proc.returncode, proc.stdout) == (cli.EXIT_BUDGET, "")
+    assert proc.stderr == \
+        "budget exceeded: A100000 has 5000050000 positive roots, above the bound 600\n"
 
 
 def test_default_field_budget_admits_p3_over_f27(monkeypatch):
@@ -503,12 +519,14 @@ def test_unreadable_config_file(tmp_path, capsys):
     # missing file
     latin = tmp_path / "job.cfg"
     latin.write_bytes(b"kind = A\nrank = 1\nnu = 1,-1  # \xff\n")
+    # a directory path of 3,000 slashes is quoted short, as any long token is
     for path, reason in [(tmp_path, "Is a directory"),
-                         (latin, "'utf-8' codec can't decode byte 0xff in position")]:
+                         (latin, "'utf-8' codec can't decode byte 0xff in position"),
+                         ("/" * 3000, "Is a directory")]:
         assert run_main("classify", str(path)) == (cli.EXIT_USAGE, "")
         err = capsys.readouterr().err
-        assert err.startswith(f"error: cannot read config file '{path}': {reason}")
-        assert err.count("\n") == 1 and err.endswith("\n")
+        assert err.startswith(f"error: cannot read config file {shown(str(path))}: {reason}")
+        assert err.count("\n") == 1 and err.endswith("\n") and len(err) < 200
 
 
 @pytest.mark.parametrize("field", ["p=3", "e=2", "p=3 e=2"])

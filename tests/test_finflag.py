@@ -160,10 +160,11 @@ def test_field_budget():
 
 
 def test_gaussian_binomial():
-    assert ffl.gaussian_binomial(2, 1, 4) == 5
-    assert ffl.gaussian_binomial(3, 1, 2) == 7
-    assert ffl.gaussian_binomial(3, 2, 2) == 7
-    assert ffl.gaussian_binomial(4, 2, 3) == 130
+    # [n, k]_q is the flag count of one step k in an n-space
+    assert ffl.checked_flag_count(1, (1,), 4) == 5
+    assert ffl.checked_flag_count(2, (1,), 2) == 7
+    assert ffl.checked_flag_count(2, (2,), 2) == 7
+    assert ffl.checked_flag_count(3, (2,), 3) == 130
 
 
 @pytest.mark.parametrize("q,m,ell,dims,expected", [
@@ -188,6 +189,9 @@ def test_flag_budget_and_validation():
         list(ffl.enumerate_flags(ff, 2, (2, 1)))
     with pytest.raises(ValidationError):
         list(ffl.enumerate_flags(ff, 2, (3,)))
+    # the root bound refuses A_100000 before [100001, 1]_2 is formed
+    with pytest.raises(BudgetExceeded, match="A100000 has 5000050000 positive roots"):
+        ffl.checked_flag_count(100000, (1,), 2)
 
 
 def test_point_of_the_wrong_width_is_refused():
@@ -240,7 +244,7 @@ def test_field_order_refused_before_primality_and_power():
 def test_subspace_enumeration_matches_gaussian_counts():
     for k in (1, 2):
         subs = list(ffl.enumerate_rref(3, k, range(3)))
-        assert len(subs) == ffl.gaussian_binomial(3, k, 3)
+        assert len(subs) == ffl.checked_flag_count(2, (k,), 3)
         assert len(set(subs)) == len(subs)
 
 
@@ -405,7 +409,7 @@ def test_rational_subspace_counts(p, e, m, n):
     assert len(set(rows)) == len(rows)
     assert all(v in ff.subfield(ff.q) for row in rows for v in row)
     for k, family in enumerate(families, start=1):
-        assert len(family) == len(set(family)) == ffl.gaussian_binomial(n, k, ff.q)
+        assert len(family) == len(set(family)) == ffl.checked_flag_count(n - 1, (k,), ff.q)
         assert family == tuple(tuple(rows.index(r) for r in u)
                                for u in ffl.enumerate_rref(n, k, ff.subfield(ff.q)))
 

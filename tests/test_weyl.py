@@ -109,7 +109,7 @@ def test_w0_equals_w0p_times_wp_lengths():
         for size in range(rank + 1):
             for delta in itertools.combinations(range(1, rank + 1), size):
                 pd = weyl.parabolic_from_subset(rs, delta)
-                wp_len = pd.w0_length - pd.w0p_length
+                wp_len = len(rs.positive_roots) - pd.w0p_length
                 sub_npos = sum(
                     1 for c in rs.positive_coefficients
                     if all(c[k] == 0 or (k + 1) in delta for k in range(rank))
@@ -162,6 +162,24 @@ def test_coset_count_times_parabolic_order(kind, rank):
             assert count * pd.w_p_order == order
 
 
+@pytest.mark.parametrize("kind,rank", [
+    ("A", 1), ("A", 2), ("A", 3), ("A", 4), ("B", 2), ("B", 3), ("C", 3), ("D", 4),
+    ("G2", 2), ("F4", 4),
+])
+def test_poincare_polynomials_match_enumeration(kind, rank):
+    # W(q) = sum over W^P of q^l(u), times W_P(q): the lengths come from the
+    # enumeration, the polynomials from root heights alone
+    rs = rd.build_root_system(kind, rank)
+    whole = weyl.parabolic_from_subset(rs, range(1, rank + 1))
+    for size in range(rank + 1):
+        for delta in itertools.combinations(range(1, rank + 1), size):
+            pd = weyl.parabolic_from_subset(rs, delta)
+            assert pd.poincare(1) == pd.w_p_order
+            lengths = [u.length for u in weyl.enumerate_min_coset_reps(pd, rs)]
+            for q in (2, 3):
+                assert sum(q ** n for n in lengths) * pd.poincare(q) == whole.poincare(q)
+
+
 def test_product_realization_order():
     g = rd.build_group("A", 2, res_degree=2)
     assert weyl.weyl_order(g.absolute) == 36
@@ -182,7 +200,7 @@ def test_longest_element_of_every_parabolic(kind, rank):
             assert all(w.root_perm[t.simple_idx[j - 1]] >= t.npos for j in delta)
             assert w * w == weyl.identity_element(rs)
             pd = weyl.parabolic_from_subset(rs, delta)
-            assert w.length == len(w.word) == pd.w0_length - pd.w0p_length
+            assert w.length == len(w.word) == len(rs.positive_roots) - pd.w0p_length
     assert weyl.longest_element(rs, tuple(range(1, rank + 1))) == weyl.longest_element(rs)
 
 
