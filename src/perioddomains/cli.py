@@ -8,22 +8,22 @@ or inline `key=value` tokens on the command line. Output is deterministic;
 once, as one `warning:` line on stderr. A rational longer than str() prints
 (sys.get_int_max_str_digits()) is a parse error; a longer result exits 2.
 
-Budgets: `budget_cells` caps the orbit elements strata visits, the sum
-over copies and vertices of min(|W/W_{P_i}|, |W/W_P|) (default 65536), and
-is checked before the orbit search. verify works over F_{q^m}, with the
-prime power q the one field key, and takes split type A with any t
-dividing m; a point is then a t-tuple of flags, one per copy, and its
-rational subspaces are those of F_{q^t}^n. `budget_field` is one cap that
-verify applies to the number of points (the product of the copies' flag
-counts) and to the number sum_k [n, k]_{q^t} of rational subspaces (and
-translates) tested per point (default 65536), both from
-`finflag.checked_flag_count` once the rank passes the root bound below.
-They, t | m, the shape of the input and the field order bound 2^16
-(`finflag.MAX_FIELD_ORDER`) are checked before the field is built, and a q
-above that bound before it is factored. Every command refuses a root
-system with more than 600 positive roots (`rootdata.MAX_POSITIVE_ROOTS`;
-A34 has 595), or a restriction of scalars of degree t whose t copies have
-more, before building it; t must be at least 1.
+Budgets: `budget` (default 65536) is the one cap on counted work, checked
+before the work starts. strata applies it to the orbit elements it visits,
+the sum over copies and vertices of min(|W/W_{P_i}|, |W/W_P|). verify works
+over F_{q^m}, with the prime power q the one field key, and takes split type
+A with any t dividing m; a point is then a t-tuple of flags, one per copy,
+and its rational subspaces are those of F_{q^t}^n. verify applies the
+budget to the number of points (the product of the copies' flag counts) and
+to the number sum_k [n, k]_{q^t} of rational subspaces (and translates)
+tested per point, both from `finflag.checked_flag_count` once the rank
+passes the root bound below. They, t | m, the shape of the input and the
+field order bound 2^16 (`finflag.MAX_FIELD_ORDER`) are checked before the
+field is built, and a q above that bound before it is factored. Every
+command refuses a root system with more than 600 positive roots
+(`rootdata.MAX_POSITIVE_ROOTS`; A34 has 595), or a restriction of scalars
+of degree t whose t copies have more, before building it; t must be at
+least 1.
 A verify run that takes longer than two seconds reports its progress on
 stderr. An unstable witness lists each copy's steps, copies joined by `;`.
 
@@ -51,10 +51,6 @@ from .classify import (
 )
 from .errors import (
     BudgetExceeded,
-    DimensionMismatch,
-    IllegalType,
-    MalformedNu,
-    NotDominant,
     ParseError,
     PeriodDomainError,
     ValidationError,
@@ -90,23 +86,20 @@ EXIT_DISAGREEMENT = 4
 
 _COMMANDS = ("classify", "strata", "verify", "tables")
 
-# strata's cap on orbit elements when budget_cells is not given. It admits
-# E7 with a regular nu (17,642 elements, a 0.2 s report) and A3 t=4 (56), and
-# refuses E8 with a regular nu (881,760 elements) before any orbit search.
-DEFAULT_BUDGET_CELLS = 2 ** 16
-
-# verify's cap when budget_field is not given. It admits P^3 over F_27
-# (20,440 points, about 100 s) and refuses the line-in-hyperplane flags of
-# F_256^4 (about 1.1 * 10^12 points) before the first point.
-DEFAULT_BUDGET_FIELD = 2 ** 16
+# the cap on counted work when budget is not given. strata admits E7 with a
+# regular nu (17,642 orbit elements, a 0.2 s report) and A3 t=4 (56), and
+# refuses E8 with a regular nu (881,760) before any orbit search; verify
+# admits P^3 over F_27 (20,440 points, about 100 s) and refuses the
+# line-in-hyperplane flags of F_256^4 (about 1.1 * 10^12 points) before the
+# first point.
+DEFAULT_BUDGET = 2 ** 16
 
 # verify reports `verify: <done>/<total> points` on stderr once a run has
 # taken this long, and at most once per interval after that.
 PROGRESS_INTERVAL_S = 2.0
 
 _KNOWN_KEYS = {
-    "command", "kind", "rank", "form", "t", "nu", "q", "m",
-    "budget_cells", "budget_field", "output",
+    "command", "kind", "rank", "form", "t", "nu", "q", "m", "budget", "output",
 }
 
 
@@ -123,8 +116,7 @@ class JobSpec:
     p: int | None = None  # q = p^e, derived from the q key
     e: int = 1
     m: int = 1
-    budget_cells: int | None = None
-    budget_field: int | None = None
+    budget: int = DEFAULT_BUDGET
     output: str = "text"
 
 
@@ -215,12 +207,10 @@ def parse_jobspec(text: str) -> JobSpec:
         job.p, job.e = _factor_prime_power(q)
     if "m" in raw:
         job.m = _parse_int(get("m"), lineof("m"), "m")
-    for key in ("budget_cells", "budget_field"):
-        if key in raw:
-            budget = _parse_int(get(key), lineof(key), key)
-            if budget < 0:
-                raise ValidationError(f"{key} must be nonnegative, got {shown(budget)}")
-            setattr(job, key, budget)
+    if "budget" in raw:
+        job.budget = _parse_int(get("budget"), lineof("budget"), "budget")
+        if job.budget < 0:
+            raise ValidationError(f"budget must be nonnegative, got {shown(job.budget)}")
     return job
 
 
@@ -290,8 +280,7 @@ def _run_strata(job: JobSpec, record: bool) -> tuple[int, str]:
     g = build_group(job.kind, job.rank, job.form, job.t)
     if job.nu is None:
         raise ValidationError("strata requires nu")
-    budget = DEFAULT_BUDGET_CELLS if job.budget_cells is None else job.budget_cells
-    report = strata_report(g, job.nu, max_cells=budget)
+    report = strata_report(g, job.nu, max_cells=job.budget)
     return EXIT_OK, _render_strata(report, record)
 
 
@@ -309,16 +298,16 @@ def _run_verify(job: JobSpec, record: bool) -> tuple[int, str]:
     if job.m % job.t:
         raise ValidationError(f"t={job.t} does not divide m={job.m}: no degree-t extension")
     dims = [flag_dims(nu) for nu in job.nu]
-    budget = DEFAULT_BUDGET_FIELD if job.budget_field is None else job.budget_field
     points = math.prod(checked_flag_count(job.rank, d, order) for d in dims)
-    if points > budget:
-        raise BudgetExceeded(f"{shown(points)} flag points exceed budget {budget}")
+    if points > job.budget:
+        raise BudgetExceeded(f"{shown(points)} flag points exceed budget {job.budget}")
     split_nu(build_group(job.kind, job.rank, job.form, job.t), job.nu)  # (kind, rank), len(nu)
     # both tests visit every subspace of F_{q^t}^n at every point
     subspaces = sum(checked_flag_count(job.rank, (k,), job.p ** (job.e * job.t))
                     for k in range(1, job.rank + 1))
-    if subspaces > budget:
-        raise BudgetExceeded(f"{shown(subspaces)} rational subspaces exceed budget")
+    if subspaces > job.budget:
+        raise BudgetExceeded(
+            f"{shown(subspaces)} rational subspaces exceed budget {job.budget}")
     ff = finite_field(job.p, job.e, job.m)
 
     total = semistable = 0
@@ -416,11 +405,9 @@ def main(argv=None) -> int:
                         help="config file, '-' for stdin, or inline key=value tokens")
     parser.add_argument("--record", action="store_true",
                         help="machine-readable key=value output")
-    parser.add_argument("--budget-cells", type=int, default=None,
-                        help="strata: cap on orbit elements visited (default 65536)")
-    parser.add_argument("--budget-field", type=int, default=None,
-                        help="verify: one cap on flag points and on rational subspaces "
-                             "tested per point (default 65536)")
+    parser.add_argument("--budget", type=int, default=None,
+                        help="cap on counted work: strata's orbit elements, verify's flag "
+                             f"points and rational subspaces per point (default {DEFAULT_BUDGET})")
 
     try:
         args = parser.parse_intermixed_args(argv)
@@ -449,10 +436,8 @@ def main(argv=None) -> int:
     pieces.append(f"command={args.command}")
     if args.record:
         pieces.append("output=record")
-    if args.budget_cells is not None:
-        pieces.append(f"budget_cells={args.budget_cells}")
-    if args.budget_field is not None:
-        pieces.append(f"budget_field={args.budget_field}")
+    if args.budget is not None:
+        pieces.append(f"budget={args.budget}")
 
     error = None
     with warnings.catch_warnings(record=True) as caught:
@@ -480,8 +465,7 @@ def report_error(exc: PeriodDomainError) -> int:
     if isinstance(exc, ParseError):
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    if isinstance(exc, (ValidationError, MalformedNu, IllegalType, NotDominant,
-                        DimensionMismatch)):
+    if isinstance(exc, ValidationError):
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     if isinstance(exc, BudgetExceeded):

@@ -23,11 +23,15 @@ class PeriodDomainError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class IllegalType(PeriodDomainError):
+class ValidationError(PeriodDomainError):
+    """Config or argument parsed but semantically invalid."""
+
+
+class IllegalType(ValidationError):
     """Root-system kind/rank pair outside the supported range."""
 
 
-class DimensionMismatch(PeriodDomainError):
+class DimensionMismatch(ValidationError):
     """Vectors or matrices of incompatible ambient dimension."""
 
 
@@ -35,7 +39,7 @@ class IndexOutOfRange(PeriodDomainError):
     """Simple-root or vertex index outside 1..rank."""
 
 
-class NotDominant(PeriodDomainError):
+class NotDominant(ValidationError):
     """A cocharacter with a negative simple-coroot pairing."""
 
 
@@ -55,7 +59,7 @@ class NotCodimOne(PeriodDomainError):
     """Semistable-locus description requested for a trivial classification."""
 
 
-class MalformedNu(PeriodDomainError):
+class MalformedNu(ValidationError):
     """Cocharacter tuple violating its normal form."""
 
 
@@ -66,10 +70,6 @@ class ParseError(PeriodDomainError):
         super().__init__(f"line {line}: {message}")
         self.line = line
         self.message = message
-
-
-class ValidationError(PeriodDomainError):
-    """Config or argument parsed but semantically invalid."""
 
 
 class InvariantViolation(PeriodDomainError):

@@ -2,6 +2,7 @@ import itertools
 import os
 import re
 import runpy
+import shlex
 import subprocess
 import sys
 import time
@@ -10,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from perioddomains import cli
+from perioddomains import cli, errors
 from perioddomains import finflag as ffl
 from perioddomains import rootdata as rd
 from perioddomains.errors import ParseError, ValidationError, shown
@@ -351,17 +352,87 @@ def test_shown_quotes_short_tokens_whole():
 
 
 def test_exit_code_budget():
-    code, _ = run_main("strata", "kind=A rank=3 nu=3,1,-1,-3", "--budget-cells", "2")
+    code, _ = run_main("strata", "kind=A rank=3 nu=3,1,-1,-3", "--budget", "2")
     assert code == 3
 
 
-@pytest.mark.parametrize("key", ["budget_cells", "budget_field"])
-def test_negative_budget_rejected(key):
-    with pytest.raises(ValidationError):
-        cli.parse_jobspec(f"command=strata kind=A rank=3 nu=3,1,-1,-3 {key}=-1")
-    flag = "--" + key.replace("_", "-")
-    code, out = run_main("strata", "kind=A rank=3 nu=3,1,-1,-3", flag, "-1")
+def test_budget_flag_overrides_the_config(capsys):
+    # the flag is appended as a token after the config, so it wins
+    config = "kind=A rank=3 nu=3,1,-1,-3 budget=100"
+    assert run_main("strata", config, "--record")[0] == cli.EXIT_OK
+    assert run_main("strata", config, "--budget", "2") == (cli.EXIT_BUDGET, "")
+    assert capsys.readouterr().err == "budget exceeded: 14 orbit elements exceed budget 2\n"
+
+
+# the one `budget` key caps what budget_cells (strata's orbit elements) and
+# budget_field (verify's flag points and subspaces) capped: both ids are kept
+@pytest.mark.parametrize("command,config", [
+    pytest.param("strata", "kind=A rank=3 nu=3,1,-1,-3", id="budget_cells"),
+    pytest.param("verify", "kind=A rank=3 nu=3,1,-1,-3 q=2 m=1", id="budget_field"),
+])
+def test_negative_budget_rejected(command, config, capsys):
+    with pytest.raises(ValidationError, match=r"^budget must be nonnegative, got -1$"):
+        cli.parse_jobspec(f"command={command} {config} budget=-1")
+    code, out = run_main(command, config, "--budget", "-1")
     assert code == cli.EXIT_VALIDATION and out == ""
+    assert capsys.readouterr().err == "validation error: budget must be nonnegative, got -1\n"
+
+
+@pytest.mark.parametrize("key", ["budget_cells", "budget_field"])
+def test_old_budget_spellings_are_unknown(key, capsys):
+    # `budget` is the one cap for every subcommand
+    config = f"kind=A rank=3 nu=3,1,-1,-3 q=2 m=1\n{key}=5"
+    assert run_main("verify", config) == (cli.EXIT_USAGE, "")
+    assert capsys.readouterr().err == f"parse error: line 2: unknown key '{key}'\n"
+    flag = "--" + key.replace("_", "-")
+    assert run_main("strata", "kind=A rank=3 nu=3,1,-1,-3", flag, "5") == (cli.EXIT_USAGE, "")
+    assert capsys.readouterr().err.startswith("error: unrecognized arguments: ")
+
+
+@pytest.mark.parametrize("command,config", [
+    ("classify", "kind=A rank=1"),
+    ("strata", "kind=A rank=1"),
+    ("verify", "kind=A rank=1 q=2 m=2"),
+])
+def test_commands_on_cocharacters_require_nu(command, config, capsys):
+    assert run_main(command, config) == (cli.EXIT_VALIDATION, "")
+    assert capsys.readouterr().err == f"validation error: {command} requires nu\n"
+
+
+def test_report_error_maps_every_exception_class(capsys):
+    # one row per class in errors: a class without one fails the test
+    expected = {
+        errors.ParseError: (cli.EXIT_USAGE, "parse error: "),
+        errors.BudgetExceeded: (cli.EXIT_BUDGET, "budget exceeded: "),
+        errors.ValidationError: (cli.EXIT_VALIDATION, "validation error: "),
+        errors.IllegalType: (cli.EXIT_VALIDATION, "validation error: "),
+        errors.DimensionMismatch: (cli.EXIT_VALIDATION, "validation error: "),
+        errors.NotDominant: (cli.EXIT_VALIDATION, "validation error: "),
+        errors.MalformedNu: (cli.EXIT_VALIDATION, "validation error: "),
+        errors.IndexOutOfRange: (cli.EXIT_VALIDATION, "error: "),
+        errors.ZeroDimensional: (cli.EXIT_VALIDATION, "error: "),
+        errors.SingularTransform: (cli.EXIT_VALIDATION, "error: "),
+        errors.NotCodimOne: (cli.EXIT_VALIDATION, "error: "),
+        errors.InvariantViolation: (cli.EXIT_VALIDATION, "error: "),
+    }
+    classes = {cls for cls in vars(errors).values() if isinstance(cls, type)
+               and issubclass(cls, errors.PeriodDomainError)}
+    assert classes - {errors.PeriodDomainError} == set(expected)
+    for cls, (code, prefix) in expected.items():
+        exc = cls(7, "msg") if cls is errors.ParseError else cls("msg")
+        assert cli.report_error(exc) == code
+        assert capsys.readouterr().err == f"{prefix}{exc}\n"
+
+
+def test_readme_cli_examples_run():
+    # each `perioddomains` line of README's CLI block, as a shell would split it
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [line for line in block.splitlines() if line.startswith("perioddomains ")]
+    assert len(lines) == 6
+    for line in lines:
+        code, out = run_main(*shlex.split(line)[1:])
+        assert code == cli.EXIT_OK and out.strip(), line
 
 
 def _rho(kind, rank):
@@ -439,17 +510,17 @@ def test_default_field_budget_refuses_huge_verify(capsys):
      "budget exceeded: field order 2^20000 exceeds bound 65536"),
     # P^3 over F_2 has 15 points, but each is tested against 65 rational
     # subspaces
-    ("kind=A rank=3 nu=3,-1,-1,-1 q=2 m=1 budget_field=20", cli.EXIT_BUDGET,
-     "budget exceeded: 65 rational subspaces exceed budget"),
+    ("kind=A rank=3 nu=3,-1,-1,-1 q=2 m=1 budget=20", cli.EXIT_BUDGET,
+     "budget exceeded: 65 rational subspaces exceed budget 20"),
     # a restriction of scalars of degree t needs t | m, and its points are
     # t-tuples: 17 * 17 pairs of points of P^1(F_16)
     ("kind=A rank=1 t=2 nu=1,-1;1,-1 q=2 m=3", cli.EXIT_VALIDATION,
      "validation error: t=2 does not divide m=3: no degree-t extension"),
-    ("kind=A rank=1 t=2 nu=1,-1;1,-1 q=2 m=4 budget_field=100", cli.EXIT_BUDGET,
+    ("kind=A rank=1 t=2 nu=1,-1;1,-1 q=2 m=4 budget=100", cli.EXIT_BUDGET,
      "budget exceeded: 289 flag points exceed budget 100"),
     # P^2 over F_4 has 21 points, and F_4^3 has 42 subspaces, not F_2^3's 14
-    ("kind=A rank=2 t=2 nu=2,-1,-1;0,0,0 q=2 m=2 budget_field=30", cli.EXIT_BUDGET,
-     "budget exceeded: 42 rational subspaces exceed budget"),
+    ("kind=A rank=2 t=2 nu=2,-1,-1;0,0,0 q=2 m=2 budget=30", cli.EXIT_BUDGET,
+     "budget exceeded: 42 rational subspaces exceed budget 30"),
 ])
 def test_verify_refuses_before_building_the_field(config, code, err, capsys, monkeypatch):
     def no_field(*args):
@@ -503,7 +574,7 @@ def test_default_field_budget_admits_p3_over_f27(monkeypatch):
     code, out = run_main("verify", "kind=A rank=3 nu=3,-1,-1,-1 q=3 m=3", "--record")
     assert code == cli.EXIT_OK
     assert out.splitlines()[0] == "points=3"
-    assert cli.DEFAULT_BUDGET_FIELD == 2 ** 16
+    assert cli.DEFAULT_BUDGET == 2 ** 16
 
 
 def test_stdin_config(tmp_path):

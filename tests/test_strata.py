@@ -228,7 +228,7 @@ def test_e7_regular_under_default_budget():
     g = rd.build_group("E7", 7)
     rho = dominant_from_coeffs(g.base, [1] * 7)
     start = time.perf_counter()
-    report = strata.strata_report(g, rho, max_cells=cli.DEFAULT_BUDGET_CELLS)
+    report = strata.strata_report(g, rho, max_cells=cli.DEFAULT_BUDGET)
     assert time.perf_counter() - start < 1.0
     assert (report.dim_f, report.dim_y, report.codim_y) == (63, 49, 14)
     assert cf.classify(g, (rho,)).verdict != cf.VERDICT_DRINFELD
@@ -317,7 +317,7 @@ def test_reach_past_product_enumeration(kind, rank, t):
 
 
 def test_budget_counts_product_cosets_before_any_table():
-    # budget_cells bounds the orbit elements visited, per copy and vertex the
+    # max_cells bounds the orbit elements visited, per copy and vertex the
     # smaller of |W/W_{P_i}| and |W/W_P|: here 4 * (4 + 6 + 4), not |W| = 331,776
     g = rd.build_group("A", 3, res_degree=4)
     regular = (dominant_from_coeffs(g.base, [1, 1, 1]),) * 4
