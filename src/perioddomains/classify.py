@@ -138,9 +138,9 @@ class SSLocusDescription:
     whole_space: bool      # semistable locus equals the target itself
 
 
-def describe_ss_locus(g: GroupDatum, nu) -> SSLocusDescription:
-    """Describe the codimension-one semistable locus; raises NotCodimOne otherwise."""
-    cls = classify(g, nu)
+def describe_ss_locus(g: GroupDatum, nu, cls: Classification) -> SSLocusDescription:
+    """Describe the codimension-one semistable locus, given the classification
+    `cls` of nu; raises NotCodimOne unless it is a Drinfeld verdict."""
     if cls.verdict != VERDICT_DRINFELD:
         raise NotCodimOne("semistable locus has unstable complement of codim >= 2")
     entries = split_nu(g, nu)

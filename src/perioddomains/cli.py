@@ -70,6 +70,7 @@ from .finflag import (
 from .rootdata import (
     FORM_SPLIT,
     MAX_POSITIVE_ROOTS,
+    GroupDatum,
     Vector,
     build_group,
     build_root_system,
@@ -231,7 +232,8 @@ def _kv(key: str, value, record: bool) -> str:
         raise ValidationError(f"{key} has more digits than can be printed") from None
 
 
-def _render_classification(cls: Classification, job: JobSpec, record: bool) -> str:
+def _render_classification(cls: Classification, g: GroupDatum, job: JobSpec,
+                           record: bool) -> str:
     lines = [_kv("pi1", cls.pi1_label(job.t), record)]
     if cls.verdict == VERDICT_DRINFELD:
         lines.append(_kv("factor", cls.factor_index, record))
@@ -243,8 +245,7 @@ def _render_classification(cls: Classification, job: JobSpec, record: bool) -> s
         lines.append(_kv("near_miss",
                          ",".join(str(j) for j in cls.near_miss_factors), record))
     if cls.verdict == VERDICT_DRINFELD:
-        desc = describe_ss_locus(build_group(job.kind, job.rank, job.form, job.t),
-                                 job.nu)
+        desc = describe_ss_locus(g, job.nu, cls)
         target = f"Omega^({desc.ell + 1})" if desc.target == "omega" \
             else f"dual Omega^({desc.ell + 1})"
         lines.append(_kv("projection_target", target, record))
@@ -273,7 +274,7 @@ def _run_classify(job: JobSpec, record: bool) -> tuple[int, str]:
     if job.nu is None:
         raise ValidationError("classify requires nu")
     cls = classify(g, job.nu)
-    return EXIT_OK, _render_classification(cls, job, record)
+    return EXIT_OK, _render_classification(cls, g, job, record)
 
 
 def _run_strata(job: JobSpec, record: bool) -> tuple[int, str]:
@@ -394,6 +395,7 @@ class _Parser(argparse.ArgumentParser):
 
 def main(argv=None) -> int:
     parser = _Parser(prog="perioddomains", description=__doc__.splitlines()[0],
+                     allow_abbrev=False,
                      epilog=f"A root system with more than {MAX_POSITIVE_ROOTS} positive "
                             "roots, counting every copy of a restriction of scalars, is "
                             "refused with exit code 3 before it is built. verify takes split "

@@ -9,8 +9,10 @@ Fields, 2010); t = 1 is the split case. Both routes read the intersection
 profiles (dim(Frob^j U cap F_j^b))_{j, b} from one kernel,
 `intersection_profiles`: per point it tabulates u . a once for every
 echelon row u of the U and every vector a of each Frob^-j-twisted step's
-annihilator, so each U costs lookups plus the rank of a small matrix. The
-two routes keep separate formulas on top, each summed over the copies:
+annihilator, so each U costs lookups plus the rank of a small matrix, and a
+line U reads its dims straight off the table. The kernel keeps its last
+result, so a point's profiles are computed once and both routes read them.
+The two routes keep separate formulas on top, each summed over the copies:
 
 * the subspace test compares the weighted-average jump `slope` of each
   profile with the ambient slope;
@@ -460,19 +462,25 @@ def _rank(vecs: Sequence[Row], ff: FiniteField) -> int:
     return len(rref(vecs, ff)[0])
 
 
-def intersection_profiles(points: Sequence[FlagPoint], n: int,
-                          ff: FiniteField) -> Iterator[tuple[int, set[tuple[int, ...]]]]:
-    """For k = 1..n-1, the distinct profiles over all k-dimensional subspaces
-    U of F_{q^t}^n, t = len(points): the dims dim(Frob^j U cap F_j^b) for the
-    proper steps F_j^b of copy j, concatenated over j = 0..t-1. For t = 1
-    these are the rational subspaces of F_q^n.
+@lru_cache(maxsize=1)
+def intersection_profiles(points: tuple[FlagPoint, ...], n: int, ff: FiniteField
+                          ) -> tuple[tuple[int, frozenset[tuple[int, ...]]], ...]:
+    """For k = 1..n-1, the pair of k and the distinct profiles over all
+    k-dimensional subspaces U of F_{q^t}^n, t = len(points): the dims
+    dim(Frob^j U cap F_j^b) for the proper steps F_j^b of copy j,
+    concatenated over j = 0..t-1. For t = 1 these are the rational subspaces
+    of F_q^n.
 
     dim(Frob^j U cap F) = dim(U cap Frob^-j F), so copy j's steps are
     twisted by Frob^-j and every copy reads the rows of U itself. Each step
     is put in echelon form once; its annihilator has one vector a_f per free
     column f, and dim(U cap F^b) = k - rank(u . a_f) over the rows u of U and
     the free columns f. The products u . a_f are tabulated once per row u,
-    so each U costs lookups plus the rank of a k x (n - dim F^b) matrix.
+    so each U costs lookups plus the rank of a k x (n - dim F^b) matrix; a
+    line (k = 1) reads its dim off the table, 1 where its row lies in F^b.
+
+    The last call's result is kept, so the two semistability tests of one
+    point compute its profiles once and share them.
     """
     rows, families = _rational_rows(ff, n, len(points))
     add, mul = ff.add, ff.mul
@@ -497,10 +505,15 @@ def intersection_profiles(points: Sequence[FlagPoint], n: int,
                 table.append(tuple(products) if any(products) else None)  # None: u in F^b
             tables.append(table)
         power -= 1
+    out = []
     for k, family in enumerate(families, start=1):
-        per_step = [[k - _rank([t[r] for r in u if t[r] is not None], ff) for u in family]
-                    for t in tables]
-        yield k, set(zip(*per_step)) if per_step else {()}
+        if k == 1:
+            per_step = [[int(t[r] is None) for (r,) in family] for t in tables]
+        else:
+            per_step = [[k - _rank([t[r] for r in u if t[r] is not None], ff)
+                         for u in family] for t in tables]
+        out.append((k, frozenset(zip(*per_step)) if per_step else frozenset({()})))
+    return tuple(out)
 
 
 def slope(u_dim: int, induced_jump_dims: Sequence[int], nu) -> Fraction:

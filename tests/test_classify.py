@@ -150,7 +150,7 @@ def test_scale_invariance_of_verdict(rank, c):
 
 def test_describe_first_step():
     g = rd.build_group("A", 2)
-    d = cf.describe_ss_locus(g, (2, -1, -1))
+    d = cf.describe_ss_locus(g, (2, -1, -1), cf.classify(g, (2, -1, -1)))
     assert d.side == cf.SIDE_FIRST
     assert d.graded_dim == 1 and d.subspace_dim == 1
     assert d.target == "omega"
@@ -160,7 +160,7 @@ def test_describe_first_step():
 
 def test_describe_last_step():
     g = rd.build_group("A", 2)
-    d = cf.describe_ss_locus(g, (1, 1, -2))
+    d = cf.describe_ss_locus(g, (1, 1, -2), cf.classify(g, (1, 1, -2)))
     assert d.side == cf.SIDE_LAST
     assert d.graded_dim == 1 and d.subspace_dim == 2
     assert d.target == "omega_dual"
@@ -169,14 +169,14 @@ def test_describe_last_step():
 
 def test_describe_rank_one_whole_space():
     g = rd.build_group("A", 1)
-    d = cf.describe_ss_locus(g, (1, -1))
+    d = cf.describe_ss_locus(g, (1, -1), cf.classify(g, (1, -1)))
     assert d.whole_space
     assert d.target == "omega"
 
 
 def test_describe_res_factorization():
     g = rd.build_group("A", 1, res_degree=2)
-    d = cf.describe_ss_locus(g, ((1, -1), (0, 0)))
+    d = cf.describe_ss_locus(g, ((1, -1), (0, 0)), cf.classify(g, ((1, -1), (0, 0))))
     assert d.factor_index == 1
     assert d.other_factors == (2,)
     assert d.res_degree == 2
@@ -185,7 +185,7 @@ def test_describe_res_factorization():
 def test_describe_raises_on_trivial():
     g = rd.build_group("A", 2)
     with pytest.raises(NotCodimOne):
-        cf.describe_ss_locus(g, (1, 0, -1))
+        cf.describe_ss_locus(g, (1, 0, -1), cf.classify(g, (1, 0, -1)))
 
 
 def test_pi1_label_format():

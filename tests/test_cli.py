@@ -133,6 +133,18 @@ def test_verify_restriction_of_scalars():
     assert out.splitlines()[:3] == ["points = 17", "semistable = 12", "unstable = 5"]
 
 
+@pytest.mark.parametrize("config,points", [
+    ("kind=A rank=2 nu=1,0,-1 q=2 m=1", 21),
+    ("kind=A rank=1 t=2 nu=1,-1;1,-1 q=2 m=2", 25),
+])
+def test_verify_computes_each_points_profiles_once(config, points):
+    # both tests read one intersection-profile pass per point
+    ffl.intersection_profiles.cache_clear()
+    assert run_main("verify", config)[0] == cli.EXIT_OK
+    info = ffl.intersection_profiles.cache_info()
+    assert (info.misses, info.hits) == (points, points)
+
+
 def test_closed_stdout_is_not_a_traceback():
     # the reader of stdout has gone before the report is written
     env = dict(os.environ)
@@ -387,6 +399,18 @@ def test_old_budget_spellings_are_unknown(key, capsys):
     flag = "--" + key.replace("_", "-")
     assert run_main("strata", "kind=A rank=3 nu=3,1,-1,-3", flag, "5") == (cli.EXIT_USAGE, "")
     assert capsys.readouterr().err.startswith("error: unrecognized arguments: ")
+
+
+@pytest.mark.parametrize("command,config,flag,full,code,out", [
+    ("strata", "kind=A rank=3 nu=3,1,-1,-3", ["--b", "2"], ["--budget", "2"], cli.EXIT_BUDGET, ""),
+    ("classify", "kind=A rank=2 nu=2,-1,-1", ["--rec"], ["--record"], cli.EXIT_OK, "pi1="),
+])
+def test_abbreviated_flags_are_refused(command, config, flag, full, code, out, capsys):
+    # a prefix of a flag is not a second spelling of it
+    assert run_main(command, config, *flag) == (cli.EXIT_USAGE, "")
+    assert capsys.readouterr().err.startswith(f"error: unrecognized arguments: {flag[0]}")
+    got_code, got_out = run_main(command, config, *full)
+    assert got_code == code and got_out.startswith(out)
 
 
 @pytest.mark.parametrize("command,config", [

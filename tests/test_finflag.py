@@ -392,6 +392,59 @@ def test_intersection_profiles_of_copies_match_brute_force(q, m, ell, dims):
         assert dict(ffl.intersection_profiles(x, n, ff)) == want, x
 
 
+def _brute_profiles(x, ff):
+    n = len(x.bases[0][0])
+    spans = _step_spans(x, ff)
+    return {k: {_brute_profile(u, spans, ff) for u in ffl.enumerate_rref(n, k, ff.subfield(ff.q))}
+            for k in range(1, n)}
+
+
+def test_both_tests_of_a_point_share_one_profile_pass():
+    ff = ffl.finite_field(2, 1, 2)
+    nu = (1, 0, -1)
+    ffl.intersection_profiles.cache_clear()
+    for x in list(ffl.enumerate_flags(ff, 2, (1, 2)))[:5]:
+        before = ffl.intersection_profiles.cache_info()
+        ffl.is_semistable_subspace_test(x, nu, ff)
+        ffl.is_semistable_strata_test(x, nu, ff)
+        after = ffl.intersection_profiles.cache_info()
+        assert (after.misses - before.misses, after.hits - before.hits) == (1, 1)
+        assert after.currsize == 1
+
+
+def test_profiles_are_kept_per_field():
+    # the same bases over F_4 and over F_16, both with q = 4: <(1, x)> is a
+    # rational line of F_4^2 but not of F_16^2
+    small, large = ffl.finite_field(2, 2, 1), ffl.finite_field(2, 2, 2)
+    x = ffl.FlagPoint((((1, 2),),))
+    want = {ff: _brute_profiles(x, ff) for ff in (small, large)}
+    assert want[small] != want[large]
+    for ff in (small, large, small):
+        assert dict(ffl.intersection_profiles((x,), 2, ff)) == want[ff]
+
+
+def test_a_tuple_and_its_first_point_keep_separate_profiles():
+    ff = ffl.finite_field(2, 1, 2)
+    x = next(ffl.enumerate_flags(ff, 1, (1,)))
+    ffl.intersection_profiles.cache_clear()
+    alone = ffl.intersection_profiles((x,), 2, ff)
+    pair = ffl.intersection_profiles((x, x), 2, ff)
+    assert dict(alone) == _brute_profiles(x, ff)
+    assert {len(p) for _, ps in pair for p in ps} == {2}
+    assert ffl.intersection_profiles.cache_info().misses == 2
+
+
+def test_returned_profiles_are_immutable():
+    ff = ffl.finite_field(2, 1, 2)
+    x = next(ffl.enumerate_flags(ff, 2, (1, 2)))
+    result = ffl.intersection_profiles((x,), 3, ff)
+    assert isinstance(result, tuple)
+    for _, profiles in result:
+        assert isinstance(profiles, frozenset)
+        with pytest.raises(AttributeError):
+            profiles.add((0, 0))
+
+
 def test_frobenius_powers():
     ff = ffl.finite_field(2, 2, 3)  # F_64 over F_4: Frob_4 has order 3
     for a in range(ff.order):
