@@ -90,9 +90,9 @@ _COMMANDS = ("classify", "strata", "verify", "tables")
 # the cap on counted work when budget is not given. strata admits E7 with a
 # regular nu (17,642 orbit elements, a 0.2 s report) and A3 t=4 (56), and
 # refuses E8 with a regular nu (881,760) before any orbit search; verify
-# admits P^3 over F_27 (20,440 points, about 100 s) and refuses the
-# line-in-hyperplane flags of F_256^4 (about 1.1 * 10^12 points) before the
-# first point.
+# admits P^3 over F_27 (20,440 points, about 35 s on a 2-CPU Xeon with
+# Python 3.11) and refuses the line-in-hyperplane flags of F_256^4 (about
+# 1.1 * 10^12 points) before the first point.
 DEFAULT_BUDGET = 2 ** 16
 
 # verify reports `verify: <done>/<total> points` on stderr once a run has

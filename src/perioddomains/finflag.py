@@ -12,18 +12,19 @@ echelon row u of the U and every vector a of each Frob^-j-twisted step's
 annihilator, so each U costs lookups plus the rank of a small matrix, and a
 line U reads its dims straight off the table. The kernel keeps its last
 result, so a point's profiles are computed once and both routes read them.
-The two routes keep separate formulas on top, each summed over the copies:
 
-* the subspace test compares the weighted-average jump `slope` of each
-  profile with the ambient slope;
-* the strata test treats each rational i-dimensional T as a translate g P_i
-  of vertex parabolic P_i: the profile fixes the double coset
-  W_{P_i} w W_P of the point's Bruhat position, and the cell slope
-  -(omega_i, w nu) is read from a one-line representative w of it as
-  sum_j c_j (omega_j, nu), with c the Dynkin labels of w^-1 omega_i
-  (`rootdata.reflect_labels` along w's word), as `strata` reads its cells.
-  `relative_position` computes w itself from rank matrices against an
-  explicit basis, an independent reference for that reading.
+One driver runs both routes: it normalises x and nu, checks the points, and
+calls a point semistable iff no excess is positive, where each route gives
+an excess per profile, summed over the copies. The subspace excess is the
+`slope` of the profile minus the ambient slope. The strata excess treats a
+rational k-dimensional U as a translate g P_k of a vertex parabolic: the
+profile fixes the double coset W_{P_k} w W_P of the point's Bruhat
+position, and the excess is the pairing (omega_k, w nu), read from a
+one-line representative of it with the Dynkin labels of w^-1 omega_k
+(`rootdata.reflect_labels`), as `strata` reads its cells. For type A the
+strata excess is k times the subspace excess. Both derivations stay, as
+independent references: `verify` exits 4 when they disagree, and
+`relative_position` computes w itself from rank matrices.
 
 Field arithmetic uses Zech logarithm tables (exp/log plus log(1 + g^k)), so
 addition and multiplication are single table lookups; fields up to
@@ -536,15 +537,6 @@ def slope(u_dim: int, induced_jump_dims: Sequence[int], nu) -> Fraction:
     return total / u_dim
 
 
-def _factors(nu: tuple) -> tuple[tuple[tuple[Fraction, ...], ...], tuple[tuple[int, ...], ...]]:
-    """The factors of a flat nu (t = 1) or of t vectors, as exact vectors of
-    one length, and their flag dims."""
-    nus = tuple(map(vector, nu)) if nu and isinstance(nu[0], tuple) else (vector(nu),)
-    if len({len(v) for v in nus}) != 1:
-        raise ValidationError(f"cocharacter factors of lengths {[len(v) for v in nus]}")
-    return nus, tuple(map(flag_dims, nus))
-
-
 def _split(k: int, profile: tuple[int, ...], dims, n: int) -> list[tuple[int, ...]]:
     """The profile of a k-dimensional subspace cut into one part per copy; a
     part that no nested flag of F^n has raises ValidationError."""
@@ -560,49 +552,99 @@ def _split(k: int, profile: tuple[int, ...], dims, n: int) -> list[tuple[int, ..
     return parts
 
 
-def _check_points(points: tuple[FlagPoint, ...], dims, n: int) -> None:
+@lru_cache(maxsize=256)
+def _excesses(nu: tuple):
+    """The width n and flag dims of the factors of nu (one vector, or t
+    factor tuples), and per route, "subspace" or "strata", the map k,
+    profile -> the excess of a k-dimensional U of F_{q^t}^n with that
+    profile, summed over the copies; memoized per nu.
+
+    The strata excess of copy j is (omega_k, w_j nu_j) for the position w_j
+    of copy j relative to Frob^j U. The one-line representative of the
+    double coset W_{P_k} w W_P puts, in block b, dim(U cap F^b) -
+    dim(U cap F^{b-1}) values from 1..k followed by values from k+1..n; the
+    pairing is invariant under W_{P_k} on the left and W_P on the right, so
+    any such representative gives it exactly. It is sum_j c_j (omega_j, nu)
+    for the labels c of w^-1 omega_k, which start at e_k and take w's word
+    first letter first. A width below 2 raises the IllegalType that
+    `enumerate_flags` gives for A_0, before any division.
+    """
+    nus = tuple(map(vector, nu)) if nu and isinstance(nu[0], tuple) else (vector(nu),)
+    if len({len(v) for v in nus}) != 1:
+        raise ValidationError(f"cocharacter factors of lengths {[len(v) for v in nus]}")
+    n = len(nus[0])
+    rs = build_root_system("A", n - 1)
+    dims = tuple(map(flag_dims, nus))
+    ambient = sum(sum(v) / n for v in nus)
+    weights = [tuple(inner_product(w, v) for w in rs.fundamental_coweights) for v in nus]
+
+    def labels(k: int, steps: tuple[int, ...], part: tuple[int, ...]) -> tuple[int, ...]:
+        small, large = iter(range(1, k + 1)), iter(range(k + 1, n + 1))
+        one_line: list[int] = []
+        prev_d = prev_c = 0
+        for d, c in zip(steps, part + (k,)):
+            one_line += [next(small) for _ in range(c - prev_c)]
+            one_line += [next(large) for _ in range(d - prev_d - c + prev_c)]
+            prev_d, prev_c = d, c
+        c = tuple(int(j == k - 1) for j in range(n - 1))
+        for s in permutation_element(rs, one_line).word:
+            c = reflect_labels(rs.cartan, c, s - 1)
+        return c
+
+    @lru_cache(maxsize=None)
+    def subspace(k: int, profile: tuple[int, ...]) -> Fraction:
+        parts = _split(k, profile, dims, n)
+        return sum(slope(k, part + (k,), v) for part, v in zip(parts, nus)) - ambient
+
+    @lru_cache(maxsize=None)
+    def strata(k: int, profile: tuple[int, ...]) -> Fraction:
+        return sum(sum(map(mul, labels(k, d + (n,), part), w))
+                   for d, part, w in zip(dims, _split(k, profile, dims, n), weights))
+    return n, dims, {"subspace": subspace, "strata": strata}
+
+
+def _is_semistable(x, nu, ff: FiniteField, route: str) -> bool:
+    """Whether no excess of `route` is positive at x: the one driver of both
+    tests. Factors of nu given as lists key the memo as tuples."""
+    nu = tuple(nu)
+    if nu and isinstance(nu[0], (list, tuple)):
+        nu = tuple(map(tuple, nu))
+    n, dims, excesses = _excesses(nu)
+    excess = excesses[route]
+    points = (x,) if isinstance(x, FlagPoint) else tuple(x)
     if len(points) != len(dims):
         raise ValidationError(f"{len(points)} flag points for {len(dims)} cocharacter factors")
     j = 0  # a plain loop: zip would cost more than the checks for t = 1
-    for x in points:
-        if x.dims != dims[j]:
-            raise ValidationError(f"flag dims {x.dims} do not match cocharacter dims {dims[j]}")
-        if x.bases and len(x.bases[0][0]) != n:  # every row of a point has one width
-            raise ValidationError(f"flag point of width {len(x.bases[0][0])}, nu of length {n}")
+    for y in points:
+        if y.dims != dims[j]:
+            raise ValidationError(f"flag dims {y.dims} do not match cocharacter dims {dims[j]}")
+        if y.bases and len(y.bases[0][0]) != n:  # every row of a point has one width
+            raise ValidationError(f"flag point of width {len(y.bases[0][0])}, nu of length {n}")
         j += 1
-
-
-@lru_cache(maxsize=256)
-def _slope_test(nu: tuple):
-    """The width n and flag dims of the factors of nu, and k, profile ->
-    whether a k-dimensional U with that profile has a slope above the ambient
-    one, both summed over the copies; memoized per nu."""
-    nus, dims = _factors(nu)
-    n = len(nus[0])
-    ambient = sum(sum(v) / len(v) for v in nus)
-
-    @lru_cache(maxsize=None)
-    def above(k: int, profile: tuple[int, ...]) -> bool:
-        parts = _split(k, profile, dims, n)
-        return sum(slope(k, part + (k,), v) for part, v in zip(parts, nus)) > ambient
-    return n, dims, above
+    for k, profiles in intersection_profiles(points, n, ff):
+        if any(excess(k, p).numerator > 0 for p in profiles):  # cheaper than Fraction > 0
+            return False
+    return True
 
 
 def is_semistable_subspace_test(x, nu, ff: FiniteField) -> bool:
     """Subspace route: every rational subspace has slope at most the ambient slope.
 
     x is a FlagPoint and nu one vector, or, for a restriction of scalars of
-    degree t (t | m), x holds t points and nu is a tuple of t factor tuples;
-    the rational subspaces are then those of F_{q^t}^n, and slopes add over
-    the copies.
+    degree t (t | m), x holds t points and nu is a tuple of t factors; the
+    rational subspaces are then those of F_{q^t}^n, and slopes add over the
+    copies.
     """
-    points = (x,) if isinstance(x, FlagPoint) else tuple(x)
-    n, dims, above = _slope_test(tuple(nu))
-    _check_points(points, dims, n)
-    for k, profiles in intersection_profiles(points, n, ff):
-        if any(above(k, p) for p in profiles):
-            return False
-    return True
+    return _is_semistable(x, nu, ff, "subspace")
+
+
+def is_semistable_strata_test(x, nu, ff: FiniteField) -> bool:
+    """Strata route: no rational translate of a vertex stratum contains the point.
+
+    Every translate class g P_i, one per rational i-dimensional T, is checked;
+    x and nu are read as by `is_semistable_subspace_test`.
+    """
+    return _is_semistable(x, nu, ff, "strata")
 
 
 def relative_position(x: FlagPoint, g: Sequence[Sequence[int]],
@@ -631,60 +673,6 @@ def relative_position(x: FlagPoint, g: Sequence[Sequence[int]],
         prev = js
     rs = build_root_system("A", n - 1)
     return permutation_element(rs, one_line)
-
-
-@lru_cache(maxsize=256)
-def _vertex_pairings(nu: tuple):
-    """The width n and flag dims of the factors of nu, and i, profile -> the
-    sum over copies j of (omega_i, w_j nu_j) for the position w_j of copy j
-    relative to Frob^j T, T an i-dimensional subspace of F_{q^t}^n, read
-    from its part (dim(Frob^j T cap F_j^b))_b of the profile; memoized per nu.
-
-    The one-line representative of the double coset W_{P_i} w W_P puts, in
-    block b, dim(T cap F^b) - dim(T cap F^{b-1}) values from 1..i followed by
-    values from i+1..n; the pairing is invariant under W_{P_i} on the left
-    and W_P on the right, so any such representative gives it exactly. It
-    is sum_j c_j (omega_j, nu) for the labels c of w^-1 omega_i, which
-    start at e_i and take w's word first letter first.
-    """
-    nus, dims = _factors(nu)
-    n = len(nus[0])
-    rs = build_root_system("A", n - 1)
-    weights = [tuple(inner_product(w, v) for w in rs.fundamental_coweights) for v in nus]
-
-    def labels(i: int, steps: tuple[int, ...], part: tuple[int, ...]) -> tuple[int, ...]:
-        small, large = iter(range(1, i + 1)), iter(range(i + 1, n + 1))
-        one_line: list[int] = []
-        prev_d = prev_c = 0
-        for d, c in zip(steps, part + (i,)):
-            one_line += [next(small) for _ in range(c - prev_c)]
-            one_line += [next(large) for _ in range(d - prev_d - c + prev_c)]
-            prev_d, prev_c = d, c
-        c = tuple(int(j == i - 1) for j in range(n - 1))
-        for k in permutation_element(rs, one_line).word:
-            c = reflect_labels(rs.cartan, c, k - 1)
-        return c
-
-    @lru_cache(maxsize=None)
-    def pairing(i: int, profile: tuple[int, ...]) -> Fraction:
-        return sum(sum(map(mul, labels(i, d + (n,), part), w))
-                   for d, part, w in zip(dims, _split(i, profile, dims, n), weights))
-    return n, dims, pairing
-
-
-def is_semistable_strata_test(x, nu, ff: FiniteField) -> bool:
-    """Strata route: no rational translate of a vertex stratum contains the point.
-
-    Every translate class g P_i, one per rational i-dimensional T, is checked;
-    x and nu are read as by `is_semistable_subspace_test`.
-    """
-    points = (x,) if isinstance(x, FlagPoint) else tuple(x)
-    n, dims, pairing = _vertex_pairings(tuple(nu))
-    _check_points(points, dims, n)
-    for i, profiles in intersection_profiles(points, n, ff):
-        if any(pairing(i, p) > 0 for p in profiles):
-            return False
-    return True
 
 
 def count_semistable(ff: FiniteField, ell: int, nu) -> int:

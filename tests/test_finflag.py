@@ -11,6 +11,7 @@ from perioddomains import rootdata as rd
 from perioddomains import weyl
 from perioddomains.errors import (
     BudgetExceeded,
+    IllegalType,
     InvariantViolation,
     MalformedNu,
     SingularTransform,
@@ -223,6 +224,19 @@ def test_steps_that_do_not_nest_are_refused_by_both_tests(test):
     x = ffl.FlagPoint((((1, 0, 0),), ((0, 1, 0), (0, 0, 1))))
     with pytest.raises(ValidationError, match="the steps do not nest"):
         test(x, (1, 0, -1), ff)
+    # a nu of width below 2 is refused as enumerate_flags refuses A_0, before
+    # any division by the width, flat or as t factors
+    point = ffl.FlagPoint(())
+    for points, nu in ((point, ()), (point, (1,)), ((point, point), ((1,), (1,)))):
+        with pytest.raises(IllegalType, match="illegal pair kind=A rank="):
+            test(points, nu, ff)
+    # factors given as lists are read as the same tuples
+    ff = ffl.finite_field(2, 1, 2)
+    lines = list(ffl.enumerate_flags(ff, 1, (1,)))
+    verdicts = [test(pair, ((1, -1), (1, -1)), ff) for pair in itertools.product(lines, repeat=2)]
+    assert verdicts.count(False) == 5
+    assert verdicts == [test(pair, [[1, -1], [1, -1]], ff)
+                        for pair in itertools.product(lines, repeat=2)]
 
 
 def test_field_order_refused_before_primality_and_power():
@@ -478,7 +492,7 @@ def test_vertex_pairing_matches_relative_position(q, m, nu, every):
     ff = ffl.finite_field(q, 1, m)
     n = len(nu)
     rs = rd.build_root_system("A", n - 1)
-    _, _, pairing = ffl._vertex_pairings(rd.vector(nu))
+    pairing = ffl._excesses(rd.vector(nu))[2]["strata"]
     for x in list(ffl.enumerate_flags(ff, n - 1, ffl.flag_dims(nu)))[::every]:
         spans = _step_spans(x, ff)
         for i in range(1, n):
@@ -487,6 +501,27 @@ def test_vertex_pairing_matches_relative_position(q, m, nu, every):
                 want = rd.inner_product(rs.fundamental_coweights[i - 1],
                                         reference_apply(w, nu))
                 assert pairing(i, _brute_profile(t, spans, ff)) == want, (x, t)
+
+
+def test_strata_excess_is_k_times_subspace_excess():
+    # for type A, (omega_k, w nu) = k (slope(U) - ambient slope): the two
+    # routes derive one number, on the criterion-6 grid and two t = 2 cells
+    # (one with factors of nonzero sum), over a prefix of each cell's points
+    cells = [(q, m, ell, (nu,)) for q in (2, 3) for m in (1, 2, 3) for ell, nu in
+             [(1, (1, -1))] + [(2, nu) for nu in ((2, -1, -1), (1, 1, -2), (1, 0, -1))]]
+    cells += [(2, 2, 2, ((2, -1, -1), (1, 0, -1))), (2, 4, 1, ((1, 0), (0, -1)))]
+    signs = set()
+    for q, m, ell, nus in cells:
+        ff = ffl.finite_field(q, 1, m)
+        n, _, excess = ffl._excesses(nus if len(nus) > 1 else nus[0])
+        copies = [ffl.enumerate_flags(ff, ell, ffl.flag_dims(nu)) for nu in nus]
+        for x in itertools.islice(itertools.product(*copies), 12):
+            for k, profiles in ffl.intersection_profiles(x, n, ff):
+                for p in profiles:
+                    gap = excess["subspace"](k, p)
+                    assert excess["strata"](k, p) == k * gap, (q, m, nus, x, k, p)
+                    signs.add((gap > 0) - (gap < 0))
+    assert signs == {-1, 0, 1}
 
 
 @pytest.mark.parametrize("q,m,nu", [
