@@ -18,7 +18,6 @@ from .errors import (
     PeriodDomainError,
     SingularTransform,
     ValidationError,
-    ZeroDimensional,
 )
 from .rootdata import (
     FORM_SPLIT,

@@ -47,10 +47,6 @@ class BudgetExceeded(PeriodDomainError):
     """An enumeration would exceed the caller-supplied budget."""
 
 
-class ZeroDimensional(PeriodDomainError):
-    """Slope of a zero-dimensional subspace requested."""
-
-
 class SingularTransform(PeriodDomainError):
     """Basis change matrix is not invertible."""
 

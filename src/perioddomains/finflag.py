@@ -15,15 +15,18 @@ result, so a point's profiles are computed once and both routes read them.
 
 One driver runs both routes: it normalises x and nu, checks the points, and
 calls a point semistable iff no excess is positive, where each route gives
-an excess per profile, summed over the copies. The subspace excess is the
-`slope` of the profile minus the ambient slope. The strata excess treats a
-rational k-dimensional U as a translate g P_k of a vertex parabolic: the
-profile fixes the double coset W_{P_k} w W_P of the point's Bruhat
-position, and the excess is the pairing (omega_k, w nu), read from a
-one-line representative of it with the Dynkin labels of w^-1 omega_k
-(`rootdata.reflect_labels`), as `strata` reads its cells. For type A the
-strata excess is k times the subspace excess. Both derivations stay, as
-independent references: `verify` exits 4 when they disagree, and
+an integer excess per profile, summed over the copies. Both read nu as
+`strata` does, scaled to integers by one lcm L of its denominators
+(`rootdata.integer_pairings`). The subspace excess is nkL times the slope
+of the profile minus the ambient slope. The strata excess treats a rational
+k-dimensional U as a translate g P_k of a vertex parabolic: the profile
+fixes the double coset W_{P_k} w W_P of the point's Bruhat position, and
+the excess is 2nL times the pairing (omega_k, w nu), read from a one-line
+representative of it with the Dynkin labels of w^-1 omega_k
+(`rootdata.reflect_labels`) and the integer coweights W_i = 2n omega_i, as
+`strata` reads its cells. For type A (omega_k, w nu) is k times the slope
+gap, so the strata excess is twice the subspace excess. Both derivations
+stay, as independent references: `verify` exits 4 when they disagree, and
 `relative_position` computes w itself from rank matrices.
 
 Field arithmetic uses Zech logarithm tables (exp/log plus log(1 + g^k)), so
@@ -51,26 +54,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
-from operator import mul
+from operator import mul, sub
 from typing import Iterator, Sequence
 
-from .errors import (
-    BudgetExceeded,
-    InvariantViolation,
-    SingularTransform,
-    ValidationError,
-    ZeroDimensional,
-    shown,
-)
-from .rootdata import (
-    build_root_system,
-    inner_product,
-    reflect_labels,
-    run_lengths,
-    vector,
-)
+from .errors import BudgetExceeded, InvariantViolation, SingularTransform, ValidationError, shown
+from .rootdata import build_root_system, integer_pairings, reflect_labels, run_lengths
 from .weyl import WeylElement, _parabolic, permutation_element
 
 Row = tuple[int, ...]
@@ -517,26 +506,6 @@ def intersection_profiles(points: tuple[FlagPoint, ...], n: int, ff: FiniteField
     return tuple(out)
 
 
-def slope(u_dim: int, induced_jump_dims: Sequence[int], nu) -> Fraction:
-    """Weighted-average jump of the induced filtration on a subspace.
-
-    `induced_jump_dims[b]` is dim(U cap F^{y_b}), cumulative over all jump
-    steps including the ambient one (so the last entry equals u_dim).
-    """
-    if u_dim < 1:
-        raise ZeroDimensional("slope of a zero-dimensional subspace")
-    jumps, _ = run_lengths(nu)
-    if len(induced_jump_dims) != len(jumps):
-        raise ValidationError(
-            f"{len(induced_jump_dims)} induced dims for {len(jumps)} jumps")
-    total = Fraction(0)
-    prev = 0
-    for y, d in zip(jumps, induced_jump_dims):
-        total += y * (d - prev)
-        prev = d
-    return total / u_dim
-
-
 def _split(k: int, profile: tuple[int, ...], dims, n: int) -> list[tuple[int, ...]]:
     """The profile of a k-dimensional subspace cut into one part per copy; a
     part that no nested flag of F^n has raises ValidationError."""
@@ -556,27 +525,37 @@ def _split(k: int, profile: tuple[int, ...], dims, n: int) -> list[tuple[int, ..
 def _excesses(nu: tuple):
     """The width n and flag dims of the factors of nu (one vector, or t
     factor tuples), and per route, "subspace" or "strata", the map k,
-    profile -> the excess of a k-dimensional U of F_{q^t}^n with that
-    profile, summed over the copies; memoized per nu.
+    profile -> the integer excess of a k-dimensional U of F_{q^t}^n with
+    that profile, summed over the copies; memoized per nu.
 
-    The strata excess of copy j is (omega_k, w_j nu_j) for the position w_j
-    of copy j relative to Frob^j U. The one-line representative of the
-    double coset W_{P_k} w W_P puts, in block b, dim(U cap F^b) -
-    dim(U cap F^{b-1}) values from 1..k followed by values from k+1..n; the
-    pairing is invariant under W_{P_k} on the left and W_P on the right, so
-    any such representative gives it exactly. It is sum_j c_j (omega_j, nu)
-    for the labels c of w^-1 omega_k, which start at e_k and take w's word
-    first letter first. A width below 2 raises the IllegalType that
-    `enumerate_flags` gives for A_0, before any division.
+    nu is read as `strata` reads it: its factors scaled to integers by one
+    common lcm L of their denominators (`rootdata.integer_pairings`). The
+    subspace excess is nkL times the summed slope of U minus the ambient
+    slope: n sum_j sum_b (L y_b)(dim(U cap F^b) - dim(U cap F^{b-1})) minus
+    k L sum_j sum(nu_j), for the jumps y_b of nu_j. The strata excess of
+    copy j is (W_k, w_j L nu_j) = 2nL (omega_k, w_j nu_j) for the base
+    system's integer coweights W_i = 2n omega_i (det of A_{n-1}'s Cartan
+    matrix is n) and the position w_j of copy j relative to Frob^j U. Each
+    is a positive multiple of its rational excess, so every sign is the same.
+
+    The one-line representative of the double coset W_{P_k} w W_P puts, in
+    block b, dim(U cap F^b) - dim(U cap F^{b-1}) values from 1..k followed by
+    values from k+1..n; the pairing is invariant under W_{P_k} on the left
+    and W_P on the right, so any such representative gives it exactly. It is
+    sum_i c_i (W_i, L nu_j) for the labels c of w^-1 omega_k, which start at
+    e_k and take w's word first letter first. A width below 2 raises the
+    IllegalType that `enumerate_flags` gives for A_0.
     """
-    nus = tuple(map(vector, nu)) if nu and isinstance(nu[0], tuple) else (vector(nu),)
+    nus = nu if nu and isinstance(nu[0], tuple) else (nu,)
     if len({len(v) for v in nus}) != 1:
         raise ValidationError(f"cocharacter factors of lengths {[len(v) for v in nus]}")
     n = len(nus[0])
     rs = build_root_system("A", n - 1)
     dims = tuple(map(flag_dims, nus))
-    ambient = sum(sum(v) / n for v in nus)
-    weights = [tuple(inner_product(w, v) for w in rs.fundamental_coweights) for v in nus]
+    ints, _, _ = integer_pairings(rs, nus)
+    jumps = [run_lengths(v)[0] for v in ints]
+    total = sum(map(sum, ints))
+    weights = [tuple(sum(map(mul, w, v)) for w in rs.integer_coweights) for v in ints]
 
     def labels(k: int, steps: tuple[int, ...], part: tuple[int, ...]) -> tuple[int, ...]:
         small, large = iter(range(1, k + 1)), iter(range(k + 1, n + 1))
@@ -592,12 +571,12 @@ def _excesses(nu: tuple):
         return c
 
     @lru_cache(maxsize=None)
-    def subspace(k: int, profile: tuple[int, ...]) -> Fraction:
-        parts = _split(k, profile, dims, n)
-        return sum(slope(k, part + (k,), v) for part, v in zip(parts, nus)) - ambient
+    def subspace(k: int, profile: tuple[int, ...]) -> int:
+        return n * sum(sum(map(mul, ys, map(sub, part + (k,), (0,) + part)))
+                       for part, ys in zip(_split(k, profile, dims, n), jumps)) - k * total
 
     @lru_cache(maxsize=None)
-    def strata(k: int, profile: tuple[int, ...]) -> Fraction:
+    def strata(k: int, profile: tuple[int, ...]) -> int:
         return sum(sum(map(mul, labels(k, d + (n,), part), w))
                    for d, part, w in zip(dims, _split(k, profile, dims, n), weights))
     return n, dims, {"subspace": subspace, "strata": strata}
@@ -622,7 +601,7 @@ def _is_semistable(x, nu, ff: FiniteField, route: str) -> bool:
             raise ValidationError(f"flag point of width {len(y.bases[0][0])}, nu of length {n}")
         j += 1
     for k, profiles in intersection_profiles(points, n, ff):
-        if any(excess(k, p).numerator > 0 for p in profiles):  # cheaper than Fraction > 0
+        if any(excess(k, p) > 0 for p in profiles):
             return False
     return True
 
@@ -677,7 +656,6 @@ def relative_position(x: FlagPoint, g: Sequence[Sequence[int]],
 
 def count_semistable(ff: FiniteField, ell: int, nu) -> int:
     """Number of semistable working-field points, by the subspace test."""
-    nu = vector(nu)
     dims = flag_dims(nu)
     count = 0
     for x in enumerate_flags(ff, ell, dims):

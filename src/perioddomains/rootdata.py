@@ -6,7 +6,7 @@ Cartan matrix. Integer readers get the nonzero entries of each 2 alpha_j
 (`simple_pairs`) and a base system's coweights W_i = 2 det(M) omega_i
 (`integer_coweights`). Roots, coweights and the Gram matrices are also
 stored as tuples of `fractions.Fraction`, the exact view that `tables`
-prints and that callers pair with a cocharacter. Floating point is never
+prints; no route pairs them with a cocharacter. Floating point is never
 used anywhere in this package's mathematical kernel.
 
 Conventions: type A lives in the sum-zero hyperplane of Q^(l+1) with simple
@@ -77,12 +77,13 @@ def format_vector(v: Iterable) -> str:
     return ",".join(str(x) for x in v)
 
 
-def run_lengths(nu) -> tuple[tuple[Fraction, ...], tuple[int, ...]]:
-    """Decreasing jump values and multiplicities of a sorted type-A cocharacter."""
-    x = vector(nu)
+def run_lengths(nu) -> tuple[tuple, tuple[int, ...]]:
+    """Decreasing jump values and multiplicities of a sorted type-A
+    cocharacter; the jumps are its entries as given (ints or Fractions)."""
+    x = tuple(nu)
     if any(a < b for a, b in zip(x, x[1:])):
         raise MalformedNu(f"cocharacter is not sorted nonincreasing: {format_vector(x)}")
-    jumps: list[Fraction] = []
+    jumps: list = []
     mults: list[int] = []
     for a in x:
         if jumps and a == jumps[-1]:

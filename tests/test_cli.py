@@ -133,6 +133,28 @@ def test_verify_restriction_of_scalars():
     assert out.splitlines()[:3] == ["points = 17", "semistable = 12", "unstable = 5"]
 
 
+def test_verify_hands_both_tests_integer_nu(monkeypatch):
+    # verify scales nu to integers once; the verdicts do not depend on the
+    # scale, so a fractional nu gives the report it gave as Fractions
+    seen = set()
+
+    def recording(test):
+        def call(x, nu, ff):
+            seen.update((test.__name__, type(v)) for factor in nu for v in factor)
+            return test(x, nu, ff)
+        return call
+
+    for name in ("is_semistable_subspace_test", "is_semistable_strata_test"):
+        monkeypatch.setattr(cli, name, recording(getattr(cli, name)))
+    code, out = run_main("verify", "kind=A rank=1 nu=1/3,-1/3 q=4 m=2")
+    assert code == cli.EXIT_OK
+    assert out.splitlines() == [
+        "points = 17", "semistable = 12", "unstable = 5", "disagreements = 0",
+        "agreement = ok", "unstable_witness_1 = 1,0", "unstable_witness_2 = 1,1",
+        "unstable_witness_3 = 1,6"]
+    assert seen == {("is_semistable_subspace_test", int), ("is_semistable_strata_test", int)}
+
+
 @pytest.mark.parametrize("config,points", [
     ("kind=A rank=2 nu=1,0,-1 q=2 m=1", 21),
     ("kind=A rank=1 t=2 nu=1,-1;1,-1 q=2 m=2", 25),
@@ -434,7 +456,6 @@ def test_report_error_maps_every_exception_class(capsys):
         errors.NotDominant: (cli.EXIT_VALIDATION, "validation error: "),
         errors.MalformedNu: (cli.EXIT_VALIDATION, "validation error: "),
         errors.IndexOutOfRange: (cli.EXIT_VALIDATION, "error: "),
-        errors.ZeroDimensional: (cli.EXIT_VALIDATION, "error: "),
         errors.SingularTransform: (cli.EXIT_VALIDATION, "error: "),
         errors.NotCodimOne: (cli.EXIT_VALIDATION, "error: "),
         errors.InvariantViolation: (cli.EXIT_VALIDATION, "error: "),

@@ -16,7 +16,6 @@ from perioddomains.errors import (
     MalformedNu,
     SingularTransform,
     ValidationError,
-    ZeroDimensional,
 )
 from test_rootdata import reference_apply
 
@@ -263,11 +262,14 @@ def test_subspace_enumeration_matches_gaussian_counts():
 
 
 def test_slope_examples():
-    assert ffl.slope(2, (1, 2), (1, -1)) == 0
-    assert ffl.slope(1, (1, 1), (2, -1, -1)) == 2
-    assert ffl.slope(1, (0, 1), (2, -1, -1)) == -1
-    with pytest.raises(ZeroDimensional):
-        ffl.slope(0, (), (1, -1))
+    # the subspace excess is nkL (slope(U) - ambient slope) for the lcm L of
+    # nu's denominators: for nu = (2, -1, -1) (ambient slope 0) a line in F^1
+    # has slope 2 and a line outside it slope -1; for nu = (1/3, -1/3) (L = 3)
+    # a line in F^1 has slope 1/3
+    subspace = ffl._excesses((2, -1, -1))[2]["subspace"]
+    assert subspace(1, (1,)) == 6
+    assert subspace(1, (0,)) == -3
+    assert ffl._excesses((F(1, 3), F(-1, 3)))[2]["subspace"](1, (1,)) == 2
 
 
 def test_run_lengths_and_dims():
@@ -493,20 +495,23 @@ def test_vertex_pairing_matches_relative_position(q, m, nu, every):
     n = len(nu)
     rs = rd.build_root_system("A", n - 1)
     pairing = ffl._excesses(rd.vector(nu))[2]["strata"]
+    _, scale, _ = rd.integer_pairings(rs, (rd.vector(nu),))  # the excess is 2nL (omega_i, w nu)
     for x in list(ffl.enumerate_flags(ff, n - 1, ffl.flag_dims(nu)))[::every]:
         spans = _step_spans(x, ff)
         for i in range(1, n):
             for t in ffl.enumerate_rref(n, i, ff.subfield(ff.q)):
                 w = ffl.relative_position(x, _completed_basis(t, ff, n), ff)
-                want = rd.inner_product(rs.fundamental_coweights[i - 1],
-                                        reference_apply(w, nu))
+                want = 2 * n * scale * rd.inner_product(rs.fundamental_coweights[i - 1],
+                                                        reference_apply(w, nu))
                 assert pairing(i, _brute_profile(t, spans, ff)) == want, (x, t)
 
 
 def test_strata_excess_is_k_times_subspace_excess():
-    # for type A, (omega_k, w nu) = k (slope(U) - ambient slope): the two
-    # routes derive one number, on the criterion-6 grid and two t = 2 cells
-    # (one with factors of nonzero sum), over a prefix of each cell's points
+    # for type A, (omega_k, w nu) = k (slope(U) - ambient slope), so the
+    # integer excesses, 2nL and nkL times these, differ by the factor 2: the
+    # two routes derive one number, on the criterion-6 grid and two t = 2
+    # cells (one with factors of nonzero sum), over a prefix of each cell's
+    # points
     cells = [(q, m, ell, (nu,)) for q in (2, 3) for m in (1, 2, 3) for ell, nu in
              [(1, (1, -1))] + [(2, nu) for nu in ((2, -1, -1), (1, 1, -2), (1, 0, -1))]]
     cells += [(2, 2, 2, ((2, -1, -1), (1, 0, -1))), (2, 4, 1, ((1, 0), (0, -1)))]
@@ -519,7 +524,7 @@ def test_strata_excess_is_k_times_subspace_excess():
             for k, profiles in ffl.intersection_profiles(x, n, ff):
                 for p in profiles:
                     gap = excess["subspace"](k, p)
-                    assert excess["strata"](k, p) == k * gap, (q, m, nus, x, k, p)
+                    assert excess["strata"](k, p) == 2 * gap, (q, m, nus, x, k, p)
                     signs.add((gap > 0) - (gap < 0))
     assert signs == {-1, 0, 1}
 

@@ -44,16 +44,16 @@ def test_no_module_imports_numpy():
     assert [path.name for path in sources if "numpy" in _package_imports(path)] == []
 
 
-def test_weyl_and_strata_import_no_fractions():
-    # both read root data as integer Dynkin labels, Cartan integers and
-    # integer coweights; Fraction vectors are rootdata's output view, which
-    # neither imports nor reads
+def test_integer_routes_import_no_fractions():
+    # weyl, strata and finflag read root data as integer Dynkin labels,
+    # Cartan integers and integer coweights, and nu scaled to integers;
+    # Fraction vectors are rootdata's output view, which none imports or reads
     root = Path(perioddomains.__file__).parent
-    assert [name for name in ("weyl.py", "strata.py")
-            if "fractions" in _package_imports(root / name)] == []
+    modules = ("weyl.py", "strata.py", "finflag.py")
+    assert [name for name in modules if "fractions" in _package_imports(root / name)] == []
     fraction_views = {"simple_roots", "fundamental_coweights", "positive_roots", "gram",
                       "coweight_gram"}
-    reads = [f"{name}:{node.lineno} {node.attr}" for name in ("weyl.py", "strata.py")
+    reads = [f"{name}:{node.lineno} {node.attr}" for name in modules
              for node in ast.walk(ast.parse((root / name).read_text(encoding="utf-8")))
              if isinstance(node, ast.Attribute) and node.attr in fraction_views]
     assert reads == []
