@@ -43,12 +43,7 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .classify import (
-    VERDICT_DRINFELD,
-    Classification,
-    classify,
-    describe_ss_locus,
-)
+from .classify import VERDICT_DRINFELD, classify, describe_ss_locus
 from .errors import (
     BudgetExceeded,
     ParseError,
@@ -70,7 +65,6 @@ from .finflag import (
 from .rootdata import (
     FORM_SPLIT,
     MAX_POSITIVE_ROOTS,
-    GroupDatum,
     Vector,
     build_group,
     build_root_system,
@@ -78,15 +72,13 @@ from .rootdata import (
     relative_coweights,
     split_nu,
 )
-from .strata import StrataReport, strata_report
+from .strata import strata_report
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_VALIDATION = 2
 EXIT_BUDGET = 3
 EXIT_DISAGREEMENT = 4
-
-_COMMANDS = ("classify", "strata", "verify", "tables")
 
 # the cap on counted work when budget is not given. strata admits E7 with a
 # regular nu (17,642 orbit elements, a 0.2 s report) and A3 t=4 (56), and
@@ -139,13 +131,6 @@ def _parse_fraction(token: str, line: int) -> Fraction:
         raise ParseError(line, f"bad rational {shown(token)}") from None
 
 
-def _parse_int(token: str, line: int, key: str) -> int:
-    try:
-        return int(token.strip())
-    except ValueError:
-        raise ParseError(line, f"key {key}: bad integer {shown(token)}") from None
-
-
 def _parse_vector(token: str, line: int) -> Vector:
     return tuple(_parse_fraction(x, line) for x in token.split(","))
 
@@ -170,13 +155,17 @@ def parse_jobspec(text: str) -> JobSpec:
     def get(key, default=None):
         return raw[key][0] if key in raw else default
 
-    def lineof(key):
-        return raw[key][1]
+    def integer(key):
+        value, line = raw[key]
+        try:
+            return int(value)
+        except ValueError:
+            raise ParseError(line, f"key {key}: bad integer {shown(value)}") from None
 
     command = get("command")
     if command is None:
         raise ParseError(0, "missing key 'command'")
-    if command not in _COMMANDS:
+    if command not in _RUNNERS:
         raise ValidationError(f"unknown command {shown(command)}")
     if "kind" not in raw:
         raise ParseError(0, "missing key 'kind'")
@@ -186,9 +175,9 @@ def parse_jobspec(text: str) -> JobSpec:
     job = JobSpec(
         command=command,
         kind=get("kind").upper(),
-        rank=_parse_int(get("rank"), lineof("rank"), "rank"),
+        rank=integer("rank"),
         form=get("form", FORM_SPLIT).lower(),
-        t=_parse_int(get("t"), lineof("t"), "t") if "t" in raw else 1,
+        t=integer("t") if "t" in raw else 1,
         output=get("output", "text"),
     )
     if job.t < 1:
@@ -197,20 +186,20 @@ def parse_jobspec(text: str) -> JobSpec:
         raise ValidationError(f"output must be text or record, got {shown(job.output)}")
 
     if "nu" in raw:
-        parts = get("nu").split(";")
-        job.nu = tuple(_parse_vector(p, lineof("nu")) for p in parts)
+        text, line = raw["nu"]
+        job.nu = tuple(_parse_vector(p, line) for p in text.split(";"))
         if len(job.nu) != job.t:
             raise ValidationError(
                 f"nu has {len(job.nu)} factors but t={shown(job.t)}")
     if "q" in raw:
-        q = _parse_int(get("q"), lineof("q"), "q")
+        q = integer("q")
         if q > MAX_FIELD_ORDER:  # refused before it is factored
             raise BudgetExceeded(f"q = {shown(q)} exceeds the field order bound {MAX_FIELD_ORDER}")
         job.p, job.e = _factor_prime_power(q)
     if "m" in raw:
-        job.m = _parse_int(get("m"), lineof("m"), "m")
+        job.m = integer("m")
     if "budget" in raw:
-        job.budget = _parse_int(get("budget"), lineof("budget"), "budget")
+        job.budget = integer("budget")
         if job.budget < 0:
             raise ValidationError(f"budget must be nonnegative, got {shown(job.budget)}")
     return job
@@ -226,67 +215,50 @@ def _factor_prime_power(q: int) -> tuple[int, int]:
     return primes[0], e
 
 
-def _kv(key: str, value, record: bool) -> str:
+def _kv(key: str, value, sep: str) -> str:
     try:
-        return f"{key}={value}" if record else f"{key} = {value}"
+        return f"{key}{sep}{value}"
     except ValueError:  # an integer longer than sys.get_int_max_str_digits()
         raise ValidationError(f"{key} has more digits than can be printed") from None
 
 
-def _render_classification(cls: Classification, g: GroupDatum, job: JobSpec,
-                           record: bool) -> str:
-    lines = [_kv("pi1", cls.pi1_label(job.t), record)]
-    if cls.verdict == VERDICT_DRINFELD:
-        lines.append(_kv("factor", cls.factor_index, record))
-        lines.append(_kv("side", cls.side, record))
-    lines.append(_kv("codim_one", "true" if cls.codim_one else "false", record))
-    for key, value in cls.details.items():
-        lines.append(_kv(key, value, record))
-    if cls.near_miss_factors:
-        lines.append(_kv("near_miss",
-                         ",".join(str(j) for j in cls.near_miss_factors), record))
-    if cls.verdict == VERDICT_DRINFELD:
-        desc = describe_ss_locus(g, job.nu, cls)
-        target = f"Omega^({desc.ell + 1})" if desc.target == "omega" \
-            else f"dual Omega^({desc.ell + 1})"
-        lines.append(_kv("projection_target", target, record))
-        lines.append(_kv("step_subspace_dim", desc.subspace_dim, record))
-    return "\n".join(lines)
-
-
-def _render_strata(report: StrataReport, record: bool) -> str:
-    dim_y = "empty" if report.dim_y is None else report.dim_y
-    codim = "inf" if report.codim_y == math.inf else report.codim_y
-    lines = [
-        _kv("dim_F", report.dim_f, record),
-        _kv("dim_Y", dim_y, record),
-        _kv("codim", codim, record),
-    ]
-    for s in report.per_vertex:
-        lines.append(_kv(f"dim_Y_{s.index}", "empty" if s.dim is None else s.dim, record))
-        lines.append(_kv(f"cells_{s.index}", s.cell_count, record))
-        lines.append(_kv(f"witness_{s.index}", repr(s.witness) if s.witness else "-",
-                         record))
-    return "\n".join(lines)
-
-
-def _run_classify(job: JobSpec, record: bool) -> tuple[int, str]:
+def _run_classify(job: JobSpec) -> tuple[int, list]:
     g = build_group(job.kind, job.rank, job.form, job.t)
     if job.nu is None:
         raise ValidationError("classify requires nu")
     cls = classify(g, job.nu)
-    return EXIT_OK, _render_classification(cls, g, job, record)
+    drinfeld = cls.verdict == VERDICT_DRINFELD
+    lines = [("pi1", cls.pi1_label(job.t))]
+    if drinfeld:
+        lines += [("factor", cls.factor_index), ("side", cls.side)]
+    lines.append(("codim_one", "true" if cls.codim_one else "false"))
+    lines += cls.details.items()
+    if cls.near_miss_factors:
+        lines.append(("near_miss", ",".join(str(j) for j in cls.near_miss_factors)))
+    if drinfeld:
+        desc = describe_ss_locus(g, job.nu, cls)
+        target = f"Omega^({desc.ell + 1})" if desc.target == "omega" \
+            else f"dual Omega^({desc.ell + 1})"
+        lines += [("projection_target", target), ("step_subspace_dim", desc.subspace_dim)]
+    return EXIT_OK, lines
 
 
-def _run_strata(job: JobSpec, record: bool) -> tuple[int, str]:
+def _run_strata(job: JobSpec) -> tuple[int, list]:
     g = build_group(job.kind, job.rank, job.form, job.t)
     if job.nu is None:
         raise ValidationError("strata requires nu")
     report = strata_report(g, job.nu, max_cells=job.budget)
-    return EXIT_OK, _render_strata(report, record)
+    lines = [("dim_F", report.dim_f),
+             ("dim_Y", "empty" if report.dim_y is None else report.dim_y),
+             ("codim", "inf" if report.codim_y == math.inf else report.codim_y)]
+    for s in report.per_vertex:
+        lines += [(f"dim_Y_{s.index}", "empty" if s.dim is None else s.dim),
+                  (f"cells_{s.index}", s.cell_count),
+                  (f"witness_{s.index}", repr(s.witness) if s.witness else "-")]
+    return EXIT_OK, lines
 
 
-def _run_verify(job: JobSpec, record: bool) -> tuple[int, str]:
+def _run_verify(job: JobSpec) -> tuple[int, list]:
     if job.nu is None:
         raise ValidationError("verify requires nu")
     if job.form != FORM_SPLIT or job.kind != "A":
@@ -339,24 +311,18 @@ def _run_verify(job: JobSpec, record: bool) -> tuple[int, str]:
                 " ".join(",".join(str(v) for v in row) for row in step)
                 for step in copy.bases) for copy in x))
 
-    lines = [
-        _kv("points", total, record),
-        _kv("semistable", semistable, record),
-        _kv("unstable", total - semistable, record),
-        _kv("disagreements", disagreements, record),
-        _kv("agreement", "ok" if disagreements == 0 else "FAILED", record),
-    ]
-    for k, w in enumerate(witnesses, start=1):
-        lines.append(_kv(f"unstable_witness_{k}", w, record))
-    code = EXIT_OK if disagreements == 0 else EXIT_DISAGREEMENT
-    return code, "\n".join(lines)
+    lines = [("points", total), ("semistable", semistable), ("unstable", total - semistable),
+             ("disagreements", disagreements),
+             ("agreement", "ok" if disagreements == 0 else "FAILED")]
+    lines += ((f"unstable_witness_{k}", w) for k, w in enumerate(witnesses, start=1))
+    return (EXIT_OK if disagreements == 0 else EXIT_DISAGREEMENT), lines
 
 
 def _vec_text(v: Vector) -> str:
     return " ".join(str(x) for x in v)
 
 
-def _run_tables(job: JobSpec, record: bool) -> tuple[int, str]:
+def _run_tables(job: JobSpec) -> tuple[int, list]:
     rs = build_root_system(job.kind, job.rank)
     lines = ["# simple roots"]
     lines += [_vec_text(a) for a in rs.simple_roots]
@@ -372,7 +338,7 @@ def _run_tables(job: JobSpec, record: bool) -> tuple[int, str]:
         g = build_group(job.kind, job.rank, job.form, job.t)
         lines.append(f"# relative coweights (form={job.form}, t={job.t})")
         lines += [_vec_text(rc.vector) for rc in relative_coweights(g)]
-    return EXIT_OK, "\n".join(lines)
+    return EXIT_OK, lines
 
 
 _RUNNERS = {
@@ -384,8 +350,12 @@ _RUNNERS = {
 
 
 def run_job(job: JobSpec) -> tuple[int, str]:
-    record = job.output == "record"
-    return _RUNNERS[job.command](job, record)
+    """Run job; return its exit code and its output, one line per line the
+    runner gives: a (key, value) pair in the job's format, or text as is."""
+    code, lines = _RUNNERS[job.command](job)
+    sep = "=" if job.output == "record" else " = "
+    return code, "\n".join(line if isinstance(line, str) else _kv(*line, sep)
+                           for line in lines)
 
 
 class _UsageError(Exception):
@@ -406,7 +376,7 @@ def main(argv=None) -> int:
                             "type A with t dividing m, and checks its field order, t | m, "
                             "flag points (the product over the t copies) and rational "
                             "subspaces before it builds the field.")
-    parser.add_argument("command", choices=_COMMANDS)
+    parser.add_argument("command", choices=tuple(_RUNNERS))
     parser.add_argument("config", nargs="*",
                         help="config file, '-' for stdin, or inline key=value tokens")
     parser.add_argument("--record", action="store_true",
