@@ -3,10 +3,12 @@
 Input is a line-oriented `key = value` config (hand-parsed, no external
 config dependencies): vectors are comma-separated rationals `p/q`, tuples
 are semicolon-separated vectors. A config may come from a file, stdin (`-`),
-or inline `key=value` tokens on the command line. Output is deterministic;
-`--record` switches to machine-readable `key=value` lines. A warning prints
-once, as one `warning:` line on stderr. A rational longer than str() prints
-(sys.get_int_max_str_digits()) is a parse error; a longer result exits 2.
+or inline `key=value` tokens on the command line. Output is deterministic:
+each subcommand returns (key, value) lines, which `run_job` renders once, as
+`key = value` or, with `--record`, `key=value`; `tables` returns text lines.
+A warning prints once, as one `warning:` line on stderr. A rational longer
+than str() prints (sys.get_int_max_str_digits()) is a parse error; a longer
+result exits 2.
 
 Budgets: `budget` (default 65536) is the one cap on counted work, checked
 before the work starts. strata applies it to the orbit elements it visits,

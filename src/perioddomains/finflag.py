@@ -55,6 +55,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
+from numbers import Rational
 from operator import mul, sub
 from typing import Iterator, Sequence
 
@@ -372,7 +373,12 @@ class FlagPoint:
 
 
 def flag_dims(nu) -> tuple[int, ...]:
-    """Proper step dimensions of the flag variety attached to nu."""
+    """Proper step dimensions of the flag variety attached to nu, whose
+    entries are ints or Fractions: any other entry raises ValidationError."""
+    for x in nu:
+        if not isinstance(x, Rational):
+            raise ValidationError(f"cocharacter entry of type {type(x).__name__}, "
+                                  "not an int or a Fraction")
     _, mults = run_lengths(nu)
     return tuple(itertools.accumulate(mults[:-1]))
 
@@ -584,7 +590,9 @@ def _excesses(nu: tuple):
 
 def _is_semistable(x, nu, ff: FiniteField, route: str) -> bool:
     """Whether no excess of `route` is positive at x: the one driver of both
-    tests. Factors of nu given as lists key the memo as tuples."""
+    tests. Factors of nu given as lists key the memo as tuples; an entry that
+    is not an int or a Fraction raises ValidationError when the memo first
+    reads nu."""
     nu = tuple(nu)
     if nu and isinstance(nu[0], (list, tuple)):
         nu = tuple(map(tuple, nu))

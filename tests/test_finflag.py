@@ -282,6 +282,26 @@ def test_run_lengths_and_dims():
         ffl.run_lengths((0, 1, -1))
 
 
+@pytest.mark.parametrize("nu", [("1", "-1"), (1.0, -1.0), ("10", "2")],
+                         ids=["str", "float", "str_order"])
+def test_nu_entries_that_are_not_rational_are_refused(nu):
+    # a string or a float is not read as a number: strings would compare as
+    # text, and the integer scaling reads denominators
+    message = r"^cocharacter entry of type (str|float), not an int or a Fraction$"
+    with pytest.raises(ValidationError, match=message):
+        ffl.flag_dims(nu)
+    # the tests check nu when their per-nu memo first reads it; the memo is
+    # keyed by value, and 1.0 == 1, so start from an empty one
+    ffl._excesses.cache_clear()
+    ff = ffl.finite_field(2, 1, 2)
+    x = next(ffl.enumerate_flags(ff, 1, (1,)))
+    for test in (ffl.is_semistable_subspace_test, ffl.is_semistable_strata_test):
+        with pytest.raises(ValidationError, match=message):
+            test(x, nu, ff)
+        with pytest.raises(ValidationError, match=message):
+            test((x,), (nu,), ff)
+
+
 def test_semistable_p1_f4():
     ff = ffl.finite_field(2, 1, 2)
     rational = set(ff.subfield(ff.q))
