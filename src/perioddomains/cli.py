@@ -217,7 +217,8 @@ def _factor_prime_power(q: int) -> tuple[int, int]:
     return primes[0], e
 
 
-def _kv(key: str, value, sep: str) -> str:
+def _kv(line: tuple, sep: str) -> str:
+    key, value = line
     try:
         return f"{key}{sep}{value}"
     except ValueError:  # an integer longer than sys.get_int_max_str_digits()
@@ -356,8 +357,8 @@ def run_job(job: JobSpec) -> tuple[int, str]:
     runner gives: a (key, value) pair in the job's format, or text as is."""
     code, lines = _RUNNERS[job.command](job)
     sep = "=" if job.output == "record" else " = "
-    return code, "\n".join(line if isinstance(line, str) else _kv(*line, sep)
-                           for line in lines)
+    return code, "\n".join([line if isinstance(line, str) else _kv(line, sep)
+                            for line in lines])
 
 
 class _UsageError(Exception):
