@@ -11,6 +11,9 @@ with x^[j] the sorted entries of factor j. At most one factor can satisfy
 either inequality; in that case pi_1 is that of the Drinfeld space
 Omega^(l+1) over the degree-t extension, and the unstable locus has
 codimension one.
+
+nu is read by `rootdata.split_nu`, as every route reads it. The closed form
+alone also needs each type-A factor to have coordinate sum zero.
 """
 
 from __future__ import annotations
@@ -19,43 +22,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InvariantViolation, MalformedNu, NotCodimOne
-from .rootdata import (
-    FORM_SPLIT,
-    GroupDatum,
-    Vector,
-    format_vector,
-    integer_pairings,
-    run_lengths,
-    split_nu,
-)
+from .rootdata import FORM_SPLIT, GroupDatum, format_vector, run_lengths, split_nu
 
 VERDICT_TRIVIAL = "trivial"
 VERDICT_DRINFELD = "drinfeld"
 
 SIDE_FIRST = "first_step"
 SIDE_LAST = "last_step"
-
-
-def nu_tuple(g: GroupDatum, nu) -> tuple[Vector, ...]:
-    """Validate a cocharacter input against the group's normal form.
-
-    Type A entries must be weakly decreasing with coordinate sum zero; all
-    entries must be dominant for the base system.
-    """
-    entries = split_nu(g, nu)
-    if g.base.kind == "A":
-        for j, x in enumerate(entries, start=1):
-            if any(a < b for a, b in zip(x, x[1:])):
-                raise MalformedNu(
-                    f"factor {j} is not sorted nonincreasing: {format_vector(x)}")
-            if sum(x) != 0:
-                raise MalformedNu(f"factor {j} has nonzero coordinate sum: {format_vector(x)}")
-    _, _, pairings = integer_pairings(g.base, entries)
-    r = g.base.rank
-    for j, x in enumerate(entries):
-        if any(c < 0 for c in pairings[j * r:(j + 1) * r]):
-            raise MalformedNu(f"factor {j + 1} is not dominant: {format_vector(x)}")
-    return entries
 
 
 @dataclass(frozen=True)
@@ -90,7 +63,10 @@ def _fired_sides(x: Vector, sum_first: Fraction, sum_last: Fraction) -> list[str
 
 def classify(g: GroupDatum, nu) -> Classification:
     """Decide pi_1 of the semistable locus for (g, nu)."""
-    entries = nu_tuple(g, nu)
+    entries = split_nu(g, nu)
+    for j, x in enumerate(entries, start=1):
+        if g.base.kind == "A" and sum(x) != 0:
+            raise MalformedNu(f"factor {j} has nonzero coordinate sum: {format_vector(x)}")
     ell = g.base.rank
 
     if g.base.kind != "A" or g.form != FORM_SPLIT:

@@ -48,6 +48,7 @@ from fractions import Fraction
 from .classify import VERDICT_DRINFELD, classify, describe_ss_locus
 from .errors import (
     BudgetExceeded,
+    NotDominant,
     ParseError,
     PeriodDomainError,
     ValidationError,
@@ -68,9 +69,10 @@ from .rootdata import (
     FORM_SPLIT,
     MAX_POSITIVE_ROOTS,
     Vector,
+    _read_nu,
     build_group,
     build_root_system,
-    integer_pairings,
+    format_vector,
     relative_coweights,
     split_nu,
 )
@@ -268,20 +270,21 @@ def _run_verify(job: JobSpec) -> tuple[int, list]:
         raise ValidationError("verify supports split type A")
     if job.p is None:
         raise ValidationError("verify requires a field (q, plus m)")
-    # the field's own checks, t | m, the dims, the root bound on A_rank, the
-    # point budget, the shape of the input and the subspace budget all run
-    # before the field's tables are built, which takes up to a second at 2^16
+    # the field's own checks, t | m, nu, the dims, the root bounds, the point
+    # budget and the subspace budget all run before the field's tables are
+    # built, which takes up to a second at 2^16
     order = checked_field_order(job.p, job.e, job.m)
     if job.m % job.t:
         raise ValidationError(f"t={job.t} does not divide m={job.m}: no degree-t extension")
-    dims = [flag_dims(nu) for nu in job.nu]
+    # nu is read as the tests read it, on A_{w-1} for its width w, before its
+    # dims, and against A_rank after them; integer entries keep the tests'
+    # per-nu memo keys cheap to hash, and no verdict depends on nu's scale
+    nu = _read_nu(build_root_system("A", len(job.nu[0]) - 1), job.t, job.nu)[1]
+    dims = [flag_dims(v) for v in nu]
     points = math.prod(checked_flag_count(job.rank, d, order) for d in dims)
     if points > job.budget:
         raise BudgetExceeded(f"{shown(points)} flag points exceed budget {job.budget}")
-    # checks (kind, rank) and len(nu); no verdict depends on nu's scale, and
-    # integer entries keep the tests' per-nu memo keys cheap to hash
-    g = build_group(job.kind, job.rank, job.form, job.t)
-    nu = integer_pairings(g.base, split_nu(g, job.nu))[0]
+    split_nu(build_group(job.kind, job.rank, job.form, job.t), job.nu)
     # both tests visit every subspace of F_{q^t}^n at every point
     subspaces = sum(checked_flag_count(job.rank, (k,), job.p ** (job.e * job.t))
                     for k in range(1, job.rank + 1))
@@ -354,8 +357,13 @@ _RUNNERS = {
 
 def run_job(job: JobSpec) -> tuple[int, str]:
     """Run job; return its exit code and its output, one line per line the
-    runner gives: a (key, value) pair in the job's format, or text as is."""
-    code, lines = _RUNNERS[job.command](job)
+    runner gives: a (key, value) pair in the job's format, or text as is.
+    A NotDominant error names the pairings, and here also the job's nu."""
+    try:
+        code, lines = _RUNNERS[job.command](job)
+    except NotDominant as exc:
+        exc.args = (f"{exc}: {';'.join(map(format_vector, job.nu))}",)
+        raise
     sep = "=" if job.output == "record" else " = "
     return code, "\n".join([line if isinstance(line, str) else _kv(line, sep)
                             for line in lines])

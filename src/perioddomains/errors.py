@@ -39,10 +39,6 @@ class IndexOutOfRange(PeriodDomainError):
     """Simple-root or vertex index outside 1..rank."""
 
 
-class NotDominant(ValidationError):
-    """A cocharacter with a negative simple-coroot pairing."""
-
-
 class BudgetExceeded(PeriodDomainError):
     """An enumeration would exceed the caller-supplied budget."""
 
@@ -57,6 +53,10 @@ class NotCodimOne(PeriodDomainError):
 
 class MalformedNu(ValidationError):
     """Cocharacter tuple violating its normal form."""
+
+
+class NotDominant(MalformedNu):
+    """A cocharacter with a negative simple-coroot pairing."""
 
 
 class ParseError(PeriodDomainError):

@@ -15,10 +15,10 @@ result, so a point's profiles are computed once and both routes read them.
 
 One driver runs both routes: it normalises x and nu, checks the points, and
 calls a point semistable iff no excess is positive, where each route gives
-an integer excess per profile, summed over the copies. Both read nu as
-`strata` does, scaled to integers by one lcm L of its denominators
-(`rootdata.integer_pairings`). The subspace excess is nkL times the slope
-of the profile minus the ambient slope. The strata excess treats a rational
+an integer excess per profile, summed over the copies. Both read nu on
+A_{n-1} through `rootdata._read_nu`, as every route reads it, scaled to
+integers by one lcm L of its denominators. The subspace excess is nkL times
+the slope of the profile minus the ambient slope. The strata excess treats a rational
 k-dimensional U as a translate g P_k of a vertex parabolic: the profile
 fixes the double coset W_{P_k} w W_P of the point's Bruhat position, and
 the excess is 2nL times the pairing (omega_k, w nu), read from a one-line
@@ -55,12 +55,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from numbers import Rational
 from operator import mul, sub
 from typing import Iterator, Sequence
 
 from .errors import BudgetExceeded, InvariantViolation, SingularTransform, ValidationError, shown
-from .rootdata import build_root_system, integer_pairings, reflect_labels, run_lengths
+from .rootdata import _read_nu, build_root_system, check_rational, reflect_labels, run_lengths
 from .weyl import WeylElement, _parabolic, permutation_element
 
 Row = tuple[int, ...]
@@ -373,12 +372,9 @@ class FlagPoint:
 
 
 def flag_dims(nu) -> tuple[int, ...]:
-    """Proper step dimensions of the flag variety attached to nu, whose
-    entries are ints or Fractions: any other entry raises ValidationError."""
-    for x in nu:
-        if not isinstance(x, Rational):
-            raise ValidationError(f"cocharacter entry of type {type(x).__name__}, "
-                                  "not an int or a Fraction")
+    """Proper step dimensions of the flag variety attached to a sorted nu,
+    whose entries are ints or Fractions (`rootdata.check_rational`)."""
+    check_rational((nu,))
     _, mults = run_lengths(nu)
     return tuple(itertools.accumulate(mults[:-1]))
 
@@ -534,8 +530,8 @@ def _excesses(nu: tuple):
     profile -> the integer excess of a k-dimensional U of F_{q^t}^n with
     that profile, summed over the copies; memoized per nu.
 
-    nu is read as `strata` reads it: its factors scaled to integers by one
-    common lcm L of their denominators (`rootdata.integer_pairings`). The
+    nu is read on A_{n-1}, n its width, by `rootdata._read_nu`: checked, and
+    its factors scaled to integers by one common lcm L of their denominators. The
     subspace excess is nkL times the summed slope of U minus the ambient
     slope: n sum_j sum_b (L y_b)(dim(U cap F^b) - dim(U cap F^{b-1})) minus
     k L sum_j sum(nu_j), for the jumps y_b of nu_j. The strata excess of
@@ -552,13 +548,11 @@ def _excesses(nu: tuple):
     e_k and take w's word first letter first. A width below 2 raises the
     IllegalType that `enumerate_flags` gives for A_0.
     """
-    nus = nu if nu and isinstance(nu[0], tuple) else (nu,)
-    if len({len(v) for v in nus}) != 1:
-        raise ValidationError(f"cocharacter factors of lengths {[len(v) for v in nus]}")
-    n = len(nus[0])
+    factors = nu if nu and isinstance(nu[0], tuple) else (nu,)
+    n = len(factors[0])
     rs = build_root_system("A", n - 1)
-    dims = tuple(map(flag_dims, nus))
-    ints, _, _ = integer_pairings(rs, nus)
+    _, ints, _ = _read_nu(rs, len(factors), nu)
+    dims = tuple(map(flag_dims, ints))
     jumps = [run_lengths(v)[0] for v in ints]
     total = sum(map(sum, ints))
     weights = [tuple(sum(map(mul, w, v)) for w in rs.integer_coweights) for v in ints]
@@ -590,13 +584,12 @@ def _excesses(nu: tuple):
 
 def _is_semistable(x, nu, ff: FiniteField, route: str) -> bool:
     """Whether no excess of `route` is positive at x: the one driver of both
-    tests. Factors of nu given as lists key the memo as tuples; an entry that
-    is not an int or a Fraction raises ValidationError when the memo first
-    reads nu."""
+    tests. The memo is keyed by nu's factors as tuples, and by value: since
+    1.0 == 1, the entry types are checked before it is read."""
     nu = tuple(nu)
-    if nu and isinstance(nu[0], (list, tuple)):
-        nu = tuple(map(tuple, nu))
-    n, dims, excesses = _excesses(nu)
+    factors = tuple(map(tuple, nu)) if nu and isinstance(nu[0], (list, tuple)) else (nu,)
+    check_rational(factors)
+    n, dims, excesses = _excesses(factors)
     excess = excesses[route]
     points = (x,) if isinstance(x, FlagPoint) else tuple(x)
     if len(points) != len(dims):

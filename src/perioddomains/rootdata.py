@@ -29,11 +29,12 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from numbers import Rational
 from operator import mul
 from typing import Iterable, Sequence
 
 from .errors import (BudgetExceeded, DimensionMismatch, IllegalType, InvariantViolation,
-                     MalformedNu, shown)
+                     MalformedNu, NotDominant, ValidationError, shown)
 
 Vector = tuple[Fraction, ...]
 Cartan = tuple[tuple[tuple[int, int], ...], ...]
@@ -463,30 +464,61 @@ def decompose_in_coweights(nu: Sequence, rs: Realization) -> tuple[Fraction, ...
                  for p, root in zip(pairings, rs.simple_pairs))
 
 
-def split_nu(g: GroupDatum, nu) -> tuple[Vector, ...]:
-    """Normalize a cocharacter input to a tuple of res_degree base-ambient vectors.
+def dominant_delta(pairings: Sequence) -> tuple[int, ...]:
+    """Delta_P (1-based) from the pairings of nu with the simple coroots.
 
-    Accepts a sequence of res_degree vectors or, when res_degree == 1, one
-    flat vector.
+    Any positive multiple of each pairing will do, since only signs are
+    read. Raises NotDominant when one is negative.
     """
-    t = g.res_degree
-    n = g.base.ambient_dim
+    bad = [i + 1 for i, c in enumerate(pairings) if c < 0]
+    if bad:
+        raise NotDominant(f"negative pairing with simple coroots {bad}")
+    return tuple(i + 1 for i, c in enumerate(pairings) if c == 0)
+
+
+def check_rational(factors) -> None:
+    """Refuse a factor entry that is not an int or a Fraction (a Rational):
+    a string compares as text, and a float has no exact denominator."""
+    for v in factors:
+        for x in v:
+            if not isinstance(x, Rational):
+                raise ValidationError(f"cocharacter entry of type {type(x).__name__}, "
+                                      "not an int or a Fraction")
+
+
+def _read_nu(base: Realization, t: int, nu):
+    """The one reading of a cocharacter of t copies of base: its factors as
+    Fraction vectors, scaled to integers (`integer_pairings`), and Delta_P,
+    1-based over the copies (`dominant_delta`). It checks, in order: t
+    factors, or one flat vector when t == 1; rational entries; the factor
+    count; one width for all, the base's; and dominance."""
+    n = base.ambient_dim
     seq = list(nu)
     if seq and not isinstance(seq[0], (list, tuple)):
         if t != 1:
             raise DimensionMismatch(
                 f"flat cocharacter of length {len(seq)}; expected {t} factors of {n}")
         seq = [seq]
+    check_rational(seq)
     if len(seq) != t:
         raise MalformedNu(f"expected {t} cocharacter factors, got {len(seq)}")
-    entries = tuple(vector(x) for x in seq)
-    for x in entries:
-        if len(x) != n:
-            raise DimensionMismatch(
-                f"factor of length {len(x)}; base ambient dimension is {n}")
-    return entries
+    entries = tuple(map(vector, seq))
+    widths = [len(x) for x in entries]
+    if len(set(widths)) > 1:
+        raise DimensionMismatch(f"cocharacter factors of lengths {widths}")
+    if widths[0] != n:
+        raise DimensionMismatch(f"factor of length {widths[0]}; base ambient dimension is {n}")
+    ints, _, pairings = integer_pairings(base, entries)
+    return entries, ints, dominant_delta(pairings)
+
+
+def split_nu(g: GroupDatum, nu) -> tuple[Vector, ...]:
+    """The res_degree factors of a dominant cocharacter of g, as `_read_nu`
+    reads and checks them: a sequence of vectors or, at res_degree 1, one."""
+    return _read_nu(g.base, g.res_degree, nu)[0]
 
 
 def assemble_nu(g: GroupDatum, nu) -> Vector:
-    """Flat block vector of the cocharacter tuple in the absolute ambient space."""
-    return sum(split_nu(g, nu), ())
+    """Flat block vector of nu's res_degree factors, dominant or not, in the
+    absolute ambient space of g: the factors concatenated, unchecked."""
+    return sum(map(vector, nu), ())

@@ -39,9 +39,8 @@ from functools import lru_cache
 from operator import mul
 
 from .errors import BudgetExceeded, ValidationError
-from .rootdata import (GroupDatum, RootSystemData, _base_orbits, climb, integer_pairings,
-                       reflect_labels, split_nu)
-from .weyl import WeylElement, _parabolic, _tables, dominant_delta, longest_element, weyl_order
+from .rootdata import GroupDatum, RootSystemData, _base_orbits, _read_nu, climb, reflect_labels
+from .weyl import WeylElement, _parabolic, _tables, longest_element, weyl_order
 
 
 @dataclass(frozen=True)
@@ -148,8 +147,7 @@ def strata_report(g: GroupDatum, nu, max_cells: int | None = None) -> StrataRepo
     if max_cells is not None and max_cells < 0:
         raise ValidationError(f"cell budget must be nonnegative, got {max_cells}")
     coweights, vertex_deltas = _vertex_data(g.base, g.form)
-    ints, _, pairings = integer_pairings(g.base, split_nu(g, nu))
-    delta = dominant_delta(pairings)
+    _, ints, delta = _read_nu(g.base, g.res_degree, nu)
     r = g.base.rank
     deltas = tuple(tuple(k - j * r for k in delta if j * r < k <= (j + 1) * r)
                    for j in range(len(ints)))

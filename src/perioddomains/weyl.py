@@ -28,7 +28,7 @@ per inversion of its longest element, and m is an exponent of W_J
 W_J(q) = sum_w q^l(w) is the product of 1 + q + ... + q^m over them
 (Macdonald, 1972): |W_J| = W_J(1), and G/P has W(q) / W_P(q) F_q-points, the
 package's one q-count. The parabolic of a dominant nu is read from the
-integer pairings of `rootdata.integer_pairings`.
+integer pairings of `rootdata._read_nu`, which refuses one that is not.
 """
 
 from __future__ import annotations
@@ -39,8 +39,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, Sequence
 
-from .errors import IndexOutOfRange, InvariantViolation, NotDominant
-from .rootdata import Realization, integer_pairings, reflect_labels, root_labels, vector
+from .errors import IndexOutOfRange, InvariantViolation
+from .rootdata import Realization, _read_nu, reflect_labels, root_labels
+from .rootdata import dominant_delta  # noqa: F401 -- callers read it here too
 
 
 class _Tables:
@@ -214,21 +215,9 @@ def _parabolic(rs: Realization, delta: tuple[int, ...]) -> ParabolicData:
 
 
 def parabolic_of(nu, rs: Realization) -> ParabolicData:
-    """Parabolic attached to a dominant cocharacter: delta_p = vanishing pairings."""
-    _, _, pairings = integer_pairings(rs, (vector(nu),))
-    return _parabolic(rs, dominant_delta(pairings))
-
-
-def dominant_delta(pairings: Sequence) -> tuple[int, ...]:
-    """Delta_P (1-based) from the pairings of nu with the simple coroots.
-
-    Any positive multiple of each pairing will do, since only signs are
-    read. Raises NotDominant when one is negative.
-    """
-    bad = [i + 1 for i, c in enumerate(pairings) if c < 0]
-    if bad:
-        raise NotDominant(f"negative pairing with simple coroots {bad}")
-    return tuple(i + 1 for i, c in enumerate(pairings) if c == 0)
+    """Parabolic attached to a dominant cocharacter, one flat vector:
+    delta_p = vanishing pairings, as `rootdata._read_nu` reads them."""
+    return _parabolic(rs, _read_nu(rs, 1, nu)[2])
 
 
 def enumerate_min_coset_reps(pd: ParabolicData, rs: Realization) -> Iterator[WeylElement]:

@@ -11,7 +11,8 @@ from pathlib import Path
 
 import pytest
 
-from perioddomains import cli, errors
+from perioddomains import classify as cf
+from perioddomains import cli, errors, strata
 from perioddomains import finflag as ffl
 from perioddomains import rootdata as rd
 from perioddomains.errors import ParseError, ValidationError, shown
@@ -264,6 +265,31 @@ def test_validation_error_prints_rationals(command, config, capsys):
     err = capsys.readouterr().err
     assert code == cli.EXIT_VALIDATION
     assert "1,2,-3" in err and "Fraction(" not in err
+
+
+@pytest.mark.parametrize("t,text,pairings", [
+    (1, "0,1,-1", "[1]"),
+    (2, "2,-1,-1;-1,0,1", "[3, 4]"),
+])
+def test_a_nu_that_is_not_dominant_gets_one_error_on_every_route(t, text, pairings, capsys):
+    # rootdata reads nu for every route: the same class and message from the
+    # closed form, the coset oracle and both finite-field tests, and on the
+    # command line that message with the nu as given
+    message = f"negative pairing with simple coroots {pairings}"
+    nu = tuple(tuple(int(x) for x in v.split(",")) for v in text.split(";"))
+    g = rd.build_group("A", 2, res_degree=t)
+    ff = ffl.finite_field(2, 1, 2)
+    x = (next(ffl.enumerate_flags(ff, 2, (1, 2))),) * t
+    for route in (lambda: cf.classify(g, nu), lambda: strata.strata_report(g, nu),
+                  lambda: ffl.is_semistable_subspace_test(x, nu, ff),
+                  lambda: ffl.is_semistable_strata_test(x, nu, ff)):
+        with pytest.raises(errors.NotDominant) as got:
+            route()
+        assert str(got.value) == message
+    for command in ("classify", "strata", "verify"):
+        assert run_main(command, f"kind=A rank=2 t={t} nu={text} q=2 m=2") == \
+            (cli.EXIT_VALIDATION, "")
+        assert capsys.readouterr().err == f"validation error: {message}: {text}\n"
 
 
 def test_exit_code_validation_error(capsys):

@@ -731,6 +731,19 @@ def test_restriction_of_degree_one_is_the_flag_variety():
                 ffl.is_semistable_strata_test(x, nu, ff)
 
 
+def test_a_float_nu_is_refused_after_its_equal_int_nu():
+    # the tests' memo is keyed by nu's value, and (1.0, -1.0) == (1, -1), so
+    # the entry types are checked before the memo answers
+    ff = ffl.finite_field(2, 1, 2)
+    x = next(ffl.enumerate_flags(ff, 1, (1,)))
+    for points, ints, floats in [(x, (1, -1), (1.0, -1.0)),
+                                 ((x, x), ((1, -1), (1, -1)), ((1, -1), (1.0, -1.0)))]:
+        for test in (ffl.is_semistable_subspace_test, ffl.is_semistable_strata_test):
+            test(points, ints, ff)
+            with pytest.raises(ValidationError, match="^cocharacter entry of type float"):
+                test(points, floats, ff)
+
+
 def test_restriction_shape_is_checked():
     ff = ffl.finite_field(2, 1, 2)
     x = ffl.FlagPoint((((1, 0),),))

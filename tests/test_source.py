@@ -44,6 +44,23 @@ def test_no_module_imports_numpy():
     assert [path.name for path in sources if "numpy" in _package_imports(path)] == []
 
 
+def test_only_rootdata_refuses_a_nu_for_its_dominance_or_entry_types():
+    # one reader of nu: NotDominant and the refusal of an entry that is not an
+    # int or a Fraction are raised in rootdata alone, and only it imports the
+    # Rational it checks entries with, so no route reads nu its own way
+    sources = sorted(Path(perioddomains.__file__).parent.glob("*.py"))
+    found = []
+    for path in sources:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and \
+                    (node.func.id == "NotDominant" or node.func.id == "ValidationError"
+                     and "cocharacter entry" in ast.unparse(node)):
+                found.append(f"{path.name} {node.func.id}")
+    assert found == ["rootdata.py NotDominant", "rootdata.py ValidationError"]
+    assert [path.name for path in sources if "numbers" in _package_imports(path)] == \
+        ["rootdata.py"]
+
+
 def test_integer_routes_import_no_fractions():
     # weyl, strata and finflag read root data as integer Dynkin labels,
     # Cartan integers and integer coweights, and nu scaled to integers;
