@@ -478,10 +478,12 @@ def dominant_delta(pairings: Sequence) -> tuple[int, ...]:
 
 def check_rational(factors) -> None:
     """Refuse a factor entry that is not an int or a Fraction (a Rational):
-    a string compares as text, and a float has no exact denominator."""
+    a string compares as text, and a float has no exact denominator. The
+    finite-field tests call it per point, so ints and Fractions skip the
+    slower ABC check."""
     for v in factors:
         for x in v:
-            if not isinstance(x, Rational):
+            if type(x) is not int and type(x) is not Fraction and not isinstance(x, Rational):
                 raise ValidationError(f"cocharacter entry of type {type(x).__name__}, "
                                       "not an int or a Fraction")
 
