@@ -12,7 +12,6 @@ from .errors import (
     IllegalType,
     IndexOutOfRange,
     MalformedNu,
-    NotCodimOne,
     NotDominant,
     ParseError,
     PeriodDomainError,

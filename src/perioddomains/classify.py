@@ -21,8 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import InvariantViolation, MalformedNu, NotCodimOne
-from .rootdata import FORM_SPLIT, GroupDatum, format_vector, run_lengths, split_nu
+from .errors import InvariantViolation, MalformedNu
+from .rootdata import FORM_SPLIT, GroupDatum, Vector, format_vector, split_nu
 
 VERDICT_TRIVIAL = "trivial"
 VERDICT_DRINFELD = "drinfeld"
@@ -97,47 +97,3 @@ def classify(g: GroupDatum, nu) -> Classification:
     return Classification(VERDICT_DRINFELD, ell, j, True, side, details,
                           tuple(near_miss))
 
-
-@dataclass(frozen=True)
-class SSLocusDescription:
-    """Which jump step pins the semistable locus and where it projects."""
-
-    side: str
-    factor_index: int
-    jump_value: Fraction
-    graded_dim: int
-    subspace_dim: int
-    target: str            # "omega" or "omega_dual"
-    ell: int
-    res_degree: int
-    other_factors: tuple[int, ...]
-    whole_space: bool      # semistable locus equals the target itself
-
-
-def describe_ss_locus(g: GroupDatum, nu, cls: Classification) -> SSLocusDescription:
-    """Describe the codimension-one semistable locus, given the classification
-    `cls` of nu; raises NotCodimOne unless it is a Drinfeld verdict."""
-    if cls.verdict != VERDICT_DRINFELD:
-        raise NotCodimOne("semistable locus has unstable complement of codim >= 2")
-    entries = split_nu(g, nu)
-    j = cls.factor_index
-    jumps, mults = run_lengths(entries[j - 1])
-    ell = g.base.rank
-    if mults[0 if cls.side == SIDE_FIRST else -1] != 1:
-        raise InvariantViolation(f"{cls.side} jump of factor {j} is not simple: {mults}")
-    if cls.side == SIDE_FIRST:
-        side_data = dict(jump_value=jumps[0], graded_dim=mults[0],
-                         subspace_dim=1, target="omega")
-    else:
-        side_data = dict(jump_value=jumps[-1], graded_dim=mults[-1],
-                         subspace_dim=ell, target="omega_dual")
-    return SSLocusDescription(
-        side=cls.side,
-        factor_index=j,
-        ell=ell,
-        res_degree=g.res_degree,
-        other_factors=tuple(h for h in range(1, g.res_degree + 1) if h != j),
-        whole_space=(len(jumps) == 2 and mults == (1, ell) and cls.side == SIDE_FIRST)
-        or (len(jumps) == 2 and mults == (ell, 1) and cls.side == SIDE_LAST),
-        **side_data,
-    )

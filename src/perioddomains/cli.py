@@ -18,10 +18,11 @@ A with any t dividing m; a point is then a t-tuple of flags, one per copy,
 and its rational subspaces are those of F_{q^t}^n. verify applies the
 budget to the number of points (the product of the copies' flag counts) and
 to the number sum_k [n, k]_{q^t} of rational subspaces (and translates)
-tested per point, both from `finflag.checked_flag_count` once the rank
-passes the root bound below. They, t | m, the shape of the input and the
-field order bound 2^16 (`finflag.MAX_FIELD_ORDER`) are checked before the
-field is built, and a q above that bound before it is factored. Every
+tested per point, both from `finflag.checked_flag_count`. verify checks,
+in order and before the field is built: the field order bound 2^16
+(`finflag.MAX_FIELD_ORDER`, with a q above it refused before it is
+factored), then t | m, then the group (the root bound below) and nu, read
+once against the group's base, then the point and subspace budgets. Every
 command refuses a root system with more than 600 positive roots
 (`rootdata.MAX_POSITIVE_ROOTS`; A34 has 595), or a restriction of scalars
 of degree t whose t copies have more, before building it; t must be at
@@ -45,7 +46,7 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .classify import VERDICT_DRINFELD, classify, describe_ss_locus
+from .classify import SIDE_FIRST, VERDICT_DRINFELD, classify
 from .errors import (
     BudgetExceeded,
     NotDominant,
@@ -74,7 +75,6 @@ from .rootdata import (
     build_root_system,
     format_vector,
     relative_coweights,
-    split_nu,
 )
 from .strata import strata_report
 
@@ -241,10 +241,9 @@ def _run_classify(job: JobSpec) -> tuple[int, list]:
     if cls.near_miss_factors:
         lines.append(("near_miss", ",".join(str(j) for j in cls.near_miss_factors)))
     if drinfeld:
-        desc = describe_ss_locus(g, job.nu, cls)
-        target = f"Omega^({desc.ell + 1})" if desc.target == "omega" \
-            else f"dual Omega^({desc.ell + 1})"
-        lines += [("projection_target", target), ("step_subspace_dim", desc.subspace_dim)]
+        first = cls.side == SIDE_FIRST
+        lines += [("projection_target", f"{'' if first else 'dual '}Omega^({cls.ell + 1})"),
+                  ("step_subspace_dim", 1 if first else cls.ell)]
     return EXIT_OK, lines
 
 
@@ -270,21 +269,20 @@ def _run_verify(job: JobSpec) -> tuple[int, list]:
         raise ValidationError("verify supports split type A")
     if job.p is None:
         raise ValidationError("verify requires a field (q, plus m)")
-    # the field's own checks, t | m, nu, the dims, the root bounds, the point
-    # budget and the subspace budget all run before the field's tables are
-    # built, which takes up to a second at 2^16
+    # the field's own checks, t | m, the group's root bound, nu, the dims and
+    # both budgets all run before the field's tables are built, which takes up
+    # to a second at 2^16
     order = checked_field_order(job.p, job.e, job.m)
     if job.m % job.t:
         raise ValidationError(f"t={job.t} does not divide m={job.m}: no degree-t extension")
-    # nu is read as the tests read it, on A_{w-1} for its width w, before its
-    # dims, and against A_rank after them; integer entries keep the tests'
-    # per-nu memo keys cheap to hash, and no verdict depends on nu's scale
-    nu = _read_nu(build_root_system("A", len(job.nu[0]) - 1), job.t, job.nu)[1]
+    g = build_group(job.kind, job.rank, job.form, job.t)
+    # integer entries keep the tests' per-nu memo keys cheap to hash, and no
+    # verdict depends on nu's scale
+    nu = _read_nu(g.base, job.t, job.nu)[1]
     dims = [flag_dims(v) for v in nu]
     points = math.prod(checked_flag_count(job.rank, d, order) for d in dims)
     if points > job.budget:
         raise BudgetExceeded(f"{shown(points)} flag points exceed budget {job.budget}")
-    split_nu(build_group(job.kind, job.rank, job.form, job.t), job.nu)
     # both tests visit every subspace of F_{q^t}^n at every point
     subspaces = sum(checked_flag_count(job.rank, (k,), job.p ** (job.e * job.t))
                     for k in range(1, job.rank + 1))
@@ -385,7 +383,7 @@ def main(argv=None) -> int:
                             "roots, counting every copy of a restriction of scalars, is "
                             "refused with exit code 3 before it is built. verify takes split "
                             "type A with t dividing m, and checks its field order, t | m, "
-                            "flag points (the product over the t copies) and rational "
+                            "the group and nu, flag points (the product over the t copies) and rational "
                             "subspaces before it builds the field.")
     parser.add_argument("command", choices=tuple(_RUNNERS))
     parser.add_argument("config", nargs="*",

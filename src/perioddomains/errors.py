@@ -47,10 +47,6 @@ class SingularTransform(PeriodDomainError):
     """Basis change matrix is not invertible."""
 
 
-class NotCodimOne(PeriodDomainError):
-    """Semistable-locus description requested for a trivial classification."""
-
-
 class MalformedNu(ValidationError):
     """Cocharacter tuple violating its normal form."""
 

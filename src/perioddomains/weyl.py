@@ -41,7 +41,6 @@ from typing import Iterator, Sequence
 
 from .errors import IndexOutOfRange, InvariantViolation
 from .rootdata import Realization, _read_nu, reflect_labels, root_labels
-from .rootdata import dominant_delta  # noqa: F401 -- callers read it here too
 
 
 class _Tables:

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from perioddomains import classify as cf
 from perioddomains import rootdata as rd
-from perioddomains.errors import MalformedNu, NotCodimOne
+from perioddomains.errors import MalformedNu
 
 
 def test_drinfeld_rank_one():
@@ -146,46 +146,6 @@ def test_scale_invariance_of_verdict(rank, c):
     v2 = cf.classify(g, tuple(c * x for x in nu))
     assert v1.verdict == v2.verdict
     assert v1.side == v2.side
-
-
-def test_describe_first_step():
-    g = rd.build_group("A", 2)
-    d = cf.describe_ss_locus(g, (2, -1, -1), cf.classify(g, (2, -1, -1)))
-    assert d.side == cf.SIDE_FIRST
-    assert d.graded_dim == 1 and d.subspace_dim == 1
-    assert d.target == "omega"
-    assert d.jump_value == 2
-    assert d.whole_space  # F itself is the projective plane
-
-
-def test_describe_last_step():
-    g = rd.build_group("A", 2)
-    d = cf.describe_ss_locus(g, (1, 1, -2), cf.classify(g, (1, 1, -2)))
-    assert d.side == cf.SIDE_LAST
-    assert d.graded_dim == 1 and d.subspace_dim == 2
-    assert d.target == "omega_dual"
-    assert d.jump_value == -2
-
-
-def test_describe_rank_one_whole_space():
-    g = rd.build_group("A", 1)
-    d = cf.describe_ss_locus(g, (1, -1), cf.classify(g, (1, -1)))
-    assert d.whole_space
-    assert d.target == "omega"
-
-
-def test_describe_res_factorization():
-    g = rd.build_group("A", 1, res_degree=2)
-    d = cf.describe_ss_locus(g, ((1, -1), (0, 0)), cf.classify(g, ((1, -1), (0, 0))))
-    assert d.factor_index == 1
-    assert d.other_factors == (2,)
-    assert d.res_degree == 2
-
-
-def test_describe_raises_on_trivial():
-    g = rd.build_group("A", 2)
-    with pytest.raises(NotCodimOne):
-        cf.describe_ss_locus(g, (1, 0, -1), cf.classify(g, (1, 0, -1)))
 
 
 def test_pi1_label_format():

@@ -483,7 +483,6 @@ def test_report_error_maps_every_exception_class(capsys):
         errors.MalformedNu: (cli.EXIT_VALIDATION, "validation error: "),
         errors.IndexOutOfRange: (cli.EXIT_VALIDATION, "error: "),
         errors.SingularTransform: (cli.EXIT_VALIDATION, "error: "),
-        errors.NotCodimOne: (cli.EXIT_VALIDATION, "error: "),
         errors.InvariantViolation: (cli.EXIT_VALIDATION, "error: "),
     }
     classes = {cls for cls in vars(errors).values() if isinstance(cls, type)
@@ -563,9 +562,9 @@ def test_default_field_budget_refuses_huge_verify(capsys):
     # verify derives the flag dims from nu, so there is no dims key
     ("kind=A rank=3 nu=1,0,0,-1 q=3 m=10 dims=2", cli.EXIT_USAGE,
      "parse error: line 1: unknown key 'dims'"),
-    ("kind=A rank=2 nu=1,0,0,-1 q=3 m=10", cli.EXIT_VALIDATION,
-     "validation error: illegal step dimensions (1, 3) for ell=2"),
     # the shape of the input: len(nu) = rank + 1, and a legal (kind, rank)
+    ("kind=A rank=2 nu=1,0,0,-1 q=3 m=10", cli.EXIT_VALIDATION,
+     "validation error: factor of length 4; base ambient dimension is 3"),
     ("kind=A rank=3 nu=1,0,-1 q=2 m=3", cli.EXIT_VALIDATION,
      "validation error: factor of length 3; base ambient dimension is 4"),
     ("kind=A rank=0 nu=0 q=3 m=10", cli.EXIT_VALIDATION,
@@ -602,6 +601,35 @@ def test_verify_refuses_before_building_the_field(config, code, err, capsys, mon
     assert run_main("verify", config) == (code, "")
     assert time.perf_counter() - start < 1.0
     assert capsys.readouterr().err == err + "\n"
+
+
+def _count_reads(monkeypatch, module) -> list:
+    """The argument tuples of every call to module._read_nu from now on."""
+    calls, read = [], module._read_nu
+
+    def counted(*args):
+        calls.append(args)
+        return read(*args)
+
+    monkeypatch.setattr(module, "_read_nu", counted)
+    return calls
+
+
+def test_classify_reads_nu_once_per_job(monkeypatch):
+    # a Drinfeld verdict prints its projection lines from the Classification
+    calls = _count_reads(monkeypatch, rd)
+    code, text = cli.run_job(cli.parse_jobspec(
+        "command=classify kind=A rank=2 t=2 nu=2,-1,-1;0,0,0"))
+    assert code == cli.EXIT_OK and "projection_target = Omega^(3)" in text
+    assert len(calls) == 1
+
+
+def test_verify_reads_nu_once_against_the_job_group(monkeypatch):
+    calls = _count_reads(monkeypatch, cli)
+    code, _ = cli.run_job(cli.parse_jobspec(
+        "command=verify kind=A rank=1 t=2 nu=1,-1;1,-1 q=2 m=2"))
+    assert code == cli.EXIT_OK
+    assert [args[:2] for args in calls] == [(rd.build_root_system("A", 1), 2)]
 
 
 @pytest.mark.parametrize("command,config,err", [

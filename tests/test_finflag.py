@@ -290,9 +290,6 @@ def test_nu_entries_that_are_not_rational_are_refused(nu):
     message = r"^cocharacter entry of type (str|float), not an int or a Fraction$"
     with pytest.raises(ValidationError, match=message):
         ffl.flag_dims(nu)
-    # the tests check nu when their per-nu memo first reads it; the memo is
-    # keyed by value, and 1.0 == 1, so start from an empty one
-    ffl._excesses.cache_clear()
     ff = ffl.finite_field(2, 1, 2)
     x = next(ffl.enumerate_flags(ff, 1, (1,)))
     for test in (ffl.is_semistable_subspace_test, ffl.is_semistable_strata_test):

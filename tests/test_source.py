@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import typing
 from pathlib import Path
 
 import perioddomains
@@ -18,6 +19,28 @@ def test_no_assert_in_package():
         found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
                   if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def test_every_annotation_in_the_package_resolves():
+    # `from __future__ import annotations` keeps annotations as text, so a
+    # name a module never imports fails only when something resolves it
+    unresolved = []
+    for path in sorted(Path(perioddomains.__file__).parent.glob("*.py")):
+        module = importlib.import_module(f"perioddomains.{path.stem}")
+        owners = [obj for obj in vars(module).values()
+                  if getattr(obj, "__module__", None) == module.__name__]
+        for owner in owners:
+            members = [owner]
+            if isinstance(owner, type):
+                members += [getattr(m, "__func__", getattr(m, "fget", m))
+                            for m in vars(owner).values()]
+            for obj in members:
+                if callable(obj):
+                    try:
+                        typing.get_type_hints(obj)
+                    except NameError as exc:
+                        unresolved.append(f"{path.name} {obj.__qualname__}: {exc}")
+    assert unresolved == []
 
 
 def _package_imports(path):

@@ -350,7 +350,7 @@ def test_integer_delta_matches_fraction_parabolic(kind, rank, t):
         entries = tuple(dominant_from_coeffs(g.base, [rng.choice(pool) for _ in range(rank)])
                         for _ in range(t))
         _, _, pairings = rd.integer_pairings(g.base, entries)
-        absolute = weyl.dominant_delta(pairings)
+        absolute = rd.dominant_delta(pairings)
         flat = rd.assemble_nu(g, entries)
         reference = [rd.inner_product(flat, rd.coroot(a)) for a in g.absolute.simple_roots]
         assert absolute == tuple(k + 1 for k, c in enumerate(reference) if c == 0)
