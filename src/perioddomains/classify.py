@@ -96,4 +96,3 @@ def classify(g: GroupDatum, nu) -> Classification:
     j, side = fired[0]
     return Classification(VERDICT_DRINFELD, ell, j, True, side, details,
                           tuple(near_miss))
-

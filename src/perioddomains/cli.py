@@ -383,8 +383,8 @@ def main(argv=None) -> int:
                             "roots, counting every copy of a restriction of scalars, is "
                             "refused with exit code 3 before it is built. verify takes split "
                             "type A with t dividing m, and checks its field order, t | m, "
-                            "the group and nu, flag points (the product over the t copies) and rational "
-                            "subspaces before it builds the field.")
+                            "the group and nu, flag points (the product over the t copies) "
+                            "and rational subspaces before it builds the field.")
     parser.add_argument("command", choices=tuple(_RUNNERS))
     parser.add_argument("config", nargs="*",
                         help="config file, '-' for stdin, or inline key=value tokens")
