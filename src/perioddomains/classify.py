@@ -38,10 +38,14 @@ class Classification:
     verdict: str
     ell: int | None
     factor_index: int | None
-    codim_one: bool
     side: str | None
     details: dict[str, Fraction]
     near_miss_factors: tuple[int, ...]
+
+    @property
+    def codim_one(self) -> bool:
+        """Whether the unstable locus has codimension one: a Drinfeld verdict."""
+        return self.verdict == VERDICT_DRINFELD
 
     def pi1_label(self, res_degree: int = 1) -> str:
         if self.verdict == VERDICT_TRIVIAL:
@@ -70,7 +74,7 @@ def classify(g: GroupDatum, nu) -> Classification:
     ell = g.base.rank
 
     if g.base.kind != "A" or g.form != FORM_SPLIT:
-        return Classification(VERDICT_TRIVIAL, None, None, False, None, {}, ())
+        return Classification(VERDICT_TRIVIAL, None, None, None, {}, ())
 
     details: dict[str, Fraction] = {}
     fired: list[tuple[int, str]] = []
@@ -89,10 +93,8 @@ def classify(g: GroupDatum, nu) -> Classification:
             near_miss.append(j)
 
     if not fired:
-        return Classification(VERDICT_TRIVIAL, ell, None, False, None, details,
-                              tuple(near_miss))
+        return Classification(VERDICT_TRIVIAL, ell, None, None, details, tuple(near_miss))
     if len({j for j, _ in fired}) != 1:
         raise InvariantViolation("margin inequality fired for two factors")
     j, side = fired[0]
-    return Classification(VERDICT_DRINFELD, ell, j, True, side, details,
-                          tuple(near_miss))
+    return Classification(VERDICT_DRINFELD, ell, j, side, details, tuple(near_miss))

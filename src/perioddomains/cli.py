@@ -58,11 +58,11 @@ from .errors import (
 from .finflag import (
     MAX_FIELD_ORDER,
     _prime_divisors,
+    _step_dims,
     checked_field_order,
     checked_flag_count,
     enumerate_flags,
     finite_field,
-    flag_dims,
     is_semistable_strata_test,
     is_semistable_subspace_test,
 )
@@ -278,8 +278,8 @@ def _run_verify(job: JobSpec) -> tuple[int, list]:
     g = build_group(job.kind, job.rank, job.form, job.t)
     # integer entries keep the tests' per-nu memo keys cheap to hash, and no
     # verdict depends on nu's scale
-    nu = _read_nu(g.base, job.t, job.nu)[1]
-    dims = [flag_dims(v) for v in nu]
+    _, nu, deltas = _read_nu(g.base, job.t, job.nu)
+    dims = [_step_dims(job.rank, d) for d in deltas]
     points = math.prod(checked_flag_count(job.rank, d, order) for d in dims)
     if points > job.budget:
         raise BudgetExceeded(f"{shown(points)} flag points exceed budget {job.budget}")

@@ -17,8 +17,10 @@ One driver runs both routes: it normalises x and nu, checks the points, and
 calls a point semistable iff no excess is positive, where each route gives
 an integer excess per profile, summed over the copies. Both read nu on
 A_{n-1} through `rootdata._read_nu`, as every route reads it, scaled to
-integers by one lcm L of its denominators. The subspace excess is nkL times
-the slope of the profile minus the ambient slope. The strata excess treats a rational
+integers by one lcm L of its denominators, and take each copy's flag dims
+from its Delta_P: the simple roots outside it (`_step_dims`), as
+`flag_dims` and `verify` do. The subspace excess is nkL times the slope of
+the profile minus the ambient slope. The strata excess treats a rational
 k-dimensional U as a translate g P_k of a vertex parabolic: the profile
 fixes the double coset W_{P_k} w W_P of the point's Bruhat position, and
 the excess is 2nL times the pairing (omega_k, w nu), read from a one-line
@@ -59,7 +61,7 @@ from operator import mul, sub
 from typing import Iterator, Sequence
 
 from .errors import BudgetExceeded, InvariantViolation, SingularTransform, ValidationError, shown
-from .rootdata import _read_nu, build_root_system, check_rational, reflect_labels, run_lengths
+from .rootdata import _read_nu, build_root_system, check_rational, reflect_labels
 from .weyl import WeylElement, _parabolic, permutation_element
 
 Row = tuple[int, ...]
@@ -371,12 +373,18 @@ class FlagPoint:
         return tuple(map(len, self.bases))
 
 
+def _step_dims(ell: int, delta: tuple[int, ...]) -> tuple[int, ...]:
+    """The proper step dims of the flags of a dominant nu on A_ell whose
+    Delta_P is delta: the simple roots 1..ell outside it."""
+    return tuple(k for k in range(1, ell + 1) if k not in delta)
+
+
 def flag_dims(nu) -> tuple[int, ...]:
-    """Proper step dimensions of the flag variety attached to a sorted nu,
-    whose entries are ints or Fractions (`rootdata.check_rational`)."""
-    check_rational((nu,))
-    _, mults = run_lengths(nu)
-    return tuple(itertools.accumulate(mults[:-1]))
+    """Proper step dimensions of the flag variety attached to a dominant nu
+    on A_{n-1}, n its width, as `rootdata._read_nu` reads it."""
+    nu = tuple(nu)
+    rs = build_root_system("A", len(nu) - 1)
+    return _step_dims(rs.rank, _read_nu(rs, 1, nu)[2][0])
 
 
 def checked_flag_count(ell: int, dims: Sequence[int], order: int) -> int:
@@ -524,14 +532,15 @@ def _split(k: int, profile: tuple[int, ...], dims, n: int) -> list[tuple[int, ..
 
 
 @lru_cache(maxsize=256)
-def _excesses(nu: tuple):
-    """The width n and flag dims of the factors of nu (one vector, or t
-    factor tuples), and per route, "subspace" or "strata", the map k,
-    profile -> the integer excess of a k-dimensional U of F_{q^t}^n with
-    that profile, summed over the copies; memoized per nu.
+def _excesses(factors: tuple):
+    """The width n and flag dims of nu's t factors, and per route,
+    "subspace" or "strata", the map k, profile -> the integer excess of a
+    k-dimensional U of F_{q^t}^n with that profile, summed over the copies;
+    memoized per factor tuple.
 
-    nu is read on A_{n-1}, n its width, by `rootdata._read_nu`: checked, and
-    its factors scaled to integers by one common lcm L of their denominators. The
+    nu is read on A_{n-1}, n its width, by `rootdata._read_nu`: checked, its
+    flag dims and jumps taken from its Delta_P, and its factors scaled to
+    integers by one common lcm L of their denominators. The
     subspace excess is nkL times the summed slope of U minus the ambient
     slope: n sum_j sum_b (L y_b)(dim(U cap F^b) - dim(U cap F^{b-1})) minus
     k L sum_j sum(nu_j), for the jumps y_b of nu_j. The strata excess of
@@ -548,12 +557,11 @@ def _excesses(nu: tuple):
     e_k and take w's word first letter first. A width below 2 raises the
     IllegalType that `enumerate_flags` gives for A_0.
     """
-    factors = nu if nu and isinstance(nu[0], tuple) else (nu,)
     n = len(factors[0])
     rs = build_root_system("A", n - 1)
-    _, ints, _ = _read_nu(rs, len(factors), nu)
-    dims = tuple(map(flag_dims, ints))
-    jumps = [run_lengths(v)[0] for v in ints]
+    _, ints, deltas = _read_nu(rs, len(factors), factors)
+    dims = tuple(_step_dims(n - 1, d) for d in deltas)
+    jumps = [tuple(v[b] for b in (0,) + d) for v, d in zip(ints, dims)]
     total = sum(map(sum, ints))
     weights = [tuple(sum(map(mul, w, v)) for w in rs.integer_coweights) for v in ints]
 

@@ -20,6 +20,12 @@ Root closure, the w0 word, the opposition, `weyl`'s root permutations,
 Dynkin labels c_j = (x, alpha_j^vee), on which s_k acts by
 c_j <- c_j - c_k (alpha_k, alpha_j^vee) (`reflect_labels`), with the Cartan
 integers of each realization computed once (`cartan_integers`).
+
+`_read_nu` is the one reader of a cocharacter: it checks nu, scales it to
+integers and gives Delta_P per copy, 1-based within the copy. Every route
+takes its parabolic from that reading: `strata` and `weyl.parabolic_of`
+read Delta_P itself, and the type-A flag dims of `finflag` and `verify`
+are its complement, the simple roots outside it.
 """
 
 from __future__ import annotations
@@ -76,23 +82,6 @@ def inner_product(u: Vector, v: Vector) -> Fraction:
 def format_vector(v: Iterable) -> str:
     """Comma-separated entries, as the config format writes a vector: 1,-1/2,0."""
     return ",".join(str(x) for x in v)
-
-
-def run_lengths(nu) -> tuple[tuple, tuple[int, ...]]:
-    """Decreasing jump values and multiplicities of a sorted type-A
-    cocharacter; the jumps are its entries as given (ints or Fractions)."""
-    x = tuple(nu)
-    if any(a < b for a, b in zip(x, x[1:])):
-        raise MalformedNu(f"cocharacter is not sorted nonincreasing: {format_vector(x)}")
-    jumps: list = []
-    mults: list[int] = []
-    for a in x:
-        if jumps and a == jumps[-1]:
-            mults[-1] += 1
-        else:
-            jumps.append(a)
-            mults.append(1)
-    return tuple(jumps), tuple(mults)
 
 
 def coroot(alpha: Vector) -> Vector:
@@ -490,10 +479,11 @@ def check_rational(factors) -> None:
 
 def _read_nu(base: Realization, t: int, nu):
     """The one reading of a cocharacter of t copies of base: its factors as
-    Fraction vectors, scaled to integers (`integer_pairings`), and Delta_P,
-    1-based over the copies (`dominant_delta`). It checks, in order: t
-    factors, or one flat vector when t == 1; rational entries; the factor
-    count; one width for all, the base's; and dominance."""
+    Fraction vectors, scaled to integers (`integer_pairings`), and Delta_P
+    of each copy, 1-based within the copy (`dominant_delta`, whose message
+    counts over the copies). It checks, in order: t factors, or one flat
+    vector when t == 1; rational entries; the factor count; one width for
+    all, the base's; and dominance."""
     n = base.ambient_dim
     seq = list(nu)
     if seq and not isinstance(seq[0], (list, tuple)):
@@ -511,7 +501,9 @@ def _read_nu(base: Realization, t: int, nu):
     if widths[0] != n:
         raise DimensionMismatch(f"factor of length {widths[0]}; base ambient dimension is {n}")
     ints, _, pairings = integer_pairings(base, entries)
-    return entries, ints, dominant_delta(pairings)
+    delta, r = dominant_delta(pairings), base.rank
+    return entries, ints, tuple(tuple(k - j * r for k in delta if j * r < k <= (j + 1) * r)
+                                for j in range(t))
 
 
 def split_nu(g: GroupDatum, nu) -> tuple[Vector, ...]:

@@ -147,10 +147,7 @@ def strata_report(g: GroupDatum, nu, max_cells: int | None = None) -> StrataRepo
     if max_cells is not None and max_cells < 0:
         raise ValidationError(f"cell budget must be nonnegative, got {max_cells}")
     coweights, vertex_deltas = _vertex_data(g.base, g.form)
-    _, ints, delta = _read_nu(g.base, g.res_degree, nu)
-    r = g.base.rank
-    deltas = tuple(tuple(k - j * r for k in delta if j * r < k <= (j + 1) * r)
-                   for j in range(len(ints)))
+    _, ints, deltas = _read_nu(g.base, g.res_degree, nu)
     rs = g.base
     pds = [_parabolic(rs, d) for d in deltas]
     visits = sum(weyl_order(rs) // max(_parabolic(rs, dpi).w_p_order, pd.w_p_order)

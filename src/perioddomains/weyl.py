@@ -216,7 +216,7 @@ def _parabolic(rs: Realization, delta: tuple[int, ...]) -> ParabolicData:
 def parabolic_of(nu, rs: Realization) -> ParabolicData:
     """Parabolic attached to a dominant cocharacter, one flat vector:
     delta_p = vanishing pairings, as `rootdata._read_nu` reads them."""
-    return _parabolic(rs, _read_nu(rs, 1, nu)[2])
+    return _parabolic(rs, _read_nu(rs, 1, nu)[2][0])
 
 
 def enumerate_min_coset_reps(pd: ParabolicData, rs: Realization) -> Iterator[WeylElement]:

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from perioddomains import classify as cf
-from perioddomains import cli, errors, strata
+from perioddomains import cli, errors, strata, weyl
 from perioddomains import finflag as ffl
 from perioddomains import rootdata as rd
 from perioddomains.errors import ParseError, ValidationError, shown
@@ -221,6 +221,11 @@ def test_semistable_counts_script_validates_q(capsys):
     assert main(["--q", "4", "--max-m", "1", "--nu", "1,-1"]) == 0
     rows = capsys.readouterr().out.splitlines()
     assert re.fullmatch(r"\s*1\s+5\s+0\s+ok", rows[-1])
+    # the script's flag dims read nu as every route does
+    assert main(["--q", "2", "--max-m", "1", "--nu", "0,1,-1"]) == cli.EXIT_VALIDATION
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == "validation error: negative pairing with simple coroots [1]\n"
     with pytest.raises(SystemExit) as exc:
         main(["--q", "4", "--max-m", "0"])
     assert exc.value.code == 2
@@ -273,16 +278,20 @@ def test_validation_error_prints_rationals(command, config, capsys):
 ])
 def test_a_nu_that_is_not_dominant_gets_one_error_on_every_route(t, text, pairings, capsys):
     # rootdata reads nu for every route: the same class and message from the
-    # closed form, the coset oracle and both finite-field tests, and on the
-    # command line that message with the nu as given
+    # closed form, the coset oracle, both finite-field tests and, for one
+    # flat vector, the flag dims and the parabolic, and on the command line
+    # that message with the nu as given
     message = f"negative pairing with simple coroots {pairings}"
     nu = tuple(tuple(int(x) for x in v.split(",")) for v in text.split(";"))
     g = rd.build_group("A", 2, res_degree=t)
     ff = ffl.finite_field(2, 1, 2)
     x = (next(ffl.enumerate_flags(ff, 2, (1, 2))),) * t
-    for route in (lambda: cf.classify(g, nu), lambda: strata.strata_report(g, nu),
-                  lambda: ffl.is_semistable_subspace_test(x, nu, ff),
-                  lambda: ffl.is_semistable_strata_test(x, nu, ff)):
+    routes = [lambda: cf.classify(g, nu), lambda: strata.strata_report(g, nu),
+              lambda: ffl.is_semistable_subspace_test(x, nu, ff),
+              lambda: ffl.is_semistable_strata_test(x, nu, ff)]
+    if t == 1:
+        routes += [lambda: ffl.flag_dims(nu[0]), lambda: weyl.parabolic_of(nu[0], g.base)]
+    for route in routes:
         with pytest.raises(errors.NotDominant) as got:
             route()
         assert str(got.value) == message

@@ -13,7 +13,7 @@ from perioddomains.errors import (
     BudgetExceeded,
     IllegalType,
     InvariantViolation,
-    MalformedNu,
+    NotDominant,
     SingularTransform,
     ValidationError,
 )
@@ -266,20 +266,24 @@ def test_slope_examples():
     # nu's denominators: for nu = (2, -1, -1) (ambient slope 0) a line in F^1
     # has slope 2 and a line outside it slope -1; for nu = (1/3, -1/3) (L = 3)
     # a line in F^1 has slope 1/3
-    subspace = ffl._excesses((2, -1, -1))[2]["subspace"]
+    subspace = ffl._excesses(((2, -1, -1),))[2]["subspace"]
     assert subspace(1, (1,)) == 6
     assert subspace(1, (0,)) == -3
-    assert ffl._excesses((F(1, 3), F(-1, 3)))[2]["subspace"](1, (1,)) == 2
+    assert ffl._excesses(((F(1, 3), F(-1, 3)),))[2]["subspace"](1, (1,)) == 2
 
 
 def test_run_lengths_and_dims():
-    jumps, mults = ffl.run_lengths((2, -1, -1))
-    assert jumps == (F(2), F(-1)) and mults == (1, 2)
+    # flag_dims reads nu on A_{n-1} as every route does: its dims are the
+    # simple roots outside Delta_P, and it refuses what the routes refuse
     assert ffl.flag_dims((2, -1, -1)) == (1,)
     assert ffl.flag_dims((1, 0, -1)) == (1, 2)
     assert ffl.flag_dims((0, 0, 0)) == ()
-    with pytest.raises(MalformedNu):
-        ffl.run_lengths((0, 1, -1))
+    with pytest.raises(NotDominant, match=r"^negative pairing with simple coroots \[1\]$"):
+        ffl.flag_dims((0, 1, -1))
+    with pytest.raises(IllegalType):
+        ffl.flag_dims((0,))
+    with pytest.raises(BudgetExceeded):
+        ffl.flag_dims((1,) + (0,) * 35)
 
 
 @pytest.mark.parametrize("nu", [("1", "-1"), (1.0, -1.0), ("10", "2")],
@@ -511,7 +515,7 @@ def test_vertex_pairing_matches_relative_position(q, m, nu, every):
     ff = ffl.finite_field(q, 1, m)
     n = len(nu)
     rs = rd.build_root_system("A", n - 1)
-    pairing = ffl._excesses(rd.vector(nu))[2]["strata"]
+    pairing = ffl._excesses((rd.vector(nu),))[2]["strata"]
     _, scale, _ = rd.integer_pairings(rs, (rd.vector(nu),))  # the excess is 2nL (omega_i, w nu)
     for x in list(ffl.enumerate_flags(ff, n - 1, ffl.flag_dims(nu)))[::every]:
         spans = _step_spans(x, ff)
@@ -535,7 +539,7 @@ def test_strata_excess_is_k_times_subspace_excess():
     signs = set()
     for q, m, ell, nus in cells:
         ff = ffl.finite_field(q, 1, m)
-        n, _, excess = ffl._excesses(nus if len(nus) > 1 else nus[0])
+        n, _, excess = ffl._excesses(nus)
         copies = [ffl.enumerate_flags(ff, ell, ffl.flag_dims(nu)) for nu in nus]
         for x in itertools.islice(itertools.product(*copies), 12):
             for k, profiles in ffl.intersection_profiles(x, n, ff):
