@@ -9,7 +9,9 @@ alternating which side runs first. Each side runs its own committed
 benchmark and library, so only the exported files are measured. The record
 holds the workload, seed, run length, Python version and CPU count, and per
 end-to-end metric each side's runs, median and quartiles, the pairs the
-change won, and a verdict:
+change won, and a verdict. Each side also records its `src` tree hash and
+`src_lines`, the `wc -l` total of `src/perioddomains/*.py` in its export.
+The verdicts:
 
 - gain: the change won at least nine tenths of the pairs (ties count for
   neither side), and the medians differ by more than the distance between
@@ -66,6 +68,11 @@ def export(commit: str, dest: Path) -> None:
     safe = {"filter": "data"} if hasattr(tarfile, "data_filter") else {}
     with tarfile.open(fileobj=io.BytesIO(tar)) as archive:
         archive.extractall(dest, **safe)
+
+
+def src_lines(tree: Path) -> int:
+    """The `wc -l` total of the library's modules in an exported tree."""
+    return sum(p.read_bytes().count(b"\n") for p in (tree / "src" / "perioddomains").glob("*.py"))
 
 
 def run_bench(tree: Path, workload: str, seconds: float) -> dict:
@@ -135,6 +142,7 @@ def main(argv=None) -> int:
         trees = {side: Path(scratch) / side for side in SIDES}
         for side in SIDES:
             export(revs[side], trees[side])
+            record[side]["src_lines"] = src_lines(trees[side])
         for workload in args.workload:
             runs: dict[str, list[dict]] = {side: [] for side in SIDES}
             for pair in range(PAIRS):

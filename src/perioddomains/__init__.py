@@ -27,7 +27,6 @@ from .rootdata import (
     RootSystemData,
     build_group,
     build_root_system,
-    decompose_in_coweights,
     inner_product,
     relative_coweights,
     vector,

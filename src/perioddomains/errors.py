@@ -56,12 +56,10 @@ class NotDominant(MalformedNu):
 
 
 class ParseError(PeriodDomainError):
-    """Config text could not be parsed; carries the offending line number."""
+    """Config text could not be parsed; its message names the offending line."""
 
     def __init__(self, line: int, message: str):
         super().__init__(f"line {line}: {message}")
-        self.line = line
-        self.message = message
 
 
 class InvariantViolation(PeriodDomainError):

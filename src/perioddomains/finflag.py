@@ -664,10 +664,9 @@ def relative_position(x: FlagPoint, g: Sequence[Sequence[int]],
 
 
 def count_semistable(ff: FiniteField, ell: int, nu) -> int:
-    """Number of semistable working-field points, by the subspace test."""
-    dims = flag_dims(nu)
-    count = 0
-    for x in enumerate_flags(ff, ell, dims):
-        if is_semistable_subspace_test(x, nu, ff):
-            count += 1
-    return count
+    """Number of semistable working-field points, by the subspace test; the
+    flag dims come from the test's own reading of nu, so nu is read once."""
+    nu = tuple(nu)
+    check_rational((nu,))
+    dims = _excesses((nu,))[1][0]
+    return sum(is_semistable_subspace_test(x, nu, ff) for x in enumerate_flags(ff, ell, dims))

@@ -2,12 +2,15 @@
 
 The build starts from one integer table, the doubled simple roots 2 alpha_j,
 and runs on integers: Dynkin labels and one fraction-free inverse of the
-Cartan matrix. Integer readers get the nonzero entries of each 2 alpha_j
-(`simple_pairs`) and a base system's coweights W_i = 2 det(M) omega_i
-(`integer_coweights`). Roots, coweights and the Gram matrices are also
-stored as tuples of `fractions.Fraction`, the exact view that `tables`
-prints; no route pairs them with a cocharacter. Floating point is never
-used anywhere in this package's mathematical kernel.
+Cartan matrix. A `Realization` holds only the integer Weyl data the routes
+read: the nonzero entries of each 2 alpha_j (`simple_pairs`), the positive
+roots' simple-root coefficients and the Cartan integers. So the t-fold
+product of a restriction of scalars builds no vector. A base system
+(`RootSystemData`) adds its coweights W_i = 2 det(M) omega_i
+(`integer_coweights`) and, as tuples of `fractions.Fraction`, its roots,
+coweights and Gram matrices: the exact view that `tables` prints, which no
+route pairs with a cocharacter. Floating point is never used anywhere in
+this package's mathematical kernel.
 
 Conventions: type A lives in the sum-zero hyperplane of Q^(l+1) with simple
 roots e_i - e_{i+1}; the inner product is the Euclidean dot product of the
@@ -15,9 +18,10 @@ realization. Type G2 is realized in the sum-zero hyperplane of Q^3 with
 alpha_1 = e_1 - e_2 and alpha_2 = -2e_1 + e_2 + e_3, which gives the Gram
 values (w_1,w_1)=2, (w_1,w_2)=3, (w_2,w_2)=6.
 
-Root closure, the w0 word, the opposition, `weyl`'s root permutations,
-`strata`'s orbit search and `finflag`'s strata test all run on integer
-Dynkin labels c_j = (x, alpha_j^vee), on which s_k acts by
+Root closure, every w0 word (`climb`, for W and for `weyl`'s W_J), the
+opposition, `weyl`'s root permutations, `strata`'s orbit search and
+`finflag`'s strata test all run on integer Dynkin labels
+c_j = (x, alpha_j^vee), on which s_k acts by
 c_j <- c_j - c_k (alpha_k, alpha_j^vee) (`reflect_labels`), with the Cartan
 integers of each realization computed once (`cartan_integers`).
 
@@ -110,7 +114,8 @@ def _bareiss_inverse(m: Sequence[Sequence[int]]) -> tuple[int, list[list[int]]]:
 
 @dataclass(frozen=True, eq=False)
 class Realization:
-    """Geometric data a reflection group acts on: simple roots plus weights.
+    """The integer data a reflection group acts on: the doubled simple roots'
+    nonzero entries, the positive roots' coefficients and the Cartan integers.
 
     Instances are interned by the factory functions, so identity comparison
     and the default object hash are the intended semantics.
@@ -118,25 +123,26 @@ class Realization:
 
     ambient_dim: int
     rank: int
-    simple_roots: tuple[Vector, ...]
     simple_pairs: Pairs
-    fundamental_coweights: tuple[Vector, ...]
-    positive_roots: tuple[Vector, ...]
     positive_coefficients: tuple[tuple[int, ...], ...]
     cartan: Cartan
 
 
 @dataclass(frozen=True, eq=False)
 class RootSystemData(Realization):
-    """A simple root system of kind A..G2 realized over exact rationals, with
-    the Gram matrices of its simple roots and of its fundamental coweights,
-    and its integer coweights W_i = 2 det(M) omega_i, M the Cartan matrix."""
+    """A simple root system of kind A..G2, with its simple roots, fundamental
+    coweights and positive roots over exact rationals, the Gram matrices of
+    the first two, and its integer coweights W_i = 2 det(M) omega_i, M the
+    Cartan matrix."""
 
-    kind: str = ""
-    integer_coweights: tuple[tuple[int, ...], ...] = ()
-    gram: tuple[tuple[Fraction, ...], ...] = ()
-    coweight_gram: tuple[tuple[Fraction, ...], ...] = ()
-    opposition: tuple[int, ...] = ()
+    kind: str
+    simple_roots: tuple[Vector, ...]
+    fundamental_coweights: tuple[Vector, ...]
+    positive_roots: tuple[Vector, ...]
+    integer_coweights: tuple[tuple[int, ...], ...]
+    gram: tuple[tuple[Fraction, ...], ...]
+    coweight_gram: tuple[tuple[Fraction, ...], ...]
+    opposition: tuple[int, ...]
 
 
 def _simple_root_table(kind: str, rank: int) -> tuple[int, tuple[tuple[int, ...], ...]]:
@@ -190,11 +196,13 @@ def reflect_labels(cartan: Cartan, c: tuple[int, ...], k: int) -> tuple[int, ...
     return tuple(x)
 
 
-def climb(cartan: Cartan, c: tuple[int, ...]) -> list[int]:
-    """Letters k_1, k_2, ... (0-based) taking c up to the dominant chamber,
-    one length step each: the first negative label every time."""
+def climb(cartan: Cartan, c: tuple[int, ...], nodes: Sequence[int]) -> list[int]:
+    """Letters k_1, k_2, ... (0-based) taking c up until no label at `nodes`
+    is negative, one length step each: the first such node, in the order of
+    `nodes`, every time. From -rho's labels over the nodes of J it spells
+    the reduced word of w0(J)."""
     letters = []
-    while (k := next((k for k, ck in enumerate(c) if ck < 0), None)) is not None:
+    while (k := next((k for k in nodes if c[k] < 0), None)) is not None:
         c = reflect_labels(cartan, c, k)
         letters.append(k)
     return letters
@@ -254,7 +262,7 @@ def _build_root_system(kind: str, rank: int) -> RootSystemData:
 
     # -rho has every label -1, and its climb to rho spells a reduced word of
     # w0; omega_i has labels e_i, and w0 omega_i = -omega_{opp(i)}
-    word = climb(cartan, (-1,) * rank)
+    word = climb(cartan, (-1,) * rank, range(rank))
     if len(word) != len(positives):
         raise InvariantViolation(f"{kind}{rank}: w0 word of length {len(word)}")
     opposition = []
@@ -266,13 +274,13 @@ def _build_root_system(kind: str, rank: int) -> RootSystemData:
     return RootSystemData(
         ambient_dim=ambient,
         rank=rank,
-        simple_roots=tuple(tuple(Fraction(x, 2) for x in a) for a in roots2),
         simple_pairs=pairs,
-        fundamental_coweights=tuple(tuple(Fraction(x, 2 * det) for x in w) for w in scaled),
-        positive_roots=positives,
         positive_coefficients=coeffs,
         cartan=cartan,
         kind=kind,
+        simple_roots=tuple(tuple(Fraction(x, 2) for x in a) for a in roots2),
+        fundamental_coweights=tuple(tuple(Fraction(x, 2 * det) for x in w) for w in scaled),
+        positive_roots=positives,
         integer_coweights=tuple(scaled),
         gram=tuple(tuple(Fraction(sum(map(mul, a, b)), 4) for b in roots2) for a in roots2),
         coweight_gram=tuple(tuple(Fraction(sum(map(mul, v, w)), 4 * det * det) for w in scaled)
@@ -334,23 +342,17 @@ class RelativeCoweight:
 
 
 def _product_realization(base: RootSystemData, t: int) -> Realization:
-    """t block-embedded copies of base; copy j's Cartan integers are the
-    base's with every index shifted by j * rank, and its root pairs by j * n."""
+    """t block-embedded copies of base, in integers: copy j's root pairs are
+    the base's with every coordinate shifted by j * n, and its root
+    coefficients and Cartan integers with every index shifted by j * rank."""
     n, r = base.ambient_dim, base.rank
-
-    def copies(vectors, width, zero=Fraction(0)):
-        return tuple((zero,) * (j * width) + v + (zero,) * ((t - 1 - j) * width)
-                     for j in range(t) for v in vectors)
-
     return Realization(
         ambient_dim=t * n,
         rank=t * r,
-        simple_roots=copies(base.simple_roots, n),
         simple_pairs=tuple(tuple((j * n + k, x) for k, x in root)
                            for j in range(t) for root in base.simple_pairs),
-        fundamental_coweights=copies(base.fundamental_coweights, n),
-        positive_roots=copies(base.positive_roots, n),
-        positive_coefficients=copies(base.positive_coefficients, r, 0),
+        positive_coefficients=tuple((0,) * (j * r) + c + (0,) * ((t - 1 - j) * r)
+                                    for j in range(t) for c in base.positive_coefficients),
         cartan=tuple(tuple((j * r + k, a) for k, a in row)
                      for j in range(t) for row in base.cartan),
     )
@@ -428,41 +430,33 @@ def relative_coweights(g: GroupDatum) -> tuple[RelativeCoweight, ...]:
 
 def integer_pairings(rs: Realization, blocks: Sequence[Vector]
                      ) -> tuple[tuple[tuple[int, ...], ...], int, tuple[int, ...]]:
-    """nu's blocks scaled to integers by one common lcm L of their
-    denominators, L itself, and the pairings (L v, 2 alpha_j) of each block v
-    with the simple roots of rs, block by block.
+    """nu's blocks, each of rs's ambient width, scaled to integers by one
+    common lcm L of their denominators, L itself, and the pairings
+    (L v, 2 alpha_j) of each block v with the simple roots of rs, block by
+    block: `_read_nu`'s step after its width checks.
 
     (L v, 2 alpha_j) = L (alpha_j, alpha_j) (v, alpha_j^vee) is a positive
     multiple of the simple-coroot pairing, so it has the same sign.
     """
-    for v in blocks:
-        if len(v) != rs.ambient_dim:
-            raise DimensionMismatch(
-                f"vector of length {len(v)} in ambient dimension {rs.ambient_dim}")
     scale = math.lcm(*(x.denominator for v in blocks for x in v))
     ints = tuple(tuple(x.numerator * (scale // x.denominator) for x in v) for v in blocks)
     return ints, scale, tuple(sum(a * v[k] for k, a in root)
                               for v in ints for root in rs.simple_pairs)
 
 
-def decompose_in_coweights(nu: Sequence, rs: Realization) -> tuple[Fraction, ...]:
-    """Coefficients n_i = (nu, alpha_i^vee), exact, from the integer pairings;
-    nu is dominant iff all are >= 0."""
-    _, scale, pairings = integer_pairings(rs, (vector(nu),))
-    return tuple(Fraction(4 * p, scale * sum(a * a for _, a in root))
-                 for p, root in zip(pairings, rs.simple_pairs))
-
-
-def dominant_delta(pairings: Sequence) -> tuple[int, ...]:
-    """Delta_P (1-based) from the pairings of nu with the simple coroots.
+def dominant_delta(pairings: Sequence, rank: int) -> tuple[tuple[int, ...], ...]:
+    """Delta_P of each copy of a rank-`rank` system, 1-based within the copy,
+    from the pairings of nu with the simple coroots, copy after copy.
 
     Any positive multiple of each pairing will do, since only signs are
-    read. Raises NotDominant when one is negative.
+    read. Raises NotDominant, counting indices over the copies, when one is
+    negative.
     """
     bad = [i + 1 for i, c in enumerate(pairings) if c < 0]
     if bad:
         raise NotDominant(f"negative pairing with simple coroots {bad}")
-    return tuple(i + 1 for i, c in enumerate(pairings) if c == 0)
+    return tuple(tuple([i + 1 for i, c in enumerate(pairings[j:j + rank]) if c == 0])
+                 for j in range(0, len(pairings), rank))
 
 
 def check_rational(factors) -> None:
@@ -501,9 +495,7 @@ def _read_nu(base: Realization, t: int, nu):
     if widths[0] != n:
         raise DimensionMismatch(f"factor of length {widths[0]}; base ambient dimension is {n}")
     ints, _, pairings = integer_pairings(base, entries)
-    delta, r = dominant_delta(pairings), base.rank
-    return entries, ints, tuple(tuple(k - j * r for k in delta if j * r < k <= (j + 1) * r)
-                                for j in range(t))
+    return entries, ints, dominant_delta(pairings, base.rank)
 
 
 def split_nu(g: GroupDatum, nu) -> tuple[Vector, ...]:

@@ -95,7 +95,7 @@ def _double_cosets(rs: RootSystemData, delta_p: tuple[int, ...], delta_pi: tuple
             mu = c
             if not from_omega:  # c = d nu_P; carry omega_i back along d^{-1}
                 mu = omega
-                for k in climb(rs.cartan, c):
+                for k in climb(rs.cartan, c, range(rs.rank)):
                     mu = reflect_labels(rs.cartan, mu, k)
             j_mu = tuple(j for j in delta_p if mu[j - 1] == 0)
             if j_mu not in by_j:
@@ -122,7 +122,7 @@ def _top_cell(rs: RootSystemData, delta_pi: tuple[int, ...], delta_p: tuple[int,
     """The longest cell w0(P_i) d w0(J) of the double coset of mu in one copy."""
     tab = _tables(rs)
     perm = longest_element(rs, tuple(k for k in delta_p if mu[k - 1] == 0)).root_perm
-    for k in climb(rs.cartan, mu):  # d = s_{k_m} ... s_{k_1}
+    for k in climb(rs.cartan, mu, range(rs.rank)):  # d = s_{k_m} ... s_{k_1}
         sp = tab.sperm[k]
         perm = tuple(sp[p] for p in perm)
     w0pi = longest_element(rs, delta_pi).root_perm

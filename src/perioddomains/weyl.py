@@ -9,9 +9,10 @@ so left descents are read from the permutation, and `inverse()` inverts it
 when called. The simple reflections permute the roots by their Dynkin
 labels (`rootdata.reflect_labels`); a caller that needs the image of a
 weight reflects its labels along the word. `longest_element` gives w0 of any
-W_J, and `permutation_element` builds a type-A element, with a reduced word,
-from one-line notation by sorting it with adjacent transpositions; it keeps
-no cache, since finflag's strata test memoizes what it reads per profile.
+W_J by the one w0 rule, `rootdata.climb`, and `permutation_element` builds a
+type-A element, with a reduced word, from one-line notation by sorting it
+with adjacent transpositions; it keeps no cache, since finflag's strata test
+memoizes what it reads per profile.
 
 Minimal coset representatives of W/W_P are grown by *left* multiplication:
 if u is a minimal representative and u = s_i v with l(v) = l(u) - 1, then v
@@ -40,7 +41,7 @@ from functools import lru_cache
 from typing import Iterator, Sequence
 
 from .errors import IndexOutOfRange, InvariantViolation
-from .rootdata import Realization, _read_nu, reflect_labels, root_labels
+from .rootdata import Realization, _read_nu, climb, reflect_labels, root_labels
 
 
 class _Tables:
@@ -155,18 +156,16 @@ def simple_reflection(rs: Realization, i: int) -> WeylElement:
 @lru_cache(maxsize=None)
 def longest_element(rs: Realization, delta: tuple[int, ...] | None = None) -> WeylElement:
     """The longest element of W_delta (a tuple of 1-based simple-root indices;
-    all of W by default): w <- w s_j for the first j in delta with w(alpha_j) > 0,
-    until there is none. Each step adds one to the length, and the letters,
-    in order, are its reduced word; for W it is the climb of -rho's labels
-    (`rootdata.climb`), so w0 has length the number of positive roots."""
+    all of W by default). Its reduced word is the climb of -rho's labels over
+    delta, in delta's order (`rootdata.climb`): w <- w s_j for the first j in
+    delta with w(alpha_j) > 0, until there is none."""
     t = _tables(rs)
-    delta = range(1, rs.rank + 1) if delta is None else delta
-    perm, word = tuple(range(2 * t.npos)), []
-    while (j := next((j for j in delta if perm[t.simple_idx[j - 1]] < t.npos),
-                     None)) is not None:
+    nodes = range(rs.rank) if delta is None else [j - 1 for j in delta]
+    word = tuple(k + 1 for k in climb(rs.cartan, (-1,) * rs.rank, nodes))
+    perm = tuple(range(2 * t.npos))
+    for j in word:
         perm = tuple(perm[q] for q in t.sperm[j - 1])
-        word.append(j)
-    return WeylElement(rs, perm, len(word), tuple(word))
+    return WeylElement(rs, perm, len(word), word)
 
 
 @dataclass(frozen=True)

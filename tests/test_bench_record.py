@@ -71,3 +71,13 @@ def test_run_settings_are_not_options(bench, capsys, flag):
         bench["main"](["--name", "x", "--workload", "flag_count", flag])
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_src_lines_is_the_wc_total_of_the_library_modules(bench, tmp_path):
+    package = tmp_path / "src" / "perioddomains"
+    package.mkdir(parents=True)
+    (package / "a.py").write_text("x = 1\ny = 2\n")
+    (package / "b.py").write_text("z = 3")  # wc -l counts no line without a newline
+    (package / "notes.txt").write_text("not\ncounted\n")
+    (tmp_path / "src" / "other.py").write_text("outside\n")
+    assert bench["src_lines"](tmp_path) == 2

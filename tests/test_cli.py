@@ -641,6 +641,14 @@ def test_verify_reads_nu_once_against_the_job_group(monkeypatch):
     assert [args[:2] for args in calls] == [(rd.build_root_system("A", 1), 2)]
 
 
+def test_count_semistable_reads_nu_once(monkeypatch):
+    # the flag dims come from the subspace test's own reading of nu
+    ffl._excesses.cache_clear()
+    calls = _count_reads(monkeypatch, ffl)
+    assert ffl.count_semistable(ffl.finite_field(2, 1, 2), 2, (2, -1, -1)) == 0
+    assert [args[:2] for args in calls] == [(rd.build_root_system("A", 2), 1)]
+
+
 @pytest.mark.parametrize("command,config,err", [
     ("classify", "kind=A rank=3000 nu=1", "A3000 has 4501500 positive roots, above the bound 600"),
     ("strata", "kind=A rank=40 nu=1", "A40 has 820 positive roots, above the bound 600"),

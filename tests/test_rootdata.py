@@ -1,10 +1,9 @@
+import dataclasses
 import functools
 import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from perioddomains import rootdata as rd
 from perioddomains import weyl
@@ -21,6 +20,22 @@ ALL_SYSTEMS = (
 
 def frac_vec(*xs):
     return tuple(F(x) for x in xs)
+
+
+@functools.lru_cache(maxsize=None)
+def simple_roots(rs):
+    """The simple roots of any realization, read off its doubled integer
+    pairs: a product of copies keeps no Fraction view of them."""
+    return tuple(tuple(F(dict(root).get(k, 0), 2) for k in range(rs.ambient_dim))
+                 for root in rs.simple_pairs)
+
+
+def block_copies(g, vectors):
+    """Vectors of g's base system embedded in each of its copies in turn; on
+    the base's coweights, the absolute fundamental coweights of g."""
+    n, t, zero = g.base.ambient_dim, g.res_degree, (F(0),)
+    return tuple(zero * (j * n) + v + zero * ((t - 1 - j) * n)
+                 for j in range(t) for v in vectors)
 
 
 def test_a2_coweights_exact():
@@ -204,14 +219,14 @@ def _reference_apply_word(word, v, simple, coroots=None):
 
 @functools.lru_cache(maxsize=None)
 def _reference_coroots(rs):
-    return tuple(rd.coroot(a) for a in rs.simple_roots)
+    return tuple(rd.coroot(a) for a in simple_roots(rs))
 
 
 def reference_apply(w, v):
     """w v for a Weyl element w and an ambient vector v: Fraction reflections
     along w's word, the suite's one reference for images of vectors."""
     rs = w.realization
-    return _reference_apply_word(w.word, rd.vector(v), rs.simple_roots, _reference_coroots(rs))
+    return _reference_apply_word(w.word, rd.vector(v), simple_roots(rs), _reference_coroots(rs))
 
 
 def _reference_w0_word(simple, coweights):
@@ -250,9 +265,12 @@ def _reference_coweights(simple):
 
 
 def _reference_sperm(rs):
-    roots = list(rs.positive_roots) + [tuple(-x for x in v) for v in rs.positive_roots]
+    simple = simple_roots(rs)
+    positives = [tuple(sum((c * a[k] for c, a in zip(coeffs, simple)), F(0))
+                       for k in range(rs.ambient_dim)) for coeffs in rs.positive_coefficients]
+    roots = positives + [tuple(-x for x in v) for v in positives]
     index = {v: k for k, v in enumerate(roots)}
-    return tuple(tuple(index[_reference_apply_word([i], v, rs.simple_roots)] for v in roots)
+    return tuple(tuple(index[_reference_apply_word([i], v, simple)] for v in roots)
                  for i in range(1, rs.rank + 1))
 
 
@@ -294,34 +312,45 @@ def test_build_matches_fraction_reference(kind, rank):
 def test_product_tables_match_fraction_reference(kind, rank):
     g = rd.build_group(kind, rank, res_degree=3)
     rs = g.absolute
-    assert rs.cartan == _reference_cartan(rs.simple_roots)
-    positives, coeffs = _reference_close_roots(rs.simple_roots)
-    assert sorted(zip(rs.positive_roots, rs.positive_coefficients)) == list(zip(positives, coeffs))
-    assert rs.fundamental_coweights == _reference_coweights(rs.simple_roots)
-    word = _reference_w0_word(rs.simple_roots, rs.fundamental_coweights)
+    # copy j's simple roots are the base's, embedded in block j
+    simple = simple_roots(rs)
+    assert simple == block_copies(g, g.base.simple_roots)
+    assert rs.cartan == _reference_cartan(simple)
+    _, coeffs = _reference_close_roots(simple)
+    assert sorted(rs.positive_coefficients) == list(coeffs)
+    coweights = block_copies(g, g.base.fundamental_coweights)
+    assert coweights == _reference_coweights(simple)
+    word = _reference_w0_word(simple, coweights)
     assert weyl.longest_element(rs).word == word
-    assert _reference_opposition(word, rs.simple_roots) == \
+    assert _reference_opposition(word, simple) == \
         tuple(j * rank + o for j in range(3) for o in g.base.opposition)
     assert weyl._tables(rs).sperm == _reference_sperm(rs)
-    # copy j's root pairs are the base's shifted by j * n, and every copy
-    # shares the base's integer coweights, W_i = c omega_i for one c > 0
-    assert rs.simple_pairs == tuple(tuple((k, 2 * x) for k, x in enumerate(a) if x)
-                                    for a in rs.simple_roots)
+    # every copy shares the base's integer coweights, W_i = c omega_i for one c > 0
     omegas = g.base.fundamental_coweights
     (c,) = {x / y for w, v in zip(g.base.integer_coweights, omegas) for x, y in zip(w, v) if y}
     assert c.denominator == 1 and c > 0
     assert g.base.integer_coweights == tuple(tuple(c * y for y in v) for v in omegas)
 
 
-def test_decompose_examples():
-    a2 = rd.build_root_system("A", 2)
-    assert rd.decompose_in_coweights((1, 0, -1), a2) == (1, 1)
-    assert rd.decompose_in_coweights((0, 0, 0), a2) == (0, 0)
-    g2 = rd.build_root_system("G2", 2)
-    nu = tuple(a + b for a, b in zip(*g2.fundamental_coweights))
-    assert rd.decompose_in_coweights(nu, g2) == (1, 1)
-    with pytest.raises(DimensionMismatch):
-        rd.decompose_in_coweights((1, 0), a2)
+def test_realization_holds_only_integer_weyl_data():
+    # the routes read only these five; the Fraction views are the base's
+    assert [f.name for f in dataclasses.fields(rd.Realization)] == [
+        "ambient_dim", "rank", "simple_pairs", "positive_coefficients", "cartan"]
+    for kind, rank, t in [("A", 1, 600), ("B", 2, 3), ("E8", 8, 1)]:
+        rs = rd.build_group(kind, rank, res_degree=t).absolute
+        assert type(rs) is (rd.RootSystemData if t == 1 else rd.Realization)
+        assert type(rs.ambient_dim) is type(rs.rank) is int
+        assert all(type(x) is int for root in rs.simple_pairs for pair in root for x in pair)
+        assert all(type(x) is int for c in rs.positive_coefficients for x in c)
+        assert all(type(x) is int for row in rs.cartan for pair in row for x in pair)
+
+
+def decompose_in_coweights(nu, rs):
+    """Coefficients n_i = (nu, alpha_i^vee), exact, from the integer pairings:
+    the exact labels that `integer_pairings` gives up to positive factors."""
+    _, scale, pairings = rd.integer_pairings(rs, (rd.vector(nu),))
+    return tuple(F(4 * p, scale * sum(a * a for _, a in root))
+                 for p, root in zip(pairings, rs.simple_pairs))
 
 
 def sign(x):
@@ -356,23 +385,10 @@ def test_integer_pairings_match_coroot_pairings(kind, rank, t):
         flat = rd.assemble_nu(g, blocks)
         assert rd.integer_pairings(g.absolute, (flat,))[2] == pairings
         for j, v in enumerate(blocks):
-            assert rd.decompose_in_coweights(v, g.base) == \
+            assert decompose_in_coweights(v, g.base) == \
                 tuple(reference[j * rank:(j + 1) * rank])
         dominant += all(c >= 0 for c in reference)
     assert 0 < dominant < 40
-
-
-@given(st.lists(st.integers(-4, 4), min_size=3, max_size=3))
-def test_decompose_reconstruction_orthogonal_to_roots(coords):
-    # sum n_i w_i differs from nu only by a vector pairing to zero with
-    # every coroot, so re-decomposing reproduces the same coefficients.
-    rs = rd.build_root_system("A", 2)
-    nu = rd.vector(coords)
-    coeffs = rd.decompose_in_coweights(nu, rs)
-    recon = (F(0),) * 3
-    for c, w in zip(coeffs, rs.fundamental_coweights):
-        recon = tuple(r + c * x for r, x in zip(recon, w))
-    assert rd.decompose_in_coweights(recon, rs) == coeffs
 
 
 def test_relative_coweights_split():
@@ -415,11 +431,12 @@ def test_relative_coweights_res_a1():
 def test_relative_coweights_match_absolute_orbit_sums(kind, rank, form, t):
     # the Fraction sum of the absolute coweights over each Galois orbit
     g = rd.build_group(kind, rank, form, t)
+    omegas = block_copies(g, g.base.fundamental_coweights)
     want = []
     for orbit in g.galois_orbits:
         w = (F(0),) * g.absolute.ambient_dim
         for b in orbit:
-            w = tuple(x + y for x, y in zip(w, g.absolute.fundamental_coweights[b - 1]))
+            w = tuple(x + y for x, y in zip(w, omegas[b - 1]))
         want.append(w)
     rcs = rd.relative_coweights(g)
     assert [rc.index for rc in rcs] == list(range(1, g.relative_rank + 1))
@@ -433,7 +450,7 @@ def test_relative_coweights_match_absolute_orbit_sums(kind, rank, form, t):
 def test_relative_coweights_dominant(kind, rank, form, t):
     g = rd.build_group(kind, rank, form, t)
     for rc in rd.relative_coweights(g):
-        for a in g.absolute.simple_roots:
+        for a in simple_roots(g.absolute):
             assert rd.inner_product(rc.vector, rd.coroot(a)) >= 0
 
 

@@ -18,7 +18,7 @@ from perioddomains.errors import (
     PeriodDomainError,
 )
 from test_acceptance import SWEEP_CONFIGS, dominant_from_coeffs
-from test_rootdata import reference_apply
+from test_rootdata import reference_apply, simple_roots
 
 
 def slope_on_cell(w, omega, nu):
@@ -350,9 +350,13 @@ def test_integer_delta_matches_fraction_parabolic(kind, rank, t):
         entries = tuple(dominant_from_coeffs(g.base, [rng.choice(pool) for _ in range(rank)])
                         for _ in range(t))
         _, _, pairings = rd.integer_pairings(g.base, entries)
-        absolute = rd.dominant_delta(pairings)
+        (absolute,) = rd.dominant_delta(pairings, g.absolute.rank)
+        # per copy, Delta_P is the flat one cut at the copies' boundaries
+        assert rd.dominant_delta(pairings, rank) == tuple(
+            tuple(k - j * rank for k in absolute if j * rank < k <= (j + 1) * rank)
+            for j in range(t))
         flat = rd.assemble_nu(g, entries)
-        reference = [rd.inner_product(flat, rd.coroot(a)) for a in g.absolute.simple_roots]
+        reference = [rd.inner_product(flat, rd.coroot(a)) for a in simple_roots(g.absolute)]
         assert absolute == tuple(k + 1 for k, c in enumerate(reference) if c == 0)
 
 
@@ -400,7 +404,7 @@ def test_reflection_formula_on_relative_coweights(kind, rank, form, t):
             sb = weyl.simple_reflection(rs, b)
             image = reference_apply(sb, rc.vector)
             if b in orbit:
-                beta = rs.simple_roots[b - 1]
+                beta = simple_roots(rs)[b - 1]
                 assert image == tuple(x - y for x, y in zip(rc.vector, beta))
             else:
                 assert image == rc.vector
