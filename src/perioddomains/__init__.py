@@ -23,11 +23,9 @@ from .rootdata import (
     FORM_UNITARY,
     GroupDatum,
     Realization,
-    RelativeCoweight,
     RootSystemData,
     build_group,
     build_root_system,
-    inner_product,
     relative_coweights,
     vector,
 )

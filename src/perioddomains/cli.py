@@ -341,7 +341,7 @@ def _run_tables(job: JobSpec) -> tuple[int, list]:
     if job.form != FORM_SPLIT or job.t > 1:
         g = build_group(job.kind, job.rank, job.form, job.t)
         lines.append(f"# relative coweights (form={job.form}, t={job.t})")
-        lines += [_vec_text(rc.vector) for rc in relative_coweights(g)]
+        lines += [_vec_text(w) for w in relative_coweights(g)]
     return EXIT_OK, lines
 
 

@@ -4,13 +4,17 @@ The build starts from one integer table, the doubled simple roots 2 alpha_j,
 and runs on integers: Dynkin labels and one fraction-free inverse of the
 Cartan matrix. A `Realization` holds only the integer Weyl data the routes
 read: the nonzero entries of each 2 alpha_j (`simple_pairs`), the positive
-roots' simple-root coefficients and the Cartan integers. So the t-fold
-product of a restriction of scalars builds no vector. A base system
+roots' simple-root coefficients and the Cartan integers. A base system
 (`RootSystemData`) adds its coweights W_i = 2 det(M) omega_i
-(`integer_coweights`) and, as tuples of `fractions.Fraction`, its roots,
-coweights and Gram matrices: the exact view that `tables` prints, which no
-route pairs with a cocharacter. Floating point is never used anywhere in
-this package's mathematical kernel.
+(`integer_coweights`) and, as tuples of `fractions.Fraction`, its simple
+roots, coweights and Gram matrices: the exact view that `tables` prints,
+which no route pairs with a cocharacter. Floating point is never used
+anywhere in this package's mathematical kernel.
+
+A group (`GroupDatum`) is its base system, its form and the degree t of
+its restriction of scalars; every route reads it as t copies of the base.
+The t-fold product realization, which only `strata`'s witness needs, is
+built on first read of `absolute`.
 
 Conventions: type A lives in the sum-zero hyperplane of Q^(l+1) with simple
 roots e_i - e_{i+1}; the inner product is the Euclidean dot product of the
@@ -38,7 +42,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from numbers import Rational
 from operator import mul
 from typing import Iterable, Sequence
@@ -72,26 +76,14 @@ MAX_POSITIVE_ROOTS = 600
 
 
 def vector(entries: Iterable) -> Vector:
-    """Coerce a sequence of ints/strings/Fractions to an exact vector."""
+    """A sequence of ints and Fractions as an exact vector of Fractions;
+    `_read_nu` refuses any other entry (`check_rational`) before this."""
     return tuple(x if type(x) is Fraction else Fraction(x) for x in entries)
-
-
-def inner_product(u: Vector, v: Vector) -> Fraction:
-    """Euclidean pairing; the Weyl-invariant form of every realization here."""
-    if len(u) != len(v):
-        raise DimensionMismatch(f"vectors of length {len(u)} and {len(v)}")
-    return sum((a * b for a, b in zip(u, v)), Fraction(0))
 
 
 def format_vector(v: Iterable) -> str:
     """Comma-separated entries, as the config format writes a vector: 1,-1/2,0."""
     return ",".join(str(x) for x in v)
-
-
-def coroot(alpha: Vector) -> Vector:
-    """alpha^vee = 2*alpha/(alpha,alpha)."""
-    norm = inner_product(alpha, alpha)
-    return tuple(2 * a / norm for a in alpha)
 
 
 def _bareiss_inverse(m: Sequence[Sequence[int]]) -> tuple[int, list[list[int]]]:
@@ -130,15 +122,14 @@ class Realization:
 
 @dataclass(frozen=True, eq=False)
 class RootSystemData(Realization):
-    """A simple root system of kind A..G2, with its simple roots, fundamental
-    coweights and positive roots over exact rationals, the Gram matrices of
-    the first two, and its integer coweights W_i = 2 det(M) omega_i, M the
-    Cartan matrix."""
+    """A simple root system of kind A..G2: the integer data of a
+    `Realization`, its integer coweights W_i = 2 det(M) omega_i (M the
+    Cartan matrix) and opposition, and, over exact rationals, its simple
+    roots and fundamental coweights with their Gram matrices."""
 
     kind: str
     simple_roots: tuple[Vector, ...]
     fundamental_coweights: tuple[Vector, ...]
-    positive_roots: tuple[Vector, ...]
     integer_coweights: tuple[tuple[int, ...], ...]
     gram: tuple[tuple[Fraction, ...], ...]
     coweight_gram: tuple[tuple[Fraction, ...], ...]
@@ -208,11 +199,12 @@ def climb(cartan: Cartan, c: tuple[int, ...], nodes: Sequence[int]) -> list[int]
     return letters
 
 
-def _close_roots(pairs: Pairs, cartan: Cartan, ambient: int):
-    """Positive roots, sorted, with their simple-root coefficients. On labels,
+def _close_roots(pairs: Pairs, cartan: Cartan, ambient: int) -> tuple[tuple[int, ...], ...]:
+    """The positive roots' simple-root coefficients, sorted by the roots'
+    ambient vectors; that order fixes every root index. On labels,
     s_k raises a root with c_k < 0 by -c_k alpha_k, and so reaches every
     positive root from the simple ones (Humphreys, Reflection Groups and
-    Coxeter Groups, 1.6); ambient vectors are formed once, doubled to sort."""
+    Coxeter Groups, 1.6); the sort key is the doubled ambient vector."""
     r = len(pairs)
     units = [tuple(int(i == j) for j in range(r)) for i in range(r)]
     known = {root_labels(cartan, e): e for e in units}  # labels -> coefficients
@@ -227,16 +219,15 @@ def _close_roots(pairs: Pairs, cartan: Cartan, ambient: int):
                     known[img] = tuple(coeffs)
                     fresh.append(img)
         frontier = fresh
-    twice = []
-    for coeffs in known.values():
+
+    def twice(coeffs: tuple[int, ...]) -> list[int]:
         v = [0] * ambient
         for ck, root in zip(coeffs, pairs):
             for i, x in root:
                 v[i] += ck * x
-        twice.append((tuple(v), coeffs))
-    twice.sort()
-    return (tuple(tuple(Fraction(x, 2) for x in v) for v, _ in twice),
-            tuple(c for _, c in twice))
+        return v
+
+    return tuple(sorted(known.values(), key=twice))
 
 
 @lru_cache(maxsize=None)
@@ -244,9 +235,9 @@ def _build_root_system(kind: str, rank: int) -> RootSystemData:
     ambient, roots2 = _simple_root_table(kind, rank)
     pairs = tuple(tuple((k, x) for k, x in enumerate(a) if x) for a in roots2)
     cartan = cartan_integers(roots2)
-    positives, coeffs = _close_roots(pairs, cartan, ambient)
-    if len(positives) != _KINDS[kind][2](rank):
-        raise InvariantViolation(f"{kind}{rank}: closure found {len(positives)} positive roots")
+    coeffs = _close_roots(pairs, cartan, ambient)
+    if len(coeffs) != _KINDS[kind][2](rank):
+        raise InvariantViolation(f"{kind}{rank}: closure found {len(coeffs)} positive roots")
 
     # omega_i = sum_j c_ij alpha_j with sum_j c_ij (alpha_j, alpha_k^vee) =
     # delta_ik: c = M^-1 for M the labels of the simple roots, so with D = det M
@@ -263,7 +254,7 @@ def _build_root_system(kind: str, rank: int) -> RootSystemData:
     # -rho has every label -1, and its climb to rho spells a reduced word of
     # w0; omega_i has labels e_i, and w0 omega_i = -omega_{opp(i)}
     word = climb(cartan, (-1,) * rank, range(rank))
-    if len(word) != len(positives):
+    if len(word) != len(coeffs):
         raise InvariantViolation(f"{kind}{rank}: w0 word of length {len(word)}")
     opposition = []
     for c in units:
@@ -280,7 +271,6 @@ def _build_root_system(kind: str, rank: int) -> RootSystemData:
         kind=kind,
         simple_roots=tuple(tuple(Fraction(x, 2) for x in a) for a in roots2),
         fundamental_coweights=tuple(tuple(Fraction(x, 2 * det) for x in w) for w in scaled),
-        positive_roots=positives,
         integer_coweights=tuple(scaled),
         gram=tuple(tuple(Fraction(sum(map(mul, a, b)), 4) for b in roots2) for a in roots2),
         coweight_gram=tuple(tuple(Fraction(sum(map(mul, v, w)), 4 * det * det) for w in scaled)
@@ -317,28 +307,25 @@ def build_root_system(kind: str, rank: int) -> RootSystemData:
 
 @dataclass(frozen=True, eq=False)
 class GroupDatum:
-    """A k-simple adjoint group: base system, form, restriction-of-scalars degree.
+    """A k-simple adjoint group: base system, form, restriction-of-scalars
+    degree t. Every route reads it as t copies of its base.
 
-    `absolute` is the realization the full Weyl machinery runs on: the base
-    system itself when res_degree == 1, otherwise res_degree disjoint
-    block-embedded copies. `galois_orbits[i-1]` lists the 1-based absolute
-    simple-root indices restricting to relative vertex i.
+    Instances are interned by `build_group`, so identity comparison and the
+    default object hash are the intended semantics.
     """
 
     base: RootSystemData
     form: str
     res_degree: int
-    relative_rank: int
-    galois_orbits: tuple[tuple[int, ...], ...]
-    absolute: Realization
 
-
-@dataclass(frozen=True)
-class RelativeCoweight:
-    """One relative cofundamental weight: vertex index plus its absolute vector."""
-
-    index: int
-    vector: Vector
+    @cached_property
+    def absolute(self) -> Realization:
+        """The realization the full Weyl machinery runs on: the base system
+        itself when res_degree == 1, otherwise res_degree disjoint
+        block-embedded copies, built on first read."""
+        if self.res_degree == 1:
+            return self.base
+        return _product_realization(self.base, self.res_degree)
 
 
 def _product_realization(base: RootSystemData, t: int) -> Realization:
@@ -373,21 +360,7 @@ def _base_orbits(base: RootSystemData, form: str) -> tuple[tuple[int, ...], ...]
 
 @lru_cache(maxsize=None)
 def _build_group(base: RootSystemData, form: str, t: int) -> GroupDatum:
-    base_orbits = _base_orbits(base, form)
-    d = len(base_orbits)
-    orbits = tuple(
-        tuple(sorted(j * base.rank + b for j in range(t) for b in orbit))
-        for orbit in base_orbits
-    )
-    absolute = base if t == 1 else _product_realization(base, t)
-    return GroupDatum(
-        base=base,
-        form=form,
-        res_degree=t,
-        relative_rank=d,
-        galois_orbits=orbits,
-        absolute=absolute,
-    )
+    return GroupDatum(base=base, form=form, res_degree=t)
 
 
 def build_group(kind: str, rank: int, form: str = FORM_SPLIT,
@@ -409,23 +382,21 @@ def build_group(kind: str, rank: int, form: str = FORM_SPLIT,
     if res_degree < 1:
         raise IllegalType("res_degree must be >= 1")
     base = build_root_system(kind, rank)  # validates the pair (and warns on D3)
-    if (count := res_degree * len(base.positive_roots)) > MAX_POSITIVE_ROOTS:
+    if (count := res_degree * len(base.positive_coefficients)) > MAX_POSITIVE_ROOTS:
         raise BudgetExceeded(f"{base.kind}{'' if base.kind[1:] else rank} t={shown(res_degree)} "
                              f"has {shown(count)} positive roots, above the bound "
                              f"{MAX_POSITIVE_ROOTS}")
     return _build_group(base, form, res_degree)
 
 
-def relative_coweights(g: GroupDatum) -> tuple[RelativeCoweight, ...]:
-    """Relative cofundamental weights: orbit sums of absolute fundamental
-    coweights. A Galois orbit is its base orbit copied into every block, so
-    the sum is the base orbit's sum repeated in each of the t blocks."""
+def relative_coweights(g: GroupDatum) -> tuple[Vector, ...]:
+    """Relative cofundamental weights, vertex i at position i - 1: orbit sums
+    of absolute fundamental coweights. A Galois orbit is its base orbit
+    copied into every block, so the sum is the base orbit's sum repeated in
+    each of the t blocks."""
     omegas = g.base.fundamental_coweights
-    out = []
-    for i, orbit in enumerate(_base_orbits(g.base, g.form), start=1):
-        w = tuple(map(sum, zip(*(omegas[b - 1] for b in orbit))))
-        out.append(RelativeCoweight(index=i, vector=w * g.res_degree))
-    return tuple(out)
+    return tuple(tuple(map(sum, zip(*(omegas[b - 1] for b in orbit)))) * g.res_degree
+                 for orbit in _base_orbits(g.base, g.form))
 
 
 def integer_pairings(rs: Realization, blocks: Sequence[Vector]

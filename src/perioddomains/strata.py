@@ -64,14 +64,10 @@ class StrataReport:
 
 
 @lru_cache(maxsize=None)
-def _vertex_data(base: RootSystemData, form: str):
-    """What each copy of (base, form) shares: the integer coweights W_i =
-    2 det(M) omega_i, and Delta_{P_i} of each vertex. A pairing read with W_i
-    is a common positive multiple of (omega_i, nu), which leaves every sign,
-    every group by value and every merge across copies the same."""
-    return (base.integer_coweights,
-            tuple(tuple(k for k in range(1, base.rank + 1) if k not in orbit)
-                  for orbit in _base_orbits(base, form)))
+def _vertex_data(base: RootSystemData, form: str) -> tuple[tuple[int, ...], ...]:
+    """Delta_{P_i} of each vertex i, which every copy of (base, form) shares."""
+    return tuple(tuple(k for k in range(1, base.rank + 1) if k not in orbit)
+                 for orbit in _base_orbits(base, form))
 
 
 @lru_cache(maxsize=1024)
@@ -146,7 +142,7 @@ def strata_report(g: GroupDatum, nu, max_cells: int | None = None) -> StrataRepo
     elements; more than max_cells raise BudgetExceeded before any search."""
     if max_cells is not None and max_cells < 0:
         raise ValidationError(f"cell budget must be nonnegative, got {max_cells}")
-    coweights, vertex_deltas = _vertex_data(g.base, g.form)
+    vertex_deltas = _vertex_data(g.base, g.form)
     _, ints, deltas = _read_nu(g.base, g.res_degree, nu)
     rs = g.base
     pds = [_parabolic(rs, d) for d in deltas]
@@ -154,7 +150,9 @@ def strata_report(g: GroupDatum, nu, max_cells: int | None = None) -> StrataRepo
                  for pd in pds for dpi in vertex_deltas)
     if max_cells is not None and visits > max_cells:
         raise BudgetExceeded(f"{visits} orbit elements exceed budget {max_cells}")
-    pairs = [tuple(sum(map(mul, w, v)) for w in coweights) for v in ints]
+    # W_i = 2 det(M) omega_i: a common positive multiple of (omega_i, nu),
+    # which leaves every sign, group by value and merge across copies the same
+    pairs = [tuple(sum(map(mul, w, v)) for w in rs.integer_coweights) for v in ints]
     strata = tuple(_stratum(g, i, dpi, deltas, pairs)
                    for i, dpi in enumerate(vertex_deltas, start=1))
     dim_f = sum(pd.w0p_length for pd in pds)

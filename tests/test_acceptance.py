@@ -15,7 +15,7 @@ from perioddomains import finflag as ffl
 from perioddomains import rootdata as rd
 from perioddomains import strata, weyl
 from test_finflag import frobenius_point
-from test_rootdata import reference_apply
+from test_rootdata import coroot, inner_product, reference_apply
 
 SEED = 20240811
 SAMPLES_PER_CONFIG = 200
@@ -66,12 +66,12 @@ def certifying_factors(g, entries):
     w0 = weyl.longest_element(rs)
     w0nu = reference_apply(w0, flat)
     out = {}
-    for rc in rd.relative_coweights(g):
+    for i, omega in enumerate(rd.relative_coweights(g), start=1):
         for b in range(1, rs.rank + 1):
             sb = weyl.simple_reflection(rs, b)
-            if rd.inner_product(rc.vector, reference_apply(sb, w0nu)) > 0:
+            if inner_product(omega, reference_apply(sb, w0nu)) > 0:
                 copy = (b - 1) // g.base.rank + 1
-                out.setdefault(copy, []).append((rc.index, b))
+                out.setdefault(copy, []).append((i, b))
     return out
 
 
@@ -109,14 +109,13 @@ def test_criterion_1_bourbaki_property_suite():
         ws = rs.fundamental_coweights
         for i in range(rank):
             for j in range(rank):
-                assert rd.inner_product(ws[i], rd.coroot(rs.simple_roots[j])) \
-                    == int(i == j)
-                assert rd.inner_product(ws[i], ws[j]) >= 0
+                assert inner_product(ws[i], coroot(rs.simple_roots[j])) == int(i == j)
+                assert inner_product(ws[i], ws[j]) >= 0
         # the norm lower bound (w_i,w_i) >= (a_i,a_i)/2 holds for every type
         # except A, where it fails exactly at the end nodes; that failure is
         # the source of the nontrivial classification cases.
         for i, (w, a) in enumerate(zip(ws, rs.simple_roots), start=1):
-            holds = rd.inner_product(w, w) >= rd.inner_product(a, a) / 2
+            holds = inner_product(w, w) >= inner_product(a, a) / 2
             if kind == "A":
                 assert holds == (i not in (1, rank))
             else:
@@ -131,11 +130,11 @@ def test_criterion_2_g2_constants():
     rs = rd.build_root_system("G2", 2)
     w1, w2 = rs.fundamental_coweights
     a1, a2 = rs.simple_roots
-    assert rd.inner_product(w1, w1) == 2
-    assert rd.inner_product(w1, w2) == 3
-    assert rd.inner_product(w2, w2) == 6
-    assert rd.inner_product(a1, a1) == 2
-    assert rd.inner_product(a2, a2) == 6
+    assert inner_product(w1, w1) == 2
+    assert inner_product(w1, w2) == 3
+    assert inner_product(w2, w2) == 6
+    assert inner_product(a1, a1) == 2
+    assert inner_product(a2, a2) == 6
     _report(2, "G2 Gram constants (2, 3, 6; 2, 6) exact")
 
 

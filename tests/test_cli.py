@@ -633,12 +633,34 @@ def test_classify_reads_nu_once_per_job(monkeypatch):
     assert len(calls) == 1
 
 
-def test_verify_reads_nu_once_against_the_job_group(monkeypatch):
-    calls = _count_reads(monkeypatch, cli)
+def test_verify_reads_nu_once_in_cli_and_once_in_finflag(monkeypatch):
+    # cli reads nu against the job group, and finflag's memoized excesses
+    # read it once more on the job's first test
+    ffl._excesses.cache_clear()
+    cli_calls, ffl_calls = _count_reads(monkeypatch, cli), _count_reads(monkeypatch, ffl)
     code, _ = cli.run_job(cli.parse_jobspec(
         "command=verify kind=A rank=1 t=2 nu=1,-1;1,-1 q=2 m=2"))
     assert code == cli.EXIT_OK
-    assert [args[:2] for args in calls] == [(rd.build_root_system("A", 1), 2)]
+    a1 = rd.build_root_system("A", 1)
+    assert [args[:2] for args in cli_calls] == [(a1, 2)]
+    assert [args[:2] for args in ffl_calls] == [(a1, 2)]
+
+
+def test_the_product_realization_is_built_only_where_it_is_read():
+    # classify, tables and verify read a restriction of scalars as t copies
+    # of its base; only strata's witness is an element of the t-fold product
+    rd._build_group.cache_clear()
+    g = rd.build_group("A", 1, res_degree=2)
+    for command in ("classify", "tables", "verify"):
+        code, _ = cli.run_job(cli.parse_jobspec(
+            f"command={command} kind=A rank=1 t=2 nu=1,-1;1,-1 q=2 m=2"))
+        assert code == cli.EXIT_OK
+    assert "absolute" not in vars(g)
+    code, text = cli.run_job(cli.parse_jobspec("command=strata kind=A rank=1 t=2 nu=2,-2;1,-1"))
+    assert code == cli.EXIT_OK and text.endswith("witness_1 = s2")
+    assert type(vars(g)["absolute"]) is rd.Realization
+    g = rd.build_group("A", 1)
+    assert g.absolute is g.base
 
 
 def test_count_semistable_reads_nu_once(monkeypatch):

@@ -17,7 +17,7 @@ from perioddomains.errors import (
     SingularTransform,
     ValidationError,
 )
-from test_rootdata import reference_apply
+from test_rootdata import inner_product, reference_apply
 
 
 @pytest.mark.parametrize("p,e,m", [(2, 1, 1), (2, 1, 2), (2, 1, 3), (2, 1, 4),
@@ -522,8 +522,8 @@ def test_vertex_pairing_matches_relative_position(q, m, nu, every):
         for i in range(1, n):
             for t in ffl.enumerate_rref(n, i, ff.subfield(ff.q)):
                 w = ffl.relative_position(x, _completed_basis(t, ff, n), ff)
-                want = 2 * n * scale * rd.inner_product(rs.fundamental_coweights[i - 1],
-                                                        reference_apply(w, nu))
+                want = 2 * n * scale * inner_product(rs.fundamental_coweights[i - 1],
+                                                     reference_apply(w, nu))
                 assert pairing(i, _brute_profile(t, spans, ff)) == want, (x, t)
 
 

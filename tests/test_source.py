@@ -6,7 +6,7 @@ import typing
 from pathlib import Path
 
 import perioddomains
-from perioddomains import cli
+from perioddomains import cli, rootdata, weyl
 
 
 def test_no_assert_in_package():
@@ -31,8 +31,8 @@ def test_every_annotation_in_the_package_resolves():
                   if getattr(obj, "__module__", None) == module.__name__]
         for owner in owners:
             members = [owner]
-            if isinstance(owner, type):
-                members += [getattr(m, "__func__", getattr(m, "fget", m))
+            if isinstance(owner, type):  # methods, properties and cached properties
+                members += [getattr(m, "__func__", getattr(m, "fget", getattr(m, "func", m)))
                             for m in vars(owner).values()]
             for obj in members:
                 if callable(obj):
@@ -91,8 +91,7 @@ def test_integer_routes_import_no_fractions():
     root = Path(perioddomains.__file__).parent
     modules = ("weyl.py", "strata.py", "finflag.py")
     assert [name for name in modules if "fractions" in _package_imports(root / name)] == []
-    fraction_views = {"simple_roots", "fundamental_coweights", "positive_roots", "gram",
-                      "coweight_gram"}
+    fraction_views = {"simple_roots", "fundamental_coweights", "gram", "coweight_gram"}
     reads = [f"{name}:{node.lineno} {node.attr}" for name in modules
              for node in ast.walk(ast.parse((root / name).read_text(encoding="utf-8")))
              if isinstance(node, ast.Attribute) and node.attr in fraction_views]
@@ -131,6 +130,18 @@ def test_perfbench_reads_only_names_the_package_has():
     assert {module for module, _ in reads} == \
         {"finflag", "rootdata", "classify", "strata", "weyl", "cli"}
     assert ("finflag", "is_semistable_strata_test") in reads
+
+
+def test_perfbench_reads_only_attributes_the_package_objects_have():
+    # `_package_reads` sees module-level names only; these are the instance
+    # attributes the benchmark reads of a group, its base and a parabolic
+    g = rootdata.build_group("A", 2, res_degree=2)
+    pd = weyl.parabolic_of(rootdata.assemble_nu(g, [(1, 0, -1)] * 2), g.absolute)
+    reads = [(g, ("absolute", "base", "res_degree")),
+             (g.base, ("rank", "ambient_dim", "fundamental_coweights")),
+             (pd, ("delta_p", "w_p_order"))]
+    assert [(type(obj).__name__, name) for obj, names in reads for name in names
+            if not hasattr(obj, name)] == []
 
 
 def test_scripts_read_only_names_the_package_has():
