@@ -23,6 +23,12 @@ The verdicts:
   bound, and not every run of the change beats every run of the parent;
 - within bound: none of these.
 
+A verdict compares the two exports, not the code: a `gain` says that one
+export ran faster than the other, not that the changed code made it so. A
+workload that runs no changed code can read `gain` on a drift of about 3%
+between the sides (flag_count in BENCH_26), so a record that reports a
+gain also says whether that workload times code the change touched.
+
 Example:
     python scripts/bench_record.py --name 8 --workload flag_count
 """

@@ -12,8 +12,9 @@ either inequality; in that case pi_1 is that of the Drinfeld space
 Omega^(l+1) over the degree-t extension, and the unstable locus has
 codimension one.
 
-nu is read by `rootdata.split_nu`, as every route reads it. The closed form
-alone also needs each type-A factor to have coordinate sum zero.
+nu is read by `rootdata._read_nu`, as every route reads it: as integers, nu
+scaled by one lcm L. Every sum and inequality is homogeneous in L, so only
+printed values are divided by it. Each type-A factor must sum to zero.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InvariantViolation, MalformedNu
-from .rootdata import FORM_SPLIT, GroupDatum, Vector, format_vector, split_nu
+from .rootdata import FORM_SPLIT, GroupDatum, _read_nu, format_vector
 
 VERDICT_TRIVIAL = "trivial"
 VERDICT_DRINFELD = "drinfeld"
@@ -54,7 +55,7 @@ class Classification:
         return f"pi1(Omega^({self.ell + 1})/{field})"
 
 
-def _fired_sides(x: Vector, sum_first: Fraction, sum_last: Fraction) -> list[str]:
+def _fired_sides(x: tuple[int, ...], sum_first: int, sum_last: int) -> list[str]:
     """Sides on which factor x satisfies both step and margin conditions, given
     the sums of the other factors' first and last entries."""
     sides = []
@@ -67,10 +68,11 @@ def _fired_sides(x: Vector, sum_first: Fraction, sum_last: Fraction) -> list[str
 
 def classify(g: GroupDatum, nu) -> Classification:
     """Decide pi_1 of the semistable locus for (g, nu)."""
-    entries = split_nu(g, nu)
+    entries, scale, _ = _read_nu(g.base, g.res_degree, nu)
     for j, x in enumerate(entries, start=1):
         if g.base.kind == "A" and sum(x) != 0:
-            raise MalformedNu(f"factor {j} has nonzero coordinate sum: {format_vector(x)}")
+            shown_x = format_vector(Fraction(v, scale) for v in x)
+            raise MalformedNu(f"factor {j} has nonzero coordinate sum: {shown_x}")
     ell = g.base.rank
 
     if g.base.kind != "A" or g.form != FORM_SPLIT:
@@ -79,13 +81,13 @@ def classify(g: GroupDatum, nu) -> Classification:
     details: dict[str, Fraction] = {}
     fired: list[tuple[int, str]] = []
     near_miss: list[int] = []
-    total_first = sum((e[0] for e in entries), Fraction(0))
-    total_last = sum((e[-1] for e in entries), Fraction(0))
+    total_first = sum(e[0] for e in entries)
+    total_last = sum(e[-1] for e in entries)
     for j, x in enumerate(entries, start=1):
-        details[f"x2[{j}]"] = x[1]
-        details[f"xl[{j}]"] = x[-2]
-        details[f"sum_first_others[{j}]"] = sum_first = total_first - x[0]
-        details[f"sum_last_others[{j}]"] = sum_last = total_last - x[-1]
+        sum_first, sum_last = total_first - x[0], total_last - x[-1]
+        for key, v in (("x2", x[1]), ("xl", x[-2]), ("sum_first_others", sum_first),
+                       ("sum_last_others", sum_last)):
+            details[f"{key}[{j}]"] = Fraction(v, scale)
         sides = _fired_sides(x, sum_first, sum_last)
         if sides:
             fired.append((j, sides[0]))

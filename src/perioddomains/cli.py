@@ -278,7 +278,7 @@ def _run_verify(job: JobSpec) -> tuple[int, list]:
     g = build_group(job.kind, job.rank, job.form, job.t)
     # integer entries keep the tests' per-nu memo keys cheap to hash, and no
     # verdict depends on nu's scale
-    _, nu, deltas = _read_nu(g.base, job.t, job.nu)
+    nu, _, deltas = _read_nu(g.base, job.t, job.nu)
     dims = [_step_dims(job.rank, d) for d in deltas]
     points = math.prod(checked_flag_count(job.rank, d, order) for d in dims)
     if points > job.budget:

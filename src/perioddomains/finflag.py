@@ -559,7 +559,7 @@ def _excesses(factors: tuple):
     """
     n = len(factors[0])
     rs = build_root_system("A", n - 1)
-    _, ints, deltas = _read_nu(rs, len(factors), factors)
+    ints, _, deltas = _read_nu(rs, len(factors), factors)
     dims = tuple(_step_dims(n - 1, d) for d in deltas)
     jumps = [tuple(v[b] for b in (0,) + d) for v, d in zip(ints, dims)]
     total = sum(map(sum, ints))

@@ -29,11 +29,11 @@ c_j = (x, alpha_j^vee), on which s_k acts by
 c_j <- c_j - c_k (alpha_k, alpha_j^vee) (`reflect_labels`), with the Cartan
 integers of each realization computed once (`cartan_integers`).
 
-`_read_nu` is the one reader of a cocharacter: it checks nu, scales it to
-integers and gives Delta_P per copy, 1-based within the copy. Every route
-takes its parabolic from that reading: `strata` and `weyl.parabolic_of`
-read Delta_P itself, and the type-A flag dims of `finflag` and `verify`
-are its complement, the simple roots outside it.
+`_read_nu` is the one reader of a cocharacter: it checks nu and gives its
+factors as Python ints, scaled by one lcm L of their denominators, L and
+Delta_P per copy, 1-based within the copy. Every route decides on it:
+`classify` on the ints, `strata` and `weyl.parabolic_of` on Delta_P, and
+`finflag` and `verify` on its complement, the type-A flag dims.
 """
 
 from __future__ import annotations
@@ -76,8 +76,8 @@ MAX_POSITIVE_ROOTS = 600
 
 
 def vector(entries: Iterable) -> Vector:
-    """A sequence of ints and Fractions as an exact vector of Fractions;
-    `_read_nu` refuses any other entry (`check_rational`) before this."""
+    """A sequence of ints and Fractions as an exact vector of Fractions, as
+    `assemble_nu` joins them; `_read_nu` reads nu in integers, without it."""
     return tuple(x if type(x) is Fraction else Fraction(x) for x in entries)
 
 
@@ -399,18 +399,19 @@ def relative_coweights(g: GroupDatum) -> tuple[Vector, ...]:
                  for orbit in _base_orbits(g.base, g.form))
 
 
-def integer_pairings(rs: Realization, blocks: Sequence[Vector]
+def integer_pairings(rs: Realization, blocks: Sequence[Sequence[Rational]]
                      ) -> tuple[tuple[tuple[int, ...], ...], int, tuple[int, ...]]:
-    """nu's blocks, each of rs's ambient width, scaled to integers by one
-    common lcm L of their denominators, L itself, and the pairings
+    """nu's blocks of int, Fraction or other Rational entries, each of rs's
+    ambient width, scaled to Python ints (so a numpy integer cannot wrap) by
+    one common lcm L of their denominators, L itself, and the pairings
     (L v, 2 alpha_j) of each block v with the simple roots of rs, block by
     block: `_read_nu`'s step after its width checks.
 
     (L v, 2 alpha_j) = L (alpha_j, alpha_j) (v, alpha_j^vee) is a positive
     multiple of the simple-coroot pairing, so it has the same sign.
     """
-    scale = math.lcm(*(x.denominator for v in blocks for x in v))
-    ints = tuple(tuple(x.numerator * (scale // x.denominator) for x in v) for v in blocks)
+    scale = math.lcm(*(int(x.denominator) for v in blocks for x in v))
+    ints = tuple(tuple(int(x.numerator) * scale // int(x.denominator) for x in v) for v in blocks)
     return ints, scale, tuple(sum(a * v[k] for k, a in root)
                               for v in ints for root in rs.simple_pairs)
 
@@ -443,12 +444,13 @@ def check_rational(factors) -> None:
 
 
 def _read_nu(base: Realization, t: int, nu):
-    """The one reading of a cocharacter of t copies of base: its factors as
-    Fraction vectors, scaled to integers (`integer_pairings`), and Delta_P
-    of each copy, 1-based within the copy (`dominant_delta`, whose message
-    counts over the copies). It checks, in order: t factors, or one flat
-    vector when t == 1; rational entries; the factor count; one width for
-    all, the base's; and dominance."""
+    """The one reading of a cocharacter of t copies of base: its factors
+    scaled to Python ints by one common lcm L of their denominators, L
+    itself (`integer_pairings`), and Delta_P of each copy, 1-based within
+    the copy (`dominant_delta`, whose message counts over the copies). It
+    builds no Fraction. It checks, in order: t factors, or one flat vector
+    when t == 1; rational entries; the factor count; one width for all, the
+    base's; and dominance."""
     n = base.ambient_dim
     seq = list(nu)
     if seq and not isinstance(seq[0], (list, tuple)):
@@ -459,20 +461,13 @@ def _read_nu(base: Realization, t: int, nu):
     check_rational(seq)
     if len(seq) != t:
         raise MalformedNu(f"expected {t} cocharacter factors, got {len(seq)}")
-    entries = tuple(map(vector, seq))
-    widths = [len(x) for x in entries]
+    widths = [len(x) for x in seq]
     if len(set(widths)) > 1:
         raise DimensionMismatch(f"cocharacter factors of lengths {widths}")
     if widths[0] != n:
         raise DimensionMismatch(f"factor of length {widths[0]}; base ambient dimension is {n}")
-    ints, _, pairings = integer_pairings(base, entries)
-    return entries, ints, dominant_delta(pairings, base.rank)
-
-
-def split_nu(g: GroupDatum, nu) -> tuple[Vector, ...]:
-    """The res_degree factors of a dominant cocharacter of g, as `_read_nu`
-    reads and checks them: a sequence of vectors or, at res_degree 1, one."""
-    return _read_nu(g.base, g.res_degree, nu)[0]
+    ints, scale, pairings = integer_pairings(base, seq)
+    return ints, scale, dominant_delta(pairings, base.rank)
 
 
 def assemble_nu(g: GroupDatum, nu) -> Vector:

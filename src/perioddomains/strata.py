@@ -143,7 +143,7 @@ def strata_report(g: GroupDatum, nu, max_cells: int | None = None) -> StrataRepo
     if max_cells is not None and max_cells < 0:
         raise ValidationError(f"cell budget must be nonnegative, got {max_cells}")
     vertex_deltas = _vertex_data(g.base, g.form)
-    _, ints, deltas = _read_nu(g.base, g.res_degree, nu)
+    ints, _, deltas = _read_nu(g.base, g.res_degree, nu)
     rs = g.base
     pds = [_parabolic(rs, d) for d in deltas]
     visits = sum(weyl_order(rs) // max(_parabolic(rs, dpi).w_p_order, pd.w_p_order)

@@ -156,3 +156,61 @@ def test_pi1_label_format():
     g1 = rd.build_group("A", 1)
     assert cf.classify(g1, (1, -1)).pi1_label() == "pi1(Omega^(2)/k)"
     assert cf.classify(g1, (0, 0)).pi1_label() == "trivial"
+
+
+def fraction_reference(nu):
+    """The closed form in Fractions on dominant sum-zero factors of a split
+    type-A group: (verdict, factor, side, near-miss factors, details)."""
+    entries = [tuple(map(F, v)) for v in nu]
+    details, fired, near_miss = {}, [], []
+    total_first = sum((e[0] for e in entries), F(0))
+    total_last = sum((e[-1] for e in entries), F(0))
+    for j, x in enumerate(entries, start=1):
+        details[f"x2[{j}]"] = x[1]
+        details[f"xl[{j}]"] = x[-2]
+        details[f"sum_first_others[{j}]"] = sum_first = total_first - x[0]
+        details[f"sum_last_others[{j}]"] = sum_last = total_last - x[-1]
+        sides = [side for side, holds in ((cf.SIDE_FIRST, x[1] < 0 and sum_first < -x[1]),
+                                          (cf.SIDE_LAST, x[-2] > 0 and sum_last > -x[-2]))
+                 if holds]
+        if sides:
+            fired.append((j, sides[0]))
+        elif x[1] < 0 or x[-2] > 0:
+            near_miss.append(j)
+    assert len(fired) <= 1
+    j, side = fired[0] if fired else (None, None)
+    verdict = cf.VERDICT_DRINFELD if fired else cf.VERDICT_TRIVIAL
+    return verdict, j, side, tuple(near_miss), details
+
+
+def random_dominant_factor(rng, n):
+    """A dominant sum-zero factor of width n over a denominator from 1 to 6;
+    about one in three is zero, so that margins of several factors hold."""
+    if rng.random() < 1 / 3:
+        return (F(0),) * n
+    ys = sorted((rng.randint(-3, 3) for _ in range(n)), reverse=True)
+    d = rng.randint(1, 6)
+    return tuple(F(n * y - sum(ys), d) for y in ys)
+
+
+def test_classify_matches_the_fraction_reference(rng):
+    # classify decides on nu scaled to integers; a reference in Fractions
+    # gives the same verdict and the same printed values, and scaling nu by
+    # c keeps all but the details, which scale by c
+    sides = set()
+    for t, rank in itertools.product((1, 2, 3), (1, 2, 3, 4)):
+        g = rd.build_group("A", rank, res_degree=t)
+        for _ in range(25):
+            nu = tuple(random_dominant_factor(rng, rank + 1) for _ in range(t))
+            verdict, j, side, near_miss, details = fraction_reference(nu)
+            c = cf.classify(g, nu)
+            assert (c.verdict, c.factor_index, c.side, c.near_miss_factors) == \
+                (verdict, j, side, near_miss), nu
+            assert c.details == details and {type(v) for v in c.details.values()} == {F}
+            for scale in (F(1, 7), F(3), F(12, 5)):
+                cs = cf.classify(g, tuple(tuple(scale * x for x in v) for v in nu))
+                assert (cs.verdict, cs.factor_index, cs.side, cs.near_miss_factors) == \
+                    (verdict, j, side, near_miss), (nu, scale)
+                assert cs.details == {k: scale * v for k, v in details.items()}
+            sides.add((t, side))
+    assert {side for t, side in sides if t > 1} == {cf.SIDE_FIRST, cf.SIDE_LAST, None}

@@ -626,11 +626,11 @@ def _count_reads(monkeypatch, module) -> list:
 
 def test_classify_reads_nu_once_per_job(monkeypatch):
     # a Drinfeld verdict prints its projection lines from the Classification
-    calls = _count_reads(monkeypatch, rd)
+    calls = _count_reads(monkeypatch, cf)
     code, text = cli.run_job(cli.parse_jobspec(
         "command=classify kind=A rank=2 t=2 nu=2,-1,-1;0,0,0"))
     assert code == cli.EXIT_OK and "projection_target = Omega^(3)" in text
-    assert len(calls) == 1
+    assert [args[:2] for args in calls] == [(rd.build_root_system("A", 2), 2)]
 
 
 def test_verify_reads_nu_once_in_cli_and_once_in_finflag(monkeypatch):

@@ -172,9 +172,27 @@ def test_flat_cocharacter_only_for_t_1():
     # vector of length t * n is refused, and is a cocharacter only at t = 1
     g = rd.build_group("A", 1, res_degree=3)
     with pytest.raises(DimensionMismatch, match="flat cocharacter of length 6"):
-        rd.split_nu(g, (1, -1) * 3)
-    assert rd.split_nu(g, [(1, -1)] * 3) == (rd.vector((1, -1)),) * 3
-    assert rd.split_nu(rd.build_group("A", 1), (1, -1)) == (rd.vector((1, -1)),)
+        rd._read_nu(g.base, 3, (1, -1) * 3)
+    assert rd._read_nu(g.base, 3, [(1, -1)] * 3)[0] == ((1, -1),) * 3
+    assert rd._read_nu(g.base, 1, (1, -1))[0] == ((1, -1),)
+
+
+def test_numpy_integer_entries_read_as_python_ints():
+    # a numpy integer is a Rational whose numerator stays a numpy integer;
+    # read as such, 2 * 2^62 - 2 * (-2^62) = 2^64 would wrap to 0 and make
+    # nu look singular
+    np = pytest.importorskip("numpy")
+    from perioddomains import classify, finflag, strata
+
+    g = rd.build_group("A", 1)
+    py_nu = (2 ** 62, -2 ** 62)
+    np_nu = tuple(map(np.int64, py_nu))
+    assert rd._read_nu(g.base, 1, np_nu) == rd._read_nu(g.base, 1, py_nu) == (
+        ((2 ** 62, -2 ** 62),), 1, ((),))
+    assert all(type(x) is int for x in rd._read_nu(g.base, 1, np_nu)[0][0])
+    assert finflag.flag_dims(np_nu) == finflag.flag_dims(py_nu) == (1,)
+    assert classify.classify(g, np_nu) == classify.classify(g, py_nu)
+    assert strata.strata_report(g, np_nu) == strata.strata_report(g, py_nu)
 
 
 @pytest.mark.parametrize("kind,rank", [("A", 35), ("B", 25), ("C", 25), ("D", 26), ("A", 10 ** 6)])
