@@ -9,8 +9,10 @@ alternating which side runs first. Each side runs its own committed
 benchmark and library, so only the exported files are measured. The record
 holds the workload, seed, run length, Python version and CPU count, and per
 end-to-end metric each side's runs, median and quartiles, the pairs the
-change won, and a verdict. Each side also records its `src` tree hash and
-`src_lines`, the `wc -l` total of `src/perioddomains/*.py` in its export.
+change won, and a verdict. Each side also records its `src` tree hash,
+`src_lines`, the `wc -l` total of `src/perioddomains/*.py` in its export,
+and `tests_lines`, that of `tests/*.py`, so that code moved from the
+library into the tests shows as moved, not as removed.
 The verdicts:
 
 - gain: the change won at least nine tenths of the pairs (ties count for
@@ -76,9 +78,19 @@ def export(commit: str, dest: Path) -> None:
         archive.extractall(dest, **safe)
 
 
+def _wc(directory: Path) -> int:
+    """The `wc -l` total of the Python files directly in directory."""
+    return sum(p.read_bytes().count(b"\n") for p in directory.glob("*.py"))
+
+
 def src_lines(tree: Path) -> int:
     """The `wc -l` total of the library's modules in an exported tree."""
-    return sum(p.read_bytes().count(b"\n") for p in (tree / "src" / "perioddomains").glob("*.py"))
+    return _wc(tree / "src" / "perioddomains")
+
+
+def tests_lines(tree: Path) -> int:
+    """The `wc -l` total of the test modules in an exported tree."""
+    return _wc(tree / "tests")
 
 
 def run_bench(tree: Path, workload: str, seconds: float) -> dict:
@@ -149,6 +161,7 @@ def main(argv=None) -> int:
         for side in SIDES:
             export(revs[side], trees[side])
             record[side]["src_lines"] = src_lines(trees[side])
+            record[side]["tests_lines"] = tests_lines(trees[side])
         for workload in args.workload:
             runs: dict[str, list[dict]] = {side: [] for side in SIDES}
             for pair in range(PAIRS):

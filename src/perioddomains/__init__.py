@@ -1,9 +1,9 @@
 """Fundamental groups of period domains over finite fields.
 
 Exact-rational root-system data, a closed-form classifier of pi_1 of the
-semistable locus, and two independent brute-force oracles: Weyl-coset
-enumeration of unstable Schubert strata, and finite-field flag-point
-semistability enumeration.
+semistable locus, and two independent oracles: the unstable Schubert
+strata, read one double coset at a time on Dynkin labels, and finite-field
+flag-point semistability enumeration.
 """
 
 from .errors import (
@@ -15,7 +15,6 @@ from .errors import (
     NotDominant,
     ParseError,
     PeriodDomainError,
-    SingularTransform,
     ValidationError,
 )
 from .rootdata import (

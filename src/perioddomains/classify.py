@@ -14,7 +14,8 @@ codimension one.
 
 nu is read by `rootdata._read_nu`, as every route reads it: as integers, nu
 scaled by one lcm L. Every sum and inequality is homogeneous in L, so only
-printed values are divided by it. Each type-A factor must sum to zero.
+printed values are divided by it, the `details` only when read. Each
+type-A factor must sum to zero.
 """
 
 from __future__ import annotations
@@ -34,14 +35,27 @@ SIDE_LAST = "last_step"
 
 @dataclass(frozen=True)
 class Classification:
-    """Verdict plus the exact inequality values that produced it."""
+    """Verdict plus the exact inequality values behind it, `details`, built
+    when read from nu's `factors` (split type A only) and `scale`."""
 
     verdict: str
     ell: int | None
     factor_index: int | None
     side: str | None
-    details: dict[str, Fraction]
     near_miss_factors: tuple[int, ...]
+    factors: tuple[tuple[int, ...], ...] = ()
+    scale: int = 1
+
+    @property
+    def details(self) -> dict[str, Fraction]:
+        """Per factor j: x2, xl and the other factors' first and last sums."""
+        factors, scale, details = self.factors, self.scale, {}
+        first, last = sum(x[0] for x in factors), sum(x[-1] for x in factors)
+        for j, x in enumerate(factors, start=1):
+            for key, v in (("x2", x[1]), ("xl", x[-2]), ("sum_first_others", first - x[0]),
+                           ("sum_last_others", last - x[-1])):
+                details[f"{key}[{j}]"] = Fraction(v, scale)
+        return details
 
     @property
     def codim_one(self) -> bool:
@@ -76,27 +90,22 @@ def classify(g: GroupDatum, nu) -> Classification:
     ell = g.base.rank
 
     if g.base.kind != "A" or g.form != FORM_SPLIT:
-        return Classification(VERDICT_TRIVIAL, None, None, None, {}, ())
+        return Classification(VERDICT_TRIVIAL, None, None, None, ())
 
-    details: dict[str, Fraction] = {}
     fired: list[tuple[int, str]] = []
     near_miss: list[int] = []
     total_first = sum(e[0] for e in entries)
     total_last = sum(e[-1] for e in entries)
     for j, x in enumerate(entries, start=1):
-        sum_first, sum_last = total_first - x[0], total_last - x[-1]
-        for key, v in (("x2", x[1]), ("xl", x[-2]), ("sum_first_others", sum_first),
-                       ("sum_last_others", sum_last)):
-            details[f"{key}[{j}]"] = Fraction(v, scale)
-        sides = _fired_sides(x, sum_first, sum_last)
+        sides = _fired_sides(x, total_first - x[0], total_last - x[-1])
         if sides:
             fired.append((j, sides[0]))
         elif x[1] < 0 or x[-2] > 0:
             near_miss.append(j)
 
     if not fired:
-        return Classification(VERDICT_TRIVIAL, ell, None, None, details, tuple(near_miss))
+        return Classification(VERDICT_TRIVIAL, ell, None, None, tuple(near_miss), entries, scale)
     if len({j for j, _ in fired}) != 1:
         raise InvariantViolation("margin inequality fired for two factors")
     j, side = fired[0]
-    return Classification(VERDICT_DRINFELD, ell, j, side, details, tuple(near_miss))
+    return Classification(VERDICT_DRINFELD, ell, j, side, tuple(near_miss), entries, scale)

@@ -43,10 +43,6 @@ class BudgetExceeded(PeriodDomainError):
     """An enumeration would exceed the caller-supplied budget."""
 
 
-class SingularTransform(PeriodDomainError):
-    """Basis change matrix is not invertible."""
-
-
 class MalformedNu(ValidationError):
     """Cocharacter tuple violating its normal form."""
 

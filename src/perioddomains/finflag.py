@@ -18,18 +18,18 @@ calls a point semistable iff no excess is positive, where each route gives
 an integer excess per profile, summed over the copies. Both read nu on
 A_{n-1} through `rootdata._read_nu`, as every route reads it, scaled to
 integers by one lcm L of its denominators, and take each copy's flag dims
-from its Delta_P: the simple roots outside it (`_step_dims`), as
-`flag_dims` and `verify` do. The subspace excess is nkL times the slope of
-the profile minus the ambient slope. The strata excess treats a rational
-k-dimensional U as a translate g P_k of a vertex parabolic: the profile
-fixes the double coset W_{P_k} w W_P of the point's Bruhat position, and
-the excess is 2nL times the pairing (omega_k, w nu), read from a one-line
-representative of it with the Dynkin labels of w^-1 omega_k
+from its Delta_P: the simple roots outside it (`_step_dims`), as `verify`
+does; `flag_dims` reads that same reading. The subspace excess is nkL times
+the slope of the profile minus the ambient slope. The strata excess treats a
+rational k-dimensional U as a translate g P_k of a vertex parabolic: the
+profile fixes the double coset W_{P_k} w W_P of the point's Bruhat position,
+and the excess is 2nL times the pairing (omega_k, w nu), read from a
+one-line representative of it with the Dynkin labels of w^-1 omega_k
 (`rootdata.reflect_labels`) and the integer coweights W_i = 2n omega_i, as
 `strata` reads its cells. For type A (omega_k, w nu) is k times the slope
 gap, so the strata excess is twice the subspace excess. Both derivations
 stay, as independent references: `verify` exits 4 when they disagree, and
-`relative_position` computes w itself from rank matrices.
+tests/test_finflag.py computes w itself from rank matrices.
 
 Field arithmetic uses Zech logarithm tables (exp/log plus log(1 + g^k)), so
 addition and multiplication are single table lookups; fields up to
@@ -60,9 +60,9 @@ from functools import lru_cache
 from operator import mul, sub
 from typing import Iterator, Sequence
 
-from .errors import BudgetExceeded, InvariantViolation, SingularTransform, ValidationError, shown
+from .errors import BudgetExceeded, InvariantViolation, ValidationError, shown
 from .rootdata import _read_nu, build_root_system, check_rational, reflect_labels
-from .weyl import WeylElement, _parabolic, permutation_element
+from .weyl import _parabolic, permutation_element
 
 Row = tuple[int, ...]
 Matrix = tuple[Row, ...]
@@ -380,11 +380,11 @@ def _step_dims(ell: int, delta: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def flag_dims(nu) -> tuple[int, ...]:
-    """Proper step dimensions of the flag variety attached to a dominant nu
-    on A_{n-1}, n its width, as `rootdata._read_nu` reads it."""
+    """Proper step dimensions of the flag variety of a dominant nu on A_{n-1},
+    n its width, from the semistability tests' memoized reading (`_excesses`)."""
     nu = tuple(nu)
-    rs = build_root_system("A", len(nu) - 1)
-    return _step_dims(rs.rank, _read_nu(rs, 1, nu)[2][0])
+    check_rational((nu,))
+    return _excesses((nu,))[1][0]
 
 
 def checked_flag_count(ell: int, dims: Sequence[int], order: int) -> int:
@@ -635,38 +635,9 @@ def is_semistable_strata_test(x, nu, ff: FiniteField) -> bool:
     return _is_semistable(x, nu, ff, "strata")
 
 
-def relative_position(x: FlagPoint, g: Sequence[Sequence[int]],
-                      ff: FiniteField) -> WeylElement:
-    """Bruhat position w with x in g.(BwP/P), as a minimal coset representative.
-
-    Computed from the rank matrix dim(g E_a cap F^{y_b}) against the
-    reference full flag of g's leading column spans.
-    """
-    n = len(g)
-    cols = tuple(tuple(row[c] for row in g) for c in range(n))
-    if len(rref(cols, ff)[0]) != n:
-        raise SingularTransform("basis change matrix is singular")
-
-    jump_sets = []
-    for step_rows in x.bases:
-        # a is a jump where g E_a meets F^b in one more dimension than g E_{a-1}
-        ranks = [len(rref((*step_rows, *cols[:a]), ff)[0]) for a in range(n + 1)]
-        jump_sets.append({a for a in range(1, n + 1) if ranks[a] == ranks[a - 1]})
-    jump_sets.append(set(range(1, n + 1)))
-
-    one_line: list[int] = []
-    prev: set[int] = set()
-    for js in jump_sets:
-        one_line += sorted(js - prev)
-        prev = js
-    rs = build_root_system("A", n - 1)
-    return permutation_element(rs, one_line)
-
-
 def count_semistable(ff: FiniteField, ell: int, nu) -> int:
     """Number of semistable working-field points, by the subspace test; the
     flag dims come from the test's own reading of nu, so nu is read once."""
     nu = tuple(nu)
-    check_rational((nu,))
-    dims = _excesses((nu,))[1][0]
-    return sum(is_semistable_subspace_test(x, nu, ff) for x in enumerate_flags(ff, ell, dims))
+    return sum(is_semistable_subspace_test(x, nu, ff)
+               for x in enumerate_flags(ff, ell, flag_dims(nu)))

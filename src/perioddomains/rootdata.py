@@ -449,8 +449,9 @@ def _read_nu(base: Realization, t: int, nu):
     itself (`integer_pairings`), and Delta_P of each copy, 1-based within
     the copy (`dominant_delta`, whose message counts over the copies). It
     builds no Fraction. It checks, in order: t factors, or one flat vector
-    when t == 1; rational entries; the factor count; one width for all, the
-    base's; and dominance."""
+    when t == 1; factors that are tuples or lists, before any entry is read;
+    rational entries; the factor count; one width for all, the base's; and
+    dominance."""
     n = base.ambient_dim
     seq = list(nu)
     if seq and not isinstance(seq[0], (list, tuple)):
@@ -458,6 +459,8 @@ def _read_nu(base: Realization, t: int, nu):
             raise DimensionMismatch(
                 f"flat cocharacter of length {len(seq)}; expected {t} factors of {n}")
         seq = [seq]
+    if odd := [type(x).__name__ for x in seq if not isinstance(x, (list, tuple))]:
+        raise MalformedNu(f"cocharacter factor of type {odd[0]}, not a tuple or a list")
     check_rational(seq)
     if len(seq) != t:
         raise MalformedNu(f"expected {t} cocharacter factors, got {len(seq)}")

@@ -28,8 +28,9 @@ per inversion of its longest element, and m is an exponent of W_J
 #(height m) - #(height m + 1) times (Humphreys, 3.20). The Poincare polynomial
 W_J(q) = sum_w q^l(w) is the product of 1 + q + ... + q^m over them
 (Macdonald, 1972): |W_J| = W_J(1), and G/P has W(q) / W_P(q) F_q-points, the
-package's one q-count. The parabolic of a dominant nu is read from the
-integer pairings of `rootdata._read_nu`, which refuses one that is not.
+package's one q-count. `_parabolic` builds these data once per realization
+and checked, sorted index tuple; a dominant nu's are read from the integer
+pairings of `rootdata._read_nu`, which refuses one that is not.
 """
 
 from __future__ import annotations
@@ -186,11 +187,6 @@ def weyl_order(rs: Realization) -> int:
     return _parabolic(rs, tuple(range(1, rs.rank + 1))).w_p_order
 
 
-def parabolic_from_subset(rs: Realization, delta_p: Sequence[int]) -> ParabolicData:
-    """ParabolicData for an explicit subset of simple-root indices (1-based)."""
-    return _parabolic(rs, tuple(sorted(set(delta_p))))
-
-
 @lru_cache(maxsize=None)
 def _parabolic(rs: Realization, delta: tuple[int, ...]) -> ParabolicData:
     """One pass over the positive roots of J: their heights are dual to the
@@ -253,25 +249,6 @@ def enumerate_min_coset_reps(pd: ParabolicData, rs: Realization) -> Iterator[Wey
         layer = [nxt[p] for p in sorted(nxt)]
     if produced != total:
         raise InvariantViolation(f"enumerated {produced} cosets, expected {total}")
-
-
-def min_coset_rep(w: WeylElement, delta_p: Sequence[int]) -> WeylElement:
-    """Minimal representative of the coset w W_P (strips right descents in delta_p)."""
-    rs = w.realization
-    t = _tables(rs)
-    npos = t.npos
-    perm, length = w.root_perm, w.length
-    changed = True
-    while changed:
-        changed = False
-        for j in sorted(set(delta_p)):
-            a = t.simple_idx[j - 1]
-            if perm[a] >= npos:
-                sp = t.sperm[j - 1]
-                perm = tuple(perm[sp[k]] for k in range(len(sp)))
-                length -= 1
-                changed = True
-    return WeylElement(rs, perm, length, None)
 
 
 def permutation_element(rs: Realization, one_line: Sequence[int]) -> WeylElement:

@@ -16,6 +16,7 @@ from perioddomains import rootdata as rd
 from perioddomains import strata, weyl
 from test_finflag import frobenius_point
 from test_rootdata import coroot, inner_product, reference_apply
+from test_weyl import min_coset_rep
 
 SEED = 20240811
 SAMPLES_PER_CONFIG = 200
@@ -170,7 +171,7 @@ def test_criterion_4_codim_one_witness_lengths():
             cases += 1
             flat = rd.assemble_nu(g, entries)
             pd = weyl.parabolic_of(flat, rs)
-            w0p = weyl.min_coset_rep(w0, pd.delta_p)
+            w0p = min_coset_rep(w0, pd.delta_p)
             assert reference_apply(w0, flat) == reference_apply(w0p, flat)
             assert pd.w0p_length == report.dim_f
             top_witnesses = {s.witness.root_perm for s in report.per_vertex
@@ -183,7 +184,7 @@ def test_criterion_4_codim_one_witness_lengths():
             for pairs in certifying_factors(g, entries).values():
                 for _, b in pairs:
                     sb = weyl.simple_reflection(rs, b)
-                    rep = weyl.min_coset_rep(sb * w0, pd.delta_p)
+                    rep = min_coset_rep(sb * w0, pd.delta_p)
                     if rep.root_perm in top_witnesses:
                         matched = True
             assert matched, (kind, rank, form, t, entries)

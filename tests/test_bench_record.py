@@ -81,3 +81,16 @@ def test_src_lines_is_the_wc_total_of_the_library_modules(bench, tmp_path):
     (package / "notes.txt").write_text("not\ncounted\n")
     (tmp_path / "src" / "other.py").write_text("outside\n")
     assert bench["src_lines"](tmp_path) == 2
+
+
+def test_tests_lines_is_the_wc_total_of_the_test_modules(bench, tmp_path):
+    tests = tmp_path / "tests"
+    (tests / "data").mkdir(parents=True)
+    (tests / "test_a.py").write_text("x = 1\ny = 2\n")
+    (tests / "conftest.py").write_text("z = 3")  # wc -l counts no line without a newline
+    (tests / "cli_transcript.json").write_text("[\n]\n")
+    (tests / "data" / "test_b.py").write_text("nested\n")
+    (tmp_path / "src").mkdir()
+    (tmp_path / "src" / "test_c.py").write_text("outside\n")
+    assert bench["tests_lines"](tmp_path) == 2
+    assert bench["src_lines"](tmp_path) == 0

@@ -214,3 +214,19 @@ def test_classify_matches_the_fraction_reference(rng):
                 assert cs.details == {k: scale * v for k, v in details.items()}
             sides.add((t, side))
     assert {side for t, side in sides if t > 1} == {cf.SIDE_FIRST, cf.SIDE_LAST, None}
+
+
+def test_a_verdict_read_alone_builds_no_fraction(monkeypatch):
+    # the details are built when read: a caller that reads only the
+    # verdict, as the coset sweep does, divides nothing by L
+    built = []
+    monkeypatch.setattr(cf, "Fraction", lambda *args: built.append(args) or F(*args))
+    g = rd.build_group("A", 2, res_degree=3)
+    nu = ((F(3, 2), F(-1, 2), -1), (0, 0, 0), (0, 0, 0))
+    c = cf.classify(g, nu)
+    assert (c.verdict, c.factor_index, c.side) == (cf.VERDICT_DRINFELD, 1, cf.SIDE_FIRST)
+    assert built == []
+    details = c.details
+    assert len(built) == 12 and details == fraction_reference(nu)[4]
+    assert list(details) == [f"{key}[{j}]" for j in (1, 2, 3) for key in
+                             ("x2", "xl", "sum_first_others", "sum_last_others")]

@@ -491,7 +491,6 @@ def test_report_error_maps_every_exception_class(capsys):
         errors.NotDominant: (cli.EXIT_VALIDATION, "validation error: "),
         errors.MalformedNu: (cli.EXIT_VALIDATION, "validation error: "),
         errors.IndexOutOfRange: (cli.EXIT_VALIDATION, "error: "),
-        errors.SingularTransform: (cli.EXIT_VALIDATION, "error: "),
         errors.InvariantViolation: (cli.EXIT_VALIDATION, "error: "),
     }
     classes = {cls for cls in vars(errors).values() if isinstance(cls, type)

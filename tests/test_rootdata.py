@@ -7,7 +7,7 @@ import pytest
 
 from perioddomains import rootdata as rd
 from perioddomains import weyl
-from perioddomains.errors import BudgetExceeded, DimensionMismatch, IllegalType
+from perioddomains.errors import BudgetExceeded, DimensionMismatch, IllegalType, MalformedNu
 
 ALL_SYSTEMS = (
     [("A", r) for r in range(1, 9)]
@@ -175,6 +175,20 @@ def test_flat_cocharacter_only_for_t_1():
         rd._read_nu(g.base, 3, (1, -1) * 3)
     assert rd._read_nu(g.base, 3, [(1, -1)] * 3)[0] == ((1, -1),) * 3
     assert rd._read_nu(g.base, 1, (1, -1))[0] == ((1, -1),)
+
+
+def test_a_factor_that_is_no_tuple_or_list_is_refused_unread():
+    # the entry check would consume a one-shot iterator before its width is
+    # measured; it is refused before any entry is read, and a list factor
+    # reads as a tuple does
+    g = rd.build_group("A", 1, res_degree=2)
+    factor = iter((1, -1))
+    message = r"^cocharacter factor of type tuple_iterator, not a tuple or a list$"
+    with pytest.raises(MalformedNu, match=message):
+        rd._read_nu(g.base, 2, [(1, -1), factor])
+    assert list(factor) == [1, -1]
+    assert rd._read_nu(g.base, 2, [(1, -1), [1, -1]]) == \
+        rd._read_nu(g.base, 2, ((1, -1), (1, -1))) == (((1, -1),) * 2, 1, ((),) * 2)
 
 
 def test_numpy_integer_entries_read_as_python_ints():

@@ -19,6 +19,7 @@ from perioddomains.errors import (
 )
 from test_acceptance import SWEEP_CONFIGS, dominant_from_coeffs
 from test_rootdata import coroot, galois_orbits, inner_product, reference_apply, simple_roots
+from test_weyl import min_coset_rep
 
 
 def slope_on_cell(w, omega, nu):
@@ -89,7 +90,7 @@ def test_top_cell_slope_positive_for_regular_nu():
     rs = gA2.absolute
     nu = (2, 0, -2)
     pd = weyl.parabolic_of(rd.vector(nu), rs)
-    w0p = weyl.min_coset_rep(weyl.longest_element(rs), pd.delta_p)
+    w0p = min_coset_rep(weyl.longest_element(rs), pd.delta_p)
     for omega in rd.relative_coweights(gA2):
         assert slope_on_cell(w0p, omega, nu) > 0
 
@@ -203,8 +204,8 @@ def _orbit_branches(g, entries):
     omega_i (|W/W_{P_i}| <= |W/W_P|), False for that of nu_P."""
     rs = g.absolute
     order_p = weyl.parabolic_of(rd.assemble_nu(g, entries), rs).w_p_order
-    return {weyl.parabolic_from_subset(
-        rs, [k for k in range(1, rs.rank + 1) if k not in orbit]).w_p_order >= order_p
+    return {weyl._parabolic(
+        rs, tuple(k for k in range(1, rs.rank + 1) if k not in orbit)).w_p_order >= order_p
         for orbit in galois_orbits(g)}
 
 
@@ -272,7 +273,7 @@ def test_product_element_matches_enumeration(kind, rank):
     g = rd.build_group(kind, rank, res_degree=3)
     vertex_deltas = strata._vertex_data(g.base, g.form)
     enumerated = {u.root_perm: u for u in weyl.enumerate_min_coset_reps(
-        weyl.parabolic_from_subset(g.absolute, ()), g.absolute)}
+        weyl._parabolic(g.absolute, ()), g.absolute)}
     for delta_pi in vertex_deltas:
         mus = strata._double_cosets(g.base, (), delta_pi)[2]
         built = []

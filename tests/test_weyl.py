@@ -14,9 +14,28 @@ from perioddomains.errors import (
 from test_rootdata import coroot, positive_roots, reference_apply
 
 
+def min_coset_rep(w, delta_p):
+    """Minimal representative of the coset w W_P (strips right descents in delta_p)."""
+    rs = w.realization
+    t = weyl._tables(rs)
+    npos = t.npos
+    perm, length = w.root_perm, w.length
+    changed = True
+    while changed:
+        changed = False
+        for j in sorted(set(delta_p)):
+            a = t.simple_idx[j - 1]
+            if perm[a] >= npos:
+                sp = t.sperm[j - 1]
+                perm = tuple(perm[sp[k]] for k in range(len(sp)))
+                length -= 1
+                changed = True
+    return weyl.WeylElement(rs, perm, length, None)
+
+
 def all_elements(rs):
     """Brute-force enumeration of W as the full coset list for the empty subset."""
-    pd = weyl.parabolic_from_subset(rs, ())
+    pd = weyl._parabolic(rs, ())
     return list(weyl.enumerate_min_coset_reps(pd, rs))
 
 
@@ -108,7 +127,7 @@ def test_w0_equals_w0p_times_wp_lengths():
         rs = rd.build_root_system(kind, rank)
         for size in range(rank + 1):
             for delta in itertools.combinations(range(1, rank + 1), size):
-                pd = weyl.parabolic_from_subset(rs, delta)
+                pd = weyl._parabolic(rs, delta)
                 wp_len = len(rs.positive_coefficients) - pd.w0p_length
                 sub_npos = sum(
                     1 for c in rs.positive_coefficients
@@ -119,7 +138,7 @@ def test_w0_equals_w0p_times_wp_lengths():
 
 def test_enumerate_full_s3():
     a2 = rd.build_root_system("A", 2)
-    pd = weyl.parabolic_from_subset(a2, ())
+    pd = weyl._parabolic(a2, ())
     reps = list(weyl.enumerate_min_coset_reps(pd, a2))
     assert len(reps) == 6
     assert sorted(w.length for w in reps) == [0, 1, 1, 2, 2, 3]
@@ -127,7 +146,7 @@ def test_enumerate_full_s3():
 
 def test_enumerate_coset_reps_a2():
     a2 = rd.build_root_system("A", 2)
-    pd = weyl.parabolic_from_subset(a2, (2,))
+    pd = weyl._parabolic(a2, (2,))
     reps = list(weyl.enumerate_min_coset_reps(pd, a2))
     assert [w.length for w in reps] == [0, 1, 2]
     # oracle: filter the full group for w(alpha_2) still a positive root
@@ -139,7 +158,7 @@ def test_enumerate_coset_reps_a2():
 
 def test_enumerate_a1():
     a1 = rd.build_root_system("A", 1)
-    pd = weyl.parabolic_from_subset(a1, ())
+    pd = weyl._parabolic(a1, ())
     assert len(list(weyl.enumerate_min_coset_reps(pd, a1))) == 2
 
 
@@ -157,7 +176,7 @@ def test_coset_count_times_parabolic_order(kind, rank):
     order = weyl.weyl_order(rs)
     for size in range(rank + 1):
         for delta in itertools.combinations(range(1, rank + 1), size):
-            pd = weyl.parabolic_from_subset(rs, delta)
+            pd = weyl._parabolic(rs, delta)
             count = sum(1 for _ in weyl.enumerate_min_coset_reps(pd, rs))
             assert count * pd.w_p_order == order
 
@@ -170,10 +189,10 @@ def test_poincare_polynomials_match_enumeration(kind, rank):
     # W(q) = sum over W^P of q^l(u), times W_P(q): the lengths come from the
     # enumeration, the polynomials from root heights alone
     rs = rd.build_root_system(kind, rank)
-    whole = weyl.parabolic_from_subset(rs, range(1, rank + 1))
+    whole = weyl._parabolic(rs, tuple(range(1, rank + 1)))
     for size in range(rank + 1):
         for delta in itertools.combinations(range(1, rank + 1), size):
-            pd = weyl.parabolic_from_subset(rs, delta)
+            pd = weyl._parabolic(rs, delta)
             assert pd.poincare(1) == pd.w_p_order
             lengths = [u.length for u in weyl.enumerate_min_coset_reps(pd, rs)]
             for q in (2, 3):
@@ -183,7 +202,7 @@ def test_poincare_polynomials_match_enumeration(kind, rank):
 def test_product_realization_order():
     g = rd.build_group("A", 2, res_degree=2)
     assert weyl.weyl_order(g.absolute) == 36
-    pd = weyl.parabolic_from_subset(g.absolute, (1,))
+    pd = weyl._parabolic(g.absolute, (1,))
     assert sum(1 for _ in weyl.enumerate_min_coset_reps(pd, g.absolute)) == 18
 
 
@@ -199,7 +218,7 @@ def test_longest_element_of_every_parabolic(kind, rank):
             assert set(w.word) <= set(delta)
             assert all(w.root_perm[t.simple_idx[j - 1]] >= t.npos for j in delta)
             assert w * w == weyl.identity_element(rs)
-            pd = weyl.parabolic_from_subset(rs, delta)
+            pd = weyl._parabolic(rs, delta)
             assert w.length == len(w.word) == len(rs.positive_coefficients) - pd.w0p_length
     assert weyl.longest_element(rs, tuple(range(1, rank + 1))) == weyl.longest_element(rs)
 
@@ -224,7 +243,7 @@ def test_w0_nu_equals_w0p_nu(kind, rank, nu):
         nu = tuple(a + b for a, b in zip(*rs.fundamental_coweights))
     w0 = weyl.longest_element(rs)
     pd = weyl.parabolic_of(nu, rs)
-    w0p = weyl.min_coset_rep(w0, pd.delta_p)
+    w0p = min_coset_rep(w0, pd.delta_p)
     assert reference_apply(w0, nu) == reference_apply(w0p, nu)
     assert w0p.length == pd.w0p_length
 
@@ -242,7 +261,7 @@ def test_orbit_size_matches_coset_count(kind, rank, nu):
 
 def test_minimality_of_representatives():
     rs = rd.build_root_system("B", 3)
-    pd = weyl.parabolic_from_subset(rs, (1, 3))
+    pd = weyl._parabolic(rs, (1, 3))
     for w in weyl.enumerate_min_coset_reps(pd, rs):
         for i in pd.delta_p:
             assert (w * weyl.simple_reflection(rs, i)).length > w.length
@@ -250,7 +269,7 @@ def test_minimality_of_representatives():
 
 def test_enumeration_is_deterministic():
     rs = rd.build_root_system("B", 3)
-    pd = weyl.parabolic_from_subset(rs, (2,))
+    pd = weyl._parabolic(rs, (2,))
     first = [w.root_perm for w in weyl.enumerate_min_coset_reps(pd, rs)]
     second = [w.root_perm for w in weyl.enumerate_min_coset_reps(pd, rs)]
     assert first == second
@@ -295,7 +314,7 @@ def test_derived_word_is_the_enumeration_word(kind, rank, t, delta_p):
     # an element rebuilt without its word derives the word the breadth-first
     # enumeration gave it, on every W^P
     rs = rd.build_group(kind, rank, res_degree=t).absolute
-    pd = weyl.parabolic_from_subset(rs, delta_p)
+    pd = weyl._parabolic(rs, delta_p)
     for w in weyl.enumerate_min_coset_reps(pd, rs):
         bare = weyl.WeylElement(rs, w.root_perm, w.length)
         assert bare.word == w.word
@@ -306,7 +325,7 @@ def test_elements_without_a_built_word_get_one():
     w = weyl.WeylElement(rs, weyl.permutation_element(rs, (4, 3, 2, 1)).root_perm, 6)
     assert len(w.word) == w.length == 6
     assert reference_apply(w, (1, 2, 3, 4)) == rd.vector((4, 3, 2, 1))
-    u = weyl.min_coset_rep(weyl.longest_element(rs), (1,))
+    u = min_coset_rep(weyl.longest_element(rs), (1,))
     assert len(u.word) == u.length == 5
     s1 = weyl.simple_reflection(rs, 1)
     assert (s1 * s1).word == ()
@@ -367,7 +386,7 @@ def test_weyl_order_pinned(kind, rank, order):
 def test_maximal_parabolic_orders_exceptional(kind, node, cosets):
     rank = int(kind[1])
     rs = rd.build_root_system(kind, rank)
-    pd = weyl.parabolic_from_subset(rs, [i for i in range(1, rank + 1) if i != node])
+    pd = weyl._parabolic(rs, tuple(i for i in range(1, rank + 1) if i != node))
     count = sum(1 for _ in weyl.enumerate_min_coset_reps(pd, rs))
     assert count == cosets
     assert count * pd.w_p_order == weyl.weyl_order(rs)
@@ -377,4 +396,4 @@ def test_maximal_parabolic_orders_exceptional(kind, node, cosets):
 def test_parabolic_from_subset_rejects_bad_index(delta):
     a3 = rd.build_root_system("A", 3)
     with pytest.raises(IndexOutOfRange, match=r"outside 1\.\.3"):
-        weyl.parabolic_from_subset(a3, delta)
+        weyl._parabolic(a3, delta)
