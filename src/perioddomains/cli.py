@@ -22,11 +22,12 @@ tested per point, both from `finflag.checked_flag_count`. verify checks,
 in order and before the field is built: the field order bound 2^16
 (`finflag.MAX_FIELD_ORDER`, with a q above it refused before it is
 factored), then t | m, then the group (the root bound below) and nu, read
-once against the group's base, then the point and subspace budgets. Every
-command refuses a root system with more than 600 positive roots
-(`rootdata.MAX_POSITIVE_ROOTS`; A34 has 595), or a restriction of scalars
-of degree t whose t copies have more, before building it; t must be at
-least 1.
+once against the group's base by `finflag._excesses`, then the point and
+subspace budgets; each point is then decided once per route from that
+reading, by `finflag._semistable`. Every command refuses a root system with
+more than 600 positive roots (`rootdata.MAX_POSITIVE_ROOTS`; A34 has 595),
+or a restriction of scalars of degree t whose t copies have more, before
+building it; t must be at least 1.
 A verify run that takes longer than two seconds reports its progress on
 stderr. An unstable witness lists each copy's steps, copies joined by `;`.
 
@@ -57,20 +58,18 @@ from .errors import (
 )
 from .finflag import (
     MAX_FIELD_ORDER,
+    _excesses,
     _prime_divisors,
-    _step_dims,
+    _semistable,
     checked_field_order,
     checked_flag_count,
     enumerate_flags,
     finite_field,
-    is_semistable_strata_test,
-    is_semistable_subspace_test,
 )
 from .rootdata import (
     FORM_SPLIT,
     MAX_POSITIVE_ROOTS,
     Vector,
-    _read_nu,
     build_group,
     build_root_system,
     format_vector,
@@ -275,11 +274,10 @@ def _run_verify(job: JobSpec) -> tuple[int, list]:
     order = checked_field_order(job.p, job.e, job.m)
     if job.m % job.t:
         raise ValidationError(f"t={job.t} does not divide m={job.m}: no degree-t extension")
-    g = build_group(job.kind, job.rank, job.form, job.t)
-    # integer entries keep the tests' per-nu memo keys cheap to hash, and no
-    # verdict depends on nu's scale
-    nu, _, deltas = _read_nu(g.base, job.t, job.nu)
-    dims = [_step_dims(job.rank, d) for d in deltas]
+    build_group(job.kind, job.rank, job.form, job.t)
+    # the group checks the root bound of the t copies; nu is then read once,
+    # on their base A_rank, and its integer excesses decide every point
+    n, dims, excesses = _excesses(job.rank, job.nu)
     points = math.prod(checked_flag_count(job.rank, d, order) for d in dims)
     if points > job.budget:
         raise BudgetExceeded(f"{shown(points)} flag points exceed budget {job.budget}")
@@ -299,8 +297,8 @@ def _run_verify(job: JobSpec) -> tuple[int, list]:
     copies = [enumerate_flags(ff, job.rank, d) for d in dims]
     others = list(itertools.product(*copies[1:]))
     for x in ((first,) + rest for first in copies[0] for rest in others):
-        a = is_semistable_subspace_test(x, nu, ff)
-        b = is_semistable_strata_test(x, nu, ff)
+        a = _semistable(x, n, ff, excesses["subspace"])
+        b = _semistable(x, n, ff, excesses["strata"])
         total += 1
         now = time.monotonic()
         if now >= next_report:

@@ -13,14 +13,14 @@ annihilator, so each U costs lookups plus the rank of a small matrix, and a
 line U reads its dims straight off the table. The kernel keeps its last
 result, so a point's profiles are computed once and both routes read them.
 
-One driver runs both routes: it normalises x and nu, checks the points, and
-calls a point semistable iff no excess is positive, where each route gives
-an integer excess per profile, summed over the copies. Both read nu on
-A_{n-1} through `rootdata._read_nu`, as every route reads it, scaled to
-integers by one lcm L of its denominators, and take each copy's flag dims
-from its Delta_P: the simple roots outside it (`_step_dims`), as `verify`
-does; `flag_dims` reads that same reading. The subspace excess is nkL times
-the slope of the profile minus the ambient slope. The strata excess treats a
+One helper, `_semistable`, decides a point: semistable iff no excess of the
+route is positive on its profiles, each an integer summed over the copies.
+`_excesses` reads nu on A_{n-1} once, by `rootdata._read_nu` as every route
+reads it, scaled to integers by one lcm L of its denominators; each copy's
+flag dims (`flag_dims`) are the simple roots outside its Delta_P. The public
+tests check x and nu first; `verify` and `count_semistable` read nu once per
+job and decide the points they build. The subspace excess is nkL times the
+slope of the profile minus the ambient slope. The strata excess treats a
 rational k-dimensional U as a translate g P_k of a vertex parabolic: the
 profile fixes the double coset W_{P_k} w W_P of the point's Bruhat position,
 and the excess is 2nL times the pairing (omega_k, w nu), read from a
@@ -362,8 +362,9 @@ class FlagPoint:
     """A point of a type-A partial flag variety over the working field.
 
     `bases[i]` is the canonical reduced echelon basis of the i-th proper
-    step, `dims` their sizes. Both semistability tests assume the steps nest,
-    and refuse a profile that no nested flag has.
+    step, `dims` their sizes. Both semistability tests refuse a step whose
+    rows are dependent or zero, assume the steps nest, and refuse a profile
+    that no nested flag has.
     """
 
     bases: tuple[Matrix, ...]
@@ -373,18 +374,12 @@ class FlagPoint:
         return tuple(map(len, self.bases))
 
 
-def _step_dims(ell: int, delta: tuple[int, ...]) -> tuple[int, ...]:
-    """The proper step dims of the flags of a dominant nu on A_ell whose
-    Delta_P is delta: the simple roots 1..ell outside it."""
-    return tuple(k for k in range(1, ell + 1) if k not in delta)
-
-
 def flag_dims(nu) -> tuple[int, ...]:
     """Proper step dimensions of the flag variety of a dominant nu on A_{n-1},
     n its width, from the semistability tests' memoized reading (`_excesses`)."""
     nu = tuple(nu)
     check_rational((nu,))
-    return _excesses((nu,))[1][0]
+    return _excesses(len(nu) - 1, (nu,))[1][0]
 
 
 def checked_flag_count(ell: int, dims: Sequence[int], order: int) -> int:
@@ -491,6 +486,8 @@ def intersection_profiles(points: tuple[FlagPoint, ...], n: int, ff: FiniteField
             if power:
                 basis = [[ff.frobenius(v, power) for v in row] for row in basis]
             ech, pivots = rref(basis, ff)
+            if len(ech) < len(basis):
+                raise ValidationError(f"flag step of {len(basis)} rows has rank {len(ech)}")
             annihilator = [(f, [(pc, ff.neg(r[f])) for r, pc in zip(ech, pivots) if r[f]])
                            for f in range(n) if f not in pivots]
             table = []
@@ -532,17 +529,17 @@ def _split(k: int, profile: tuple[int, ...], dims, n: int) -> list[tuple[int, ..
 
 
 @lru_cache(maxsize=256)
-def _excesses(factors: tuple):
-    """The width n and flag dims of nu's t factors, and per route,
+def _excesses(ell: int, factors: tuple):
+    """The width n = ell + 1 and flag dims of nu's t factors, and per route,
     "subspace" or "strata", the map k, profile -> the integer excess of a
     k-dimensional U of F_{q^t}^n with that profile, summed over the copies;
-    memoized per factor tuple.
+    memoized per rank and factor tuple, by value.
 
-    nu is read on A_{n-1}, n its width, by `rootdata._read_nu`: checked, its
-    flag dims and jumps taken from its Delta_P, and its factors scaled to
-    integers by one common lcm L of their denominators. The
-    subspace excess is nkL times the summed slope of U minus the ambient
-    slope: n sum_j sum_b (L y_b)(dim(U cap F^b) - dim(U cap F^{b-1})) minus
+    nu is read on A_ell by `rootdata._read_nu`: checked, its flag dims (the
+    simple roots outside its Delta_P) and jumps taken, and its factors scaled
+    to integers by one common lcm L of their denominators. The subspace
+    excess is nkL times the summed slope of U minus the ambient slope:
+    n sum_j sum_b (L y_b)(dim(U cap F^b) - dim(U cap F^{b-1})) minus
     k L sum_j sum(nu_j), for the jumps y_b of nu_j. The strata excess of
     copy j is (W_k, w_j L nu_j) = 2nL (omega_k, w_j nu_j) for the base
     system's integer coweights W_i = 2n omega_i (det of A_{n-1}'s Cartan
@@ -554,13 +551,13 @@ def _excesses(factors: tuple):
     values from k+1..n; the pairing is invariant under W_{P_k} on the left
     and W_P on the right, so any such representative gives it exactly. It is
     sum_i c_i (W_i, L nu_j) for the labels c of w^-1 omega_k, which start at
-    e_k and take w's word first letter first. A width below 2 raises the
+    e_k and take w's word first letter first. An ell below 1 raises the
     IllegalType that `enumerate_flags` gives for A_0.
     """
-    n = len(factors[0])
-    rs = build_root_system("A", n - 1)
+    n = ell + 1
+    rs = build_root_system("A", ell)
     ints, _, deltas = _read_nu(rs, len(factors), factors)
-    dims = tuple(_step_dims(n - 1, d) for d in deltas)
+    dims = tuple(tuple(k for k in range(1, n) if k not in d) for d in deltas)
     jumps = [tuple(v[b] for b in (0,) + d) for v, d in zip(ints, dims)]
     total = sum(map(sum, ints))
     weights = [tuple(sum(map(mul, w, v)) for w in rs.integer_coweights) for v in ints]
@@ -590,15 +587,20 @@ def _excesses(factors: tuple):
     return n, dims, {"subspace": subspace, "strata": strata}
 
 
+def _semistable(points: tuple[FlagPoint, ...], n: int, ff: FiniteField, excess) -> bool:
+    """Whether no excess is positive on the profiles of the points, one per
+    copy of width n: the one decision of both routes."""
+    return all(excess(k, p) <= 0 for k, ps in intersection_profiles(points, n, ff) for p in ps)
+
+
 def _is_semistable(x, nu, ff: FiniteField, route: str) -> bool:
-    """Whether no excess of `route` is positive at x: the one driver of both
-    tests. The memo is keyed by nu's factors as tuples, and by value: since
-    1.0 == 1, the entry types are checked before it is read."""
+    """Whether x is semistable by `route`, after the checks of x and nu: the
+    driver of both public tests. The memo is keyed by nu's factors as tuples,
+    and by value: since 1.0 == 1, the entry types are checked before it is read."""
     nu = tuple(nu)
     factors = tuple(map(tuple, nu)) if nu and isinstance(nu[0], (list, tuple)) else (nu,)
     check_rational(factors)
-    n, dims, excesses = _excesses(factors)
-    excess = excesses[route]
+    n, dims, excesses = _excesses(len(factors[0]) - 1, factors)
     points = (x,) if isinstance(x, FlagPoint) else tuple(x)
     if len(points) != len(dims):
         raise ValidationError(f"{len(points)} flag points for {len(dims)} cocharacter factors")
@@ -609,10 +611,7 @@ def _is_semistable(x, nu, ff: FiniteField, route: str) -> bool:
         if y.bases and len(y.bases[0][0]) != n:  # every row of a point has one width
             raise ValidationError(f"flag point of width {len(y.bases[0][0])}, nu of length {n}")
         j += 1
-    for k, profiles in intersection_profiles(points, n, ff):
-        if any(excess(k, p) > 0 for p in profiles):
-            return False
-    return True
+    return _semistable(points, n, ff, excesses[route])
 
 
 def is_semistable_subspace_test(x, nu, ff: FiniteField) -> bool:
@@ -636,8 +635,10 @@ def is_semistable_strata_test(x, nu, ff: FiniteField) -> bool:
 
 
 def count_semistable(ff: FiniteField, ell: int, nu) -> int:
-    """Number of semistable working-field points, by the subspace test; the
-    flag dims come from the test's own reading of nu, so nu is read once."""
+    """Number of semistable working-field points, by the subspace excess; nu
+    is read once on A_ell, and its flag dims give the points."""
     nu = tuple(nu)
-    return sum(is_semistable_subspace_test(x, nu, ff)
-               for x in enumerate_flags(ff, ell, flag_dims(nu)))
+    check_rational((nu,))  # the memo is keyed by value
+    n, (dims,), excesses = _excesses(ell, (nu,))
+    return sum(_semistable((x,), n, ff, excesses["subspace"])
+               for x in enumerate_flags(ff, ell, dims))

@@ -134,26 +134,31 @@ def test_verify_restriction_of_scalars():
     assert out.splitlines()[:3] == ["points = 17", "semistable = 12", "unstable = 5"]
 
 
-def test_verify_hands_both_tests_integer_nu(monkeypatch):
-    # verify scales nu to integers once; the verdicts do not depend on the
-    # scale, so a fractional nu gives the report it gave as Fractions
-    seen = set()
+def test_verify_decides_each_point_once_per_route_in_integers(monkeypatch):
+    # verify hands every point to finflag._semistable once per route, with
+    # the integer excesses of its one reading of nu: a fractional nu is
+    # scaled to integers, and gives the report it gave as Fractions
+    calls = []
 
-    def recording(test):
-        def call(x, nu, ff):
-            seen.update((test.__name__, type(v)) for factor in nu for v in factor)
-            return test(x, nu, ff)
-        return call
+    def recording(points, n, ff, excess):
+        calls.append((points, n, excess))
+        return ffl._semistable(points, n, ff, excess)
 
-    for name in ("is_semistable_subspace_test", "is_semistable_strata_test"):
-        monkeypatch.setattr(cli, name, recording(getattr(cli, name)))
+    monkeypatch.setattr(cli, "_semistable", recording)
     code, out = run_main("verify", "kind=A rank=1 nu=1/3,-1/3 q=4 m=2")
     assert code == cli.EXIT_OK
     assert out.splitlines() == [
         "points = 17", "semistable = 12", "unstable = 5", "disagreements = 0",
         "agreement = ok", "unstable_witness_1 = 1,0", "unstable_witness_2 = 1,1",
         "unstable_witness_3 = 1,6"]
-    assert seen == {("is_semistable_subspace_test", int), ("is_semistable_strata_test", int)}
+    excesses = ffl._excesses(1, ((F(1, 3), F(-1, 3)),))[2]
+    routes = [excesses["subspace"], excesses["strata"]]
+    assert [excess for _, _, excess in calls] == routes * 17
+    assert [points for points, _, _ in calls[::2]] == [points for points, _, _ in calls[1::2]]
+    assert len({points for points, _, _ in calls}) == 17
+    assert {n for _, n, _ in calls} == {2}
+    assert [type(excess(1, (1,))) for excess in routes] == [int, int]
+    assert [excess(1, (1,)) for excess in routes] == [2, 4]  # nkL and 2nL times 1/3
 
 
 @pytest.mark.parametrize("config,points", [
@@ -632,17 +637,25 @@ def test_classify_reads_nu_once_per_job(monkeypatch):
     assert [args[:2] for args in calls] == [(rd.build_root_system("A", 2), 2)]
 
 
-def test_verify_reads_nu_once_in_cli_and_once_in_finflag(monkeypatch):
-    # cli reads nu against the job group, and finflag's memoized excesses
-    # read it once more on the job's first test
+def test_verify_reads_nu_once_through_finflag(monkeypatch):
+    # a verify job reads nu once, on the job group's base A_rank with its t
+    # copies, through finflag's memoized excesses; cli reads nu itself
+    # nowhere and calls neither public test
+    def refused(*args):
+        raise AssertionError("verify called a public semistability test")
+
+    for name in ("is_semistable_subspace_test", "is_semistable_strata_test"):
+        monkeypatch.setattr(ffl, name, refused)
+    assert not any(hasattr(cli, name) for name in
+                   ("_read_nu", "is_semistable_subspace_test", "is_semistable_strata_test"))
     ffl._excesses.cache_clear()
-    cli_calls, ffl_calls = _count_reads(monkeypatch, cli), _count_reads(monkeypatch, ffl)
+    calls = _count_reads(monkeypatch, ffl)
     code, _ = cli.run_job(cli.parse_jobspec(
         "command=verify kind=A rank=1 t=2 nu=1,-1;1,-1 q=2 m=2"))
     assert code == cli.EXIT_OK
-    a1 = rd.build_root_system("A", 1)
-    assert [args[:2] for args in cli_calls] == [(a1, 2)]
-    assert [args[:2] for args in ffl_calls] == [(a1, 2)]
+    a1 = rd.build_group("A", 1, res_degree=2).base
+    assert a1 is rd.build_root_system("A", 1)
+    assert [args[:2] for args in calls] == [(a1, 2)]
 
 
 def test_the_product_realization_is_built_only_where_it_is_read():
@@ -745,9 +758,12 @@ def test_field_keys_p_and_e_are_unknown(field, capsys):
 
 
 def test_console_invocation():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(__file__).parents[1] / "src"), env.get("PYTHONPATH", "")])
     proc = subprocess.run(
         [sys.executable, "-m", "perioddomains.cli", "classify",
          "kind=A rank=1 nu=1,-1"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert "pi1 = pi1(Omega^(2)/k)" in proc.stdout

@@ -239,6 +239,24 @@ def test_steps_that_do_not_nest_are_refused_by_both_tests(test):
                         for pair in itertools.product(lines, repeat=2)]
 
 
+@pytest.mark.parametrize("test", [ffl.is_semistable_subspace_test,
+                                  ffl.is_semistable_strata_test], ids=["subspace", "strata"])
+def test_steps_whose_rows_are_dependent_or_zero_are_refused(test):
+    # a zero row spans no line, and two equal rows no plane: the kernel
+    # refuses such a step, on any copy, instead of giving a verdict on it
+    ff = ffl.finite_field(2)
+    zero = ffl.FlagPoint((((0, 0, 0),),))
+    with pytest.raises(ValidationError, match="^flag step of 1 rows has rank 0$"):
+        test(zero, (2, -1, -1), ff)
+    twice = ffl.FlagPoint((((1, 0, 0),), ((1, 0, 0), (1, 0, 0))))
+    with pytest.raises(ValidationError, match="^flag step of 2 rows has rank 1$"):
+        test(twice, (1, 0, -1), ff)
+    ff = ffl.finite_field(2, 1, 2)
+    line = next(ffl.enumerate_flags(ff, 1, (1,)))
+    with pytest.raises(ValidationError, match="^flag step of 1 rows has rank 0$"):
+        test((line, ffl.FlagPoint((((0, 0),),))), ((1, -1), (1, -1)), ff)
+
+
 def test_field_order_refused_before_primality_and_power():
     # a p above the bound is never tested for primality, and 2^(10^9) is
     # never formed; p at most the bound is tested first as before
@@ -267,10 +285,10 @@ def test_slope_examples():
     # nu's denominators: for nu = (2, -1, -1) (ambient slope 0) a line in F^1
     # has slope 2 and a line outside it slope -1; for nu = (1/3, -1/3) (L = 3)
     # a line in F^1 has slope 1/3
-    subspace = ffl._excesses(((2, -1, -1),))[2]["subspace"]
+    subspace = ffl._excesses(2, ((2, -1, -1),))[2]["subspace"]
     assert subspace(1, (1,)) == 6
     assert subspace(1, (0,)) == -3
-    assert ffl._excesses(((F(1, 3), F(-1, 3)),))[2]["subspace"](1, (1,)) == 2
+    assert ffl._excesses(1, ((F(1, 3), F(-1, 3)),))[2]["subspace"](1, (1,)) == 2
 
 
 def test_run_lengths_and_dims():
@@ -547,7 +565,7 @@ def test_vertex_pairing_matches_relative_position(q, m, nu, every):
     ff = ffl.finite_field(q, 1, m)
     n = len(nu)
     rs = rd.build_root_system("A", n - 1)
-    pairing = ffl._excesses((rd.vector(nu),))[2]["strata"]
+    pairing = ffl._excesses(n - 1, (rd.vector(nu),))[2]["strata"]
     _, scale, _ = rd.integer_pairings(rs, (rd.vector(nu),))  # the excess is 2nL (omega_i, w nu)
     for x in list(ffl.enumerate_flags(ff, n - 1, ffl.flag_dims(nu)))[::every]:
         spans = _step_spans(x, ff)
@@ -571,7 +589,7 @@ def test_strata_excess_is_k_times_subspace_excess():
     signs = set()
     for q, m, ell, nus in cells:
         ff = ffl.finite_field(q, 1, m)
-        n, _, excess = ffl._excesses(nus)
+        n, _, excess = ffl._excesses(ell, nus)
         copies = [ffl.enumerate_flags(ff, ell, ffl.flag_dims(nu)) for nu in nus]
         for x in itertools.islice(itertools.product(*copies), 12):
             for k, profiles in ffl.intersection_profiles(x, n, ff):

@@ -167,6 +167,20 @@ def test_illegal_pairs():
             rd.build_root_system(kind, rank)
 
 
+def test_kind_names_are_upper_cased_and_short_names_take_the_rank():
+    # a kind is read upper-cased; E names E{rank}, F and G the one system of
+    # their letter, whose rank is then checked like any other
+    for build in (rd.build_root_system, lambda kind, rank: rd.build_group(kind, rank).base):
+        for kind, rank, name in [("a", 3, "A"), (" b ", 2, "B"), ("E", 6, "E6"), ("e", 8, "E8"),
+                                 ("F", 4, "F4"), ("g", 2, "G2")]:
+            assert build(kind, rank) is rd.build_root_system(name, rank)
+        with pytest.raises(IllegalType, match=r"^unknown kind 'E5'$"):
+            build("E", 5)
+        with pytest.raises(IllegalType, match=r"^illegal pair kind=G2 rank=3$"):
+            build("G", 3)
+    assert rd.build_group("e", 7) is rd.build_group("E7", 7)
+
+
 def test_flat_cocharacter_only_for_t_1():
     # a restriction of scalars takes its cocharacter as t factors; one flat
     # vector of length t * n is refused, and is a cocharacter only at t = 1
