@@ -14,20 +14,14 @@ Budgets: `budget` (default 65536) is the one cap on counted work, checked
 before the work starts. strata applies it to the orbit elements it visits,
 the sum over copies and vertices of min(|W/W_{P_i}|, |W/W_P|). verify works
 over F_{q^m}, with the prime power q the one field key, and takes split type
-A with any t dividing m; a point is then a t-tuple of flags, one per copy,
-and its rational subspaces are those of F_{q^t}^n. verify applies the
-budget to the number of points (the product of the copies' flag counts) and
-to the number sum_k [n, k]_{q^t} of rational subspaces (and translates)
-tested per point, both from `finflag.checked_flag_count`. verify checks,
-in order and before the field is built: the field order bound 2^16
-(`finflag.MAX_FIELD_ORDER`, with a q above it refused before it is
-factored), then t | m, then the group (the root bound below) and nu, read
-once against the group's base by `finflag._excesses`, then the point and
-subspace budgets; each point is then decided once per route from that
-reading, by `finflag._semistable`. Every command refuses a root system with
-more than 600 positive roots (`rootdata.MAX_POSITIVE_ROOTS`; A34 has 595),
-or a restriction of scalars of degree t whose t copies have more, before
-building it; t must be at least 1.
+A with any t dividing m; a point is then a t-tuple of flags, one per copy.
+verify checks that it has nu, split type A and q, then runs the job through
+`finflag.survey`, whose docstring gives the checks it makes before it builds
+the field, in order, and the two counts it holds to the budget. Every
+command refuses a root system with more than 600 positive roots
+(`rootdata.MAX_POSITIVE_ROOTS`; A34 has 595), or a restriction of scalars
+of degree t whose t copies have more, before building it; t must be at
+least 1.
 A verify run that takes longer than two seconds reports its progress on
 stderr. An unstable witness lists each copy's steps, copies joined by `;`.
 
@@ -38,7 +32,6 @@ Exit codes: 0 success, 1 usage/parse, 2 validation, 3 budget exceeded,
 from __future__ import annotations
 
 import argparse
-import itertools
 import math
 import os
 import sys
@@ -56,16 +49,7 @@ from .errors import (
     ValidationError,
     shown,
 )
-from .finflag import (
-    MAX_FIELD_ORDER,
-    _excesses,
-    _prime_divisors,
-    _semistable,
-    checked_field_order,
-    checked_flag_count,
-    enumerate_flags,
-    finite_field,
-)
+from .finflag import factor_prime_power, survey
 from .rootdata import (
     FORM_SPLIT,
     MAX_POSITIVE_ROOTS,
@@ -195,10 +179,7 @@ def parse_jobspec(text: str) -> JobSpec:
             raise ValidationError(
                 f"nu has {len(job.nu)} factors but t={shown(job.t)}")
     if "q" in raw:
-        q = integer("q")
-        if q > MAX_FIELD_ORDER:  # refused before it is factored
-            raise BudgetExceeded(f"q = {shown(q)} exceeds the field order bound {MAX_FIELD_ORDER}")
-        job.p, job.e = _factor_prime_power(q)
+        job.p, job.e = factor_prime_power(integer("q"))
     if "m" in raw:
         job.m = integer("m")
     if "budget" in raw:
@@ -206,16 +187,6 @@ def parse_jobspec(text: str) -> JobSpec:
         if job.budget < 0:
             raise ValidationError(f"budget must be nonnegative, got {shown(job.budget)}")
     return job
-
-
-def _factor_prime_power(q: int) -> tuple[int, int]:
-    primes = _prime_divisors(q)
-    if len(primes) != 1:
-        raise ValidationError("q must be a prime power" + ("" if primes else " >= 2"))
-    e = 1
-    while primes[0] ** e < q:
-        e += 1
-    return primes[0], e
 
 
 def _kv(line: tuple, sep: str) -> str:
@@ -268,37 +239,11 @@ def _run_verify(job: JobSpec) -> tuple[int, list]:
         raise ValidationError("verify supports split type A")
     if job.p is None:
         raise ValidationError("verify requires a field (q, plus m)")
-    # the field's own checks, t | m, the group's root bound, nu, the dims and
-    # both budgets all run before the field's tables are built, which takes up
-    # to a second at 2^16
-    order = checked_field_order(job.p, job.e, job.m)
-    if job.m % job.t:
-        raise ValidationError(f"t={job.t} does not divide m={job.m}: no degree-t extension")
-    build_group(job.kind, job.rank, job.form, job.t)
-    # the group checks the root bound of the t copies; nu is then read once,
-    # on their base A_rank, and its integer excesses decide every point
-    n, dims, excesses = _excesses(job.rank, job.nu)
-    points = math.prod(checked_flag_count(job.rank, d, order) for d in dims)
-    if points > job.budget:
-        raise BudgetExceeded(f"{shown(points)} flag points exceed budget {job.budget}")
-    # both tests visit every subspace of F_{q^t}^n at every point
-    subspaces = sum(checked_flag_count(job.rank, (k,), job.p ** (job.e * job.t))
-                    for k in range(1, job.rank + 1))
-    if subspaces > job.budget:
-        raise BudgetExceeded(
-            f"{shown(subspaces)} rational subspaces exceed budget {job.budget}")
-    ff = finite_field(job.p, job.e, job.m)
-
-    total = semistable = 0
-    disagreements = 0
+    points, verdicts = survey(job.p, job.e, job.m, job.rank, job.nu, job.budget)
+    total = semistable = disagreements = 0
     witnesses: list[str] = []
     next_report = time.monotonic() + PROGRESS_INTERVAL_S
-    # the first copy's points stream; the tuples of the others are listed once
-    copies = [enumerate_flags(ff, job.rank, d) for d in dims]
-    others = list(itertools.product(*copies[1:]))
-    for x in ((first,) + rest for first in copies[0] for rest in others):
-        a = _semistable(x, n, ff, excesses["subspace"])
-        b = _semistable(x, n, ff, excesses["strata"])
+    for x, a, b in verdicts:
         total += 1
         now = time.monotonic()
         if now >= next_report:
@@ -380,9 +325,8 @@ def main(argv=None) -> int:
                      epilog=f"A root system with more than {MAX_POSITIVE_ROOTS} positive "
                             "roots, counting every copy of a restriction of scalars, is "
                             "refused with exit code 3 before it is built. verify takes split "
-                            "type A with t dividing m, and checks its field order, t | m, "
-                            "the group and nu, flag points (the product over the t copies) "
-                            "and rational subspaces before it builds the field.")
+                            "type A with t dividing m, and checks the field, the group, nu "
+                            "and its budgets before it builds the field.")
     parser.add_argument("command", choices=tuple(_RUNNERS))
     parser.add_argument("config", nargs="*",
                         help="config file, '-' for stdin, or inline key=value tokens")

@@ -18,18 +18,19 @@ route is positive on its profiles, each an integer summed over the copies.
 `_excesses` reads nu on A_{n-1} once, by `rootdata._read_nu` as every route
 reads it, scaled to integers by one lcm L of its denominators; each copy's
 flag dims (`flag_dims`) are the simple roots outside its Delta_P. The public
-tests check x and nu first; `verify` and `count_semistable` read nu once per
-job and decide the points they build. The subspace excess is nkL times the
-slope of the profile minus the ambient slope. The strata excess treats a
-rational k-dimensional U as a translate g P_k of a vertex parabolic: the
-profile fixes the double coset W_{P_k} w W_P of the point's Bruhat position,
-and the excess is 2nL times the pairing (omega_k, w nu), read from a
-one-line representative of it with the Dynkin labels of w^-1 omega_k
-(`rootdata.reflect_labels`) and the integer coweights W_i = 2n omega_i, as
-`strata` reads its cells. For type A (omega_k, w nu) is k times the slope
-gap, so the strata excess is twice the subspace excess. Both derivations
-stay, as independent references: `verify` exits 4 when they disagree, and
-tests/test_finflag.py computes w itself from rank matrices.
+tests check x and nu first, and the kernel each step's rows; `survey`, the
+one runner of a finite-field job (the CLI's `verify`), reads nu once per job
+and decides each point it builds by both routes. The subspace excess is nkL
+times the slope of the profile minus the ambient slope. The strata excess
+treats a rational k-dimensional U as a translate g P_k of a vertex
+parabolic: the profile fixes the double coset W_{P_k} w W_P of the point's
+Bruhat position, and the excess is 2nL times the pairing (omega_k, w nu),
+read from a one-line representative of it with the Dynkin labels of
+w^-1 omega_k (`rootdata.reflect_labels`) and the integer coweights
+W_i = 2n omega_i, as `strata` reads its cells. For type A (omega_k, w nu)
+is k times the slope gap, so the strata excess is twice the subspace
+excess. Both derivations stay, as independent references: `verify` exits 4
+when they disagree, and tests/test_finflag.py computes w from rank matrices.
 
 Field arithmetic uses Zech logarithm tables (exp/log plus log(1 + g^k)), so
 addition and multiplication are single table lookups; fields up to
@@ -45,23 +46,24 @@ powers of g, each a product with g, whose few nonzero digits keep it
 cheap; F_{2^16} and F_{3^10} each build in about 0.7 s (Python 3.11, three
 runs each on a shared CPU).
 
-The tests and the enumeration take no budget. A caller bounds the work up
-front: `checked_flag_count`, a quotient of `weyl`'s Poincare polynomials,
-gives each copy's number of points and, for one step k over F_{q^t}, the
-number [n, k]_{q^t} of rational k-subspaces (or translates); every point is
-tested against all sum_k [n, k]_{q^t} of them.
+The public tests and the enumeration take no budget; `survey` checks its
+own before it builds the field, by `checked_flag_count`, a quotient of
+`weyl`'s Poincare polynomials: each copy's number of points and, for one
+step k over F_{q^t}, the number [n, k]_{q^t} of rational k-subspaces (or
+translates), every one of which each point is tested against.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from operator import mul, sub
 from typing import Iterator, Sequence
 
 from .errors import BudgetExceeded, InvariantViolation, ValidationError, shown
-from .rootdata import _read_nu, build_root_system, check_rational, reflect_labels
+from .rootdata import _read_nu, build_group, build_root_system, check_rational, reflect_labels
 from .weyl import _parabolic, permutation_element
 
 Row = tuple[int, ...]
@@ -293,6 +295,20 @@ def checked_field_order(p: int, e: int = 1, m: int = 1) -> int:
     return order
 
 
+def factor_prime_power(q: int) -> tuple[int, int]:
+    """(p, e) with q = p^e for a prime p; a q above MAX_FIELD_ORDER is refused
+    before it is factored, and a q that is not a prime power after."""
+    if q > MAX_FIELD_ORDER:
+        raise BudgetExceeded(f"q = {shown(q)} exceeds the field order bound {MAX_FIELD_ORDER}")
+    primes = _prime_divisors(q)
+    if len(primes) != 1:
+        raise ValidationError("q must be a prime power" + ("" if primes else " >= 2"))
+    e = 1
+    while primes[0] ** e < q:
+        e += 1
+    return primes[0], e
+
+
 @lru_cache(maxsize=None)
 def finite_field(p: int, e: int = 1, m: int = 1) -> FiniteField:
     return FiniteField(p, e, m)
@@ -474,15 +490,23 @@ def intersection_profiles(points: tuple[FlagPoint, ...], n: int, ff: FiniteField
     so each U costs lookups plus the rank of a k x (n - dim F^b) matrix; a
     line (k = 1) reads its dim off the table, 1 where its row lies in F^b.
 
-    The last call's result is kept, so the two semistability tests of one
-    point compute its profiles once and share them.
+    A row of another width than n, an entry not an int in 0..order-1, or a
+    step of dependent rows raise ValidationError. The last call's result is
+    kept, so the two tests of one point compute its profiles once.
     """
     rows, families = _rational_rows(ff, n, len(points))
-    add, mul = ff.add, ff.mul
+    add, mul, order = ff.add, ff.mul, ff.order
     tables = []
     power = 0  # copy j's steps take Frob^-j
     for x in points:
         for basis in x.bases:
+            for row in basis:  # once per step, before its twist
+                if len(row) != n:
+                    raise ValidationError(f"flag point of width {len(row)}, nu of length {n}")
+                for v in row:
+                    if type(v) is not int or not 0 <= v < order:
+                        what = shown(v) if type(v) is int else f"of type {type(v).__name__}"
+                        raise ValidationError(f"flag entry {what} is not an int in 0..{order - 1}")
             if power:
                 basis = [[ff.frobenius(v, power) for v in row] for row in basis]
             ech, pivots = rref(basis, ff)
@@ -593,23 +617,26 @@ def _semistable(points: tuple[FlagPoint, ...], n: int, ff: FiniteField, excess) 
     return all(excess(k, p) <= 0 for k, ps in intersection_profiles(points, n, ff) for p in ps)
 
 
+def _factors(nu) -> tuple[tuple, ...]:
+    """nu's factors as tuples: a flat vector is one factor."""
+    nu = tuple(nu)
+    return tuple(map(tuple, nu)) if nu and isinstance(nu[0], (list, tuple)) else (nu,)
+
+
 def _is_semistable(x, nu, ff: FiniteField, route: str) -> bool:
     """Whether x is semistable by `route`, after the checks of x and nu: the
     driver of both public tests. The memo is keyed by nu's factors as tuples,
     and by value: since 1.0 == 1, the entry types are checked before it is read."""
-    nu = tuple(nu)
-    factors = tuple(map(tuple, nu)) if nu and isinstance(nu[0], (list, tuple)) else (nu,)
+    factors = _factors(nu)
     check_rational(factors)
     n, dims, excesses = _excesses(len(factors[0]) - 1, factors)
     points = (x,) if isinstance(x, FlagPoint) else tuple(x)
     if len(points) != len(dims):
         raise ValidationError(f"{len(points)} flag points for {len(dims)} cocharacter factors")
-    j = 0  # a plain loop: zip would cost more than the checks for t = 1
+    j = 0  # a plain loop: zip would cost more than the check for t = 1
     for y in points:
         if y.dims != dims[j]:
             raise ValidationError(f"flag dims {y.dims} do not match cocharacter dims {dims[j]}")
-        if y.bases and len(y.bases[0][0]) != n:  # every row of a point has one width
-            raise ValidationError(f"flag point of width {len(y.bases[0][0])}, nu of length {n}")
         j += 1
     return _semistable(points, n, ff, excesses[route])
 
@@ -634,11 +661,38 @@ def is_semistable_strata_test(x, nu, ff: FiniteField) -> bool:
     return _is_semistable(x, nu, ff, "strata")
 
 
-def count_semistable(ff: FiniteField, ell: int, nu) -> int:
-    """Number of semistable working-field points, by the subspace excess; nu
-    is read once on A_ell, and its flag dims give the points."""
-    nu = tuple(nu)
-    check_rational((nu,))  # the memo is keyed by value
-    n, (dims,), excesses = _excesses(ell, (nu,))
-    return sum(_semistable((x,), n, ff, excesses["subspace"])
-               for x in enumerate_flags(ff, ell, dims))
+def survey(p: int, e: int, m: int, ell: int, nu, budget: int
+           ) -> tuple[int, Iterator[tuple[tuple[FlagPoint, ...], bool, bool]]]:
+    """The job Res_{k'/k} GL_{ell+1} over F_{q^m}, q = p^e, with t = [k' : k]
+    the number of nu's factors (read as by the public tests): its number of
+    points, t-tuples of flag points, and a lazy iterator of (point, subspace
+    verdict, strata verdict), each verdict one `_semistable` call. Before the
+    field is built it checks, in order: `checked_field_order`, t | m, the
+    root bound of t copies of A_ell, nu's entry types, nu, read once by
+    `_excesses` (keyed by value), and against `budget` the points and the
+    sum_k [n, k]_{q^t} rational subspaces (and translates) both routes visit
+    per point, by `checked_flag_count`. The first copy's points stream; the
+    tuples of the others are listed once."""
+    order = checked_field_order(p, e, m)
+    factors = _factors(nu)
+    t = len(factors)
+    if m % t:
+        raise ValidationError(f"t={t} does not divide m={m}: no degree-t extension")
+    build_group("A", ell, res_degree=t)
+    check_rational(factors)
+    n, dims, excesses = _excesses(ell, factors)
+    points = math.prod(checked_flag_count(ell, d, order) for d in dims)
+    if points > budget:
+        raise BudgetExceeded(f"{shown(points)} flag points exceed budget {budget}")
+    subspaces = sum(checked_flag_count(ell, (k,), p ** (e * t)) for k in range(1, n))
+    if subspaces > budget:
+        raise BudgetExceeded(f"{shown(subspaces)} rational subspaces exceed budget {budget}")
+    ff = finite_field(p, e, m)
+
+    def verdicts():
+        copies = [enumerate_flags(ff, ell, d) for d in dims]
+        others = list(itertools.product(*copies[1:]))
+        for x in ((first,) + rest for first in copies[0] for rest in others):
+            yield (x, _semistable(x, n, ff, excesses["subspace"]),
+                   _semistable(x, n, ff, excesses["strata"]))
+    return points, verdicts()

@@ -203,8 +203,8 @@ def test_criterion_5_finite_field_counts():
     ]
     for q, m, ell, nu, expected in expectations:
         start = time.monotonic()
-        ff = ffl.finite_field(q, 1, m)
-        assert ffl.count_semistable(ff, ell, nu) == expected
+        _, verdicts = ffl.survey(q, 1, m, ell, nu, 2 ** 16)
+        assert sum(a for _, a, _ in verdicts) == expected
         elapsed = time.monotonic() - start
         assert elapsed < 30.0, f"count q={q} m={m} took {elapsed:.2f}s"
     _report(5, "semistable counts 2/6/6 (P1) and 0/24 (P2) exact")

@@ -138,13 +138,13 @@ def test_verify_decides_each_point_once_per_route_in_integers(monkeypatch):
     # verify hands every point to finflag._semistable once per route, with
     # the integer excesses of its one reading of nu: a fractional nu is
     # scaled to integers, and gives the report it gave as Fractions
-    calls = []
+    calls, semistable = [], ffl._semistable
 
     def recording(points, n, ff, excess):
         calls.append((points, n, excess))
-        return ffl._semistable(points, n, ff, excess)
+        return semistable(points, n, ff, excess)
 
-    monkeypatch.setattr(cli, "_semistable", recording)
+    monkeypatch.setattr(ffl, "_semistable", recording)
     code, out = run_main("verify", "kind=A rank=1 nu=1/3,-1/3 q=4 m=2")
     assert code == cli.EXIT_OK
     assert out.splitlines() == [
@@ -609,7 +609,7 @@ def test_verify_refuses_before_building_the_field(config, code, err, capsys, mon
     def no_field(*args):
         raise AssertionError(f"field {args} built")
 
-    monkeypatch.setattr(cli, "finite_field", no_field)
+    monkeypatch.setattr(ffl, "finite_field", no_field)
     start = time.perf_counter()
     assert run_main("verify", config) == (code, "")
     assert time.perf_counter() - start < 1.0
@@ -675,11 +675,12 @@ def test_the_product_realization_is_built_only_where_it_is_read():
     assert g.absolute is g.base
 
 
-def test_count_semistable_reads_nu_once(monkeypatch):
-    # the flag dims come from the subspace test's own reading of nu
+def test_survey_reads_nu_once(monkeypatch):
+    # the flag dims come from survey's own reading of nu
     ffl._excesses.cache_clear()
     calls = _count_reads(monkeypatch, ffl)
-    assert ffl.count_semistable(ffl.finite_field(2, 1, 2), 2, (2, -1, -1)) == 0
+    points, verdicts = ffl.survey(2, 1, 2, 2, (2, -1, -1), cli.DEFAULT_BUDGET)
+    assert sum(a for _, a, _ in verdicts) == 0
     assert [args[:2] for args in calls] == [(rd.build_root_system("A", 2), 1)]
 
 
@@ -717,10 +718,12 @@ def test_default_field_budget_admits_p3_over_f27(monkeypatch):
     # P^3 over F_27 (20,440 points, 210 rational subspaces of F_3^4) passes
     # every up-front check at the default budget; only the first three points
     # are then tested
-    def first_points(ff, ell, dims):
-        return itertools.islice(ffl.enumerate_flags(ff, ell, dims), 3)
+    enumerate_flags = ffl.enumerate_flags
 
-    monkeypatch.setattr(cli, "enumerate_flags", first_points)
+    def first_points(ff, ell, dims):
+        return itertools.islice(enumerate_flags(ff, ell, dims), 3)
+
+    monkeypatch.setattr(ffl, "enumerate_flags", first_points)
     code, out = run_main("verify", "kind=A rank=3 nu=3,-1,-1,-1 q=3 m=3", "--record")
     assert code == cli.EXIT_OK
     assert out.splitlines()[0] == "points=3"

@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import math
 import random
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -255,6 +256,40 @@ def test_steps_whose_rows_are_dependent_or_zero_are_refused(test):
     line = next(ffl.enumerate_flags(ff, 1, (1,)))
     with pytest.raises(ValidationError, match="^flag step of 1 rows has rank 0$"):
         test((line, ffl.FlagPoint((((0, 0),),))), ((1, -1), (1, -1)), ff)
+
+
+@pytest.mark.parametrize("bases,nu,err", [
+    ((((1, 0, 0),), ((1, 0, 0, 0), (0, 1, 0, 0))), (1, 0, -1),
+     "flag point of width 4, nu of length 3"),
+    ((((1, 5, 0),),), (2, -1, -1), "flag entry 5 is not an int in 0..1"),
+    ((((1, -1, 0),),), (2, -1, -1), "flag entry -1 is not an int in 0..1"),
+    ((((1, 1.0, 0),),), (2, -1, -1), "flag entry of type float is not an int in 0..1"),
+], ids=["width-in-a-later-step", "entry-past-the-field", "negative-entry", "float-entry"])
+def test_malformed_rows_are_refused_by_both_tests(bases, nu, err):
+    # the kernel checks every row of every step before it reads one: a row
+    # of another width, or an entry that is not an element of F_2, gets no
+    # verdict, an IndexError or a wrapped index
+    ff = ffl.finite_field(2)
+    for test in (ffl.is_semistable_subspace_test, ffl.is_semistable_strata_test):
+        with pytest.raises(ValidationError, match=f"^{re.escape(err)}$"):
+            test(ffl.FlagPoint(bases), nu, ff)
+
+
+def test_survey_refuses_before_building_the_field(monkeypatch):
+    # survey checks its budget, and nu's entry types before the memo of
+    # nu's reading, which is keyed by value (1.0 == 1), all before the field
+    def no_field(*args):
+        raise AssertionError(f"field {args} built")
+
+    monkeypatch.setattr(ffl, "finite_field", no_field)
+    ffl._excesses.cache_clear()
+    # P^1 over F_16 has 17 points; nu is read before the count is refused
+    with pytest.raises(BudgetExceeded, match="^17 flag points exceed budget 16$"):
+        ffl.survey(2, 1, 4, 1, (1, -1), 16)
+    assert ffl._excesses.cache_info().currsize == 1
+    with pytest.raises(ValidationError, match="^cocharacter entry of type float, not an int"):
+        ffl.survey(2, 1, 4, 1, (1.0, -1.0), 2 ** 16)
+    assert ffl._excesses.cache_info().currsize == 1
 
 
 def test_field_order_refused_before_primality_and_power():
@@ -629,36 +664,38 @@ def test_two_routes_agree_rank_three_sample():
             ffl.is_semistable_strata_test(x, nu, ff)
 
 
+def semistable_count(q, m, ell, nu):
+    """Semistable points of nu's flag variety over F_{q^m}: the subspace
+    verdicts of `survey`."""
+    _, verdicts = ffl.survey(q, 1, m, ell, nu, 2 ** 16)
+    return sum(a for _, a, _ in verdicts)
+
+
 @pytest.mark.parametrize("q,m,expected", [
     (2, 2, 2), (2, 3, 6), (3, 2, 6),
 ])
 def test_drinfeld_counts_rank_one(q, m, expected):
-    ff = ffl.finite_field(q, 1, m)
-    assert ffl.count_semistable(ff, 1, (1, -1)) == expected
+    assert semistable_count(q, m, 1, (1, -1)) == expected
     # matches |P1(F_{q^m})| - |P1(F_q)|
     assert expected == (q ** m + 1) - (q + 1)
 
 
 @pytest.mark.parametrize("m,expected", [(2, 0), (3, 24)])
 def test_counts_rank_two(m, expected):
-    ff = ffl.finite_field(2, 1, m)
-    assert ffl.count_semistable(ff, 2, (2, -1, -1)) == expected
+    assert semistable_count(2, m, 2, (2, -1, -1)) == expected
 
 
 def test_dual_counts_match():
     # Omega and its dual are isomorphic varieties, so the counts agree
     for m in (2, 3):
-        ff = ffl.finite_field(2, 1, m)
-        assert ffl.count_semistable(ff, 2, (2, -1, -1)) == \
-            ffl.count_semistable(ff, 2, (1, 1, -2))
+        assert semistable_count(2, m, 2, (2, -1, -1)) == semistable_count(2, m, 2, (1, 1, -2))
 
 
 def test_fibration_count_for_full_flag_drinfeld():
     # nu = (4,-1,-3): first-step Drinfeld with a full P1-fiber over Omega
-    ff = ffl.finite_field(2, 1, 3)
-    count = ffl.count_semistable(ff, 2, (4, -1, -3))
-    omega = ffl.count_semistable(ff, 2, (2, -1, -1))
-    assert count == omega * (ff.order + 1)
+    count = semistable_count(2, 3, 2, (4, -1, -3))
+    omega = semistable_count(2, 3, 2, (2, -1, -1))
+    assert count == omega * (2 ** 3 + 1)
 
 
 def test_frobenius_stability_of_semistable_set():
@@ -675,8 +712,7 @@ def test_frobenius_stability_of_semistable_set():
 
 
 def test_monotonicity_in_m():
-    counts = [ffl.count_semistable(ffl.finite_field(2, 1, m), 1, (1, -1))
-              for m in (1, 2, 3, 4)]
+    counts = [semistable_count(2, m, 1, (1, -1)) for m in (1, 2, 3, 4)]
     assert counts == sorted(counts)
 
 

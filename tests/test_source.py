@@ -98,6 +98,28 @@ def test_integer_routes_import_no_fractions():
     assert reads == []
 
 
+def test_finflag_alone_drives_a_finite_field_job():
+    # one function, finflag.survey, holds the job's checks and verdicts: cli
+    # imports no private name of finflag, and `_semistable` is named only by
+    # `_is_semistable`, which both public tests call, and by `survey`
+    root = Path(perioddomains.__file__).parent
+    tree = ast.parse((root / "cli.py").read_text(encoding="utf-8"))
+    private = [alias.name for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) and node.module == "finflag"
+               for alias in node.names if alias.name.startswith("_")]
+    private += [node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name) and node.value.id == "finflag"
+                and node.attr.startswith("_")]
+    assert private == []
+    users = set()
+    for path in sorted(root.glob("*.py")):
+        for stmt in ast.parse(path.read_text(encoding="utf-8"), filename=str(path)).body:
+            if any(getattr(node, "id", getattr(node, "attr", None)) == "_semistable"
+                   for node in ast.walk(stmt)):
+                users.add(f"{path.stem}.{getattr(stmt, 'name', '<module>')}")
+    assert users == {"finflag._is_semistable", "finflag.survey"}
+
+
 def _package_reads(directory):
     """The (module, name) pairs the scripts in directory read of the package,
     through `from perioddomains import module [as alias]` and attribute reads,
