@@ -47,6 +47,7 @@ from .errors import (
     ParseError,
     PeriodDomainError,
     ValidationError,
+    check_budget,
     shown,
 )
 from .finflag import factor_prime_power, survey
@@ -184,8 +185,7 @@ def parse_jobspec(text: str) -> JobSpec:
         job.m = integer("m")
     if "budget" in raw:
         job.budget = integer("budget")
-        if job.budget < 0:
-            raise ValidationError(f"budget must be nonnegative, got {shown(job.budget)}")
+        check_budget(job.budget)
     return job
 
 

@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and how a message quotes a token."""
+"""Exception types shared across the package, how a message quotes a token, the budget rule."""
 
 # a message quotes at most this many characters of one token or count
 SHOWN = 40
@@ -60,3 +60,9 @@ class ParseError(PeriodDomainError):
 
 class InvariantViolation(PeriodDomainError):
     """A structural invariant failed: malformed input or an internal inconsistency."""
+
+
+def check_budget(budget: int | None) -> None:
+    """Refuse a negative budget: the CLI's, `strata_report`'s and `survey`'s."""
+    if budget is not None and budget < 0:
+        raise ValidationError(f"budget must be nonnegative, got {shown(budget)}")

@@ -18,9 +18,9 @@ route is positive on its profiles, each an integer summed over the copies.
 `_excesses` reads nu on A_{n-1} once, by `rootdata._read_nu` as every route
 reads it, scaled to integers by one lcm L of its denominators; each copy's
 flag dims (`flag_dims`) are the simple roots outside its Delta_P. The public
-tests check x and nu first, and the kernel each step's rows; `survey`, the
-one runner of a finite-field job (the CLI's `verify`), reads nu once per job
-and decides each point it builds by both routes. The subspace excess is nkL
+tests check x, each row too, and nu before any memo; `survey`, the one
+runner of a finite-field job (the CLI's `verify`), reads nu once per job
+and decides the points it builds unchecked. The subspace excess is nkL
 times the slope of the profile minus the ambient slope. The strata excess
 treats a rational k-dimensional U as a translate g P_k of a vertex
 parabolic: the profile fixes the double coset W_{P_k} w W_P of the point's
@@ -62,7 +62,7 @@ from functools import lru_cache
 from operator import mul, sub
 from typing import Iterator, Sequence
 
-from .errors import BudgetExceeded, InvariantViolation, ValidationError, shown
+from .errors import BudgetExceeded, InvariantViolation, ValidationError, check_budget, shown
 from .rootdata import _read_nu, build_group, build_root_system, check_rational, reflect_labels
 from .weyl import _parabolic, permutation_element
 
@@ -187,13 +187,11 @@ class FiniteField:
     def _build_tables(self):
         p, n, Q = self.p, self.degree, self.order
         # irreducible monic modulus of degree n (deterministic scan)
-        modulus = None
         for c in range(Q):
-            cand = _digits(c, p, n) + [1]
-            if _is_irreducible(cand, p, n):
-                modulus = cand
+            modulus = _digits(c, p, n) + [1]
+            if _is_irreducible(modulus, p, n):
                 break
-        if modulus is None:
+        else:
             raise InvariantViolation(f"no irreducible polynomial of degree {n} over F_{p}")
         self.modulus = tuple(modulus)
 
@@ -378,9 +376,9 @@ class FlagPoint:
     """A point of a type-A partial flag variety over the working field.
 
     `bases[i]` is the canonical reduced echelon basis of the i-th proper
-    step, `dims` their sizes. Both semistability tests refuse a step whose
-    rows are dependent or zero, assume the steps nest, and refuse a profile
-    that no nested flag has.
+    step, `dims` their sizes. Both semistability tests refuse a row that is
+    not a tuple of nu's width over the field, or a step of dependent rows,
+    assume the steps nest, and refuse a profile that no nested flag has.
     """
 
     bases: tuple[Matrix, ...]
@@ -490,23 +488,16 @@ def intersection_profiles(points: tuple[FlagPoint, ...], n: int, ff: FiniteField
     so each U costs lookups plus the rank of a k x (n - dim F^b) matrix; a
     line (k = 1) reads its dim off the table, 1 where its row lies in F^b.
 
-    A row of another width than n, an entry not an int in 0..order-1, or a
-    step of dependent rows raise ValidationError. The last call's result is
-    kept, so the two tests of one point compute its profiles once.
+    Its one refusal is of a step of dependent rows, whose rank `rref` finds
+    anyway; the caller checks the rows. The last call's result is kept, so
+    the two tests of one point compute its profiles once.
     """
     rows, families = _rational_rows(ff, n, len(points))
-    add, mul, order = ff.add, ff.mul, ff.order
+    add, mul = ff.add, ff.mul
     tables = []
     power = 0  # copy j's steps take Frob^-j
     for x in points:
         for basis in x.bases:
-            for row in basis:  # once per step, before its twist
-                if len(row) != n:
-                    raise ValidationError(f"flag point of width {len(row)}, nu of length {n}")
-                for v in row:
-                    if type(v) is not int or not 0 <= v < order:
-                        what = shown(v) if type(v) is int else f"of type {type(v).__name__}"
-                        raise ValidationError(f"flag entry {what} is not an int in 0..{order - 1}")
             if power:
                 basis = [[ff.frobenius(v, power) for v in row] for row in basis]
             ech, pivots = rref(basis, ff)
@@ -584,7 +575,7 @@ def _excesses(ell: int, factors: tuple):
     dims = tuple(tuple(k for k in range(1, n) if k not in d) for d in deltas)
     jumps = [tuple(v[b] for b in (0,) + d) for v, d in zip(ints, dims)]
     total = sum(map(sum, ints))
-    weights = [tuple(sum(map(mul, w, v)) for w in rs.integer_coweights) for v in ints]
+    weights = rs.coweight_pairings(ints)
 
     def labels(k: int, steps: tuple[int, ...], part: tuple[int, ...]) -> tuple[int, ...]:
         small, large = iter(range(1, k + 1)), iter(range(k + 1, n + 1))
@@ -625,18 +616,29 @@ def _factors(nu) -> tuple[tuple, ...]:
 
 def _is_semistable(x, nu, ff: FiniteField, route: str) -> bool:
     """Whether x is semistable by `route`, after the checks of x and nu: the
-    driver of both public tests. The memo is keyed by nu's factors as tuples,
-    and by value: since 1.0 == 1, the entry types are checked before it is read."""
+    driver of both public tests. Its memos are keyed by value (1.0 == 1 ==
+    True), so nu's entries and every row of x are checked before they are read."""
     factors = _factors(nu)
     check_rational(factors)
     n, dims, excesses = _excesses(len(factors[0]) - 1, factors)
     points = (x,) if isinstance(x, FlagPoint) else tuple(x)
     if len(points) != len(dims):
         raise ValidationError(f"{len(points)} flag points for {len(dims)} cocharacter factors")
-    j = 0  # a plain loop: zip would cost more than the check for t = 1
+    order = ff.order
+    j = 0  # plain loops: zip or all() would cost more than the checks
     for y in points:
         if y.dims != dims[j]:
             raise ValidationError(f"flag dims {y.dims} do not match cocharacter dims {dims[j]}")
+        for basis in y.bases:
+            for row in basis:
+                if type(row) is not tuple:
+                    raise ValidationError(f"flag row of type {type(row).__name__} is not a tuple")
+                if len(row) != n:
+                    raise ValidationError(f"flag point of width {len(row)}, nu of length {n}")
+                for v in row:
+                    if type(v) is not int or not 0 <= v < order:
+                        what = shown(v) if type(v) is int else f"of type {type(v).__name__}"
+                        raise ValidationError(f"flag entry {what} is not an int in 0..{order - 1}")
         j += 1
     return _semistable(points, n, ff, excesses[route])
 
@@ -666,13 +668,14 @@ def survey(p: int, e: int, m: int, ell: int, nu, budget: int
     """The job Res_{k'/k} GL_{ell+1} over F_{q^m}, q = p^e, with t = [k' : k]
     the number of nu's factors (read as by the public tests): its number of
     points, t-tuples of flag points, and a lazy iterator of (point, subspace
-    verdict, strata verdict), each verdict one `_semistable` call. Before the
-    field is built it checks, in order: `checked_field_order`, t | m, the
-    root bound of t copies of A_ell, nu's entry types, nu, read once by
-    `_excesses` (keyed by value), and against `budget` the points and the
-    sum_k [n, k]_{q^t} rational subspaces (and translates) both routes visit
-    per point, by `checked_flag_count`. The first copy's points stream; the
-    tuples of the others are listed once."""
+    verdict, strata verdict), each one `_semistable` call on a point it built,
+    unchecked. Before the field is built it checks, in order: the budget's
+    sign, `checked_field_order`, t | m, the root bound of t copies of A_ell,
+    nu's entry types, nu, read once by `_excesses` (keyed by value), and
+    against `budget` the points and the sum_k [n, k]_{q^t} rational subspaces
+    (and translates) both routes visit per point, by `checked_flag_count`.
+    The first copy's points stream; the tuples of the others are listed once."""
+    check_budget(budget)
     order = checked_field_order(p, e, m)
     factors = _factors(nu)
     t = len(factors)

@@ -135,6 +135,11 @@ class RootSystemData(Realization):
     coweight_gram: tuple[tuple[Fraction, ...], ...]
     opposition: tuple[int, ...]
 
+    def coweight_pairings(self, ints) -> list[tuple[int, ...]]:
+        """(W_i, L nu_j) for each integer factor L nu_j of `_read_nu` and each
+        i: 2 det(M) L (omega_i, nu_j), so every sign, order and sum is kept."""
+        return [tuple(sum(map(mul, w, v)) for w in self.integer_coweights) for v in ints]
+
 
 def _simple_root_table(kind: str, rank: int) -> tuple[int, tuple[tuple[int, ...], ...]]:
     """Ambient dimension and the doubled simple roots 2 alpha_j of a legal
@@ -349,13 +354,7 @@ def _base_orbits(base: RootSystemData, form: str) -> tuple[tuple[int, ...], ...]
     ell = base.rank
     if form == FORM_SPLIT:
         return tuple((i,) for i in range(1, ell + 1))
-    d = (ell + 1) // 2
-    orbits = [tuple(sorted({i, ell + 1 - i})) for i in range(1, d)]
-    if (ell + 1) % 2 == 0:
-        orbits.append((d,))
-    else:
-        orbits.append((d, d + 1))
-    return tuple(orbits)
+    return tuple(tuple(sorted({i, ell + 1 - i})) for i in range(1, (ell + 1) // 2 + 1))
 
 
 @lru_cache(maxsize=None)

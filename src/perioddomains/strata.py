@@ -38,7 +38,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from operator import mul
 
-from .errors import BudgetExceeded, ValidationError
+from .errors import BudgetExceeded, check_budget
 from .rootdata import GroupDatum, RootSystemData, _base_orbits, _read_nu, climb, reflect_labels
 from .weyl import WeylElement, _parabolic, _tables, longest_element, weyl_order
 
@@ -140,8 +140,7 @@ def strata_report(g: GroupDatum, nu, max_cells: int | None = None) -> StrataRepo
     """Full unstable-locus report for a dominant cocharacter tuple. It visits
     the sum over copies and vertices of min(|W/W_{P_i}|, |W/W_P|) orbit
     elements; more than max_cells raise BudgetExceeded before any search."""
-    if max_cells is not None and max_cells < 0:
-        raise ValidationError(f"cell budget must be nonnegative, got {max_cells}")
+    check_budget(max_cells)
     vertex_deltas = _vertex_data(g.base, g.form)
     ints, _, deltas = _read_nu(g.base, g.res_degree, nu)
     rs = g.base
@@ -150,9 +149,7 @@ def strata_report(g: GroupDatum, nu, max_cells: int | None = None) -> StrataRepo
                  for pd in pds for dpi in vertex_deltas)
     if max_cells is not None and visits > max_cells:
         raise BudgetExceeded(f"{visits} orbit elements exceed budget {max_cells}")
-    # W_i = 2 det(M) omega_i: a common positive multiple of (omega_i, nu),
-    # which leaves every sign, group by value and merge across copies the same
-    pairs = [tuple(sum(map(mul, w, v)) for w in rs.integer_coweights) for v in ints]
+    pairs = rs.coweight_pairings(ints)
     strata = tuple(_stratum(g, i, dpi, deltas, pairs)
                    for i, dpi in enumerate(vertex_deltas, start=1))
     dim_f = sum(pd.w0p_length for pd in pds)

@@ -264,25 +264,49 @@ def test_steps_whose_rows_are_dependent_or_zero_are_refused(test):
     ((((1, 5, 0),),), (2, -1, -1), "flag entry 5 is not an int in 0..1"),
     ((((1, -1, 0),),), (2, -1, -1), "flag entry -1 is not an int in 0..1"),
     ((((1, 1.0, 0),),), (2, -1, -1), "flag entry of type float is not an int in 0..1"),
-], ids=["width-in-a-later-step", "entry-past-the-field", "negative-entry", "float-entry"])
+    (([[1, 0, 0]],), (2, -1, -1), "flag row of type list is not a tuple"),
+], ids=["width-in-a-later-step", "entry-past-the-field", "negative-entry", "float-entry",
+        "list-rows"])
 def test_malformed_rows_are_refused_by_both_tests(bases, nu, err):
-    # the kernel checks every row of every step before it reads one: a row
-    # of another width, or an entry that is not an element of F_2, gets no
-    # verdict, an IndexError or a wrapped index
+    # both tests check every row of every step before any memo is read: a
+    # row of another width, or an entry that is not an element of F_2, gets
+    # no verdict, an IndexError or a wrapped index, and a list row no bare
+    # TypeError from the profiles' memo, which hashes the point
     ff = ffl.finite_field(2)
     for test in (ffl.is_semistable_subspace_test, ffl.is_semistable_strata_test):
         with pytest.raises(ValidationError, match=f"^{re.escape(err)}$"):
             test(ffl.FlagPoint(bases), nu, ff)
 
 
+@pytest.mark.parametrize("test", [ffl.is_semistable_subspace_test,
+                                  ffl.is_semistable_strata_test], ids=["subspace", "strata"])
+@pytest.mark.parametrize("entry", [1.0, True], ids=["float", "bool"])
+def test_copy_of_the_last_point_with_an_equal_entry_is_refused(test, entry):
+    # the profiles' memo compares points by value, where 1.0 == 1 == True:
+    # a copy of the point just decided, with a float or bool entry, must be
+    # refused before the memo is read, not given the int point's verdict
+    ff = ffl.finite_field(2)
+    assert test(ffl.FlagPoint((((1, 0, 0),),)), (2, -1, -1), ff) is False
+    err = f"^flag entry of type {type(entry).__name__} is not an int in 0..1$"
+    with pytest.raises(ValidationError, match=err):
+        test(ffl.FlagPoint((((entry, 0, 0),),)), (2, -1, -1), ff)
+
+
 def test_survey_refuses_before_building_the_field(monkeypatch):
-    # survey checks its budget, and nu's entry types before the memo of
-    # nu's reading, which is keyed by value (1.0 == 1), all before the field
+    # survey checks its budget's sign first, its counts, and nu's entry types
+    # before the memo of nu's reading, which is keyed by value (1.0 == 1),
+    # all before the field
     def no_field(*args):
         raise AssertionError(f"field {args} built")
 
     monkeypatch.setattr(ffl, "finite_field", no_field)
     ffl._excesses.cache_clear()
+    # a negative budget is invalid, not exceeded, and refused first: before
+    # the field order's checks (6 is not prime) and before nu is read
+    for p in (2, 6):
+        with pytest.raises(ValidationError, match="^budget must be nonnegative, got -1$"):
+            ffl.survey(p, 1, 2, 1, (1, -1), -1)
+    assert ffl._excesses.cache_info().currsize == 0
     # P^1 over F_16 has 17 points; nu is read before the count is refused
     with pytest.raises(BudgetExceeded, match="^17 flag points exceed budget 16$"):
         ffl.survey(2, 1, 4, 1, (1, -1), 16)

@@ -6,7 +6,7 @@ import typing
 from pathlib import Path
 
 import perioddomains
-from perioddomains import cli, rootdata, weyl
+from perioddomains import cli, finflag, rootdata, weyl
 
 
 def test_no_assert_in_package():
@@ -118,6 +118,39 @@ def test_finflag_alone_drives_a_finite_field_job():
                    for node in ast.walk(stmt)):
                 users.add(f"{path.stem}.{getattr(stmt, 'name', '<module>')}")
     assert users == {"finflag._is_semistable", "finflag.survey"}
+
+
+def _raisers(text):
+    """The top-level functions and classes of the package, as module.name,
+    with a raise statement whose source holds text."""
+    found = set()
+    for path in sorted(Path(perioddomains.__file__).parent.glob("*.py")):
+        for stmt in ast.parse(path.read_text(encoding="utf-8"), filename=str(path)).body:
+            if any(isinstance(node, ast.Raise) and text in ast.unparse(node)
+                   for node in ast.walk(stmt)):
+                found.add(f"{path.stem}.{getattr(stmt, 'name', '<module>')}")
+    return found
+
+
+def test_flag_rows_are_checked_once_where_a_point_enters():
+    # a point built outside the package is checked by `_is_semistable`, the
+    # driver of both public tests, before any memo; the kernel only refuses
+    # a step of dependent rows, and survey's loop checks no point it built
+    for text in ("flag row of type", "flag point of width", "flag entry"):
+        assert _raisers(text) == {"finflag._is_semistable"}, text
+    tree = ast.parse(Path(finflag.__file__).read_text(encoding="utf-8"))
+    defs = {node.name: node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+    raises = [ast.unparse(node) for node in ast.walk(defs["intersection_profiles"])
+              if isinstance(node, ast.Raise)]
+    assert raises == ["raise ValidationError(f'flag step of {len(basis)} rows has rank "
+                      "{len(ech)}')"]
+    assert [node for node in ast.walk(defs["verdicts"]) if isinstance(node, ast.Raise)
+            or isinstance(node, ast.Call) and ast.unparse(node.func) == "_is_semistable"] == []
+
+
+def test_one_helper_refuses_a_negative_budget():
+    # the CLI, strata_report and survey keep one rule by one helper
+    assert _raisers("budget must be nonnegative") == {"errors.check_budget"}
 
 
 def _package_reads(directory):
