@@ -12,6 +12,8 @@ echelon row u of the U and every vector a of each Frob^-j-twisted step's
 annihilator, so each U costs lookups plus the rank of a small matrix, and a
 line U reads its dims straight off the table. The kernel keeps its last
 result, so a point's profiles are computed once and both routes read them.
+It reads a step's pivots off its canonical rows (Frobenius fixes 0 and 1);
+`enumerate_flags` and the public tests reduce a step once, where it enters.
 
 One helper, `_semistable`, decides a point: semistable iff no excess of the
 route is positive on its profiles, each an integer summed over the copies.
@@ -330,7 +332,7 @@ def rref(rows: Sequence[Sequence[int]], ff: FiniteField) -> tuple[Matrix, tuple[
         if piv is None:
             continue
         mat[rank], mat[piv] = mat[piv], mat[rank]
-        if mat[rank][col] != 1:  # the steps of a FlagPoint are canonical already
+        if mat[rank][col] != 1:  # enumerate_flags's later steps join rows with pivot 1
             inv = ff.inv(mat[rank][col])
             mat[rank] = [mul(inv, x) for x in mat[rank]]
         for r in range(len(mat)):
@@ -376,9 +378,10 @@ class FlagPoint:
     """A point of a type-A partial flag variety over the working field.
 
     `bases[i]` is the canonical reduced echelon basis of the i-th proper
-    step, `dims` their sizes. Both semistability tests refuse a row that is
-    not a tuple of nu's width over the field, or a step of dependent rows,
-    assume the steps nest, and refuse a profile that no nested flag has.
+    step, `dims` their sizes. Both semistability tests refuse bases, steps
+    or rows that are not tuples, rows not of nu's width over the field, and
+    dependent rows, reduce a step that is not canonical, assume the steps
+    nest, and refuse a profile that no nested flag has.
     """
 
     bases: tuple[Matrix, ...]
@@ -430,16 +433,19 @@ def enumerate_flags(ff: FiniteField, ell: int, dims: Sequence[int]) -> Iterator[
         k = dims[step] - len(rows)
         free_cols = [j for j in range(n) if j not in pivots]
         for quo in enumerate_rref(len(free_cols), k, all_elems):
-            lifted = []
-            for qrow in quo:
-                row = [0] * n
-                for val, col in zip(qrow, free_cols):
-                    row[col] = val
-                lifted.append(row)
-            new_rows, new_pivots = rref(list(rows) + lifted, ff)
-            if len(new_rows) != dims[step]:
-                raise InvariantViolation(
-                    f"step {step + 1} has dimension {len(new_rows)}, not {dims[step]}")
+            if step:  # join the new rows to the earlier ones
+                lifted = []
+                for qrow in quo:
+                    row = [0] * n
+                    for val, col in zip(qrow, free_cols):
+                        row[col] = val
+                    lifted.append(row)
+                new_rows, new_pivots = rref(list(rows) + lifted, ff)
+                if len(new_rows) != dims[step]:
+                    raise InvariantViolation(
+                        f"step {step + 1} has dimension {len(new_rows)}, not {dims[step]}")
+            else:  # the first step is canonical as enumerated: its pivots are its first 1s
+                new_rows, new_pivots = quo, tuple(row.index(1) for row in quo)
             for rest in extend(step + 1, new_rows, new_pivots):
                 yield (new_rows,) + rest
 
@@ -481,16 +487,15 @@ def intersection_profiles(points: tuple[FlagPoint, ...], n: int, ff: FiniteField
     of F_q^n.
 
     dim(Frob^j U cap F) = dim(U cap Frob^-j F), so copy j's steps are
-    twisted by Frob^-j and every copy reads the rows of U itself. Each step
-    is put in echelon form once; its annihilator has one vector a_f per free
-    column f, and dim(U cap F^b) = k - rank(u . a_f) over the rows u of U and
-    the free columns f. The products u . a_f are tabulated once per row u,
-    so each U costs lookups plus the rank of a k x (n - dim F^b) matrix; a
-    line (k = 1) reads its dim off the table, 1 where its row lies in F^b.
-
-    Its one refusal is of a step of dependent rows, whose rank `rref` finds
-    anyway; the caller checks the rows. The last call's result is kept, so
-    the two tests of one point compute its profiles once.
+    twisted by Frob^-j and every copy reads the rows of U itself. A step's
+    pivots are its rows' first 1s (the caller checks and reduces it); its
+    annihilator has one vector a_f per free column f, and dim(U cap F^b) =
+    k - rank(u . a_f) over the rows u of U and the free columns f. The
+    products u . a_f are tabulated once per row u, so each U costs lookups
+    plus the rank of a k x (n - dim F^b) matrix; a line (k = 1) reads its
+    dim off the table, 1 where its row lies in F^b. It refuses nothing. The
+    last call's result is kept, so the two tests of one point compute its
+    profiles once.
     """
     rows, families = _rational_rows(ff, n, len(points))
     add, mul = ff.add, ff.mul
@@ -498,12 +503,10 @@ def intersection_profiles(points: tuple[FlagPoint, ...], n: int, ff: FiniteField
     power = 0  # copy j's steps take Frob^-j
     for x in points:
         for basis in x.bases:
+            pivots = [row.index(1) for row in basis]
             if power:
                 basis = [[ff.frobenius(v, power) for v in row] for row in basis]
-            ech, pivots = rref(basis, ff)
-            if len(ech) < len(basis):
-                raise ValidationError(f"flag step of {len(basis)} rows has rank {len(ech)}")
-            annihilator = [(f, [(pc, ff.neg(r[f])) for r, pc in zip(ech, pivots) if r[f]])
+            annihilator = [(f, [(pc, ff.neg(r[f])) for r, pc in zip(basis, pivots) if r[f]])
                            for f in range(n) if f not in pivots]
             table = []
             for u in rows:
@@ -617,7 +620,8 @@ def _factors(nu) -> tuple[tuple, ...]:
 def _is_semistable(x, nu, ff: FiniteField, route: str) -> bool:
     """Whether x is semistable by `route`, after the checks of x and nu: the
     driver of both public tests. Its memos are keyed by value (1.0 == 1 ==
-    True), so nu's entries and every row of x are checked before they are read."""
+    True), so nu's entries and every row of x are checked before they are
+    read; a step that is not canonical is reduced once, here."""
     factors = _factors(nu)
     check_rational(factors)
     n, dims, excesses = _excesses(len(factors[0]) - 1, factors)
@@ -627,10 +631,15 @@ def _is_semistable(x, nu, ff: FiniteField, route: str) -> bool:
     order = ff.order
     j = 0  # plain loops: zip or all() would cost more than the checks
     for y in points:
+        if type(y) is not FlagPoint:
+            raise ValidationError(f"flag point of type {type(y).__name__} is not a FlagPoint")
+        if type(y.bases) is not tuple:
+            raise ValidationError(f"flag bases of type {type(y.bases).__name__} are not a tuple")
         if y.dims != dims[j]:
             raise ValidationError(f"flag dims {y.dims} do not match cocharacter dims {dims[j]}")
-        for basis in y.bases:
-            for row in basis:
+        for s, basis in enumerate(y.bases):
+            prev = -1  # the last pivot, or n once a row is not canonical
+            for i, row in enumerate(basis):
                 if type(row) is not tuple:
                     raise ValidationError(f"flag row of type {type(row).__name__} is not a tuple")
                 if len(row) != n:
@@ -639,6 +648,17 @@ def _is_semistable(x, nu, ff: FiniteField, route: str) -> bool:
                     if type(v) is not int or not 0 <= v < order:
                         what = shown(v) if type(v) is int else f"of type {type(v).__name__}"
                         raise ValidationError(f"flag entry {what} is not an int in 0..{order - 1}")
+                pivot = row.index(1) if 1 in row else n  # canonical: 0s, a 1, 0s above that 1
+                prev = pivot if prev < pivot < n and not any(row[:pivot]) \
+                    and not (i and any(r[pivot] for r in basis[:i])) else n
+            if type(basis) is not tuple:
+                raise ValidationError(f"flag step of type {type(basis).__name__} is not a tuple")
+            if prev == n:  # a hand-built step is reduced once, here
+                ech = rref(basis, ff)[0]
+                if len(ech) < len(basis):
+                    raise ValidationError(f"flag step of {len(basis)} rows has rank {len(ech)}")
+                y = FlagPoint(y.bases[:s] + (ech,) + y.bases[s + 1:])
+                points = points[:j] + (y,) + points[j + 1:]  # the loop reads the old tuple
         j += 1
     return _semistable(points, n, ff, excesses[route])
 

@@ -243,8 +243,9 @@ def test_steps_that_do_not_nest_are_refused_by_both_tests(test):
 @pytest.mark.parametrize("test", [ffl.is_semistable_subspace_test,
                                   ffl.is_semistable_strata_test], ids=["subspace", "strata"])
 def test_steps_whose_rows_are_dependent_or_zero_are_refused(test):
-    # a zero row spans no line, and two equal rows no plane: the kernel
-    # refuses such a step, on any copy, instead of giving a verdict on it
+    # a zero row spans no line, and two equal rows no plane: the public
+    # tests' common `_is_semistable` refuses such a step, on any copy, when it
+    # reduces it
     ff = ffl.finite_field(2)
     zero = ffl.FlagPoint((((0, 0, 0),),))
     with pytest.raises(ValidationError, match="^flag step of 1 rows has rank 0$"):
@@ -261,17 +262,20 @@ def test_steps_whose_rows_are_dependent_or_zero_are_refused(test):
 @pytest.mark.parametrize("bases,nu,err", [
     ((((1, 0, 0),), ((1, 0, 0, 0), (0, 1, 0, 0))), (1, 0, -1),
      "flag point of width 4, nu of length 3"),
+    ((((0, 0, 1), (1, 0)),), (1, 1, -2), "flag point of width 2, nu of length 3"),
     ((((1, 5, 0),),), (2, -1, -1), "flag entry 5 is not an int in 0..1"),
     ((((1, -1, 0),),), (2, -1, -1), "flag entry -1 is not an int in 0..1"),
     ((((1, 1.0, 0),),), (2, -1, -1), "flag entry of type float is not an int in 0..1"),
     (([[1, 0, 0]],), (2, -1, -1), "flag row of type list is not a tuple"),
-], ids=["width-in-a-later-step", "entry-past-the-field", "negative-entry", "float-entry",
-        "list-rows"])
+    (([(1, 0, 0)],), (2, -1, -1), "flag step of type list is not a tuple"),
+    ([((1, 0, 0),)], (2, -1, -1), "flag bases of type list are not a tuple"),
+], ids=["width-in-a-later-step", "width-in-a-later-row", "entry-past-the-field",
+        "negative-entry", "float-entry", "list-rows", "list-step", "list-bases"])
 def test_malformed_rows_are_refused_by_both_tests(bases, nu, err):
     # both tests check every row of every step before any memo is read: a
     # row of another width, or an entry that is not an element of F_2, gets
-    # no verdict, an IndexError or a wrapped index, and a list row no bare
-    # TypeError from the profiles' memo, which hashes the point
+    # no verdict, an IndexError or a wrapped index, and a list row, step or
+    # bases no bare TypeError from the profiles' memo, which hashes the point
     ff = ffl.finite_field(2)
     for test in (ffl.is_semistable_subspace_test, ffl.is_semistable_strata_test):
         with pytest.raises(ValidationError, match=f"^{re.escape(err)}$"):
@@ -290,6 +294,84 @@ def test_copy_of_the_last_point_with_an_equal_entry_is_refused(test, entry):
     err = f"^flag entry of type {type(entry).__name__} is not an int in 0..1$"
     with pytest.raises(ValidationError, match=err):
         test(ffl.FlagPoint((((entry, 0, 0),),)), (2, -1, -1), ff)
+
+
+@pytest.mark.parametrize("test", [ffl.is_semistable_subspace_test,
+                                  ffl.is_semistable_strata_test], ids=["subspace", "strata"])
+def test_a_bare_tuple_of_steps_is_refused(test):
+    # a tuple of steps in place of a FlagPoint has no dims: it is refused
+    # with a typed error before any attribute of it is read
+    with pytest.raises(ValidationError, match="^flag point of type tuple is not a FlagPoint$"):
+        test((((1, 0, 0),),), (2, -1, -1), ffl.finite_field(2))
+
+
+def _mixed(step, rng, ff):
+    """The rows of a random invertible combination of the rows of step."""
+    k = len(step)
+    while True:
+        g = [[rng.randrange(ff.order) for _ in range(k)] for _ in range(k)]
+        if len(ffl.rref(g, ff)[0]) == k:
+            break
+    out = []
+    for coeffs in g:
+        row = [0] * len(step[0])
+        for c, r in zip(coeffs, step):
+            row = [ff.add(a, ff.mul(c, b)) for a, b in zip(row, r)]
+        out.append(tuple(row))
+    return tuple(out)
+
+
+@pytest.mark.parametrize("q,m", [(2, 1), (2, 2), (3, 3)], ids=["F2", "F4", "F27"])
+def test_a_hand_built_step_gets_the_verdicts_of_its_reduced_twin(q, m):
+    # a full-rank step that is not in canonical form is reduced once, by the
+    # public tests' common `_is_semistable`, and decided as the canonical
+    # step it spans
+    ff = ffl.finite_field(q, 1, m)
+    rng = random.Random(q ** m)
+    twins = [(ffl.FlagPoint((((0, 1, 0),), ((1, 1, 0), (0, 1, 0)))),
+              ffl.FlagPoint((((0, 1, 0),), ((1, 0, 0), (0, 1, 0)))))]
+    flags = list(ffl.enumerate_flags(ff, 2, (1, 2)))
+    for x in rng.sample(flags, min(30, len(flags))):
+        twins.append((ffl.FlagPoint(tuple(_mixed(step, rng, ff) for step in x.bases)), x))
+    assert sum(hand != twin for hand, twin in twins) > len(twins) // 2
+    seen = set()
+    for nu in ((1, 0, -1), (3, 1, -4)):
+        for hand, twin in twins:
+            for test in (ffl.is_semistable_subspace_test, ffl.is_semistable_strata_test):
+                verdict = test(twin, nu, ff)
+                assert test(hand, nu, ff) == verdict
+                seen.add(verdict)
+    assert (True in seen) == (ff.order > 2)  # every flag over F_2 is rational
+
+
+def test_enumerated_points_are_decided_without_rref(monkeypatch):
+    # an enumerated point's steps are canonical: enumerate_flags's first
+    # step, the check in `_is_semistable` and the kernel read pivots off the rows, so
+    # with rref refused once the points are built, both public tests and
+    # survey's verdicts decide them as before (n = 3 keeps `_rank` on its
+    # fast paths)
+    ff = ffl.finite_field(3, 1, 2)
+    flags = list(ffl.enumerate_flags(ff, 2, (1, 2)))
+    lines = list(ffl.enumerate_flags(ff, 2, (1,)))
+    pairs = list(itertools.product(ffl.enumerate_flags(ffl.finite_field(2, 1, 2), 1, (1,)),
+                                   repeat=2))
+
+    def both(points, nu, ff):
+        return [(x, ffl.is_semistable_subspace_test(x, nu, ff),
+                 ffl.is_semistable_strata_test(x, nu, ff)) for x in points]
+
+    jobs = [(flags, (1, 0, -1), ff), (lines, (2, -1, -1), ff),
+            (pairs, ((1, -1), (1, -1)), ffl.finite_field(2, 1, 2))]
+    want = [both(*job) for job in jobs]
+
+    def refuse(*args):
+        raise AssertionError("rref called")
+
+    monkeypatch.setattr(ffl, "rref", refuse)
+    assert [both(*job) for job in jobs] == want
+    assert list(ffl.survey(3, 1, 2, 2, (2, -1, -1), 10 ** 6)[1]) == \
+        [((x,), a, b) for x, a, b in want[1]]
+    assert list(ffl.survey(2, 1, 2, 1, ((1, -1), (1, -1)), 10 ** 6)[1]) == want[2]
 
 
 def test_survey_refuses_before_building_the_field(monkeypatch):
@@ -337,6 +419,33 @@ def test_subspace_enumeration_matches_gaussian_counts():
         subs = list(ffl.enumerate_rref(3, k, range(3)))
         assert len(subs) == ffl.checked_flag_count(2, (k,), 3)
         assert len(set(subs)) == len(subs)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_enumerated_steps_are_their_own_rref(q):
+    # `_is_semistable` and the kernel read a step's pivots off its rows, first 1
+    # of each: every step of every enumerated point, partial or full, is
+    # already its rref, with those pivots
+    ff = ffl.finite_field(*ffl.factor_prime_power(q))
+    for n in (2, 3, 4):
+        for size in range(1, n):
+            for dims in itertools.combinations(range(1, n), size):
+                for x in ffl.enumerate_flags(ff, n - 1, dims):
+                    for step in x.bases:
+                        assert ffl.rref(step, ff) == (step, tuple(row.index(1) for row in step))
+
+
+@pytest.mark.parametrize("q,m,t", [(2, 2, 2), (3, 2, 2), (2, 3, 3)])
+def test_frobenius_twisted_steps_are_their_own_rref(q, m, t):
+    # the kernel twists copy j's steps by Frob^-j; sigma fixes 0 and 1, so a
+    # twisted canonical step is canonical, with the same pivots
+    ff = ffl.finite_field(q, 1, m)
+    for x in ffl.enumerate_flags(ff, 2, (1, 2)):
+        for step in x.bases:
+            pivots = tuple(row.index(1) for row in step)
+            for j in range(1, t):
+                twisted = tuple(tuple(ff.frobenius(v, -j) for v in row) for row in step)
+                assert ffl.rref(twisted, ff) == (twisted, pivots)
 
 
 def test_slope_examples():
