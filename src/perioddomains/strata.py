@@ -167,7 +167,7 @@ def _stratum(g: GroupDatum, i: int, delta_pi: tuple[int, ...], deltas, pairs) ->
     """Vertex i, with Delta_{P_i} = delta_pi, from each copy's double cosets
     and pairing values (mu, nu_j)."""
     empty = VertexStratum(index=i, dim=None, witness=None, cell_count=0)
-    if len(deltas) == 1:  # the merge below, without the grouping by value
+    if len(deltas) == 1:  # no _lift: _top_cell's cached witness derives its word once
         dims, counts, mus = _double_cosets(g.base, deltas[0], delta_pi)
         hits = [k for k, mu in enumerate(mus) if sum(map(mul, mu, pairs[0])) > 0]
         if not hits:

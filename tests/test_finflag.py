@@ -240,22 +240,26 @@ def test_steps_that_do_not_nest_are_refused_by_both_tests(test):
                         for pair in itertools.product(lines, repeat=2)]
 
 
+# the refusal of a step that is not canonical, as a pattern with its row count left open
+_NOT_ECHELON = r"flag step of {} rows is not in reduced echelon form; finflag\.rref gives it"
+
+
 @pytest.mark.parametrize("test", [ffl.is_semistable_subspace_test,
                                   ffl.is_semistable_strata_test], ids=["subspace", "strata"])
 def test_steps_whose_rows_are_dependent_or_zero_are_refused(test):
-    # a zero row spans no line, and two equal rows no plane: the public
-    # tests' common `_is_semistable` refuses such a step, on any copy, when it
-    # reduces it
+    # a zero row spans no line, and two equal rows no plane: neither step is
+    # in reduced echelon form, so the public tests' common `_is_semistable`
+    # refuses it, on any copy
     ff = ffl.finite_field(2)
     zero = ffl.FlagPoint((((0, 0, 0),),))
-    with pytest.raises(ValidationError, match="^flag step of 1 rows has rank 0$"):
+    with pytest.raises(ValidationError, match=f"^{_NOT_ECHELON.format(1)}$"):
         test(zero, (2, -1, -1), ff)
     twice = ffl.FlagPoint((((1, 0, 0),), ((1, 0, 0), (1, 0, 0))))
-    with pytest.raises(ValidationError, match="^flag step of 2 rows has rank 1$"):
+    with pytest.raises(ValidationError, match=f"^{_NOT_ECHELON.format(2)}$"):
         test(twice, (1, 0, -1), ff)
     ff = ffl.finite_field(2, 1, 2)
     line = next(ffl.enumerate_flags(ff, 1, (1,)))
-    with pytest.raises(ValidationError, match="^flag step of 1 rows has rank 0$"):
+    with pytest.raises(ValidationError, match=f"^{_NOT_ECHELON.format(1)}$"):
         test((line, ffl.FlagPoint((((0, 0),),))), ((1, -1), (1, -1)), ff)
 
 
@@ -266,16 +270,21 @@ def test_steps_whose_rows_are_dependent_or_zero_are_refused(test):
     ((((1, 5, 0),),), (2, -1, -1), "flag entry 5 is not an int in 0..1"),
     ((((1, -1, 0),),), (2, -1, -1), "flag entry -1 is not an int in 0..1"),
     ((((1, 1.0, 0),),), (2, -1, -1), "flag entry of type float is not an int in 0..1"),
-    (([[1, 0, 0]],), (2, -1, -1), "flag row of type list is not a tuple"),
+    ((([1, 0, 0],),), (2, -1, -1), "flag row of type list is not a tuple"),
     (([(1, 0, 0)],), (2, -1, -1), "flag step of type list is not a tuple"),
+    (([[1, 0, 0]],), (2, -1, -1), "flag step of type list is not a tuple"),
+    ((5,), (2, -1, -1), "flag step of type int is not a tuple"),
     ([((1, 0, 0),)], (2, -1, -1), "flag bases of type list are not a tuple"),
+    ((((1, 0, 0), [0, 1, 0]),), (2, -1, -1), "flag row of type list is not a tuple"),
 ], ids=["width-in-a-later-step", "width-in-a-later-row", "entry-past-the-field",
-        "negative-entry", "float-entry", "list-rows", "list-step", "list-bases"])
+        "negative-entry", "float-entry", "list-rows", "list-step", "list-step-of-list-rows",
+        "int-step", "list-bases", "rows-before-dims"])
 def test_malformed_rows_are_refused_by_both_tests(bases, nu, err):
-    # both tests check every row of every step before any memo is read: a
-    # row of another width, or an entry that is not an element of F_2, gets
-    # no verdict, an IndexError or a wrapped index, and a list row, step or
-    # bases no bare TypeError from the profiles' memo, which hashes the point
+    # both tests check every row of every step before any memo is read, from
+    # the outside in: a row of another width, or an entry that is not an
+    # element of F_2, gets no verdict, an IndexError or a wrapped index, and
+    # a list row, step or bases, or a step with no length, no bare TypeError;
+    # a step is checked before its rows, and a point's rows before its dims
     ff = ffl.finite_field(2)
     for test in (ffl.is_semistable_subspace_test, ffl.is_semistable_strata_test):
         with pytest.raises(ValidationError, match=f"^{re.escape(err)}$"):
@@ -299,10 +308,13 @@ def test_copy_of_the_last_point_with_an_equal_entry_is_refused(test, entry):
 @pytest.mark.parametrize("test", [ffl.is_semistable_subspace_test,
                                   ffl.is_semistable_strata_test], ids=["subspace", "strata"])
 def test_a_bare_tuple_of_steps_is_refused(test):
-    # a tuple of steps in place of a FlagPoint has no dims: it is refused
-    # with a typed error before any attribute of it is read
+    # a tuple of steps in place of a FlagPoint has no dims, and an int is no
+    # point: each is refused with a typed error before any attribute of it is
+    # read
     with pytest.raises(ValidationError, match="^flag point of type tuple is not a FlagPoint$"):
         test((((1, 0, 0),),), (2, -1, -1), ffl.finite_field(2))
+    with pytest.raises(ValidationError, match="^flag point of type int is not a FlagPoint$"):
+        test(5, (2, -1, -1), ffl.finite_field(2))
 
 
 def _mixed(step, rng, ff):
@@ -322,10 +334,10 @@ def _mixed(step, rng, ff):
 
 
 @pytest.mark.parametrize("q,m", [(2, 1), (2, 2), (3, 3)], ids=["F2", "F4", "F27"])
-def test_a_hand_built_step_gets_the_verdicts_of_its_reduced_twin(q, m):
-    # a full-rank step that is not in canonical form is reduced once, by the
-    # public tests' common `_is_semistable`, and decided as the canonical
-    # step it spans
+def test_a_hand_built_step_is_refused_and_its_reduced_twin_decided(q, m):
+    # a full-rank step that is not in canonical form is refused by the public
+    # tests' common `_is_semistable`; `rref` gives the canonical step it
+    # spans, which is the enumerated point's and gets its verdicts
     ff = ffl.finite_field(q, 1, m)
     rng = random.Random(q ** m)
     twins = [(ffl.FlagPoint((((0, 1, 0),), ((1, 1, 0), (0, 1, 0)))),
@@ -337,10 +349,13 @@ def test_a_hand_built_step_gets_the_verdicts_of_its_reduced_twin(q, m):
     seen = set()
     for nu in ((1, 0, -1), (3, 1, -4)):
         for hand, twin in twins:
+            reduced = ffl.FlagPoint(tuple(ffl.rref(step, ff)[0] for step in hand.bases))
+            assert reduced == twin
             for test in (ffl.is_semistable_subspace_test, ffl.is_semistable_strata_test):
-                verdict = test(twin, nu, ff)
-                assert test(hand, nu, ff) == verdict
-                seen.add(verdict)
+                if hand != twin:
+                    with pytest.raises(ValidationError, match=f"^{_NOT_ECHELON.format('[12]')}$"):
+                        test(hand, nu, ff)
+                seen.add(test(reduced, nu, ff))
     assert (True in seen) == (ff.order > 2)  # every flag over F_2 is rational
 
 

@@ -135,14 +135,18 @@ def _raisers(text):
 def test_flag_rows_are_checked_once_where_a_point_enters():
     # a point built outside the package is checked by `_is_semistable`, the
     # common path of both public tests, before any memo: its type, its steps and
-    # rows, and a step that is not canonical is reduced there, once, and
-    # refused if its rows are dependent; the kernel only computes, and
-    # survey's loop checks no point it built
+    # rows, and a step that is not canonical is refused there, not reduced or
+    # rebuilt; the kernel only computes, and survey's loop checks no point it
+    # built
     for text in ("flag point of type", "flag bases of type", "flag step of type",
-                 "flag row of type", "flag point of width", "flag entry", "rows has rank"):
+                 "flag row of type", "flag point of width", "flag entry",
+                 "is not in reduced"):
         assert _raisers(text) == {"finflag._is_semistable"}, text
     tree = ast.parse(Path(finflag.__file__).read_text(encoding="utf-8"))
     defs = {node.name: node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+    assert [ast.unparse(node.func) for node in ast.walk(defs["_is_semistable"])
+            if isinstance(node, ast.Call)
+            and ast.unparse(node.func) in ("rref", "FlagPoint")] == []
     assert [node for node in ast.walk(defs["intersection_profiles"])
             if isinstance(node, ast.Raise)] == []
     assert [node for node in ast.walk(defs["verdicts"]) if isinstance(node, ast.Raise)
@@ -179,8 +183,8 @@ def _package_reads(directory):
 
 
 def test_perfbench_reads_only_names_the_package_has():
-    # a rename in the package must fail here, since the benchmark's own
-    # tests are not part of this suite
+    # a rename in the package must fail here for every name the benchmark's
+    # files read, not only for those its own tests happen to call
     reads, missing = _package_reads(Path(__file__).parents[1] / "perfbench")
     assert missing == []
     assert {module for module, _ in reads} == \
