@@ -7,12 +7,17 @@ k-rational subspace is then a k'-subspace U of k'^n, and copy j meets
 Frob_q^j(U) (Dat-Orlik-Rapoport, Period Domains over Finite and p-adic
 Fields, 2010); t = 1 is the split case. Both routes read the intersection
 profiles (dim(Frob^j U cap F_j^b))_{j, b} from one kernel,
-`intersection_profiles`: per point it tabulates u . a once for every
-echelon row u of the U and every vector a of each Frob^-j-twisted step's
-annihilator, so each U costs lookups plus the rank of a small matrix, and a
-line U reads its dims straight off the table. The kernel keeps its last
-result, so a point's profiles are computed once and both routes read them.
-It reads a step's pivots off its canonical rows (Frobenius fixes 0 and 1);
+`intersection_profiles`, which zips one column of dims per step. A column
+depends on its step and twist alone; the step pass `_step_dims` tabulates
+u . a once for every echelon row u of the U and every vector a of the
+Frob^-j-twisted step's annihilator, so each U costs lookups plus the rank
+of a small matrix, and a line U reads its dim straight off the table. Many
+points share a step (a line of F_27^3 lies in 28 full flags), so a point
+of two or more steps reads its passes from a memo by value, bounded by the
+dims it holds (STEP_MEMO_DIMS); a one-step point, the only point with its
+step, passes it directly. The kernel keeps its last result, so a point's
+profiles are computed once and both routes read them. The pass reads a
+step's pivots off its canonical rows (Frobenius fixes 0 and 1);
 `enumerate_flags` builds steps so, and the public tests refuse other steps.
 
 One helper, `_semistable`, decides a point: semistable iff no excess of the
@@ -366,7 +371,7 @@ def enumerate_rref(n: int, k: int, elements: Sequence[int]) -> Iterator[Matrix]:
                 mat[i][pivots[i]] = 1
             for (i, j), v in zip(free_positions, values):
                 mat[i][j] = v
-            yield tuple(tuple(r) for r in mat)
+            yield tuple([tuple(r) for r in mat])
 
 
 # ---------------------------------------------------------------------------
@@ -426,12 +431,12 @@ def enumerate_flags(ff: FiniteField, ell: int, dims: Sequence[int]) -> Iterator[
     checked_flag_count(ell, dims, ff.order)
     all_elems = tuple(range(ff.order))
 
-    def extend(step: int, rows: Matrix, pivots: tuple[int, ...]) -> Iterator[tuple[Matrix, ...]]:
-        if step == len(dims):
-            yield ()
-            return
+    def extend(step: int, chain: tuple[Matrix, ...],
+               pivots: tuple[int, ...]) -> Iterator[FlagPoint]:
+        rows = chain[-1] if chain else ()
         k = dims[step] - len(rows)
         free_cols = [j for j in range(n) if j not in pivots]
+        last = step == len(dims) - 1  # the last step yields its points: no generator per point
         for quo in enumerate_rref(len(free_cols), k, all_elems):
             if step:  # join the new rows to the earlier ones
                 lifted = []
@@ -446,11 +451,15 @@ def enumerate_flags(ff: FiniteField, ell: int, dims: Sequence[int]) -> Iterator[
                         f"step {step + 1} has dimension {len(new_rows)}, not {dims[step]}")
             else:  # the first step is canonical as enumerated: its pivots are its first 1s
                 new_rows, new_pivots = quo, tuple(row.index(1) for row in quo)
-            for rest in extend(step + 1, new_rows, new_pivots):
-                yield (new_rows,) + rest
+            if last:
+                yield FlagPoint(chain + (new_rows,))
+            else:
+                yield from extend(step + 1, chain + (new_rows,), new_pivots)
 
-    for chain in extend(0, (), ()):
-        yield FlagPoint(chain)
+    if dims:
+        yield from extend(0, (), ())
+    else:  # a central nu: the one point is the flag with no proper step
+        yield FlagPoint(())
 
 
 @lru_cache(maxsize=None)
@@ -477,6 +486,83 @@ def _rank(vecs: Sequence[Row], ff: FiniteField) -> int:
     return len(rref(vecs, ff)[0])
 
 
+def _step_dims(ff: FiniteField, n: int, t: int, basis: Matrix,
+               power: int) -> tuple[tuple[int, ...], ...]:
+    """The step pass: for k = 1..n-1, dim(U cap Frob^power F) for the step F
+    of canonical basis `basis` and every k-dimensional subspace U of
+    F_{q^t}^n, in `_rational_rows` order.
+
+    F's pivots are its rows' first 1s, which Frobenius fixes; its
+    annihilator has one vector a_f per free column f, and dim(U cap F) =
+    k - rank(u . a_f) over the rows u of U and the free columns f. The
+    products u . a_f are tabulated once per row u, so each U costs lookups
+    plus the rank of a k x (n - dim F) matrix; a line (k = 1) reads its dim
+    off the table, 1 where its row lies in F. It refuses nothing.
+    """
+    rows, families = _rational_rows(ff, n, t)
+    add, mul = ff.add, ff.mul
+    pivots = [row.index(1) for row in basis]
+    if power:
+        basis = [[ff.frobenius(v, power) for v in row] for row in basis]
+    annihilator = [(f, [(pc, ff.neg(r[f])) for r, pc in zip(basis, pivots) if r[f]])
+                   for f in range(n) if f not in pivots]
+    table = []
+    for u in rows:
+        products = []
+        for f, terms in annihilator:
+            s = u[f]
+            for pc, c in terms:
+                if u[pc]:
+                    s = add(s, mul(u[pc], c))
+            products.append(s)
+        table.append(tuple(products) if any(products) else None)  # None: u in F
+    out = []
+    for k, family in enumerate(families, start=1):
+        if k == 1:  # a table lookup per line, no `_rank`: flag_count 13% faster
+            out.append(tuple([int(table[r] is None) for (r,) in family]))
+        else:
+            out.append(tuple([k - _rank([table[r] for r in u if table[r] is not None], ff)
+                              for u in family]))
+    return tuple(out)
+
+
+# The step memo's bound, in stored dims: an entry holds sum_k [n, k]_{q^t}
+# of them, up to 2,814 under verify's default budget (full flags over F_37),
+# so a bound on entries would not bound its memory. Criterion 6's whole
+# grid stores about 47,600.
+STEP_MEMO_DIMS = 1 << 20
+
+
+class _StepMemo:
+    """`_step_dims` by value, keyed on (field, n, t, basis, power); the
+    oldest entries go first once the dims held pass STEP_MEMO_DIMS. `misses`
+    counts step passes, `hits` the lookups that skip one."""
+
+    def __init__(self):
+        self.clear()
+
+    def clear(self):
+        self.entries: dict[tuple, tuple[tuple[int, ...], ...]] = {}
+        self.dims = self.hits = self.misses = 0
+
+    def read(self, ff: FiniteField, n: int, t: int, basis: Matrix,
+             power: int) -> tuple[tuple[int, ...], ...]:
+        key = (ff, n, t, basis, power)
+        found = self.entries.get(key)
+        if found is not None:
+            self.hits += 1
+            return found
+        self.misses += 1
+        found = self.entries[key] = _step_dims(ff, n, t, basis, power)
+        self.dims += sum(map(len, found))
+        while self.dims > STEP_MEMO_DIMS:
+            self.dims -= sum(map(len, self.entries.pop(next(iter(self.entries)))))
+        return found
+
+
+_step_memo = _StepMemo()
+
+
 @lru_cache(maxsize=1)
 def intersection_profiles(points: tuple[FlagPoint, ...], n: int, ff: FiniteField
                           ) -> tuple[tuple[int, frozenset[tuple[int, ...]]], ...]:
@@ -486,49 +572,27 @@ def intersection_profiles(points: tuple[FlagPoint, ...], n: int, ff: FiniteField
     concatenated over j = 0..t-1. For t = 1 these are the rational subspaces
     of F_q^n.
 
-    dim(Frob^j U cap F) = dim(U cap Frob^-j F), so copy j's steps are
-    twisted by Frob^-j and every copy reads the rows of U itself. A step's
-    pivots are its rows' first 1s (the caller checks it is canonical); its
-    annihilator has one vector a_f per free column f, and dim(U cap F^b) =
-    k - rank(u . a_f) over the rows u of U and the free columns f. The
-    products u . a_f are tabulated once per row u, so each U costs lookups
-    plus the rank of a k x (n - dim F^b) matrix; a line (k = 1) reads its
-    dim off the table, 1 where its row lies in F^b. It refuses nothing. The
-    last call's result is kept, so the two tests of one point compute its
+    dim(Frob^j U cap F) = dim(U cap Frob^-j F), so each step's column of
+    dims over the U is one step pass (`_step_dims`) of it at power -j, a
+    function of that step alone, and the profiles zip the columns. A point
+    with two or more steps, over all copies, reads its passes from
+    `_step_memo`, so a step shared by many points (a line lies in q^m + 1
+    planes of F_{q^m}^3) is passed once; a one-step point is the only point
+    with its step, and passes it directly. It refuses nothing. The last
+    call's result is kept, so the two tests of one point compute its
     profiles once.
     """
-    rows, families = _rational_rows(ff, n, len(points))
-    add, mul = ff.add, ff.mul
-    tables = []
-    power = 0  # copy j's steps take Frob^-j
-    for x in points:
-        for basis in x.bases:
-            pivots = [row.index(1) for row in basis]
-            if power:
-                basis = [[ff.frobenius(v, power) for v in row] for row in basis]
-            annihilator = [(f, [(pc, ff.neg(r[f])) for r, pc in zip(basis, pivots) if r[f]])
-                           for f in range(n) if f not in pivots]
-            table = []
-            for u in rows:
-                products = []
-                for f, terms in annihilator:
-                    s = u[f]
-                    for pc, c in terms:
-                        if u[pc]:
-                            s = add(s, mul(u[pc], c))
-                    products.append(s)
-                table.append(tuple(products) if any(products) else None)  # None: u in F^b
-            tables.append(table)
-        power -= 1
+    t = len(points)
+    if t == 1 and len(points[0].bases) == 1:  # no list of steps: flag_count 5% faster
+        columns = [_step_dims(ff, n, 1, points[0].bases[0], 0)]
+    else:
+        steps = [(basis, -j) for j, x in enumerate(points) for basis in x.bases]
+        read = _step_memo.read if len(steps) > 1 else _step_dims
+        columns = [read(ff, n, t, basis, power) for basis, power in steps]
     out = []
-    for k, family in enumerate(families, start=1):
-        if k == 1:  # a table lookup per line, no `_rank`: flag_count 13% faster
-            per_step = [[int(t[r] is None) for (r,) in family] for t in tables]
-        else:
-            per_step = [[k - _rank([t[r] for r in u if t[r] is not None], ff)
-                         for u in family] for t in tables]
-        out.append((k, frozenset(zip(*per_step)) if per_step else frozenset({()})))
-    return tuple(out)
+    for k, dims in enumerate(zip(*columns), start=1):
+        out.append((k, frozenset(zip(*dims))))
+    return tuple(out) if columns else tuple((k, frozenset({()})) for k in range(1, n))
 
 
 def _split(k: int, profile: tuple[int, ...], dims, n: int) -> list[tuple[int, ...]]:

@@ -173,6 +173,20 @@ def test_verify_computes_each_points_profiles_once(config, points):
     assert (info.misses, info.hits) == (points, points)
 
 
+@pytest.mark.parametrize("config,passes,hits", [
+    ("kind=A rank=2 nu=1,0,-1 q=2 m=1", 14, 28),        # 7 lines, 7 planes; 21 flags
+    ("kind=A rank=1 t=2 nu=1,-1;1,-1 q=2 m=2", 10, 40),  # 5 lines at 2 powers; 25 pairs
+    ("kind=A rank=2 nu=2,-1,-1 q=2 m=2", 0, 0),          # one-step points skip the memo,
+    ("kind=A rank=1 t=2 nu=0,0;1,-1 q=2 m=2", 0, 0),     # also with the step in copy 1
+])
+def test_verify_passes_each_step_once(config, passes, hits):
+    # a step's dims over the rational U depend on that step alone, so the
+    # points of a job that share a step share its one pass
+    ffl._step_memo.clear()
+    assert run_main("verify", config)[0] == cli.EXIT_OK
+    assert (ffl._step_memo.misses, ffl._step_memo.hits) == (passes, hits)
+
+
 def test_closed_stdout_is_not_a_traceback():
     # the reader of stdout has gone before the report is written
     env = dict(os.environ)

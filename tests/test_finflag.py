@@ -693,6 +693,50 @@ def test_profiles_are_kept_per_field():
         assert dict(ffl.intersection_profiles((x,), 2, ff)) == want[ff]
 
 
+def test_two_step_points_keep_separate_step_passes_per_field():
+    # as above, with a plane over the line: each field keeps its own passes
+    small, large = ffl.finite_field(2, 2, 1), ffl.finite_field(2, 2, 2)
+    x = ffl.FlagPoint((((1, 2, 0),), ((1, 2, 0), (0, 0, 1))))
+    want = {ff: _brute_profiles(x, ff) for ff in (small, large)}
+    assert want[small] != want[large]
+    ffl._step_memo.clear()
+    for ff in (small, large, small):
+        ffl.intersection_profiles.cache_clear()
+        assert dict(ffl.intersection_profiles((x,), 3, ff)) == want[ff]
+    assert set(ffl._step_memo.entries) == {(ff, 3, 1, basis, 0)
+                                           for ff in (small, large) for basis in x.bases}
+    assert (ffl._step_memo.misses, ffl._step_memo.hits) == (4, 2)
+
+
+def test_a_step_in_each_copy_gets_its_own_step_pass():
+    # copy j reads its step twisted by Frob^-j: <(1, x)> at power 0 and
+    # <(1, x^2)> at power -1 are two lines of F_4^2
+    ff = ffl.finite_field(2, 1, 2)
+    x = ffl.FlagPoint((((1, 2),),))
+    ffl._step_memo.clear()
+    ffl.intersection_profiles.cache_clear()
+    ffl.intersection_profiles((x, x), 2, ff)
+    entries = ffl._step_memo.entries
+    assert set(entries) == {(ff, 2, 2, x.bases[0], 0), (ff, 2, 2, x.bases[0], -1)}
+    assert entries[ff, 2, 2, x.bases[0], 0] != entries[ff, 2, 2, x.bases[0], -1]
+
+
+def test_the_step_memo_holds_at_most_its_cap(monkeypatch):
+    # every full flag of F_4^3 against the 7 rational lines and 7 planes:
+    # 14 dims per step, so a cap of 20 keeps one step and every lookup misses
+    ff = ffl.finite_field(2, 1, 2)
+    points = list(ffl.enumerate_flags(ff, 2, (1, 2)))
+    memo = ffl._step_memo
+    for cap, misses in ((ffl.STEP_MEMO_DIMS, 21 + 21), (20, 2 * len(points))):
+        monkeypatch.setattr(ffl, "STEP_MEMO_DIMS", cap)
+        memo.clear()
+        ffl.intersection_profiles.cache_clear()
+        for x in points:
+            assert dict(ffl.intersection_profiles((x,), 3, ff)) == _brute_profiles(x, ff), x
+            assert memo.dims == sum(len(d) for ds in memo.entries.values() for d in ds) <= cap
+        assert (memo.misses, memo.hits) == (misses, 2 * len(points) - misses)
+
+
 def test_a_tuple_and_its_first_point_keep_separate_profiles():
     ff = ffl.finite_field(2, 1, 2)
     x = next(ffl.enumerate_flags(ff, 1, (1,)))

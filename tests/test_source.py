@@ -136,8 +136,8 @@ def test_flag_rows_are_checked_once_where_a_point_enters():
     # a point built outside the package is checked by `_is_semistable`, the
     # common path of both public tests, before any memo: its type, its steps and
     # rows, and a step that is not canonical is refused there, not reduced or
-    # rebuilt; the kernel only computes, and survey's loop checks no point it
-    # built
+    # rebuilt; the kernel and its step pass only compute, and survey's loop
+    # checks no point it built
     for text in ("flag point of type", "flag bases of type", "flag step of type",
                  "flag row of type", "flag point of width", "flag entry",
                  "is not in reduced"):
@@ -147,8 +147,11 @@ def test_flag_rows_are_checked_once_where_a_point_enters():
     assert [ast.unparse(node.func) for node in ast.walk(defs["_is_semistable"])
             if isinstance(node, ast.Call)
             and ast.unparse(node.func) in ("rref", "FlagPoint")] == []
-    assert [node for node in ast.walk(defs["intersection_profiles"])
-            if isinstance(node, ast.Raise)] == []
+    for name in ("intersection_profiles", "_step_dims"):
+        assert [node for node in ast.walk(defs[name]) if isinstance(node, ast.Raise)] == [], name
+    assert [ast.unparse(node.func) for node in ast.walk(defs["_step_dims"])
+            if isinstance(node, ast.Call)
+            and ast.unparse(node.func) in ("rref", "_is_semistable")] == []
     assert [node for node in ast.walk(defs["verdicts"]) if isinstance(node, ast.Raise)
             or isinstance(node, ast.Call) and ast.unparse(node.func) == "_is_semistable"] == []
 
