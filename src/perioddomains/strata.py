@@ -21,8 +21,8 @@ only scans them, and every degree t and form of one base reads the same
 records.
 
 A restriction of scalars of degree t has W = W_base^t: lengths and pairings
-add over the copies and counts multiply, so each copy's double cosets are
-grouped by pairing value and the copies merged by summing values.
+add over the copies and counts multiply, so one pass over each copy's double
+cosets tabulates [largest dim, count] per value, and the tables merge by sums.
 
 The witness is the qualifying cell of largest dimension that comes first in
 the breadth-first W^P enumeration, whose length layers run in root-
@@ -165,7 +165,8 @@ def strata_report(g: GroupDatum, nu, max_cells: int | None = None) -> StrataRepo
 
 def _stratum(g: GroupDatum, i: int, delta_pi: tuple[int, ...], deltas, pairs) -> VertexStratum:
     """Vertex i, with Delta_{P_i} = delta_pi, from each copy's double cosets
-    and pairing values (mu, nu_j)."""
+    and pairing values (mu, nu_j), which for t >= 2 merge from the last copy
+    into [largest dim, count] per summed value."""
     empty = VertexStratum(index=i, dim=None, witness=None, cell_count=0)
     if len(deltas) == 1:  # no _lift: _top_cell's cached witness derives its word once
         dims, counts, mus = _double_cosets(g.base, deltas[0], delta_pi)
@@ -176,22 +177,15 @@ def _stratum(g: GroupDatum, i: int, delta_pi: tuple[int, ...], deltas, pairs) ->
                        for k in hits if dims[k] == dims[hits[0]]), key=lambda w: w.root_perm)
         return VertexStratum(index=i, dim=dims[hits[0]], witness=witness,
                              cell_count=sum(counts[k] for k in hits))
-    groups = []  # per copy: pairing value -> [largest dim, summed count, its mus]
-    for d, nus in zip(deltas, pairs):
-        by_value: dict[int, list] = {}
-        for dim, count, mu in zip(*_double_cosets(g.base, d, delta_pi)):
-            x = sum(map(mul, mu, nus))
-            if (hit := by_value.get(x)) is None:
-                by_value[x] = [dim, count, [mu]]
-            else:
-                hit[1] += count
-                if hit[0] == dim:
-                    hit[2].append(mu)
-        groups.append(by_value)
+    cosets = [_double_cosets(g.base, d, delta_pi) for d in deltas]  # per copy: dims, counts, mus
+    values = [[sum(map(mul, mu, nus)) for mu in mus] for (_, _, mus), nus in zip(cosets, pairs)]
     suffix = [{0: [0, 1]}]  # suffix[j]: value of copies j.. -> [largest dim, count]
-    for by_value in reversed(groups):
+    for (dims, counts, _), xs in zip(reversed(cosets), reversed(values)):
+        table: dict[int, list[int]] = {}  # this copy: value -> [largest dim, count]
+        for dim, count, x in zip(dims, counts, xs):  # dims fall, so a value's first is largest
+            table.setdefault(x, [dim, 0])[1] += count
         merged: dict[int, list[int]] = {}
-        for x, (dim, count, _) in by_value.items():
+        for x, (dim, count) in table.items():
             for y, (dim2, count2) in suffix[-1].items():
                 if (old := merged.get(x + y)) is None:
                     merged[x + y] = [dim + dim2, count * count2]
@@ -204,21 +198,17 @@ def _stratum(g: GroupDatum, i: int, delta_pi: tuple[int, ...], deltas, pairs) ->
     if not qualifying:
         return empty
     best = max(dim for dim, _ in qualifying)
-    # copy by copy, the first cell that still completes to a witness: its
-    # value x and dim leave copies j+1.. a value above need - x at dim rest - dim
+    # copy by copy, the least root permutation among double cosets whose value
+    # x and dim leave copies j+1.. a value above need - x at dim rest - dim
     need, rest, parts = 0, best, []
-    for j, by_value in enumerate(groups):
+    for j, ((dims, _, mus), xs) in enumerate(zip(cosets, values)):
         highest: dict[int, int] = {}  # dim of copies j+1.. -> largest value there
         for y, (dim2, _) in suffix[j + 1].items():
             highest[dim2] = max(y, highest.get(dim2, y))
-        choice = None
-        for x, (dim, _, mus) in by_value.items():
-            if highest.get(rest - dim, need - x) > need - x:
-                for mu in mus:
-                    cell = _top_cell(g.base, delta_pi, deltas[j], mu)
-                    if choice is None or cell.root_perm < choice[0].root_perm:
-                        choice = (cell, x, dim)
-        cell, x, dim = choice
+        cell, x, dim = min(((_top_cell(g.base, delta_pi, deltas[j], mu), x, dim)
+                            for dim, mu, x in zip(dims, mus, xs)
+                            if highest.get(rest - dim, need - x) > need - x),
+                           key=lambda choice: choice[0].root_perm)
         need, rest = need - x, rest - dim
         parts.append(cell)
     return VertexStratum(index=i, dim=best, witness=_lift(g, parts),

@@ -187,6 +187,26 @@ def test_verify_passes_each_step_once(config, passes, hits):
     assert (ffl._step_memo.misses, ffl._step_memo.hits) == (passes, hits)
 
 
+def test_verify_exits_4_when_the_routes_disagree(monkeypatch):
+    # the strata verdict of the first point is flipped: verify counts one
+    # disagreement, marks the agreement FAILED and exits 4, while the counts
+    # and witnesses still come from the subspace test
+    calls, semistable = [], ffl._semistable
+
+    def flipped(points, n, ff, excess):
+        calls.append(points)
+        verdict = semistable(points, n, ff, excess)
+        return not verdict if len(calls) == 2 else verdict
+
+    monkeypatch.setattr(ffl, "_semistable", flipped)
+    code, out = run_main("verify", "--record", "kind=A rank=1 nu=1,-1 q=2 m=2")
+    assert code == cli.EXIT_DISAGREEMENT == 4
+    assert out.splitlines() == [
+        "points=5", "semistable=2", "unstable=3", "disagreements=1", "agreement=FAILED",
+        "unstable_witness_1=1,0", "unstable_witness_2=1,1", "unstable_witness_3=0,1"]
+    assert len(calls) == 10 and calls[0] == calls[1]
+
+
 def test_closed_stdout_is_not_a_traceback():
     # the reader of stdout has gone before the report is written
     env = dict(os.environ)
@@ -750,6 +770,16 @@ def test_stdin_config(tmp_path):
     code, out = run_main("classify", str(cfg))
     assert code == 0
     assert "pi1 = pi1(Omega^(2)/k)" in out
+
+
+def test_config_read_from_stdin(monkeypatch):
+    # '-' reads the config from stdin, and inline tokens after it still apply
+    import io
+    monkeypatch.setattr(sys, "stdin", io.StringIO("kind = A\n# a comment\nrank = 1\n"))
+    code, out = run_main("classify", "-", "nu=1,-1", "--record")
+    assert code == cli.EXIT_OK
+    assert out.splitlines()[:2] == ["pi1=pi1(Omega^(2)/k)", "factor=1"]
+    assert sys.stdin.read() == ""
 
 
 def test_unreadable_config_file(tmp_path, capsys):

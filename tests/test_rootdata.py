@@ -191,6 +191,16 @@ def test_flat_cocharacter_only_for_t_1():
     assert rd._read_nu(g.base, 1, (1, -1))[0] == ((1, -1),)
 
 
+def test_a_wrong_factor_count_is_refused_by_the_library():
+    # the CLI counts nu's factors against t before it calls the library, so
+    # only a library caller meets this refusal, on both routes
+    from perioddomains import classify, strata
+    g = rd.build_group("A", 1, res_degree=2)
+    for route in (classify.classify, strata.strata_report):
+        with pytest.raises(MalformedNu, match=r"^expected 2 cocharacter factors, got 3$"):
+            route(g, ((1, -1),) * 3)
+
+
 def test_a_factor_that_is_no_tuple_or_list_is_refused_unread():
     # the entry check would consume a one-shot iterator before its width is
     # measured; it is refused before any entry is read, and a list factor
@@ -527,6 +537,13 @@ def test_unitary_requires_type_a():
         rd.build_group("B", 2, form="unitary")
     with pytest.raises(IllegalType):
         rd.build_group("A", 1, form="unitary")
+
+
+def test_a_restriction_of_scalars_has_positive_degree():
+    # the CLI refuses t <= 0 while it parses; the library refuses it too
+    for t in (0, -2):
+        with pytest.raises(IllegalType, match=r"^res_degree must be >= 1$"):
+            rd.build_group("A", 1, res_degree=t)
 
 
 def test_group_interning():

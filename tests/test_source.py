@@ -30,6 +30,8 @@ def test_every_annotation_in_the_package_resolves():
         owners = [obj for obj in vars(module).values()
                   if getattr(obj, "__module__", None) == module.__name__]
         for owner in owners:
+            if not isinstance(owner, type) and type(owner).__module__ == module.__name__:
+                owner = type(owner)  # an instance of a package class, read through its class
             members = [owner]
             if isinstance(owner, type):  # methods, properties and cached properties
                 members += [getattr(m, "__func__", getattr(m, "fget", getattr(m, "func", m)))
