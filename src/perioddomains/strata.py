@@ -28,13 +28,15 @@ The witness is the qualifying cell of largest dimension that comes first in
 the breadth-first W^P enumeration, whose length layers run in root-
 permutation order, lexicographic over the copies on W_base^t. In each copy
 it is the longest cell of its double coset, so only candidates are built,
-and its reduced word is the enumeration's (`weyl._reduced_word`).
+and its reduced word is the enumeration's (`weyl._reduced_word`). A report
+finds no witness: each vertex keeps the records its search reads and runs
+it the first time its witness is read.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from operator import mul
 
@@ -43,14 +45,31 @@ from .rootdata import GroupDatum, RootSystemData, _base_orbits, _read_nu, climb,
 from .weyl import WeylElement, _parabolic, _tables, longest_element, weyl_order
 
 
+class _FoundOnFirstRead:
+    """`VertexStratum.witness`: the first read runs the stratum's `_search`
+    (a function, then its arguments) and stores the cell in the instance,
+    which later reads find first. `functools.cached_property` does the same
+    but takes a lock on each first read up to Python 3.11."""
+
+    def __get__(self, stratum, owner=None):
+        if stratum is None:
+            return self
+        search = stratum._search
+        witness = stratum.__dict__["witness"] = search[0](*search[1:]) if search else None
+        return witness
+
+
 @dataclass(frozen=True)
 class VertexStratum:
-    """One vertex stratum: its dimension (None if empty), a witness cell, cell count."""
+    """One vertex stratum: its dimension (None if empty), a witness cell (None
+    exactly when the dimension is), found when first read, and cell count."""
 
     index: int
     dim: int | None
-    witness: WeylElement | None
+    # init=False: __init__ leaves it to the class attribute, the descriptor
+    witness: WeylElement | None = field(init=False, default=_FoundOnFirstRead())
     cell_count: int
+    _search: tuple = field(default=(), repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -167,16 +186,13 @@ def _stratum(g: GroupDatum, i: int, delta_pi: tuple[int, ...], deltas, pairs) ->
     """Vertex i, with Delta_{P_i} = delta_pi, from each copy's double cosets
     and pairing values (mu, nu_j), which for t >= 2 merge from the last copy
     into [largest dim, count] per summed value."""
-    empty = VertexStratum(index=i, dim=None, witness=None, cell_count=0)
-    if len(deltas) == 1:  # no _lift: _top_cell's cached witness derives its word once
+    if len(deltas) == 1:
         dims, counts, mus = _double_cosets(g.base, deltas[0], delta_pi)
         hits = [k for k, mu in enumerate(mus) if sum(map(mul, mu, pairs[0])) > 0]
         if not hits:
-            return empty
-        witness = min((_top_cell(g.base, delta_pi, deltas[0], mus[k])
-                       for k in hits if dims[k] == dims[hits[0]]), key=lambda w: w.root_perm)
-        return VertexStratum(index=i, dim=dims[hits[0]], witness=witness,
-                             cell_count=sum(counts[k] for k in hits))
+            return VertexStratum(index=i, dim=None, cell_count=0)
+        return VertexStratum(index=i, dim=dims[hits[0]], cell_count=sum(counts[k] for k in hits),
+                             _search=(_base_witness, g.base, delta_pi, deltas[0], dims, mus, hits))
     cosets = [_double_cosets(g.base, d, delta_pi) for d in deltas]  # per copy: dims, counts, mus
     values = [[sum(map(mul, mu, nus)) for mu in mus] for (_, _, mus), nus in zip(cosets, pairs)]
     suffix = [{0: [0, 1]}]  # suffix[j]: value of copies j.. -> [largest dim, count]
@@ -196,10 +212,25 @@ def _stratum(g: GroupDatum, i: int, delta_pi: tuple[int, ...], deltas, pairs) ->
     suffix.reverse()
     qualifying = [v for x, v in suffix[0].items() if x > 0]
     if not qualifying:
-        return empty
+        return VertexStratum(index=i, dim=None, cell_count=0)
     best = max(dim for dim, _ in qualifying)
-    # copy by copy, the least root permutation among double cosets whose value
-    # x and dim leave copies j+1.. a value above need - x at dim rest - dim
+    return VertexStratum(index=i, dim=best, cell_count=sum(count for _, count in qualifying),
+                         _search=(_product_witness, g, delta_pi, deltas, cosets, values,
+                                  suffix, best))
+
+
+def _base_witness(rs: RootSystemData, delta_pi, delta_p, dims, mus, hits) -> WeylElement:
+    """The t = 1 witness: the least root permutation among the longest cells
+    of the qualifying double cosets (indices hits) at the top dim. No _lift:
+    _top_cell's cached cell derives its word once."""
+    return min((_top_cell(rs, delta_pi, delta_p, mus[k]) for k in hits if dims[k] == dims[hits[0]]),
+               key=lambda w: w.root_perm)
+
+
+def _product_witness(g: GroupDatum, delta_pi, deltas, cosets, values, suffix, best) -> WeylElement:
+    """The t >= 2 witness: copy by copy, the least root permutation among
+    double cosets whose value x and dim leave copies j+1.. a value above
+    need - x at dim rest - dim."""
     need, rest, parts = 0, best, []
     for j, ((dims, _, mus), xs) in enumerate(zip(cosets, values)):
         highest: dict[int, int] = {}  # dim of copies j+1.. -> largest value there
@@ -211,5 +242,4 @@ def _stratum(g: GroupDatum, i: int, delta_pi: tuple[int, ...], deltas, pairs) ->
                            key=lambda choice: choice[0].root_perm)
         need, rest = need - x, rest - dim
         parts.append(cell)
-    return VertexStratum(index=i, dim=best, witness=_lift(g, parts),
-                         cell_count=sum(count for _, count in qualifying))
+    return _lift(g, parts)

@@ -6,7 +6,7 @@ import typing
 from pathlib import Path
 
 import perioddomains
-from perioddomains import cli, finflag, rootdata, weyl
+from perioddomains import cli, finflag, rootdata, strata, weyl
 
 
 def test_no_assert_in_package():
@@ -156,6 +156,17 @@ def test_flag_rows_are_checked_once_where_a_point_enters():
             and ast.unparse(node.func) in ("rref", "_is_semistable")] == []
     assert [node for node in ast.walk(defs["verdicts"]) if isinstance(node, ast.Raise)
             or isinstance(node, ast.Call) and ast.unparse(node.func) == "_is_semistable"] == []
+
+
+def test_a_report_finds_no_witness():
+    # a stratum runs its witness search the first time its witness is read:
+    # neither the report nor its strata build a cell or call a search
+    tree = ast.parse(Path(strata.__file__).read_text(encoding="utf-8"))
+    defs = {node.name: node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+    for name in ("strata_report", "_stratum"):
+        assert [ast.unparse(node.func) for node in ast.walk(defs[name])
+                if isinstance(node, ast.Call) and ast.unparse(node.func)
+                in ("_top_cell", "_lift", "_base_witness", "_product_witness")] == [], name
 
 
 def test_one_helper_refuses_a_negative_budget():

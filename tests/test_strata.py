@@ -464,3 +464,52 @@ def test_witness_is_first_in_bfs_order():
     # cells of Y_2 are e and s1; the max-length witness is s1
     assert s2.witness.word == (1,)
     assert s2.witness.length == s2.dim
+
+
+@pytest.mark.parametrize("nu", [(2, -1, -1), ((2, -1, -1), (0, 0, 0))], ids=["t1", "t2"])
+def test_witness_is_found_on_first_read(nu, monkeypatch):
+    # a report builds no cell; the first read of a witness runs its search,
+    # a second read returns that object, and the search holds its records,
+    # so clearing the caches between report and read changes nothing
+    entries = nu if isinstance(nu[0], tuple) else (nu,)
+    g = rd.build_group("A", 2, res_degree=len(entries))
+    words = [word for _, _, word in brute_report(g, entries)[1]]
+    double_cosets, top_cell = strata._double_cosets, strata._top_cell
+    calls = []
+
+    def counting(name):
+        real = getattr(strata, name)
+
+        def counted(*args):
+            calls.append(name)
+            return real(*args)
+        return counted
+    for name in ("_top_cell", "_lift"):
+        monkeypatch.setattr(strata, name, counting(name))
+    report, early = strata.strata_report(g, nu), strata.strata_report(g, nu)
+    assert calls == []
+    s = report.per_vertex[1]
+    witness = s.witness
+    assert witness.word == words[1]
+    made = list(calls)
+    assert "_top_cell" in made and made.count("_lift") == (len(entries) > 1)
+    assert s.witness is witness and calls == made
+    double_cosets.cache_clear()
+    top_cell.cache_clear()
+    assert [v.witness.word if v.witness else None for v in early.per_vertex] == words
+
+
+def test_reports_compare_their_witnesses():
+    # equal dims and counts at every vertex, but the witnesses are s1 and s3:
+    # ==, hash and repr read the witness, which no report has read before
+    g = rd.build_group("A", 2, res_degree=2)
+    first = strata.strata_report(g, ((2, -1, -1), (0, 0, 0)))
+    second = strata.strata_report(g, ((0, 0, 0), (2, -1, -1)))
+    same = strata.strata_report(g, ((2, -1, -1), (0, 0, 0)))
+    assert first != second and first == same
+    assert hash(first) == hash(same)
+    assert "witness=s3" in repr(second)
+    assert [(s.dim, s.cell_count) for s in first.per_vertex] == [
+        (s.dim, s.cell_count) for s in second.per_vertex]
+    assert [repr(s.witness) for s in first.per_vertex] == ["e", "s1"]
+    assert [repr(s.witness) for s in second.per_vertex] == ["e", "s3"]
